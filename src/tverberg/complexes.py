@@ -110,10 +110,6 @@ class DisjointTuple:
                 raise ValueError(f"faces are not pairwise disjoint: {self.faces}")
             used |= set(f)
 
-    @property
-    def dim_sum(self) -> int:
-        return sum(len(f) - 1 for f in self.faces)
-
     def in_complex(self, K: SimplicialComplex) -> bool:
         return all(K.has_face(f) for f in self.faces)
 
@@ -172,6 +168,15 @@ def _disjoint_index_tuples(masks: Sequence[int], r: int, ordered: bool) -> Itera
     yield from rec(0, 0)
 
 
+def _index_tuples(K: SimplicialComplex, r: int, caller: str, ordered: bool = True):
+    """Faces, their masks, and the disjoint index tuples over them."""
+    if r < 2:
+        raise ValueError(f"{caller} needs r >= 2, got {r}")
+    faces = K.faces()
+    masks = _face_masks(faces)
+    return faces, masks, _disjoint_index_tuples(masks, r, ordered)
+
+
 def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[DisjointTuple]:
     """All ordered r-tuples of pairwise disjoint nonempty faces, each once.
 
@@ -179,21 +184,15 @@ def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[DisjointTuple]:
     come out lexicographically in that numbering, so the stream is
     deterministic.
     """
-    if r < 2:
-        raise ValueError(f"disjoint_tuples needs r >= 2, got {r}")
-    faces = K.faces()
-    masks = _face_masks(faces)
-    for idx in _disjoint_index_tuples(masks, r, ordered=True):
+    faces, _, tuples = _index_tuples(K, r, "disjoint_tuples")
+    for idx in tuples:
         yield DisjointTuple(tuple(faces[i] for i in idx))
 
 
 def disjoint_face_combinations(K: SimplicialComplex, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Unordered variant: one representative (sorted by face order) per orbit."""
-    if r < 2:
-        raise ValueError(f"disjoint_face_combinations needs r >= 2, got {r}")
-    faces = K.faces()
-    masks = _face_masks(faces)
-    for idx in _disjoint_index_tuples(masks, r, ordered=False):
+    faces, _, tuples = _index_tuples(K, r, "disjoint_face_combinations", ordered=False)
+    for idx in tuples:
         yield tuple(faces[i] for i in idx)
 
 
@@ -210,9 +209,9 @@ class DeletedProductStats:
 
 def deleted_product_stats(K: SimplicialComplex, r: int) -> DeletedProductStats:
     """Counts of ordered disjoint tuples by sum of face dimensions."""
-    counts: Counter[int] = Counter()
-    for t in disjoint_tuples(K, r):
-        counts[t.dim_sum] += 1
+    faces, _, tuples = _index_tuples(K, r, "deleted_product_stats")
+    dims = [len(f) - 1 for f in faces]
+    counts = Counter(sum(dims[i] for i in idx) for idx in tuples)
     if not counts:
         return DeletedProductStats(cells_by_dim=(), dimension=None)
     return DeletedProductStats(
@@ -224,13 +223,11 @@ def deleted_product_stats(K: SimplicialComplex, r: int) -> DeletedProductStats:
 def verify_free_action(K: SimplicialComplex, r: int) -> bool:
     """Check that no nontrivial coordinate permutation fixes any tuple.
 
-    Pairwise disjoint nonempty faces are pairwise distinct, so this is
-    always true; it is kept executable as a sanity check on the
+    A permutation fixes a tuple iff it only moves coordinates between
+    equal faces, so a nontrivial one exists iff two faces coincide; the
+    check is that every tuple's faces are pairwise distinct.  Pairwise
+    disjoint nonempty faces always are, so this is a sanity check on the
     enumeration.
     """
-    perms = [p for p in itertools.permutations(range(r)) if p != tuple(range(r))]
-    for t in disjoint_tuples(K, r):
-        for p in perms:
-            if tuple(t.faces[p[i]] for i in range(r)) == t.faces:
-                return False
-    return True
+    _, masks, tuples = _index_tuples(K, r, "verify_free_action")
+    return all(len({masks[i] for i in idx}) == r for idx in tuples)

@@ -7,21 +7,23 @@ modification step picks the orbit of a two-valued center
 
     M = (k-r, ..., k-r, k, ..., k)   (k low entries, r-k high ones)
 
-normalized into the top row, pushes a bump-shaped neighborhood of the
-orbit through the origin and reprojects to the sphere.  One step moves
-the mapping degree by +-C(r,k) times the local degree of the current
-map at the center; a Bezout certificate for -1 therefore drives the
-total from 1 to 0.
+normalized and placed as c_theta = (cos theta * M ; sin theta * M),
+pushes a bump-shaped neighborhood of the orbit through the origin and
+reprojects to the sphere.  Rotating the rows commutes with permuting the
+columns, so every angle gives an orbit with the same isotropy; the j-th
+of n steps at the same k uses theta_j = j*pi/(2n), which keeps its balls
+away from every earlier step.  The base map is therefore the identity
+at each new center family, and a step moves the mapping degree by
+exactly +-C(r,k); a Bezout certificate for -1 drives the total from 1
+to 0.
 
 Two mechanisms realize the two signs: the "minus" formula subtracts
-2*rho(x)*f(center) directly, the "plus" formula first composes with a
-reflection through the hyperplane orthogonal to the companion center
-(rows swapped), implemented as an explicit blended homotopy rather than
-an abstract extension.  A minus-style step reverses the local degree at
-its own centers (the germ lands on the antipode, which flips
-orientation), so the builder tracks local degrees per center family and
-picks the formula that realizes each plan step's requested sign; the
-finite-difference harness then measures every local sign independently.
+2*rho(x)*f(center) directly (delta -C(r,k)), the "plus" formula first
+composes with a reflection through the hyperplane orthogonal to the
+companion center (the center rotated by +90 degrees), implemented as an
+explicit blended homotopy rather than an abstract extension (delta
++C(r,k)).  The finite-difference harness measures every local sign
+independently.
 
 Everything numerical is float64; verification thresholds are part of the
 public contract (equivariance residuals ~1e-9, homotopy zeros at the
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -67,7 +70,10 @@ __all__ = [
 _SPHERE_TOL = 1e-12
 _NORM_FLOOR = 1e-9
 PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the radius
-SUPPORT_FRACTION = 1.0   # and identically 0 beyond this fraction
+# The radius of a step at k, as written to plan JSON; n counts the plan's
+# steps at k, and maps without a repeated k need only the first rule.
+RADIUS_RULE = "min_orbit_dist/3"
+RADIUS_RULE_REPEATED = "min_orbit_dist/3 if n = 1 else min(min_orbit_dist/3, sin(pi/(4n)))"
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -175,10 +181,12 @@ def safe_radius(r: int, k: int) -> float:
     return min_orbit_distance(r, k) / 3.0
 
 
-def _orbit_centers(r: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """All C(r,k) orbit points plus a coset permutation reaching each.
+def _orbit_centers(r: int, k: int, theta: float = 0.0
+                   ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """All C(r,k) orbit points of c_theta plus a coset permutation reaching each.
 
-    centers[i] = act(perms[i], base center); perms[0] is the identity.
+    c_theta has cos(theta) * row in row 0 and sin(theta) * row in row 1;
+    centers[i] = act(perms[i], c_theta); perms[0] is the identity.
     """
     norm = math.sqrt(k * (r - k) * r)
     low = (k - r) / norm
@@ -189,7 +197,8 @@ def _orbit_centers(r: int, k: int) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     for i, S in enumerate(itertools.combinations(range(r), k)):
         row = np.full(r, high)
         row[list(S)] = low
-        centers[i, 0] = row
+        centers[i, 0] = math.cos(theta) * row
+        centers[i, 1] = math.sin(theta) * row
         comp = [v for v in range(r) if v not in S]
         sigma = [0] * r
         for pos, v in enumerate(S):
@@ -230,18 +239,16 @@ def bump_rho(x, c, radius: float) -> float:
     """Orbit-invariant bump evaluated at x: 1 near the orbit of c, 0 outside.
 
     The orbit is generated by column permutations of c; radial in the
-    chordal distance to the nearest orbit point.
+    chordal distance to the nearest orbit point.  That point maximizes
+    <x, sigma c> = sum_i <c[:, i], x[:, sigma(i)]>, a linear assignment
+    over columns, so it is found exactly for every r.
     """
+    from scipy.optimize import linear_sum_assignment
+
     arr = _as_array(x)
     carr = _as_array(c)
-    r = carr.shape[1]
-    if r > 9:
-        raise ValueError("generic orbit enumeration is limited to r <= 9")
-    seen = {carr.tobytes(): carr}
-    for sigma in itertools.permutations(range(r)):
-        img = _act_array(sigma, carr)
-        seen.setdefault(img.tobytes(), img)
-    dmin = min(float(_frob(arr - img)) for img in seen.values())
+    _, sigma = linear_sum_assignment(carr.T @ arr, maximize=True)
+    dmin = float(_frob(arr - _act_array(sigma, carr)))
     if dmin >= radius:
         return 0.0
     return float(_bump(dmin, radius))
@@ -261,12 +268,9 @@ class ModificationNode:
     variant: str              # "minus" or "plus" (the formula used)
     coefficient: int          # C(r,k)
     delta: int
-    local_degree_before: int  # deg of the base map at the center, tracked
     radius: float
-    plateau_fraction: float
-    support_fraction: float
     centers: np.ndarray       # (m, 2, r)
-    companions: np.ndarray    # rows swapped per center
+    companions: np.ndarray    # each center rotated by +90 degrees
     center_values: np.ndarray  # base map evaluated on the orbit
     perms: tuple[tuple[int, ...], ...]
     lam_inner: float          # reflection blend is full inside this distance
@@ -286,7 +290,6 @@ class MapLayer:
     r: int
     node: Optional[ModificationNode]
     previous: Optional["MapLayer"]
-    local_degrees: dict[int, int]
 
     def __call__(self, x):
         single = isinstance(x, SpherePoint) or _as_array(x).ndim == 2
@@ -339,7 +342,7 @@ class DegreeLedger:
 def identity_map(r: int) -> MapLayer:
     if r < 2:
         raise ValueError(f"identity_map needs r >= 2, got {r}")
-    return MapLayer(r=r, node=None, previous=None, local_degrees={})
+    return MapLayer(r=r, node=None, previous=None)
 
 
 def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,15 +457,12 @@ def _check_separation(layer: MapLayer, centers: np.ndarray, k: int,
     within 5R/8 of a new center, and they force the base map to hit its
     center value there; so that inner zone (plus the centers themselves)
     must stay clear of every earlier step's support balls, where the
-    base map is wild.  Same-k steps reuse the identical orbit and are
-    exempt: their shrunken support nests inside the previous plateau.
+    base map is wild.
     """
     inner = 0.625 * radius  # bump crosses 1/2 at R/4 + (3R/4)/2
     flat = centers.reshape(len(centers), -1)
     for prior in layer.chain():
         nd = prior.node
-        if nd.k == k:
-            continue
         d2 = (
             np.einsum("ij,ij->i", flat, flat)[:, None]
             + nd.centers_sq[None, :]
@@ -476,18 +476,24 @@ def _check_separation(layer: MapLayer, centers: np.ndarray, k: int,
             )
 
 
-def _make_modified(layer: MapLayer, k: int, variant: str) -> MapLayer:
+def _make_modified(layer: MapLayer, k: int, sign: int, n: Optional[int] = None) -> MapLayer:
+    """Add the next of n steps at k on its own rotated center family.
+
+    The j-th step at k (j counted along the chain) sits at theta_j =
+    j*pi/(2n), with n = j+1 unless given.  Adjacent families are a chord
+    2*sin(pi/(4n)) apart (the angles stay in [0, pi/2)), so capping the
+    radius at sin(pi/(4n)) keeps 1.625*R below that chord and the new
+    inner zones clear of every earlier ball.
+    """
     r = layer.r
     if not 1 <= k <= r - 1:
         raise ValueError(f"modification needs 1 <= k <= r-1, got k={k}")
-    centers, perms = _orbit_centers(r, k)
-    # Stacked steps at the same orbit shrink the support into the previous
-    # step's plateau: there the base map is germ-like and injective, which
-    # keeps the homotopy's zeros exactly at the centers.  With the full
-    # radius a third or fourth stack picks up spurious zeros and the
-    # ledger silently drifts from the true degree.
-    stacks = sum(1 for prior in layer.chain() if prior.node.k == k)
-    radius = safe_radius(r, k) * (PLATEAU_FRACTION ** stacks)
+    j = sum(1 for prior in layer.chain() if prior.node.k == k)
+    n = j + 1 if n is None else n
+    centers, perms = _orbit_centers(r, k, j * math.pi / (2 * n))
+    radius = safe_radius(r, k)
+    if n > 1:
+        radius = min(radius, math.sin(math.pi / (4 * n)))
     if len(centers) <= 2000:
         flat = centers.reshape(len(centers), -1)
         g = flat @ flat.T
@@ -497,68 +503,53 @@ def _make_modified(layer: MapLayer, k: int, variant: str) -> MapLayer:
         if math.sqrt(float(d2.min())) <= 2.0 * radius:
             raise CenterSeparationError(f"orbit balls for (r={r}, k={k}) are not disjoint")
     _check_separation(layer, centers, k, radius)
-    companions = centers[:, ::-1, :].copy()
-    center_values = _eval(layer, centers)
-    deg = layer.local_degrees.get(k, 1)
+    companions = np.stack([-centers[:, 1], centers[:, 0]], axis=1)
     coeff = math.comb(r, k)
-    delta = -coeff * deg if variant == "minus" else coeff * deg
     node = ModificationNode(
         r=r,
         k=k,
-        sign=1 if delta > 0 else -1,
-        variant=variant,
+        sign=sign,
+        variant="minus" if sign < 0 else "plus",
         coefficient=coeff,
-        delta=delta,
-        local_degree_before=deg,
+        delta=sign * coeff,
         radius=radius,
-        plateau_fraction=PLATEAU_FRACTION,
-        support_fraction=SUPPORT_FRACTION,
         centers=centers,
         companions=companions,
-        center_values=center_values,
+        center_values=_eval(layer, centers),
         perms=tuple(perms),
         lam_inner=_bump_level_radius(1.0 / 3.0, radius),
         lam_outer=_bump_level_radius(1.0 / 4.0, radius),
     )
-    degrees = dict(layer.local_degrees)
-    degrees[k] = -deg if variant == "minus" else deg
-    return MapLayer(r=r, node=node, previous=layer, local_degrees=degrees)
+    return MapLayer(r=r, node=node, previous=layer)
 
 
 def modify_minus(layer: MapLayer, k: int) -> MapLayer:
     """x -> normalize(f(x) - 2 rho(x) f(center)) on each orbit ball.
 
-    Degree delta: -C(r,k) times the local degree of f at the center.
+    Degree delta: -C(r,k); f is the identity at the new center family.
     """
-    return _make_modified(layer, k, "minus")
+    return _make_modified(layer, k, -1)
 
 
 def modify_plus(layer: MapLayer, k: int) -> MapLayer:
-    """Reflection-composed variant; delta +C(r,k) times the local degree."""
-    return _make_modified(layer, k, "plus")
+    """Reflection-composed variant; degree delta +C(r,k)."""
+    return _make_modified(layer, k, 1)
 
 
 def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     """Apply one modification per plan step, realizing each requested sign.
 
-    The variant is chosen from the tracked local degree at the step's
-    center family so that the realized delta is exactly sign * C(r,k);
-    the final running degree equals the plan target (0 for certificate
-    plans).
+    Each step gets its own rotated center family, on which the map built
+    so far is the identity, so a negative sign uses the minus formula, a
+    positive one the plus formula, and the delta is exactly
+    sign * C(r,k); the final running degree equals the plan target (0 for
+    certificate plans).
     """
     layer = identity_map(plan.r)
-    entries: list[tuple[int, int, int]] = []
+    per_k = Counter(k for k, _ in plan.steps)
     for k, sign in plan.steps:
-        deg = layer.local_degrees.get(k, 1)
-        variant = "minus" if sign * deg < 0 else "plus"
-        layer = _make_modified(layer, k, variant)
-        want = sign * math.comb(plan.r, k)
-        if layer.node.delta != want:
-            raise AssertionError(
-                f"variant selection bug: realized {layer.node.delta}, wanted {want}"
-            )
-        entries.append((k, sign, layer.node.delta))
-    ledger = DegreeLedger(tuple(entries))
+        layer = _make_modified(layer, k, sign, per_k[k])
+    ledger = DegreeLedger(tuple((l.node.k, l.node.sign, l.node.delta) for l in layer.chain()))
     if ledger.final != plan.target:
         raise AssertionError(
             f"ledger ends at {ledger.final}, plan target is {plan.target}"
@@ -808,4 +799,6 @@ def winding_number_r2(layer: MapLayer, max_samples: int = 2 ** 20) -> int:
 def layer_plan_json(layer: MapLayer) -> dict:
     """Reconstructible description: r, the signed steps, and the radius rule."""
     steps = [{"k": l.node.k, "sign": l.node.sign} for l in layer.chain()]
-    return {"r": layer.r, "steps": steps, "radius_rule": "min_orbit_dist/3"}
+    repeated = len({s["k"] for s in steps}) < len(steps)
+    return {"r": layer.r, "steps": steps,
+            "radius_rule": RADIUS_RULE_REPEATED if repeated else RADIUS_RULE}

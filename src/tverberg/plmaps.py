@@ -455,10 +455,10 @@ def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False,
     """
     if r < 2:
         raise ValueError(f"almost_r_embedding_check needs r >= 2, got {r}")
-    combos = enumerate(disjoint_face_combinations(f.complex, r))
+    combos = disjoint_face_combinations(f.complex, r)
     if maximal_only:
-        combos = ((pos, faces) for pos, faces in combos
-                  if _is_maximal_tuple(f.complex, faces))
+        combos = (faces for faces in combos if _is_maximal_tuple(f.complex, faces))
+    combos = enumerate(combos)
 
     if workers > 1:
         return _check_parallel(f, list(combos), workers)
@@ -476,7 +476,10 @@ def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False,
 
 
 def _check_parallel(f: PLMap, combos: list, workers: int) -> CheckVerdict:
-    """Split the tuple list into chunks; merge to the enumeration-first hit."""
+    """Split the tuple list into chunks; merge to the enumeration-first hit.
+
+    Counts tuples up to that hit, as the serial scan does.
+    """
     from concurrent.futures import ProcessPoolExecutor
 
     chunk_size = max(1, (len(combos) + workers - 1) // workers)
@@ -488,9 +491,9 @@ def _check_parallel(f: PLMap, combos: list, workers: int) -> CheckVerdict:
                 best = found
     if best is None:
         return CheckVerdict(passed=True, witness=None, tuples_checked=len(combos))
-    _, faces, hit = best
+    pos, faces, hit = best
     witness = IntersectionWitness(
         tuple_=DisjointTuple(faces), point=hit.point, barycentric=hit.barycentric
     )
     witness.verify(f)
-    return CheckVerdict(passed=False, witness=witness, tuples_checked=len(combos))
+    return CheckVerdict(passed=False, witness=witness, tuples_checked=pos + 1)

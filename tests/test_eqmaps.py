@@ -138,6 +138,20 @@ class TestBump:
         assert 0.0 < val < 1.0
         assert val >= 1.0 / 3.0  # the reflection zone keeps clear of the blend
 
+    def test_matches_nearest_orbit_point_at_r10(self):
+        layer = eq.modify_minus(eq.identity_map(10), 3)
+        node = layer.node
+        rng = np.random.default_rng(17)
+        noise = eq.random_sphere_points(10, len(node.centers), rng)
+        X = node.centers + 0.5 * node.radius * noise
+        X /= eq._frob(X)[:, None, None]
+        X = np.concatenate([X, eq.random_sphere_points(10, 20, rng)])
+        dmin, _ = eq._nearest(node, X)
+        assert (dmin < node.radius).any() and (dmin >= node.radius).any()
+        for x, d in zip(X, dmin):
+            want = float(eq._bump(d, node.radius)) if d < node.radius else 0.0
+            assert abs(eq.bump_rho(x, node.centers[0], node.radius) - want) < 1e-12
+
     def test_orbit_invariance(self):
         c, _, _ = eq.center_point(4, 2)
         R = eq.safe_radius(4, 2)
@@ -210,6 +224,27 @@ class TestBuildFromPlan:
         layer, ledger = eq.build_from_plan(plan)
         assert ledger.running == (1, -5, -20, 0)
         assert [l.node.variant for l in layer.chain()] == ["minus", "minus", "plus"]
+
+    def test_r6_repeated_k_plan(self):
+        plan = plan_of(6, ((1, -1), (1, -1), (2, 1), (1, 1)))
+        layer, ledger = eq.build_from_plan(plan)
+        assert ledger.running == (1, -5, -11, 4, 10) and ledger.final == plan.target
+        for step, (k, sign) in zip(layer.chain(), plan.steps):
+            assert step.node.variant == ("minus" if sign < 0 else "plus")
+            rep = eq.verify_local_degrees(step)
+            assert rep.k == k
+            assert rep.consistent and rep.matches_ledger
+            assert set(rep.delta_signs) == {sign}
+
+    def test_repeated_k_families_are_rotated(self):
+        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, 1), (1, -1))))
+        for j, step in enumerate(layer.chain()):
+            node = step.node
+            theta = j * math.pi / 6
+            row = node.centers[0, 0] / math.cos(theta)
+            assert np.allclose(node.centers[0, 1], math.sin(theta) * row)
+            assert np.allclose(node.companions[0], [-math.sin(theta) * row, math.cos(theta) * row])
+            assert node.radius == min(eq.safe_radius(2, 1), math.sin(math.pi / 12))
 
     def test_r3_plans_stay_1_mod_3(self):
         for steps in itertools.product(((1, 1), (1, -1), (2, 1), (2, -1)), repeat=2):
@@ -318,13 +353,17 @@ class TestWinding:
             layer, ledger = eq.build_from_plan(plan_of(2, steps))
             assert eq.winding_number_r2(layer) == expected == ledger.final
 
-    def test_ledger_agreement_all_plans_to_length_4(self):
-        for length in range(5):
-            for steps in itertools.product(((1, 1), (1, -1)), repeat=length):
-                layer, ledger = eq.build_from_plan(plan_of(2, steps))
-                w = eq.winding_number_r2(layer)
-                assert w == ledger.final, f"plan {steps}: winding {w} != {ledger.final}"
-                assert w % 2 == 1  # equivariant circle maps have odd degree
+    def test_ledger_agreement_all_plans_to_length_6_and_length_8(self):
+        plans = [steps for length in range(7)
+                 for steps in itertools.product(((1, 1), (1, -1)), repeat=length)]
+        for first in (1, -1):
+            plans.append(((1, first),) * 8)
+            plans.append(((1, first), (1, -first)) * 4)
+        for steps in plans:
+            layer, ledger = eq.build_from_plan(plan_of(2, steps))
+            w = eq.winding_number_r2(layer)
+            assert w == ledger.final, f"plan {steps}: winding {w} != {ledger.final}"
+            assert w % 2 == 1  # equivariant circle maps have odd degree
 
     def test_requires_r2(self):
         with pytest.raises(ValueError):
@@ -344,3 +383,5 @@ class TestPlanJson:
         assert obj["r"] == 6
         assert obj["radius_rule"] == "min_orbit_dist/3"
         assert [(s["k"], s["sign"]) for s in obj["steps"]] == list(plan.steps)
+        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, -1))))
+        assert eq.layer_plan_json(layer)["radius_rule"] == eq.RADIUS_RULE_REPEATED

@@ -297,6 +297,15 @@ class TestChecker:
         assert par.passed == seq.passed is False
         assert par.witness.tuple_.faces == seq.witness.tuple_.faces
         assert par.witness.point == seq.witness.point
+        assert par.tuples_checked == seq.tuples_checked
+        # a FAIL deep in the stream: the count runs up to the first witness
+        g = random_rational_map(simplex_skeleton(6, 1), 2, 1)
+        for maximal_only, count in ((False, 128), (True, 2)):
+            seq = almost_r_embedding_check(g, 2, maximal_only=maximal_only)
+            par = almost_r_embedding_check(g, 2, maximal_only=maximal_only, workers=2)
+            assert par.passed == seq.passed is False
+            assert par.witness.tuple_.faces == seq.witness.tuple_.faces
+            assert par.tuples_checked == seq.tuples_checked == count
 
     def test_empty_tuple_set_passes(self):
         f = constant_map(1)
