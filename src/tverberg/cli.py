@@ -227,12 +227,15 @@ def cmd_eqmap(args) -> tuple[dict, int]:
             }
             for rep in reports
         ]
-        spurious = min(
-            eq.verify_no_spurious_zeros(step, samples=args.samples, seed=args.seed)
-            for step in layer.chain()
-        )
-        outputs["spurious_zero_min"] = spurious
-        passed = passed and spurious > 1e-3 and all(
+        searches = [eq.verify_no_spurious_zeros(step, samples=args.samples, seed=args.seed)
+                    for step in layer.chain()]
+        worst = min(searches, key=lambda search: search.minimum)
+        outputs["spurious_zero_min"] = worst.minimum
+        outputs["spurious_zero_where"] = {
+            "k": worst.k, "distance_in_R": worst.distance_in_R, "t": worst.t,
+        }
+        outputs["spurious_zero_evaluations"] = sum(s.evaluations for s in searches)
+        passed = passed and worst.minimum > 1e-3 and all(
             rep.consistent and rep.matches_ledger for rep in reports
         )
     return _report(args, inputs, outputs, passed, t0, args.seed), (

@@ -62,6 +62,7 @@ __all__ = [
     "verify_equivariance",
     "verify_local_degrees",
     "verify_no_spurious_zeros",
+    "SpuriousZeroSearch",
     "winding_number_r2",
     "random_sphere_points",
     "generators",
@@ -577,6 +578,7 @@ def random_sphere_points(r: int, count: int, rng: np.random.Generator) -> np.nda
 
 def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) -> float:
     """max over samples and generator permutations of |f(sigma x) - sigma f(x)|."""
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     X = random_sphere_points(layer.r, samples, rng)
     FX = _eval(layer, X)
@@ -699,68 +701,188 @@ def verify_local_degrees(layer: MapLayer, fd_step: float = 1e-5) -> LocalDegreeR
     )
 
 
+@dataclass(frozen=True)
+class SpuriousZeroSearch:
+    """Outcome of the spurious-zero search on one modification step.
+
+    minimum is the smallest |h_t(x)| found away from the designed zeros;
+    k, distance_in_R (to the nearest center, in units of the step's
+    radius) and t say where it lies (None for the identity map);
+    evaluations counts the homotopy points evaluated, samples plus
+    simplex points.
+    """
+
+    minimum: float
+    k: Optional[int]
+    distance_in_R: Optional[float]
+    t: Optional[float]
+    evaluations: int
+
+
+# Nelder-Mead coefficients (reflection, expansion, contraction, shrink)
+# and initial-simplex steps, as in scipy.optimize's non-adaptive method.
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+
+
+def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
+                          xatol: float, fatol: float) -> np.ndarray:
+    """Nelder-Mead from every row of Z0 at once; each start's best value.
+
+    Step for step this is scipy.optimize.minimize(method="Nelder-Mead")
+    with maxiter, xatol and fatol applied to each start on its own: the
+    same initial simplex, the same branches and arithmetic, the same
+    numpy argsort of each simplex and the same per-start stopping rule.
+    objective maps an (m, N) array of points to their m values; every
+    iteration calls it at most three times, for the reflections, the
+    second trial points and the shrinks of the starts still running.
+    """
+    B, N = Z0.shape
+    sim = np.repeat(Z0[:, None, :], N + 1, axis=1)
+    diag = np.arange(N)
+    sim[:, diag + 1, diag] = np.where(Z0 != 0, (1 + _NM_NONZDELT) * Z0, _NM_ZDELT)
+    fsim = objective(sim.reshape(-1, N)).reshape(B, N + 1)
+    # scipy sorts the initial simplex twice; numpy's default argsort is
+    # not stable on every machine, so the second sort can move ties.
+    for _ in range(2):
+        order = np.argsort(fsim, axis=1)
+        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
+        fsim = np.take_along_axis(fsim, order, axis=1)
+
+    live = np.arange(B)
+    for _ in range(1, maxiter):
+        s, f = sim[live], fsim[live]
+        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol))
+        if done.all():
+            break
+        live, s, f = live[~done], s[~done], f[~done]
+        xbar = np.add.reduce(s[:, :-1], 1) / N
+        worst = s[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
+        fxr = objective(xr)
+
+        expand = fxr < f[:, 0]
+        accept = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept & (fxr < f[:, -1])
+        inside = ~(expand | accept | outside)
+        trial = np.where(
+            expand[:, None],
+            (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
+            np.where(outside[:, None],
+                     (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
+                     (1 - _NM_PSI) * xbar + _NM_PSI * worst),
+        )
+        ftrial = np.full(len(live), np.inf)
+        if not accept.all():
+            ftrial[~accept] = objective(trial[~accept])
+
+        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
+                      | (inside & (ftrial < f[:, -1])))
+        take_reflection = accept | (expand & ~take_trial)
+        shrink = (outside | inside) & ~take_trial
+        s[take_trial, -1] = trial[take_trial]
+        f[take_trial, -1] = ftrial[take_trial]
+        s[take_reflection, -1] = xr[take_reflection]
+        f[take_reflection, -1] = fxr[take_reflection]
+        if shrink.any():
+            best = s[shrink, :1]
+            shrunk = best + _NM_SIGMA * (s[shrink, 1:] - best)
+            s[shrink, 1:] = shrunk
+            f[shrink, 1:] = objective(shrunk.reshape(-1, N)).reshape(-1, N)
+
+        order = np.argsort(f, axis=1)
+        sim[live] = np.take_along_axis(s, order[:, :, None], axis=1)
+        fsim[live] = np.take_along_axis(f, order, axis=1)
+    return fsim[:, 0]
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
 def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int = 0,
-                             refine_count: int = 100, refine_iters: int = 120) -> float:
-    """Smallest |h_t(x)| found away from the designed zeros.
+                             refine_count: int = 100, refine_iters: int = 120
+                             ) -> SpuriousZeroSearch:
+    """Smallest |h_t(x)| found away from the designed zeros, and where.
 
     Random starts over the sphere times t in [0, 1], excluding tubes of
-    radius R/10 around each pushed center for t in [0.4, 0.6]; the best
-    candidates are polished with derivative-free local minimization.
-    Sampled evidence only, but a reported minimum above 1e-3 leaves no
-    room for an unnoticed sign slip in the degree ledger.
+    radius R/10 around each pushed center for t in [0.4, 0.6]; the
+    refine_count best samples are polished by a derivative-free
+    Nelder-Mead search of refine_iters iterations over (x, t), with x
+    re-centered and normalized onto the sphere and t clipped to [0, 1].
+    All starts advance in lockstep, one batched homotopy evaluation per
+    simplex move, and each takes the steps of
+    scipy.optimize.minimize(method="Nelder-Mead", xatol=1e-9,
+    fatol=1e-12) (batched evaluation can move a value in its last bits
+    only); the minimum covers every point evaluated outside the
+    exclusion tubes.  Sampled evidence only, but a reported minimum
+    above 1e-3 leaves no room for an unnoticed sign slip in the degree
+    ledger.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     node = layer.node
-    best = np.inf
+    r = layer.r
+    best, where, evaluations = np.inf, (None, None), 0
+
+    def note(vals: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Record evaluated points; returns the mask of those outside the tubes."""
+        nonlocal best, where, evaluations
+        evaluations += len(vals)
+        if node is None:
+            keep = np.ones(len(vals), dtype=bool)
+        else:
+            dmin, _ = _nearest(node, X)
+            keep = ~((dmin < node.radius / 10.0) & (np.abs(T - 0.5) <= 0.1))
+        if keep.any():
+            i = np.flatnonzero(keep)[np.argmin(vals[keep])]
+            if vals[i] < best:
+                best = float(vals[i])
+                if node is not None:
+                    where = (float(dmin[i] / node.radius), float(T[i]))
+        return keep
+
     pool: list[tuple[float, np.ndarray, float]] = []
     remaining = samples
     while remaining > 0:
         n = min(remaining, 20000)
         remaining -= n
-        X = random_sphere_points(layer.r, n, rng)
+        X = random_sphere_points(r, n, rng)
         T = rng.uniform(0.0, 1.0, n)
         vals = _frob(_homotopy(layer, X, T))
-        if node is not None:
-            dmin, _ = _nearest(node, X)
-            excl = (dmin < node.radius / 10.0) & (np.abs(T - 0.5) <= 0.1)
-            keep = ~excl
-        else:
-            keep = np.ones(n, dtype=bool)
-        if keep.any():
+        keep = note(vals, X, T)
+        if node is not None and refine_count and keep.any():
             vk = vals[keep]
-            best = min(best, float(vk.min()))
-            if node is not None and refine_count:
-                order = np.argsort(vk)[:refine_count]
-                kept_idx = np.flatnonzero(keep)[order]
-                pool.extend((float(vals[i]), X[i], float(T[i])) for i in kept_idx)
-    if node is None or not refine_count or not pool:
-        return best
+            order = np.argsort(vk)[:refine_count]
+            kept_idx = np.flatnonzero(keep)[order]
+            pool.extend((float(vals[i]), X[i], float(T[i])) for i in kept_idx)
 
-    from scipy.optimize import minimize
+    if node is not None and refine_count and pool:
+        def objective(Z: np.ndarray) -> np.ndarray:
+            X = Z[:, :-1].reshape(len(Z), 2, r)
+            X = X - X.mean(axis=2, keepdims=True)
+            nx = _frob(X)
+            vals = np.full(len(Z), 10.0)
+            ok = ~(nx < 1e-9)
+            X = X[ok] / nx[ok, None, None]
+            T = np.clip(Z[ok, -1], 0.0, 1.0)
+            vals[ok] = _frob(_homotopy(layer, X, T))
+            note(vals[ok], X, T)
+            return vals
 
-    r = layer.r
-    record = [best]
+        pool.sort(key=lambda entry: entry[0])
+        Z0 = np.array([np.append(x0.ravel(), t0) for _, x0, t0 in pool[:refine_count]])
+        _nelder_mead_lockstep(objective, Z0, refine_iters, xatol=1e-9, fatol=1e-12)
 
-    def objective(z):
-        x = z[:-1].reshape(2, r)
-        x = x - x.mean(axis=1, keepdims=True)
-        nx = float(_frob(x))
-        if nx < 1e-9:
-            return 10.0
-        x = x / nx
-        t = float(np.clip(z[-1], 0.0, 1.0))
-        val = float(_frob(_homotopy(layer, x[None], t)[0]))
-        dmin, _ = _nearest(node, x[None])
-        if not (dmin[0] < node.radius / 10.0 and abs(t - 0.5) <= 0.1):
-            record[0] = min(record[0], val)
-        return val
-
-    pool.sort(key=lambda entry: entry[0])
-    for _, x0, t0 in pool[:refine_count]:
-        z0 = np.append(x0.ravel(), t0)
-        minimize(objective, z0, method="Nelder-Mead",
-                 options={"maxiter": refine_iters, "xatol": 1e-9, "fatol": 1e-12})
-    return record[0]
+    return SpuriousZeroSearch(
+        minimum=best,
+        k=None if node is None else node.k,
+        distance_in_R=where[0],
+        t=where[1],
+        evaluations=evaluations,
+    )
 
 
 def winding_number_r2(layer: MapLayer, max_samples: int = 2 ** 20) -> int:

@@ -214,7 +214,7 @@ def test_criterion_9_degree_zero_r6():
         ok = ok and minus.delta_signs[0] == -plus.delta_signs[0]
 
     for step in layer.chain():
-        minimum = eq.verify_no_spurious_zeros(step, samples=100000, seed=42)
+        minimum = eq.verify_no_spurious_zeros(step, samples=100000, seed=42).minimum
         ok = ok and minimum > 1e-3
     report(9, "r=6 degree-zero map: ledger 0, equivariant, clean zero structure",
            ok, time.perf_counter() - t0, 600.0)

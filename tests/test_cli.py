@@ -160,6 +160,25 @@ class TestEqmap:
         assert out["homotopy_zero_residual"] < 1e-9
         validate("plan", out["map"])
 
+    def test_verify_r6_auto(self, capsys):
+        code, report = run_cli(capsys, "eqmap", "verify", "--r", "6", "--plan", "auto",
+                               "--samples", "10000", "--seed", "1")
+        assert code == 0
+        validate("report", report)
+        assert report["flags"]["pass"] is True
+        out = report["outputs"]
+        assert abs(out["spurious_zero_min"] - 0.0955504767070221) < 1e-12
+        where = out["spurious_zero_where"]
+        assert where["k"] == 2
+        assert not (where["distance_in_R"] < 0.1 and abs(where["t"] - 0.5) <= 0.1)
+        assert out["spurious_zero_evaluations"] > 3 * 10000
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_empty_sample_set_is_input_error(self, capsys, samples):
+        code, report = run_cli(capsys, "eqmap", "verify", "--r", "6", "--samples", samples)
+        assert code == 2
+        assert report["error"] == "samples must be >= 1"
+
     def test_build_r4_is_input_error(self, capsys):
         code, report = run_cli(capsys, "eqmap", "build", "--r", "4")
         assert code == 2

@@ -327,16 +327,130 @@ class TestLocalDegrees:
             eq.verify_local_degrees(eq.identity_map(2))
 
 
+def scipy_spurious_search(layer, samples, seed, refine_count, refine_iters):
+    """Reference: the same sampling, then scipy's Nelder-Mead start by start.
+
+    Returns the record minimum, the single-point objective, the starts
+    and each start's best value.
+    """
+    from scipy.optimize import minimize
+
+    node, r = layer.node, layer.r
+    rng = np.random.default_rng(seed)
+    record = [np.inf]
+    pool = []
+    remaining = samples
+    while remaining > 0:
+        n = min(remaining, 20000)
+        remaining -= n
+        X = eq.random_sphere_points(r, n, rng)
+        T = rng.uniform(0.0, 1.0, n)
+        vals = eq._frob(eq._homotopy(layer, X, T))
+        dmin, _ = eq._nearest(node, X)
+        keep = ~((dmin < node.radius / 10.0) & (np.abs(T - 0.5) <= 0.1))
+        record[0] = min(record[0], float(vals[keep].min()))
+        idx = np.flatnonzero(keep)[np.argsort(vals[keep])[:refine_count]]
+        pool.extend((float(vals[i]), X[i], float(T[i])) for i in idx)
+
+    def objective(z):
+        x = z[:-1].reshape(2, r)
+        x = x - x.mean(axis=1, keepdims=True)
+        nx = float(eq._frob(x))
+        if nx < 1e-9:
+            return 10.0
+        x = x / nx
+        t = float(np.clip(z[-1], 0.0, 1.0))
+        val = float(eq._frob(eq._homotopy(layer, x[None], t)[0]))
+        dmin, _ = eq._nearest(node, x[None])
+        if not (dmin[0] < node.radius / 10.0 and abs(t - 0.5) <= 0.1):
+            record[0] = min(record[0], val)
+        return val
+
+    pool.sort(key=lambda entry: entry[0])
+    starts = np.array([np.append(x.ravel(), t) for _, x, t in pool[:refine_count]])
+    best = [minimize(objective, z0, method="Nelder-Mead",
+                     options={"maxiter": refine_iters, "xatol": 1e-9, "fatol": 1e-12}).fun
+            for z0 in starts]
+    return record[0], objective, starts, np.array(best)
+
+
 class TestSpuriousZeros:
     def test_identity_min_is_one(self):
-        val = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=2000, seed=0)
+        val = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=2000, seed=0).minimum
         assert abs(val - 1.0) < 1e-9
 
     def test_one_step_r2(self):
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
         val = eq.verify_no_spurious_zeros(layer, samples=20000, seed=3,
-                                          refine_count=20, refine_iters=60)
+                                          refine_count=20, refine_iters=60).minimum
         assert val > 1e-3
+
+    @pytest.mark.parametrize("which, samples, seed, refine_count, refine_iters", [
+        ("r2 1:-", 20000, 3, 20, 60),
+        ("r6 auto k=3", 10000, 1, 10, 120),
+    ])
+    def test_lockstep_matches_scipy_nelder_mead(self, which, samples, seed,
+                                                refine_count, refine_iters):
+        if which == "r2 1:-":
+            layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
+        else:
+            layer, _ = eq.build_from_plan(certificate_to_plan(bezout_certificate(6)))
+            assert (layer.node.k, layer.node.variant) == (3, "plus")
+        record, objective, starts, best = scipy_spurious_search(
+            layer, samples, seed, refine_count, refine_iters)
+        assert len(starts) == refine_count
+        search = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed,
+                                             refine_count=refine_count,
+                                             refine_iters=refine_iters)
+        assert abs(search.minimum - record) < 1e-12
+        lockstep = eq._nelder_mead_lockstep(
+            lambda Z: np.array([objective(z) for z in Z]), starts, refine_iters,
+            xatol=1e-9, fatol=1e-12)
+        assert np.abs(lockstep - best).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["rosenbrock", "kinked"])
+    def test_lockstep_engine_matches_scipy_on_test_functions(self, name):
+        """Starts that converge early, shrink, or have zero coordinates."""
+        from scipy.optimize import minimize
+
+        def rosenbrock(z):
+            return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1 - z[:-1]) ** 2))
+
+        def kinked(z):
+            return float(np.abs(z).sum() + 3 * abs(z[0] - z[-1]) + np.cos(5 * z).sum())
+
+        f = {"rosenbrock": rosenbrock, "kinked": kinked}[name]
+        starts = np.random.default_rng(5).normal(size=(12, 4))
+        starts[::3, 1] = 0.0
+        ref = [minimize(f, z0, method="Nelder-Mead",
+                        options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12})
+               for z0 in starts]
+        assert any(res.nit < 399 for res in ref)  # some starts stop on tolerance
+        best = eq._nelder_mead_lockstep(lambda Z: np.array([f(z) for z in Z]), starts, 400,
+                                        xatol=1e-9, fatol=1e-12)
+        assert np.abs(best - [res.fun for res in ref]).max() < 1e-12
+
+    def test_reports_where_and_evaluations(self):
+        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
+        search = eq.verify_no_spurious_zeros(layer, samples=2000, seed=0,
+                                             refine_count=5, refine_iters=10)
+        assert search.k == 1
+        assert 0.0 <= search.t <= 1.0
+        assert search.distance_in_R >= 0.0
+        assert not (search.distance_in_R < 0.1 and abs(search.t - 0.5) <= 0.1)
+        # 2000 samples, 5 initial simplices of 6 points, then 9 moves per start
+        # of 1 (reflection) to 7 (reflection, second trial, 5 shrunk points)
+        assert 2000 + 30 + 5 * 9 <= search.evaluations <= 2000 + 30 + 5 * 9 * 7
+        identity = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
+        assert (identity.k, identity.distance_in_R, identity.t) == (None, None, None)
+        assert identity.evaluations == 300
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_empty_sample_set_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            eq.verify_no_spurious_zeros(eq.identity_map(2), samples=samples)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            eq.verify_equivariance(eq.identity_map(2), samples=samples)
 
 
 class TestWinding:
