@@ -227,14 +227,19 @@ def cmd_eqmap(args) -> tuple[dict, int]:
             }
             for rep in reports
         ]
+        # an empty plan leaves the identity map, which is searched itself
         searches = [eq.verify_no_spurious_zeros(step, samples=args.samples, seed=args.seed)
-                    for step in layer.chain()]
+                    for step in list(layer.chain()) or [layer]]
         worst = min(searches, key=lambda search: search.minimum)
         outputs["spurious_zero_min"] = worst.minimum
         outputs["spurious_zero_where"] = {
             "k": worst.k, "distance_in_R": worst.distance_in_R, "t": worst.t,
         }
         outputs["spurious_zero_evaluations"] = sum(s.evaluations for s in searches)
+        outputs["spurious_zero_steps"] = [
+            {"k": s.k, "evaluations": s.evaluations, "in_zero_zone": s.in_zero_zone}
+            for s in searches
+        ]
         passed = passed and worst.minimum > 1e-3 and all(
             rep.consistent and rep.matches_ledger for rep in reports
         )
@@ -292,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="map JSON file")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--parallel", action="store_true",
-                   help=f"parallelize over tuple ranges ({THREAD_ENV} sets the width)")
+                   help=f"scan tuple ranges in worker processes ({THREAD_ENV} sets "
+                        "their number; default: the CPU count)")
     p.add_argument("--maximal-only", action="store_true", dest="maximal_only",
                    help="test only inclusion-maximal disjoint tuples")
     p.add_argument("--json", dest="json_path")

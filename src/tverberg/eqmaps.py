@@ -71,6 +71,9 @@ __all__ = [
 _SPHERE_TOL = 1e-12
 _NORM_FLOOR = 1e-9
 PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the radius
+# Homotopy zeros can lie only where the bump is at least 1/2, which is
+# within this fraction of the radius: R/4 + (3R/4)/2.
+ZERO_ZONE_FRACTION = 0.625
 # The radius of a step at k, as written to plan JSON; n counts the plan's
 # steps at k, and maps without a repeated k need only the first rule.
 RADIUS_RULE = "min_orbit_dist/3"
@@ -460,7 +463,7 @@ def _check_separation(layer: MapLayer, centers: np.ndarray, k: int,
     must stay clear of every earlier step's support balls, where the
     base map is wild.
     """
-    inner = 0.625 * radius  # bump crosses 1/2 at R/4 + (3R/4)/2
+    inner = ZERO_ZONE_FRACTION * radius
     flat = centers.reshape(len(centers), -1)
     for prior in layer.chain():
         nd = prior.node
@@ -709,7 +712,8 @@ class SpuriousZeroSearch:
     k, distance_in_R (to the nearest center, in units of the step's
     radius) and t say where it lies (None for the identity map);
     evaluations counts the homotopy points evaluated, samples plus
-    simplex points.
+    simplex points, and in_zero_zone those of them within 5R/8 of a
+    center, the only place a zero of h_t can lie.
     """
 
     minimum: float
@@ -717,6 +721,7 @@ class SpuriousZeroSearch:
     distance_in_R: Optional[float]
     t: Optional[float]
     evaluations: int
+    in_zero_zone: int
 
 
 # Nelder-Mead coefficients (reflection, expansion, contraction, shrink)
@@ -825,16 +830,17 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     rng = np.random.default_rng(seed)
     node = layer.node
     r = layer.r
-    best, where, evaluations = np.inf, (None, None), 0
+    best, where, evaluations, in_zero_zone = np.inf, (None, None), 0, 0
 
     def note(vals: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Record evaluated points; returns the mask of those outside the tubes."""
-        nonlocal best, where, evaluations
+        nonlocal best, where, evaluations, in_zero_zone
         evaluations += len(vals)
         if node is None:
             keep = np.ones(len(vals), dtype=bool)
         else:
             dmin, _ = _nearest(node, X)
+            in_zero_zone += int(np.count_nonzero(dmin <= ZERO_ZONE_FRACTION * node.radius))
             keep = ~((dmin < node.radius / 10.0) & (np.abs(T - 0.5) <= 0.1))
         if keep.any():
             i = np.flatnonzero(keep)[np.argmin(vals[keep])]
@@ -882,6 +888,7 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         distance_in_R=where[0],
         t=where[1],
         evaluations=evaluations,
+        in_zero_zone=in_zero_zone,
     )
 
 

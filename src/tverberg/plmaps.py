@@ -21,9 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .complexes import DisjointTuple, SimplicialComplex, disjoint_face_combinations, join_complexes
 
@@ -103,11 +104,21 @@ class PLMap:
 
     @classmethod
     def from_json(cls, complex: SimplicialComplex, obj: dict) -> "PLMap":
+        """Read a map; coords needs exactly one decimal key per vertex 0..n-1."""
         d = int(obj["d"])
-        coords = [()] * complex.num_vertices
+        n = complex.num_vertices
+        coords: dict[int, Point] = {}
         for key, vals in obj["coords"].items():
-            coords[int(key)] = tuple(Fraction(s) for s in vals)
-        return cls(complex, d, tuple(coords))
+            v = int(key) if re.fullmatch("[0-9]+", key) else -1
+            if not 0 <= v < n:
+                raise ValueError(f"map vertex key {key!r} is not a decimal vertex number "
+                                 f"in 0..{n - 1}")
+            if v in coords:
+                raise ValueError(f"map vertex key {key!r} repeats vertex {v}")
+            coords[v] = tuple(Fraction(s) for s in vals)
+        if len(coords) != n:
+            raise ValueError(f"map has no point for vertices {sorted(set(range(n)) - set(coords))}")
+        return cls(complex, d, tuple(coords[v] for v in range(n)))
 
 
 def constant_map(n: int, d: int = 0) -> PLMap:
@@ -284,16 +295,25 @@ class IntersectionPoint:
     barycentric: tuple[tuple[Fraction, ...], ...]
 
 
+def _integer_rows(points: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer numerators of int/Fraction points over their least common denominator."""
+    denom = math.lcm(*(x.denominator for p in points for x in p))
+    return [[x.numerator * (denom // x.denominator) for x in p] for p in points], denom
+
+
 def simplices_intersect(point_sets: Sequence[Sequence[Point]], d: int) -> Optional[IntersectionPoint]:
     """Common point of the convex hulls of r rational point sets, or None.
 
-    Decided by exact LP feasibility; the returned weights reproduce the
-    point identically for every hull.
+    Coordinates are ints, taken as they are, or exact rationals; the LP
+    runs on integer rows over the sets' common denominator (1 for int
+    input).  Decided by exact LP feasibility; the returned weights
+    reproduce the point identically for every hull.
     """
     r = len(point_sets)
     if r < 2:
         raise ValueError(f"need at least 2 point sets, got {r}")
-    sets = [[tuple(_as_fraction(x) for x in p) for p in ps] for ps in point_sets]
+    sets = [[tuple(x if isinstance(x, int) else _as_fraction(x) for x in p) for p in ps]
+            for ps in point_sets]
     for ps in sets:
         if not ps:
             raise ValueError("every point set must be nonempty")
@@ -301,54 +321,34 @@ def simplices_intersect(point_sets: Sequence[Sequence[Point]], d: int) -> Option
             if len(p) != d:
                 raise ValueError(f"point {p} does not lie in R^{d}")
 
-    denom = 1
-    for ps in sets:
-        for p in ps:
-            for x in p:
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    scaled = [[[int(x * denom) for x in p] for p in ps] for ps in sets]
-
-    sizes = [len(ps) for ps in sets]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
+    rows, denom = _integer_rows([p for ps in sets for p in ps])
+    offsets = list(itertools.accumulate((len(ps) for ps in sets), initial=0))
+    spans = [range(offsets[i], offsets[i + 1]) for i in range(r)]
     nvars = offsets[-1]
 
     A: list[list[int]] = []
     b: list[int] = []
-    for i in range(r):
-        row = [0] * nvars
-        for j in range(sizes[i]):
-            row[offsets[i] + j] = 1
-        A.append(row)
+    for span in spans:
+        A.append([int(j in span) for j in range(nvars)])
         b.append(1)
-    for i in range(1, r):
+    for span in spans[1:]:
         for ell in range(d):
             row = [0] * nvars
-            for j in range(sizes[0]):
-                row[offsets[0] + j] = -scaled[0][j][ell]
-            for j in range(sizes[i]):
-                row[offsets[i] + j] = scaled[i][j][ell]
+            for j in spans[0]:
+                row[j] = -rows[j][ell]
+            for j in span:
+                row[j] = rows[j][ell]
             A.append(row)
             b.append(0)
 
     x = _phase_one(A, b)
     if x is None:
         return None
-    barys = tuple(
-        tuple(x[offsets[i] + j] for j in range(sizes[i])) for i in range(r)
-    )
-    point = tuple(
-        sum((w * sets[0][j][ell] for j, w in enumerate(barys[0])), Fraction(0))
-        for ell in range(d)
-    )
-    for i in range(1, r):
-        other = tuple(
-            sum((w * sets[i][j][ell] for j, w in enumerate(barys[i])), Fraction(0))
-            for ell in range(d)
-        )
-        if other != point:
-            raise AssertionError("LP solution does not reproduce a common point")
+    barys = tuple(tuple(x[j] for j in span) for span in spans)
+    hulls = [tuple(sum(x[j] * rows[j][ell] for j in span) for ell in range(d)) for span in spans]
+    if any(other != hulls[0] for other in hulls[1:]):
+        raise AssertionError("LP solution does not reproduce a common point")
+    point = tuple(Fraction(y) / denom for y in hulls[0])
     return IntersectionPoint(point=point, barycentric=barys)
 
 
@@ -395,51 +395,40 @@ class CheckVerdict:
     tuples_checked: int
 
 
-def _bbox(points: Sequence[Point], d: int) -> tuple[Point, Point]:
-    lo = tuple(min(p[ell] for p in points) for ell in range(d))
-    hi = tuple(max(p[ell] for p in points) for ell in range(d))
-    return lo, hi
+class _Face(NamedTuple):
+    """A face's integer vertex rows, integer bounding box and vertex bitmask."""
+
+    rows: list[list[int]]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    mask: int
 
 
-def _boxes_meet(boxes: Sequence[tuple[Point, Point]], d: int) -> bool:
-    for ell in range(d):
-        if max(b[0][ell] for b in boxes) > min(b[1][ell] for b in boxes):
-            return False
-    return True
+def _face_table(f: PLMap) -> tuple[dict[tuple[int, ...], _Face], int]:
+    """Integer data of every face of f's complex, over the map's common denominator."""
+    rows, denom = _integer_rows(f.coords)
+    table = {}
+    for face in f.complex.faces():
+        pts = [rows[v] for v in face]
+        table[face] = _Face(pts, tuple(map(min, zip(*pts))), tuple(map(max, zip(*pts))),
+                            sum(1 << v for v in face))
+    return table, denom
 
 
-def _is_maximal_tuple(K: SimplicialComplex, faces: tuple[tuple[int, ...], ...]) -> bool:
-    used = set()
-    for f in faces:
-        used |= set(f)
-    free = [v for v in range(K.num_vertices) if v not in used]
-    for f in faces:
-        for v in free:
-            if K.has_face(tuple(sorted(f + (v,)))):
-                return False
-    return True
-
-
-def _scan(f: PLMap, combos: Iterable[tuple[int, tuple[tuple[int, ...], ...]]],
-          boxes: dict[tuple[int, ...], tuple[Point, Point]]) -> tuple[int, Optional[tuple]]:
-    checked = 0
+def _scan(d: int, table: dict[tuple[int, ...], _Face],
+          combos: Iterable[tuple[int, tuple[tuple[int, ...], ...]]]) -> tuple[int, Optional[tuple]]:
+    """Tuples scanned, counted from position 0, and the first hit as (pos, faces, hit)."""
+    pos = -1
     for pos, faces in combos:
-        checked += 1
-        if not _boxes_meet([boxes[face] for face in faces], f.d):
-            continue
-        point_sets = [[f.coords[v] for v in face] for face in faces]
-        hit = simplices_intersect(point_sets, f.d)
+        entries = [table[face] for face in faces]
+        lo = map(max, *(e.lo for e in entries))
+        hi = map(min, *(e.hi for e in entries))
+        if any(a > b for a, b in zip(lo, hi)):
+            continue  # the bounding boxes miss each other along some axis
+        hit = simplices_intersect([e.rows for e in entries], d)
         if hit is not None:
-            return checked, (pos, faces, hit)
-    return checked, None
-
-
-def _scan_chunk(args):
-    f, chunk = args
-    faces_seen = {face for _, faces in chunk for face in faces}
-    boxes = {face: _bbox([f.coords[v] for v in face], f.d) for face in faces_seen}
-    _, found = _scan(f, chunk, boxes)
-    return found
+            return pos + 1, (pos, faces, hit)
+    return pos + 1, None
 
 
 def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False,
@@ -452,30 +441,44 @@ def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False,
     tuple; the condition is symmetric).  With maximal_only=True only
     inclusion-maximal disjoint tuples are tested, which is equivalent
     because an intersection of subfaces persists on superfaces.
+
+    Every step reads one table of integer face data (rows, boxes, masks).
     """
     if r < 2:
         raise ValueError(f"almost_r_embedding_check needs r >= 2, got {r}")
+    table, denom = _face_table(f)
     combos = disjoint_face_combinations(f.complex, r)
     if maximal_only:
-        combos = (faces for faces in combos if _is_maximal_tuple(f.complex, faces))
+        face_masks = {entry.mask for entry in table.values()}
+        vertex_bits = [1 << v for v in range(f.complex.num_vertices)]
+
+        def maximal(faces) -> bool:
+            masks = [table[face].mask for face in faces]
+            used = sum(masks)  # the faces are disjoint, so this is their union
+            free = [bit for bit in vertex_bits if not used & bit]
+            return not any(m | bit in face_masks for m in masks for bit in free)
+
+        combos = filter(maximal, combos)
     combos = enumerate(combos)
 
     if workers > 1:
-        return _check_parallel(f, list(combos), workers)
-
-    boxes = {face: _bbox([f.coords[v] for v in face], f.d) for face in f.complex.faces()}
-    checked, found = _scan(f, combos, boxes)
+        checked, found = _scan_parallel(f.d, table, list(combos), workers)
+    else:
+        checked, found = _scan(f.d, table, combos)
     if found is None:
         return CheckVerdict(passed=True, witness=None, tuples_checked=checked)
     _, faces, hit = found
     witness = IntersectionWitness(
-        tuple_=DisjointTuple(faces), point=hit.point, barycentric=hit.barycentric
+        tuple_=DisjointTuple(faces),
+        point=tuple(x / denom for x in hit.point),
+        barycentric=hit.barycentric,
     )
     witness.verify(f)
     return CheckVerdict(passed=False, witness=witness, tuples_checked=checked)
 
 
-def _check_parallel(f: PLMap, combos: list, workers: int) -> CheckVerdict:
+def _scan_parallel(d: int, table: dict[tuple[int, ...], _Face], combos: list,
+                   workers: int) -> tuple[int, Optional[tuple]]:
     """Split the tuple list into chunks; merge to the enumeration-first hit.
 
     Counts tuples up to that hit, as the serial scan does.
@@ -486,14 +489,9 @@ def _check_parallel(f: PLMap, combos: list, workers: int) -> CheckVerdict:
     chunks = [combos[i:i + chunk_size] for i in range(0, len(combos), chunk_size)]
     best = None
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for found in pool.map(_scan_chunk, [(f, ch) for ch in chunks]):
+        for _, found in pool.map(_scan, [d] * len(chunks), [table] * len(chunks), chunks):
             if found is not None and (best is None or found[0] < best[0]):
                 best = found
     if best is None:
-        return CheckVerdict(passed=True, witness=None, tuples_checked=len(combos))
-    pos, faces, hit = best
-    witness = IntersectionWitness(
-        tuple_=DisjointTuple(faces), point=hit.point, barycentric=hit.barycentric
-    )
-    witness.verify(f)
-    return CheckVerdict(passed=False, witness=witness, tuples_checked=pos + 1)
+        return len(combos), None
+    return best[0] + 1, best

@@ -134,6 +134,24 @@ class TestCheck:
         assert code == 0
         assert report["outputs"]["passed"] is True
 
+    @pytest.mark.parametrize("key, message", [
+        ("9", "map vertex key '9' is not a decimal vertex number in 0..3"),
+        ("-1", "map vertex key '-1' is not a decimal vertex number in 0..3"),
+        ("01", "map vertex key '01' repeats vertex 1"),
+    ])
+    def test_bad_map_vertex_key_is_input_error(self, capsys, radon_files, key, message):
+        complex_path, map_path = radon_files
+        with open(map_path) as handle:
+            obj = json.load(handle)
+        obj["coords"][key] = ["5", "5"]
+        with open(map_path, "w") as handle:
+            json.dump(obj, handle)
+        code = main(["check", "--complex", complex_path, "--map", map_path, "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
+        assert captured.err == ""
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, report = run_cli(
             capsys, "check", "--complex", str(tmp_path / "nope.json"),
@@ -172,6 +190,20 @@ class TestEqmap:
         assert where["k"] == 2
         assert not (where["distance_in_R"] < 0.1 and abs(where["t"] - 0.5) <= 0.1)
         assert out["spurious_zero_evaluations"] > 3 * 10000
+        steps = out["spurious_zero_steps"]
+        assert [step["k"] for step in steps] == [1, 2, 3]
+        assert sum(step["evaluations"] for step in steps) == out["spurious_zero_evaluations"]
+        assert all(0 < step["in_zero_zone"] < step["evaluations"] for step in steps)
+
+    def test_verify_empty_plan_searches_the_identity(self, capsys):
+        code, report = run_cli(capsys, "eqmap", "verify", "--r", "2", "--plan", "",
+                               "--samples", "10")
+        assert code == 0
+        validate("report", report)
+        out = report["outputs"]
+        assert out["final_degree"] == 1 and out["local_degrees"] == []
+        assert abs(out["spurious_zero_min"] - 1.0) < 1e-9
+        assert out["spurious_zero_steps"] == [{"k": None, "evaluations": 10, "in_zero_zone": 0}]
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_verify_empty_sample_set_is_input_error(self, capsys, samples):

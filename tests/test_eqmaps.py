@@ -445,6 +445,21 @@ class TestSpuriousZeros:
         assert (identity.k, identity.distance_in_R, identity.t) == (None, None, None)
         assert identity.evaluations == 300
 
+    def test_counts_points_in_zero_zone(self):
+        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
+        node = layer.node
+        X = eq.random_sphere_points(2, 3000, np.random.default_rng(4))
+        dist = np.sqrt(((X[:, None] - node.centers[None]) ** 2).sum(axis=(2, 3))).min(axis=1)
+        expected = int((dist <= 0.625 * node.radius).sum())
+        assert 0 < expected < 3000
+        samples_only = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4, refine_count=0)
+        assert samples_only.in_zero_zone == expected
+        refined = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4,
+                                              refine_count=5, refine_iters=10)
+        assert expected <= refined.in_zero_zone <= expected + refined.evaluations - 3000
+        identity = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
+        assert identity.in_zero_zone == 0
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_empty_sample_set_rejected(self, samples):
         with pytest.raises(ValueError, match="samples must be >= 1"):

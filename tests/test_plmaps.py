@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from tverberg.complexes import SimplicialComplex, simplex_skeleton
+from tverberg.complexes import SimplicialComplex, disjoint_face_combinations, simplex_skeleton
 from tverberg.plmaps import (
     CheckVerdict,
     IntersectionWitness,
@@ -102,6 +103,25 @@ class TestPLMap:
         assert obj["coords"]["0"] == ["0", "0"]
         assert PLMap.from_json(f.complex, obj) == f
 
+    @pytest.mark.parametrize("coords, message", [
+        ({"0": ["0"], "1": ["1"], "2": ["2"], "9": ["3"]}, "'9' is not a decimal vertex number"),
+        ({"0": ["0"], "1": ["1"], "2": ["2"], "-1": ["3"]}, "'-1' is not a decimal vertex number"),
+        ({"0": ["0"], "1": ["1"], "2": ["2"], "+3": ["3"]}, "'\\+3' is not a decimal vertex"),
+        ({"0": ["0"], "1": ["1"], "01": ["2"], "2": ["3"]}, "'01' repeats vertex 1"),
+        ({"0": ["0"], "1": ["1"], "2": ["2"]}, r"no point for vertices \[3\]"),
+    ])
+    def test_from_json_rejects_bad_vertex_keys(self, coords, message):
+        K = simplex_skeleton(3, 1)
+        with pytest.raises(ValueError, match=message):
+            PLMap.from_json(K, {"d": 1, "coords": coords})
+
+    def test_from_json_needs_every_vertex_in_r0(self):
+        K = simplex_skeleton(3, 1)
+        with pytest.raises(ValueError, match=r"no point for vertices \[1, 3\]"):
+            PLMap.from_json(K, {"d": 0, "coords": {"0": [], "2": []}})
+        f = PLMap.from_json(K, {"d": 0, "coords": {"0": [], "01": [], "2": [], "3": []}})
+        assert f.coords == ((),) * 4
+
 
 class TestConstantMap:
     def test_point(self):
@@ -180,6 +200,15 @@ class TestSimplicesIntersect:
             simplices_intersect([[(F(0),)], [(F(0), F(0))]], 1)
         with pytest.raises(ValueError):
             simplices_intersect([[(F(0),)]], 1)
+
+    def test_int_coordinates_match_fractions(self):
+        ints = [[(0, 0), (4, 4)], [(4, 0), (0, 4)], [(0, 2), (4, 2)]]
+        fracs = [[tuple(F(x, 4) for x in p) for p in ps] for ps in ints]
+        by_int = simplices_intersect(ints, 2)
+        by_frac = simplices_intersect(fracs, 2)
+        assert by_int.point == (F(2), F(2))
+        assert by_frac.point == (F(1, 2), F(1, 2))
+        assert by_int.barycentric == by_frac.barycentric
 
     def test_touching_hulls(self):
         # shared endpoint counts as intersection
@@ -306,6 +335,50 @@ class TestChecker:
             assert par.passed == seq.passed is False
             assert par.witness.tuple_.faces == seq.witness.tuple_.faces
             assert par.tuples_checked == seq.tuples_checked == count
+
+    @pytest.mark.parametrize("r, d", [(2, 2), (2, 3), (3, 2), (3, 1)])
+    def test_maximal_only_on_non_pure_complex_matches_oracle(self, r, d):
+        K = SimplicialComplex.from_faces(9, [(0, 1, 2, 3), (2, 4, 5), (5, 6), (6, 7, 8),
+                                             (0, 8), (1, 4), (3, 7), (4, 6)])
+        assert {len(face) for face in K.maximal_faces} == {2, 3, 4}
+        for seed in range(4):
+            f = random_rational_map(K, d, seed)
+            maximal = []
+            for faces in disjoint_face_combinations(K, r):
+                free = set(range(K.num_vertices)).difference(*faces)
+                if not any(K.has_face(tuple(sorted(face + (v,))))
+                           for face in faces for v in free):
+                    maximal.append(faces)
+            hits = [i for i, faces in enumerate(maximal)
+                    if simplices_intersect([[f.coords[v] for v in face] for face in faces], d)]
+            verdict = almost_r_embedding_check(f, r, maximal_only=True)
+            assert verdict.passed == (not hits) == almost_r_embedding_check(f, r).passed
+            if hits:
+                assert verdict.witness.tuple_.faces == maximal[hits[0]]
+                assert verdict.tuples_checked == hits[0] + 1
+            else:
+                assert verdict.tuples_checked == len(maximal)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_denominators(self, workers):
+        """Faces and counts as recorded before the map was scaled to integers once."""
+        rng = random.Random(0)
+        K = simplex_skeleton(7, 2)
+        f = PLMap(K, 3, tuple(tuple(F(rng.randint(-30, 30), rng.choice((2, 3, 5, 7)))
+                                    for _ in range(3)) for _ in range(8)))
+        assert {2, 3, 5, 7} <= {x.denominator for p in f.coords for x in p}
+        for maximal_only, faces, count in ((False, ((0, 1), (2, 3, 4)), 492),
+                                           (True, ((0, 1, 2), (3, 4, 5)), 1)):
+            verdict = almost_r_embedding_check(f, 2, maximal_only=maximal_only,
+                                               workers=workers)
+            assert verdict.passed is False
+            assert verdict.witness.tuple_.faces == faces
+            assert verdict.tuples_checked == count
+            w = verdict.witness
+            for face, weights in zip(w.tuple_.faces, w.barycentric):
+                assert sum(weights) == 1 and min(weights) >= 0
+                assert tuple(sum(wi * f.coords[v][ell] for wi, v in zip(weights, face))
+                             for ell in range(3)) == w.point
 
     def test_empty_tuple_set_passes(self):
         f = constant_map(1)
