@@ -13,7 +13,13 @@ point identically.
 The checker enumerates unordered disjoint tuples (the intersection
 condition is symmetric, an r!-fold saving) in the deterministic face
 order of :mod:`tverberg.complexes`, so the reported witness is the
-lexicographically first failing tuple.
+lexicographically first failing tuple.  r hulls can share a point only
+if every two of them do.  A tuple is skipped when the integer bounding
+boxes of two of its faces miss each other; otherwise it reaches the
+r-fold LP only if every pair of its faces meets, which a check decides
+once per pair by the two-hull LP and remembers.  Boxes that overlap
+pairwise overlap jointly (Helly in dimension 1), so no r-fold box test
+is needed.
 """
 
 from __future__ import annotations
@@ -104,8 +110,12 @@ class PLMap:
 
     @classmethod
     def from_json(cls, complex: SimplicialComplex, obj: dict) -> "PLMap":
-        """Read a map; coords needs exactly one decimal key per vertex 0..n-1."""
-        d = int(obj["d"])
+        """Read a map; a malformed d, coords object, vertex key or point raises ValueError."""
+        d = obj["d"]
+        if type(d) is not int or d < 0:
+            raise ValueError(f"map dimension d must be a non-negative integer, got {d!r}")
+        if not isinstance(obj["coords"], dict):
+            raise ValueError("map coords must be an object keyed by vertex number")
         n = complex.num_vertices
         coords: dict[int, Point] = {}
         for key, vals in obj["coords"].items():
@@ -115,7 +125,14 @@ class PLMap:
                                  f"in 0..{n - 1}")
             if v in coords:
                 raise ValueError(f"map vertex key {key!r} repeats vertex {v}")
-            coords[v] = tuple(Fraction(s) for s in vals)
+            if not isinstance(vals, list) or not all(isinstance(s, str) for s in vals):
+                # JSON numbers would arrive as binary floats, not the rationals meant
+                raise ValueError(f"map point {key!r} must be a list of rational strings, "
+                                 f"got {vals!r}")
+            try:
+                coords[v] = tuple(Fraction(s) for s in vals)
+            except ZeroDivisionError:
+                raise ValueError(f"map point {key!r} has a zero denominator: {vals!r}") from None
         if len(coords) != n:
             raise ValueError(f"map has no point for vertices {sorted(set(range(n)) - set(coords))}")
         return cls(complex, d, tuple(coords[v] for v in range(n)))
@@ -417,17 +434,30 @@ def _face_table(f: PLMap) -> tuple[dict[tuple[int, ...], _Face], int]:
 
 def _scan(d: int, table: dict[tuple[int, ...], _Face],
           combos: Iterable[tuple[int, tuple[tuple[int, ...], ...]]]) -> tuple[int, Optional[tuple]]:
-    """Tuples scanned, counted from position 0, and the first hit as (pos, faces, hit)."""
+    """Tuples scanned, counted from position 0, and the first hit as (pos, faces, hit).
+
+    Each face pair's two-hull LP runs at most once per scan.
+    """
+    meets: dict = {}  # face pair, in tuple order, with overlapping boxes -> do the hulls meet
+
+    def boxes_meet(a, b):  # lo <= hi along every axis, both ways round
+        ea, eb = table[a], table[b]
+        return all(map(int.__le__, ea.lo, eb.hi)) and all(map(int.__le__, eb.lo, ea.hi))
+
+    def meet(a, b):
+        if (a, b) not in meets:
+            meets[a, b] = simplices_intersect([table[a].rows, table[b].rows], d) is not None
+        return meets[a, b]
+
     pos = -1
     for pos, faces in combos:
-        entries = [table[face] for face in faces]
-        lo = map(max, *(e.lo for e in entries))
-        hi = map(min, *(e.hi for e in entries))
-        if any(a > b for a, b in zip(lo, hi)):
-            continue  # the bounding boxes miss each other along some axis
-        hit = simplices_intersect([e.rows for e in entries], d)
-        if hit is not None:
-            return pos + 1, (pos, faces, hit)
+        pairs = list(itertools.combinations(faces, 2))
+        if not all(boxes_meet(a, b) for a, b in pairs):
+            continue
+        if len(faces) == 2 or all(meet(a, b) for a, b in pairs):  # r = 2: the pair is the tuple
+            hit = simplices_intersect([table[face].rows for face in faces], d)
+            if hit is not None:
+                return pos + 1, (pos, faces, hit)
     return pos + 1, None
 
 

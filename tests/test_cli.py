@@ -152,6 +152,26 @@ class TestCheck:
         assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
         assert captured.err == ""
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"coords": {"0": [0.1, 0], "1": ["1", "0"], "2": ["0", "1"], "3": ["1", "1"]}},
+         "map point '0' must be a list of rational strings, got [0.1, 0]"),
+        ({"coords": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]},
+         "map coords must be an object keyed by vertex number"),
+        ({"d": 2.7}, "map dimension d must be a non-negative integer, got 2.7"),
+    ])
+    def test_malformed_map_is_input_error(self, capsys, radon_files, edit, message):
+        complex_path, map_path = radon_files
+        with open(map_path) as handle:
+            obj = json.load(handle)
+        obj.update(edit)
+        with open(map_path, "w") as handle:
+            json.dump(obj, handle)
+        code = main(["check", "--complex", complex_path, "--map", map_path, "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
+        assert captured.err == ""
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, report = run_cli(
             capsys, "check", "--complex", str(tmp_path / "nope.json"),

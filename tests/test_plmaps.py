@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from tverberg import plmaps
 from tverberg.complexes import SimplicialComplex, disjoint_face_combinations, simplex_skeleton
 from tverberg.plmaps import (
     CheckVerdict,
@@ -65,6 +67,24 @@ def unit_triangle_map():
     return PLMap(K, 2, ((F(0), F(0)), (F(1), F(0)), (F(0), F(1))))
 
 
+# A non-pure complex whose maximal faces have 2, 3 and 4 vertices
+NON_PURE = SimplicialComplex.from_faces(9, [(0, 1, 2, 3), (2, 4, 5), (5, 6), (6, 7, 8),
+                                            (0, 8), (1, 4), (3, 7), (4, 6)])
+
+
+def scanned_tuples(K, r, maximal_only):
+    """Disjoint tuples in the checker's order; with maximal_only, by has_face."""
+    for faces in disjoint_face_combinations(K, r):
+        free = set(range(K.num_vertices)).difference(*faces)
+        if not maximal_only or not any(K.has_face(tuple(sorted(face + (v,))))
+                                       for face in faces for v in free):
+            yield faces
+
+
+def images(f, faces):
+    return [[f.coords[v] for v in face] for face in faces]
+
+
 # ---------------------------------------------------------------------------
 # PLMap basics
 # ---------------------------------------------------------------------------
@@ -114,6 +134,19 @@ class TestPLMap:
         K = simplex_skeleton(3, 1)
         with pytest.raises(ValueError, match=message):
             PLMap.from_json(K, {"d": 1, "coords": coords})
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"d": 1, "coords": {"0": [0.5], "1": ["1"]}}, "must be a list of rational strings"),
+        ({"d": 1, "coords": {"0": [1], "1": ["1"]}}, "must be a list of rational strings"),
+        ({"d": 2, "coords": {"0": "00", "1": ["1", "1"]}}, "must be a list of rational strings"),
+        ({"d": 1, "coords": [["0"], ["1"]]}, "coords must be an object"),
+        ({"d": True, "coords": {"0": ["0"], "1": ["1"]}}, "non-negative integer, got True"),
+        ({"d": "1", "coords": {"0": ["0"], "1": ["1"]}}, "non-negative integer, got '1'"),
+        ({"d": 1, "coords": {"0": ["0"], "1": ["2/0"]}}, "zero denominator"),
+    ])
+    def test_from_json_rejects_malformed_values(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            PLMap.from_json(simplex_skeleton(1, 1), obj)
 
     def test_from_json_needs_every_vertex_in_r0(self):
         K = simplex_skeleton(3, 1)
@@ -338,19 +371,13 @@ class TestChecker:
 
     @pytest.mark.parametrize("r, d", [(2, 2), (2, 3), (3, 2), (3, 1)])
     def test_maximal_only_on_non_pure_complex_matches_oracle(self, r, d):
-        K = SimplicialComplex.from_faces(9, [(0, 1, 2, 3), (2, 4, 5), (5, 6), (6, 7, 8),
-                                             (0, 8), (1, 4), (3, 7), (4, 6)])
+        K = NON_PURE
         assert {len(face) for face in K.maximal_faces} == {2, 3, 4}
         for seed in range(4):
             f = random_rational_map(K, d, seed)
-            maximal = []
-            for faces in disjoint_face_combinations(K, r):
-                free = set(range(K.num_vertices)).difference(*faces)
-                if not any(K.has_face(tuple(sorted(face + (v,))))
-                           for face in faces for v in free):
-                    maximal.append(faces)
+            maximal = list(scanned_tuples(K, r, maximal_only=True))
             hits = [i for i, faces in enumerate(maximal)
-                    if simplices_intersect([[f.coords[v] for v in face] for face in faces], d)]
+                    if simplices_intersect(images(f, faces), d)]
             verdict = almost_r_embedding_check(f, r, maximal_only=True)
             assert verdict.passed == (not hits) == almost_r_embedding_check(f, r).passed
             if hits:
@@ -379,6 +406,65 @@ class TestChecker:
                 assert sum(weights) == 1 and min(weights) >= 0
                 assert tuple(sum(wi * f.coords[v][ell] for wi, v in zip(weights, face))
                              for ell in range(3)) == w.point
+
+    @pytest.mark.parametrize("maximal_only", [False, True])
+    @pytest.mark.parametrize("r, K, d", [
+        (2, simplex_skeleton(5, 2), 3), (2, simplex_skeleton(6, 1), 3), (2, NON_PURE, 2),
+        (3, simplex_skeleton(7, 1), 2), (3, simplex_skeleton(6, 2), 2), (3, NON_PURE, 1),
+        (4, NON_PURE, 2), (4, simplex_skeleton(7, 1), 1),
+    ])
+    def test_random_maps_match_brute_force(self, r, K, d, maximal_only):
+        """Every scanned tuple through the r-fold LP: same verdict, count and witness."""
+        for seed in range(2):
+            # integer images, so the checker's integer rows are the coordinates themselves
+            f = random_rational_map(K, d, seed, span=20, denominator=1)
+            checked, first = 0, None
+            for faces in scanned_tuples(K, r, maximal_only):
+                checked += 1
+                hit = simplices_intersect(images(f, faces), d)
+                if hit is not None:
+                    first = faces, hit
+                    break
+            verdict = almost_r_embedding_check(f, r, maximal_only=maximal_only)
+            assert verdict.passed == (first is None)
+            assert verdict.tuples_checked == checked
+            if first is not None:
+                w = verdict.witness
+                assert (w.tuple_.faces, w.point, w.barycentric) == \
+                    (first[0], first[1].point, first[1].barycentric)
+
+    @pytest.mark.parametrize("r, K, d", [
+        (2, simplex_skeleton(5, 2), 3), (2, simplex_skeleton(6, 1), 3),
+        (3, simplex_skeleton(7, 1), 2), (3, simplex_skeleton(6, 2), 2),
+    ])
+    def test_each_face_pair_solved_once(self, monkeypatch, r, K, d):
+        """Pair LPs run once per pair; the r-fold LP only where every pair meets."""
+        f = random_rational_map(K, d, 1, span=20, denominator=1)
+        calls = []
+
+        def counting(point_sets, dim):
+            calls.append(tuple(tuple(map(tuple, ps)) for ps in point_sets))
+            return simplices_intersect(point_sets, dim)
+
+        def boxes_meet(point_sets):
+            boxes = [[(min(c), max(c)) for c in zip(*pts)] for pts in point_sets]
+            return all(max(lo for lo, _ in axis) <= min(hi for _, hi in axis)
+                       for axis in zip(*boxes))
+
+        monkeypatch.setattr(plmaps, "simplices_intersect", counting)
+        verdict = almost_r_embedding_check(f, r)
+        scanned = list(itertools.islice(scanned_tuples(K, r, False), verdict.tuples_checked))
+        pair_calls = Counter(call for call in calls if len(call) == 2)
+        assert pair_calls.most_common(1)[0][1] == 1
+        assert all(boxes_meet(call) for call in pair_calls)
+        if r == 2:
+            # as many LPs as the per-tuple box prefilter let through
+            assert len(calls) == sum(boxes_meet(images(f, faces)) for faces in scanned)
+        else:
+            pairwise = [faces for faces in scanned
+                        if all(simplices_intersect(images(f, pair), d)
+                               for pair in itertools.combinations(faces, 2))]
+            assert sum(len(call) == r for call in calls) == len(pairwise) > 0
 
     def test_empty_tuple_set_passes(self):
         f = constant_map(1)
