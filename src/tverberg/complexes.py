@@ -83,7 +83,19 @@ class SimplicialComplex:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimplicialComplex":
-        return cls.from_faces(int(obj["num_vertices"]), obj["maximal_faces"])
+        """Read a complex; a malformed vertex count or face list raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("complex must be an object with num_vertices and maximal_faces")
+        n, faces = obj["num_vertices"], obj["maximal_faces"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"complex num_vertices must be a non-negative integer, got {n!r}")
+        if not isinstance(faces, list) or not all(
+            isinstance(f, list) and f and all(type(v) is int and 0 <= v < n for v in f)
+            for f in faces
+        ):
+            raise ValueError("complex maximal_faces must be a list of non-empty lists of "
+                             f"vertices in 0..{n - 1}")
+        return cls.from_faces(n, faces)
 
 
 @lru_cache(maxsize=None)

@@ -78,6 +78,12 @@ ZERO_ZONE_FRACTION = 0.625
 # steps at k, and maps without a repeated k need only the first rule.
 RADIUS_RULE = "min_orbit_dist/3"
 RADIUS_RULE_REPEATED = "min_orbit_dist/3 if n = 1 else min(min_orbit_dist/3, sin(pi/(4n)))"
+# build_from_plan refuses larger plans before allocating anything.  Two
+# orbits of C(r,k) centers make a C(r,k)^2 float64 distance matrix in
+# _check_separation, and C(15,6) is the largest orbit of any r <= 15
+# certificate plan; evaluation recurses once per step.
+MAX_ORBIT = 5005
+MAX_PLAN_STEPS = 500
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -549,6 +555,13 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     sign * C(r,k); the final running degree equals the plan target (0 for
     certificate plans).
     """
+    if len(plan.steps) > MAX_PLAN_STEPS:
+        raise ValueError(f"plan has {len(plan.steps)} steps, beyond the builder's cap "
+                         f"MAX_PLAN_STEPS = {MAX_PLAN_STEPS}")
+    for k, _ in plan.steps:
+        if math.comb(plan.r, k) > MAX_ORBIT:
+            raise ValueError(f"plan step k={k} has C({plan.r},{k}) = {math.comb(plan.r, k)} "
+                             f"centers, beyond the builder's cap MAX_ORBIT = {MAX_ORBIT}")
     layer = identity_map(plan.r)
     per_k = Counter(k for k, _ in plan.steps)
     for k, sign in plan.steps:

@@ -6,6 +6,10 @@ Bezout-style certificates writing -1 as an integer combination of those
 binomials.  Such a certificate exists exactly when r is not a prime
 power (the gcd is 1 then), and it linearizes into an ordered plan of
 signed steps whose running total starts at 1 and ends at the target 0.
+
+Certificates come from one integral LLL reduction of the binomials, so
+sum |a_k|, the plan length, is short (3 at r = 6, at most 98 for r <= 100)
+but not always shortest (8 at r = 20, where 7 would do).
 """
 
 from __future__ import annotations
@@ -177,8 +181,7 @@ def certificate_to_plan(cert: BezoutCertificate, max_steps: int = 100000) -> Mod
 
     The target comes out as 1 + checksum, i.e. 0 for valid certificates
     and whatever the arithmetic says for demonstration coefficient sets.
-    Fallback certificates can carry coefficients far too large to spell
-    out as steps; those are rejected against max_steps.
+    Certificates with sum |a_k| beyond max_steps are rejected.
     """
     total = sum(abs(a) for a in cert.coeffs)
     if total > max_steps:
@@ -186,129 +189,81 @@ def certificate_to_plan(cert: BezoutCertificate, max_steps: int = 100000) -> Mod
             f"certificate needs {total} steps, beyond the max_steps={max_steps} "
             "cap; it is still valid as a checksum"
         )
-    steps: list[tuple[int, int]] = []
-    for k, a in enumerate(cert.coeffs, 1):
-        if a:
-            steps.extend((k, 1 if a > 0 else -1) for _ in range(abs(a)))
+    steps = [(k, 1 if a > 0 else -1) for k, a in enumerate(cert.coeffs, 1) for _ in range(abs(a))]
     return ModificationPlan.from_steps(cert.r, steps)
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
+def _lll_reduce(rows: list[list[int]]) -> list[list[int]]:
+    """LLL-reduce independent integer rows with delta = 3/4, in exact integers.
 
-
-def _small_certificate(r: int) -> Optional[tuple[int, ...]]:
-    """Search coefficient vectors with sum |a_k| <= 3, lexicographically least.
-
-    Sum 1 is impossible (every binomial exceeds 1) and a doubled weight
-    cannot reach the odd target -1 at sum 2, so the search reduces to
-    unit pairs, unit triples, and (2,1) patterns; each is resolved with
-    a value table in at most O(r^2) probes.
+    Cohen, "A Course in Computational Algebraic Number Theory", Alg. 2.6.7:
+    D[i] is the i-th Gram determinant and lam[k][j] = D[j+1] * mu_kj, both
+    built incrementally, so every division below is exact.
     """
-    b = [math.comb(r, k) for k in range(r)]
-    m = r - 1
-    locs: dict[int, list[int]] = {}
-    for k in range(1, r):
-        locs.setdefault(b[k], []).append(k)
-
-    def vec(pairs):
-        v = [0] * m
-        for k, a in pairs:
-            v[k - 1] += a
-        return tuple(v)
-
-    sols: list[tuple[int, ...]] = []
-    for k1 in range(1, r):
-        for s1 in (-1, 1):
-            rem = -1 - s1 * b[k1]
-            if rem == 0:
-                continue
-            for k2 in locs.get(abs(rem), ()):
-                if k2 > k1:
-                    sols.append(vec([(k1, s1), (k2, 1 if rem > 0 else -1)]))
-    if sols:
-        return min(sols)
-
-    for k1 in range(1, r):
-        for k2 in range(k1 + 1, r):
-            for s1 in (-1, 1):
-                for s2 in (-1, 1):
-                    rem = -1 - s1 * b[k1] - s2 * b[k2]
-                    if rem == 0:
-                        continue
-                    for k3 in locs.get(abs(rem), ()):
-                        if k3 > k2:
-                            sols.append(
-                                vec([(k1, s1), (k2, s2), (k3, 1 if rem > 0 else -1)])
-                            )
-    for ka in range(1, r):
-        for sa in (-1, 1):
-            rem = -1 - 2 * sa * b[ka]
-            if rem == 0:
-                continue
-            for kb in locs.get(abs(rem), ()):
-                if kb != ka:
-                    sols.append(vec([(ka, 2 * sa), (kb, 1 if rem > 0 else -1)]))
-    if sols:
-        return min(sols)
-    return None
-
-
-def _euclid_certificate(r: int) -> tuple[int, ...]:
-    """Iterated extended Euclid over C(r,1), C(r,2), ... accumulating weights.
-
-    Intermediate weights are reduced to symmetric residues to keep the
-    output from exploding; no minimality is claimed.
-    """
-    b = [math.comb(r, k) for k in range(r)]
-    coeffs = [0] * (r - 1)
-    g = b[1]
-    coeffs[0] = 1
-    for k in range(2, r):
-        if g == 1:
-            break
-        g2, x, y = _ext_gcd(g, b[k])
-        mod = b[k] // g2
-        if mod > 1:
-            t = x % mod
-            if t > mod // 2:
-                t -= mod
-            y += ((x - t) // mod) * (g // g2)
-            x = t
-        coeffs = [x * c for c in coeffs]
-        coeffs[k - 1] += y
-        g = g2
-    if g != 1:
-        raise AssertionError(f"gcd chain for r={r} never reached 1")
-    return tuple(-c for c in coeffs)
+    b = [list(row) for row in rows]
+    n = len(b)
+    D = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    def reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > D[l + 1]:
+            q = (2 * lam[k][l] + D[l + 1]) // (2 * D[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * D[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+    D[1] = sum(x * x for x in b[0])
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (D[i + 1] * u - lam[k][i] * lam[j][i]) // D[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    D[k + 1] = u
+        reduce(k, k - 1)
+        if 4 * D[k + 1] * D[k - 1] < 3 * D[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            la = lam[k][k - 1]
+            B = (D[k - 1] * D[k + 1] + la * la) // D[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (D[k + 1] * lam[i][k - 1] - la * t) // D[k]
+                lam[i][k - 1] = (B * t + la * lam[i][k]) // D[k + 1]
+            D[k] = B
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b
 
 
 def bezout_certificate(r: int) -> BezoutCertificate:
-    """A certificate with checksum -1, or CertificateImpossibleError.
+    """A short certificate with checksum -1, or CertificateImpossibleError.
 
-    Prefers short certificates (sum |a_k| <= 3, found for r = 6 among
-    others); falls back to the extended-Euclid chain, which always
-    succeeds when the binomial gcd is 1.
+    Extended gcd by lattice reduction (Havas-Majewski-Matthews 1998): with
+    m = r // 2 and W far above every short combination, the rows
+    [e_i | W * C(r,i)], i = 1..m, reduce to m - 1 rows ending in 0 and one
+    ending in +-W, whose first m entries combine the binomials to +-1.
+    C(r,k) = C(r,r-k), so k > m gets weight 0.  Short is not always
+    shortest: r = 20 gets sum |a_k| = 8, where 7 suffices.
     """
-    if r < 2:
-        raise ValueError(f"bezout_certificate needs r >= 2, got {r}")
-    g = binomial_gcd(r)
+    g = binomial_gcd(r)  # raises ValueError for r < 2
     if g != 1:
         raise CertificateImpossibleError(r, g)
-    coeffs = _small_certificate(r)
-    if coeffs is None:
-        coeffs = _euclid_certificate(r)
-    cert = BezoutCertificate(r, tuple(coeffs))
-    cert.verify()
-    return cert
+    m = r // 2
+    W = 2 ** (2 * m + 8)
+    rows = [[int(i == j) for j in range(m)] + [W * math.comb(r, i + 1)] for i in range(m)]
+    for row in _lll_reduce(rows):
+        if abs(row[-1]) == W:
+            sign = -1 if row[-1] > 0 else 1
+            cert = BezoutCertificate(r, tuple(sign * a for a in row[:-1]) + (0,) * (r - 1 - m))
+            cert.verify()
+            return cert
+    raise AssertionError(f"lattice reduction for r={r} left no row ending in +-W")

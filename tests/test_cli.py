@@ -90,6 +90,17 @@ class TestCert:
             (1, -1), (2, -1), (3, 1)
         ]
 
+    def test_r10(self, capsys):
+        code, report = run_cli(capsys, "cert", "--r", "10")
+        assert code == 0
+        validate("report", report)
+        out = report["outputs"]
+        validate("certificate", out["certificate"])
+        validate("plan", out["plan"])
+        assert out["checksum"] == "-1"
+        assert len(out["plan"]["steps"]) == 7
+        assert out["plan"]["target"] == 0
+
     def test_r8_prime_power(self, capsys):
         code, report = run_cli(capsys, "cert", "--r", "8")
         assert code == 2
@@ -172,6 +183,23 @@ class TestCheck:
         assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
         assert captured.err == ""
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"num_vertices": 2.9, "maximal_faces": [[0, 1]]},
+         "complex num_vertices must be a non-negative integer, got 2.9"),
+        ([[0, 1]], "complex must be an object with num_vertices and maximal_faces"),
+        ({"num_vertices": 4, "maximal_faces": {"0": [0, 1]}},
+         "complex maximal_faces must be a list of non-empty lists of vertices in 0..3"),
+    ])
+    def test_malformed_complex_is_input_error(self, capsys, radon_files, obj, message):
+        complex_path, map_path = radon_files
+        with open(complex_path, "w") as handle:
+            json.dump(obj, handle)
+        code = main(["check", "--complex", complex_path, "--map", map_path, "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
+        assert captured.err == ""
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, report = run_cli(
             capsys, "check", "--complex", str(tmp_path / "nope.json"),
@@ -197,6 +225,29 @@ class TestEqmap:
         assert out["equivariance_max_residual"] < 1e-9
         assert out["homotopy_zero_residual"] < 1e-9
         validate("plan", out["map"])
+
+    def test_build_r10_auto(self, capsys):
+        code, report = run_cli(capsys, "eqmap", "build", "--r", "10", "--plan", "auto",
+                               "--samples", "200", "--seed", "1")
+        assert code == 0
+        validate("report", report)
+        out = report["outputs"]
+        assert out["final_degree"] == 0
+        assert len(out["ledger"]["running"]) == 8
+        validate("plan", out["map"])
+
+    @pytest.mark.parametrize("r, plan, message", [
+        ("18", "auto", "plan step k=5 has C(18,5) = 8568 centers, beyond the builder's "
+                       "cap MAX_ORBIT = 5005"),
+        ("2", ",".join(["1:-,1:+"] * 550), "plan has 1100 steps, beyond the builder's "
+                                           "cap MAX_PLAN_STEPS = 500"),
+    ], ids=["r18-auto", "r2-1100-steps"])
+    def test_build_beyond_the_caps_is_input_error(self, capsys, r, plan, message):
+        code = main(["eqmap", "build", "--r", r, "--plan", plan])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
+        assert captured.err == ""
 
     def test_verify_r6_auto(self, capsys):
         code, report = run_cli(capsys, "eqmap", "verify", "--r", "6", "--plan", "auto",

@@ -79,6 +79,30 @@ class TestSimplicialComplex:
         K = simplex_skeleton(3, 1)
         assert SimplicialComplex.from_json(K.to_json()) == K
 
+    @pytest.mark.parametrize("obj", [
+        {"num_vertices": 2.9, "maximal_faces": [[0, 1]]},
+        {"num_vertices": 2.0, "maximal_faces": [[0, 1]]},
+        {"num_vertices": True, "maximal_faces": [[0]]},
+        {"num_vertices": -1, "maximal_faces": []},
+        {"num_vertices": "3", "maximal_faces": [[0, 1]]},
+        [[0, 1]],
+        {"num_vertices": 3, "maximal_faces": {"0": [0, 1]}},
+        {"num_vertices": 3, "maximal_faces": [[0, 1.5]]},
+        {"num_vertices": 3, "maximal_faces": [[0, True]]},
+        {"num_vertices": 3, "maximal_faces": [[0, 3]]},
+        {"num_vertices": 3, "maximal_faces": [[-1, 0]]},
+        {"num_vertices": 3, "maximal_faces": [[0, 1], []]},
+        {"num_vertices": 3, "maximal_faces": [0, 1]},
+    ])
+    def test_from_json_rejects_malformed_input(self, obj):
+        with pytest.raises(ValueError):
+            SimplicialComplex.from_json(obj)
+
+    def test_from_json_normalizes_valid_faces(self):
+        K = SimplicialComplex.from_json({"num_vertices": 4, "maximal_faces": [[1, 0], [0, 1, 2], [3]]})
+        assert K == SimplicialComplex(4, ((3,), (0, 1, 2)))
+        assert SimplicialComplex.from_json({"num_vertices": 0, "maximal_faces": []}).dim == -1
+
 
 class TestJoin:
     def test_simplices_join_to_simplex(self):

@@ -1,12 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from tverberg.numbercert import (
     BezoutCertificate,
     CertificateImpossibleError,
     ModificationPlan,
-    _euclid_certificate,
     bezout_certificate,
     binomial,
     binomial_gcd,
@@ -21,6 +21,28 @@ def pascal_row(n: int) -> list[int]:
     for _ in range(n):
         row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
     return row
+
+
+def shortest_certificate_length(r: int) -> int:
+    """Oracle: fewest steps +-C(r,k) summing to -1, by BFS over partial sums.
+
+    Partial sums stay within 2 * max C(r,k) without loss: any solution can be
+    reordered to add a negative term when the sum is >= 0 and a positive one
+    otherwise.
+    """
+    values = sorted({math.comb(r, k) for k in range(1, r)})
+    moves = np.array(values + [-v for v in values])
+    cap = 2 * values[-1]
+    seen = np.zeros(2 * cap + 1, dtype=bool)
+    seen[cap] = True
+    frontier, depth = np.array([0]), 0
+    while not seen[cap - 1]:
+        reached = (frontier[:, None] + moves[None, :]).ravel()
+        reached = reached[np.abs(reached) <= cap]
+        frontier = np.unique(reached[~seen[reached + cap]])
+        seen[frontier + cap] = True
+        depth += 1
+    return depth
 
 
 def gcd_list(values) -> int:
@@ -114,7 +136,7 @@ class TestBezoutCertificate:
     def test_r6_short_certificate(self):
         cert = bezout_certificate(6)
         assert cert.checksum == -1
-        # the short-search result: -6 - 15 + 20 = -1
+        # -6 - 15 + 20 = -1, three steps, the fewest possible
         assert cert.coeffs == (-1, -1, 1, 0, 0)
 
     def test_prime_power_obstruction(self):
@@ -136,12 +158,28 @@ class TestBezoutCertificate:
     def test_all_non_prime_powers_to_100(self):
         for r in range(2, 101):
             if is_prime_power(r) is None:
-                assert bezout_certificate(r).checksum == -1
+                cert = bezout_certificate(r)
+                assert cert.checksum == -1
+                assert sum(abs(a) for a in cert.coeffs) <= 98
+                assert 1 + sum(certificate_to_plan(cert).deltas) == 0
 
-    def test_euclid_fallback_is_valid(self):
-        for r in (6, 10, 12, 20, 30, 66):
-            coeffs = _euclid_certificate(r)
-            assert BezoutCertificate(r, coeffs).checksum == -1
+    @pytest.mark.parametrize("r", [6, 10, 12, 14, 15])
+    def test_shortest_where_the_oracle_reaches(self, r):
+        cert = bezout_certificate(r)
+        assert sum(abs(a) for a in cert.coeffs) == shortest_certificate_length(r)
+
+    def test_oracle_sees_a_shorter_certificate_at_r20(self):
+        # the reduction is short, not always shortest
+        assert shortest_certificate_length(20) == 7
+        assert sum(abs(a) for a in bezout_certificate(20).coeffs) == 8
+
+    @pytest.mark.parametrize("r, bound", [(22, 17), (24, 8), (30, 9)])
+    def test_short_at_larger_r(self, r, bound):
+        assert sum(abs(a) for a in bezout_certificate(r).coeffs) <= bound
+
+    def test_weights_only_on_the_first_half(self):
+        for r in (10, 12, 22, 30):
+            assert not any(bezout_certificate(r).coeffs[r // 2:])
 
     def test_deterministic(self):
         assert bezout_certificate(30).coeffs == bezout_certificate(30).coeffs
@@ -181,14 +219,15 @@ class TestModificationPlan:
         for r in (6, 10, 12, 30):
             cert = bezout_certificate(r)
             assert cert.checksum == -1
-            if sum(abs(a) for a in cert.coeffs) <= 10000:
-                plan = certificate_to_plan(cert)
-                assert sum(plan.deltas) == cert.checksum == -1
+            plan = certificate_to_plan(cert)
+            assert sum(plan.deltas) == cert.checksum == -1
 
     def test_huge_certificates_refuse_to_linearize(self):
-        cert = bezout_certificate(48)  # fallback path, astronomically large weights
+        # the r = 6 certificate plus 60,000 times the kernel vector (1, 0, 0, 0, -1)
+        cert = BezoutCertificate(6, (59999, -1, 1, 0, -60000))
         assert cert.checksum == -1
-        with pytest.raises(ValueError):
+        assert sum(abs(a) for a in cert.coeffs) == 120001
+        with pytest.raises(ValueError, match="120001 steps"):
             certificate_to_plan(cert)
 
     def test_target_consistency_enforced(self):
