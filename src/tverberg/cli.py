@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -29,8 +28,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-THREAD_ENV = "TVERBERG_THREADS"
 
 
 def _digest(payload: dict) -> str:
@@ -61,15 +58,6 @@ def _emit(report: dict, json_path: Optional[str]) -> None:
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-
-
-def _workers(parallel: bool) -> int:
-    if not parallel:
-        return 1
-    env = os.environ.get(THREAD_ENV)
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +130,7 @@ def cmd_check(args) -> tuple[dict, int]:
         K = cx.SimplicialComplex.from_json(json.load(handle))
     with open(args.map, "r", encoding="utf-8") as handle:
         f = pl.PLMap.from_json(K, json.load(handle))
-    verdict = pl.almost_r_embedding_check(
-        f, args.r, maximal_only=args.maximal_only, workers=_workers(args.parallel)
-    )
+    verdict = pl.almost_r_embedding_check(f, args.r, maximal_only=args.maximal_only)
     outputs = {
         "r": args.r,
         "passed": verdict.passed,
@@ -296,9 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", required=True, help="complex JSON file")
     p.add_argument("--map", required=True, help="map JSON file")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--parallel", action="store_true",
-                   help=f"scan tuple ranges in worker processes ({THREAD_ENV} sets "
-                        "their number; default: the CPU count)")
     p.add_argument("--maximal-only", action="store_true", dest="maximal_only",
                    help="test only inclusion-maximal disjoint tuples")
     p.add_argument("--json", dest="json_path")

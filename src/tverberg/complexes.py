@@ -8,7 +8,8 @@ the cells sigma_1 x ... x sigma_r of the r-fold deleted product, with
 the symmetric group permuting coordinates freely.
 
 Vertex-disjointness tests run on integer bitmasks, which double as
-arbitrary-width bitsets, so the same code path covers any vertex count.
+arbitrary-width bitsets, so the same code path covers any vertex count;
+bitsets of faces let the unordered tuples be counted without listing.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "simplex_skeleton",
     "join_complexes",
     "disjoint_tuples",
+    "extension_masks",
+    "count_face_combinations",
     "deleted_product_stats",
     "verify_free_action",
 ]
@@ -206,6 +209,89 @@ def disjoint_face_combinations(K: SimplicialComplex, r: int) -> Iterator[tuple[t
     faces, _, tuples = _index_tuples(K, r, "disjoint_face_combinations", ordered=False)
     for idx in tuples:
         yield tuple(faces[i] for i in idx)
+
+
+def extension_masks(K: SimplicialComplex) -> tuple[int, ...]:
+    """Per face of ``K.faces()``, the mask of the vertices that extend it to a face of K.
+
+    Disjoint faces form an inclusion-maximal tuple iff their extension
+    masks lie inside the union of the faces.
+    """
+    index = {face: i for i, face in enumerate(K.faces())}
+    ext = [0] * len(index)
+    for face in index:
+        for v in face:
+            if len(face) > 1:
+                ext[index[tuple(u for u in face if u != v)]] |= 1 << v
+    return tuple(ext)
+
+
+def count_face_combinations(K: SimplicialComplex, r: int, maximal_only: bool = False,
+                            before: Optional[Sequence[tuple[int, ...]]] = None) -> int:
+    """Count the tuples of ``disjoint_face_combinations(K, r)`` without listing them.
+
+    With maximal_only only inclusion-maximal tuples count.  With ``before``
+    (a prefix of such a tuple) only those before every tuple that starts
+    with it count: for a whole tuple, its rank.
+    """
+    if r < 2:
+        raise ValueError(f"count_face_combinations needs r >= 2, got {r}")
+    take, count = _tuple_counter(K, maximal_only)
+    state = (0, 0, (1 << len(K.faces())) - 1)
+    if before is None:
+        return count(state, r)
+    total = 0
+    for depth, face in enumerate(before):
+        i = K.faces().index(tuple(face))  # ValueError if not a face
+        if depth >= r or not state[2] >> i & 1:
+            raise ValueError(f"{tuple(before)} does not start a tuple of {r} disjoint faces")
+        total += sum(count(take(state, j), r - depth - 1) for j in _bits(state[2] & ((1 << i) - 1)))
+        state = take(state, i)
+    return total
+
+
+@lru_cache(maxsize=8)
+def _tuple_counter(K: SimplicialComplex, maximal_only: bool):
+    """Step and count over the states (used vertices, extension vertices still
+    free, candidate faces) of a prefix, with a memo kept per complex."""
+    masks = _face_masks(K.faces())
+    ext = extension_masks(K) if maximal_only else (0,) * len(masks)
+    meeting = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)  # faces that contain v
+               for v in range(K.num_vertices)]
+    disjoint = [sum(1 << j for j, m in enumerate(masks) if not m & mi) for mi in masks]
+    closed = sum(1 << i for i, e in enumerate(ext) if not e)  # faces no vertex extends
+    memo: dict = {}
+
+    def take(state: tuple[int, int, int], i: int) -> tuple[int, int, int]:
+        used, pending, cands = state
+        now = used | masks[i]
+        return now, (pending | ext[i]) & ~now, cands & disjoint[i] & ~((2 << i) - 1)
+
+    def count(state: tuple[int, int, int], need: int) -> int:
+        """Increasing tuples of `need` disjoint candidates that complete the prefix."""
+        used, pending, cands = state
+        if need == 0:
+            return int(not pending)
+        if K.num_vertices - used.bit_count() < need:  # each face needs a vertex of its own
+            return 0
+        if need == 1:  # the last face must take every pending vertex and be inextensible
+            for v in _bits(pending):
+                cands &= meeting[v]
+            return (cands & closed).bit_count() + sum(
+                1 for i in _bits(cands & ~closed) if not ext[i] & ~used)
+        if (state, need) not in memo:
+            memo[state, need] = sum(count(take(state, i), need - 1) for i in _bits(cands))
+        return memo[state, need]
+
+    return take, count
+
+
+def _bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 @dataclass(frozen=True)

@@ -10,29 +10,31 @@ integer pivoting, so every verdict is exact and every reported witness
 carries rational barycentric coordinates that reproduce the common
 point identically.
 
-The checker enumerates unordered disjoint tuples (the intersection
-condition is symmetric, an r!-fold saving) in the deterministic face
-order of :mod:`tverberg.complexes`, so the reported witness is the
-lexicographically first failing tuple.  r hulls can share a point only
-if every two of them do.  A tuple is skipped when the integer bounding
-boxes of two of its faces miss each other; otherwise it reaches the
-r-fold LP only if every pair of its faces meets, which a check decides
-once per pair by the two-hull LP and remembers.  Boxes that overlap
-pairwise overlap jointly (Helly in dimension 1), so no r-fold box test
-is needed.
+The checker decides the unordered disjoint tuples (the condition is
+symmetric) in the face order of :mod:`tverberg.complexes`, so the
+witness is the lexicographically first failing tuple.  r hulls share a
+point only if every two do, and two hulls meet only if their integer
+boxes do (pairwise overlapping boxes overlap jointly: Helly in
+dimension 1).  So a check walks the r-cliques of the box graph in that
+order on bitsets.  A face joins a prefix only if the clique can still be
+completed and its hull meets every prefix face's hull (a two-hull LP,
+once per pair); a full clique goes to the r-fold LP.  The tuples this
+skips are counted, not listed (``complexes.count_face_combinations``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .complexes import DisjointTuple, SimplicialComplex, disjoint_face_combinations, join_complexes
+from .complexes import (DisjointTuple, SimplicialComplex, count_face_combinations, extension_masks,
+                        join_complexes)
 
 __all__ = [
     "PLMap",
@@ -421,107 +423,85 @@ class _Face(NamedTuple):
     mask: int
 
 
-def _face_table(f: PLMap) -> tuple[dict[tuple[int, ...], _Face], int]:
-    """Integer data of every face of f's complex, over the map's common denominator."""
+def _face_table(f: PLMap) -> tuple[list[_Face], int]:
+    """Integer data of the faces of f's complex in face order, over the map's common denominator."""
     rows, denom = _integer_rows(f.coords)
-    table = {}
+    table = []
     for face in f.complex.faces():
         pts = [rows[v] for v in face]
-        table[face] = _Face(pts, tuple(map(min, zip(*pts))), tuple(map(max, zip(*pts))),
-                            sum(1 << v for v in face))
+        table.append(_Face(pts, tuple(map(min, zip(*pts))), tuple(map(max, zip(*pts))),
+                           sum(1 << v for v in face)))
     return table, denom
 
 
-def _scan(d: int, table: dict[tuple[int, ...], _Face],
-          combos: Iterable[tuple[int, tuple[tuple[int, ...], ...]]]) -> tuple[int, Optional[tuple]]:
-    """Tuples scanned, counted from position 0, and the first hit as (pos, faces, hit).
+def _first_hit(f: PLMap, r: int, maximal_only: bool,
+               table: list[_Face]) -> Optional[tuple[tuple[int, ...], IntersectionPoint]]:
+    """Face indices and common point of the first r-clique of the box graph whose hulls meet.
 
-    Each face pair's two-hull LP runs at most once per scan.
+    The box graph joins vertex-disjoint faces whose boxes overlap (lo <= hi
+    along every axis, both ways round).  The scan looks ahead without LPs
+    for a completion (inclusion-maximal with maximal_only) of each prefix.
     """
-    meets: dict = {}  # face pair, in tuple order, with overlapping boxes -> do the hulls meet
+    graph = [sum(1 << j for j, b in enumerate(table[i + 1:], i + 1) if not a.mask & b.mask
+                 and all(map(int.__le__, a.lo, b.hi)) and all(map(int.__le__, b.lo, a.hi)))
+             for i, a in enumerate(table)]
+    ext = extension_masks(f.complex)
+    meet = functools.cache(  # face pair -> do the hulls meet
+        lambda a, b: simplices_intersect([table[a].rows, table[b].rows], f.d) is not None)
 
-    def boxes_meet(a, b):  # lo <= hi along every axis, both ways round
-        ea, eb = table[a], table[b]
-        return all(map(int.__le__, ea.lo, eb.hi)) and all(map(int.__le__, eb.lo, ea.hi))
+    def descend(prefix: tuple[int, ...], cands: int, used: int, reach: int, solve: bool):
+        """The first completion of prefix from cands; without solve any completion, no LP."""
+        need = r - len(prefix)
+        if f.complex.num_vertices - used.bit_count() < need:  # each face needs its own vertex
+            return None
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            j = low.bit_length() - 1
+            now, wide, clique = used | table[j].mask, reach | ext[j], prefix + (j,)
+            if need > 1:
+                later = cands & graph[j]
+                if not solve or (descend(clique, later, now, wide, False)
+                                 and all(meet(p, j) for p in prefix)):
+                    if (found := descend(clique, later, now, wide, solve)) is not None:
+                        return found
+            elif not (maximal_only and wide & ~now):
+                if not solve:
+                    return clique, None
+                if r == 2 or all(meet(p, j) for p in prefix):  # r = 2: the pair is the tuple
+                    hit = simplices_intersect([table[p].rows for p in clique], f.d)
+                    if hit is not None:
+                        return clique, hit
+        return None
 
-    def meet(a, b):
-        if (a, b) not in meets:
-            meets[a, b] = simplices_intersect([table[a].rows, table[b].rows], d) is not None
-        return meets[a, b]
-
-    pos = -1
-    for pos, faces in combos:
-        pairs = list(itertools.combinations(faces, 2))
-        if not all(boxes_meet(a, b) for a, b in pairs):
-            continue
-        if len(faces) == 2 or all(meet(a, b) for a, b in pairs):  # r = 2: the pair is the tuple
-            hit = simplices_intersect([table[face].rows for face in faces], d)
-            if hit is not None:
-                return pos + 1, (pos, faces, hit)
-    return pos + 1, None
+    return descend((), (1 << len(table)) - 1, 0, 0, True)
 
 
-def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False,
-                             workers: int = 1) -> CheckVerdict:
+def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False) -> CheckVerdict:
     """Decide whether f is an almost r-embedding, exactly.
 
     Passes iff no r pairwise vertex-disjoint faces have intersecting
     images.  On failure the witness is the first failing tuple in the
-    deterministic enumeration order (one representative per unordered
-    tuple; the condition is symmetric).  With maximal_only=True only
-    inclusion-maximal disjoint tuples are tested, which is equivalent
-    because an intersection of subfaces persists on superfaces.
+    deterministic order of ``disjoint_face_combinations`` (one
+    representative per unordered tuple; the condition is symmetric).
+    With maximal_only=True only inclusion-maximal disjoint tuples are
+    tested, which is equivalent because an intersection of subfaces
+    persists on superfaces.
 
-    Every step reads one table of integer face data (rows, boxes, masks).
+    ``tuples_checked`` counts the tuples of that order up to the witness,
+    or all of them on a PASS.
     """
     if r < 2:
         raise ValueError(f"almost_r_embedding_check needs r >= 2, got {r}")
     table, denom = _face_table(f)
-    combos = disjoint_face_combinations(f.complex, r)
-    if maximal_only:
-        face_masks = {entry.mask for entry in table.values()}
-        vertex_bits = [1 << v for v in range(f.complex.num_vertices)]
-
-        def maximal(faces) -> bool:
-            masks = [table[face].mask for face in faces]
-            used = sum(masks)  # the faces are disjoint, so this is their union
-            free = [bit for bit in vertex_bits if not used & bit]
-            return not any(m | bit in face_masks for m in masks for bit in free)
-
-        combos = filter(maximal, combos)
-    combos = enumerate(combos)
-
-    if workers > 1:
-        checked, found = _scan_parallel(f.d, table, list(combos), workers)
-    else:
-        checked, found = _scan(f.d, table, combos)
+    found = _first_hit(f, r, maximal_only, table)
     if found is None:
-        return CheckVerdict(passed=True, witness=None, tuples_checked=checked)
-    _, faces, hit = found
-    witness = IntersectionWitness(
-        tuple_=DisjointTuple(faces),
-        point=tuple(x / denom for x in hit.point),
-        barycentric=hit.barycentric,
-    )
+        return CheckVerdict(passed=True, witness=None,
+                            tuples_checked=count_face_combinations(f.complex, r, maximal_only))
+    indices, hit = found
+    faces = tuple(f.complex.faces()[i] for i in indices)
+    witness = IntersectionWitness(DisjointTuple(faces), tuple(x / denom for x in hit.point),
+                                  hit.barycentric)
     witness.verify(f)
-    return CheckVerdict(passed=False, witness=witness, tuples_checked=checked)
-
-
-def _scan_parallel(d: int, table: dict[tuple[int, ...], _Face], combos: list,
-                   workers: int) -> tuple[int, Optional[tuple]]:
-    """Split the tuple list into chunks; merge to the enumeration-first hit.
-
-    Counts tuples up to that hit, as the serial scan does.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk_size = max(1, (len(combos) + workers - 1) // workers)
-    chunks = [combos[i:i + chunk_size] for i in range(0, len(combos), chunk_size)]
-    best = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for _, found in pool.map(_scan, [d] * len(chunks), [table] * len(chunks), chunks):
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
-    if best is None:
-        return len(combos), None
-    return best[0] + 1, best
+    rank = count_face_combinations(f.complex, r, maximal_only, before=faces)
+    return CheckVerdict(passed=False, witness=witness, tuples_checked=rank + 1)

@@ -200,6 +200,13 @@ class TestCheck:
         assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
         assert captured.err == ""
 
+    def test_parallel_flag_is_gone(self, capsys, radon_files):
+        complex_path, map_path = radon_files
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--complex", complex_path, "--map", map_path, "--r", "2", "--parallel"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, report = run_cli(
             capsys, "check", "--complex", str(tmp_path / "nope.json"),

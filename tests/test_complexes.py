@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -7,9 +8,11 @@ import pytest
 from tverberg.complexes import (
     DisjointTuple,
     SimplicialComplex,
+    count_face_combinations,
     deleted_product_stats,
     disjoint_face_combinations,
     disjoint_tuples,
+    extension_masks,
     join_complexes,
     simplex_skeleton,
     verify_free_action,
@@ -40,6 +43,29 @@ def random_complex(rng, num_vertices):
         size = rng.randint(1, min(4, num_vertices))
         faces.append(rng.sample(range(num_vertices), size))
     return SimplicialComplex.from_faces(num_vertices, faces)
+
+
+def criterion_10_complexes():
+    """The complexes acceptance criterion 10 enumerates, drawn the same way."""
+    rng = random.Random(97)
+    suite = [simplex_skeleton(N, k) for N in range(1, 6) for k in range(N + 1)]
+    for n in (3, 4, 5, 6):
+        for _ in range(5):
+            count = rng.randint(1, 6)
+            faces = [rng.sample(range(n), rng.randint(1, min(4, n))) for _ in range(count)]
+            suite.append(SimplicialComplex.from_faces(n, faces))
+    return suite
+
+
+# A non-pure complex whose maximal faces have 2, 3 and 4 vertices
+NON_PURE = SimplicialComplex.from_faces(9, [(0, 1, 2, 3), (2, 4, 5), (5, 6), (6, 7, 8),
+                                            (0, 8), (1, 4), (3, 7), (4, 6)])
+
+
+def is_maximal(K, faces):
+    """No face of the tuple extends by a vertex the others leave free (by has_face)."""
+    free = set(range(K.num_vertices)).difference(*faces)
+    return not any(K.has_face(tuple(sorted(face + (v,)))) for face in faces for v in free)
 
 
 class TestSimplicialComplex:
@@ -183,6 +209,41 @@ class TestDisjointTuples:
             DisjointTuple(((0, 1), (1, 2)))
         with pytest.raises(ValueError):
             DisjointTuple(((0,), ()))
+
+
+class TestCountFaceCombinations:
+    def test_extension_masks(self):
+        assert extension_masks(simplex_skeleton(2, 1)) == (0b110, 0b101, 0b011, 0, 0, 0)
+        ext = dict(zip(NON_PURE.faces(), extension_masks(NON_PURE)))
+        assert ext[(4,)] == 1 << 1 | 1 << 2 | 1 << 5 | 1 << 6
+        assert ext[(2, 4)] == 1 << 5 and ext[(0, 8)] == 0
+
+    @pytest.mark.parametrize("maximal_only", [False, True])
+    def test_counts_and_ranks_match_enumeration(self, maximal_only):
+        """The count at every prefix of every disjoint tuple, against the listed stream."""
+        for K in criterion_10_complexes() + [NON_PURE]:
+            order = {face: i for i, face in enumerate(K.faces())}
+            for r in (2, 3):
+                stream = list(disjoint_face_combinations(K, r))
+                keys = [[order[face] for face in t] for t in stream
+                        if not maximal_only or is_maximal(K, t)]
+                assert count_face_combinations(K, r, maximal_only) == len(keys)
+                for prefix in {t[:k] for t in stream for k in range(r + 1)}:
+                    # keys are sorted, so this counts the tuples u with u[:k] < prefix
+                    want = bisect.bisect_left(keys, [order[face] for face in prefix])
+                    assert count_face_combinations(K, r, maximal_only, before=prefix) == want
+
+    def test_too_few_vertices_count_zero(self):
+        assert count_face_combinations(simplex_skeleton(9, 2), 11) == 0
+        assert count_face_combinations(simplex_skeleton(9, 2), 11, maximal_only=True) == 0
+
+    def test_rejects_bad_prefix(self):
+        K = simplex_skeleton(3, 1)
+        for before in ([(1,), (0,)], [(0, 1), (1, 2)], [(0, 2, 3)], [(0,), (1,), (2,)]):
+            with pytest.raises(ValueError):
+                count_face_combinations(K, 2, before=before)
+        with pytest.raises(ValueError):
+            count_face_combinations(K, 1)
 
 
 class TestDeletedProduct:
