@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -236,15 +237,18 @@ def cmd_eqmap(args) -> tuple[dict, int]:
 
 def cmd_delprod(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
-    K = cx.simplex_skeleton(args.N, args.k)
-    stats = cx.deleted_product_stats(K, args.r)
-    free = cx.verify_free_action(K, args.r)
+    cells = cx.skeleton_cells_by_dim(args.N, args.k, args.r)
+    orbits = cx.count_face_combinations(cx.simplex_skeleton(args.N, args.k), args.r)
+    # Burnside: the cells fill `orbits` S_r-orbits of r! cells each iff no
+    # permutation but the identity fixes a cell, and the two counts share no code
+    free = sum(cells.values()) == math.factorial(args.r) * orbits
     outputs = {
         "N": args.N,
         "k": args.k,
         "r": args.r,
-        "cells_by_dim": {str(dim): count for dim, count in stats.cells_by_dim},
-        "dimension": stats.dimension,
+        "cells_by_dim": {str(dim): count for dim, count in cells.items()},
+        "dimension": max(cells, default=None),
+        "orbits": orbits,
         "free_action": free,
     }
     inputs = {"cmd": "delprod", "N": args.N, "k": args.k, "r": args.r}

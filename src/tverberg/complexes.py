@@ -5,7 +5,10 @@ vertex tuples on vertices 0..n-1); the full downward-closed face set is
 derived on demand.  The deleted product machinery enumerates ordered
 r-tuples of pairwise vertex-disjoint nonempty faces, which are exactly
 the cells sigma_1 x ... x sigma_r of the r-fold deleted product, with
-the symmetric group permuting coordinates freely.
+the symmetric group permuting coordinates freely.  For simplex skeleta
+``skeleton_cells_by_dim`` gives the cell counts by dimension from a
+closed form, without listing a face; the enumeration stays as the
+reference it is tested against.
 
 Vertex-disjointness tests run on integer bitmasks, which double as
 arbitrary-width bitsets, so the same code path covers any vertex count;
@@ -15,6 +18,7 @@ bitsets of faces let the unordered tuples be counted without listing.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,6 +34,7 @@ __all__ = [
     "extension_masks",
     "count_face_combinations",
     "deleted_product_stats",
+    "skeleton_cells_by_dim",
     "verify_free_action",
 ]
 
@@ -158,7 +163,8 @@ def _face_masks(faces: Sequence[tuple[int, ...]]) -> list[int]:
     return masks
 
 
-def _disjoint_index_tuples(masks: Sequence[int], r: int, ordered: bool) -> Iterator[tuple[int, ...]]:
+def _disjoint_index_tuples(masks: Sequence[int], r: int, ordered: bool,
+                           num_vertices: int) -> Iterator[tuple[int, ...]]:
     """Backtracking enumeration of index tuples with disjoint masks.
 
     ordered=True yields all ordered tuples, in lexicographic order with
@@ -171,6 +177,8 @@ def _disjoint_index_tuples(masks: Sequence[int], r: int, ordered: bool) -> Itera
     def rec(used: int, start: int) -> Iterator[tuple[int, ...]]:
         if len(chosen) == r:
             yield tuple(chosen)
+            return
+        if num_vertices - used.bit_count() < r - len(chosen):  # each face needs a vertex of its own
             return
         for i in range(start, n):
             m = masks[i]
@@ -189,7 +197,7 @@ def _index_tuples(K: SimplicialComplex, r: int, caller: str, ordered: bool = Tru
         raise ValueError(f"{caller} needs r >= 2, got {r}")
     faces = K.faces()
     masks = _face_masks(faces)
-    return faces, masks, _disjoint_index_tuples(masks, r, ordered)
+    return faces, masks, _disjoint_index_tuples(masks, r, ordered, K.num_vertices)
 
 
 def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[DisjointTuple]:
@@ -316,6 +324,26 @@ def deleted_product_stats(K: SimplicialComplex, r: int) -> DeletedProductStats:
         cells_by_dim=tuple(sorted(counts.items())),
         dimension=max(counts),
     )
+
+
+def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
+    """``deleted_product_stats(simplex_skeleton(N, k), r).as_dict()`` without listing a face.
+
+    Ordered disjoint tuples of faces with s_1..s_r vertices number
+    C(N+1, S)·S!/(s_1!···s_r!), S = s_1 + ... + s_r.  Summed over s_i in
+    1..k+1, the multinomials give a_r(S), the ordered partitions of an
+    S-set into r blocks of at most k+1 elements:
+    a_j(S) = sum_s C(S, s)·a_{j-1}(S-s).  Such a cell has dimension S - r.
+    """
+    if not 0 <= k <= N:
+        raise ValueError(f"skeleton needs 0 <= k <= N, got (N={N}, k={k})")
+    if r < 2:
+        raise ValueError(f"skeleton_cells_by_dim needs r >= 2, got {r}")
+    a = [1] + [0] * (N + 1)  # a_0: only the empty tuple
+    for _ in range(r):
+        a = [sum(math.comb(S, s) * a[S - s] for s in range(1, min(S, k + 1) + 1))
+             for S in range(N + 2)]
+    return {S - r: math.comb(N + 1, S) * a[S] for S in range(N + 2) if a[S]}
 
 
 def verify_free_action(K: SimplicialComplex, r: int) -> bool:

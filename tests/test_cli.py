@@ -6,6 +6,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
 
+from tverberg import complexes as cx
 from tverberg.cli import main
 
 
@@ -309,6 +310,7 @@ class TestDelprod:
         out = report["outputs"]
         assert out["cells_by_dim"] == {"0": 6, "1": 6}
         assert out["dimension"] == 1
+        assert out["orbits"] == 6
         assert out["free_action"] is True
 
     def test_edge(self, capsys):
@@ -322,3 +324,40 @@ class TestDelprod:
         assert code == 0
         assert report["outputs"]["cells_by_dim"] == {}
         assert report["outputs"]["dimension"] is None
+
+    def test_orbits_times_r_factorial_is_the_cell_total(self, capsys):
+        code, report = run_cli(capsys, "delprod", "--N", "9", "--k", "2", "--r", "3")
+        assert code == 0
+        validate("report", report)
+        out = report["outputs"]
+        assert out["orbits"] == 59830
+        assert out["orbits"] * 6 == sum(out["cells_by_dim"].values()) == 358980
+        assert out["dimension"] == 6 and out["free_action"] is True
+
+    def test_more_faces_than_vertices(self, capsys, deadline):
+        with deadline(2.0):
+            code, report = run_cli(capsys, "delprod", "--N", "9", "--k", "2", "--r", "11")
+        assert code == 0
+        out = report["outputs"]
+        assert out["cells_by_dim"] == {} and out["dimension"] is None
+        assert out["orbits"] == 0 and out["free_action"] is True
+
+    def test_wrong_cell_total_fails_freeness(self, capsys, monkeypatch):
+        closed_form = cx.skeleton_cells_by_dim
+
+        def one_cell_too_many(N, k, r):
+            cells = closed_form(N, k, r)
+            cells[min(cells)] += 1
+            return cells
+
+        monkeypatch.setattr(cx, "skeleton_cells_by_dim", one_cell_too_many)
+        code, report = run_cli(capsys, "delprod", "--N", "4", "--k", "1", "--r", "2")
+        assert code == 1
+        assert report["flags"]["pass"] is False
+        assert report["outputs"]["free_action"] is False
+
+    @pytest.mark.parametrize("N,k,r", [(3, 4, 2), (-1, 0, 2), (3, 1, 1)])
+    def test_invalid_input(self, capsys, N, k, r):
+        code, report = run_cli(capsys, "delprod", "--N", str(N), "--k", str(k), "--r", str(r))
+        assert code == 2
+        assert report["flags"]["pass"] is False

@@ -15,6 +15,7 @@ from tverberg.complexes import (
     extension_masks,
     join_complexes,
     simplex_skeleton,
+    skeleton_cells_by_dim,
     verify_free_action,
 )
 
@@ -177,6 +178,14 @@ class TestDisjointTuples:
     def test_too_few_vertices(self):
         assert list(disjoint_tuples(simplex_skeleton(2, 2), 4)) == []
 
+    def test_more_faces_than_vertices_returns_at_once(self, deadline):
+        K = simplex_skeleton(9, 2)
+        with deadline(2.0):
+            assert list(disjoint_tuples(K, 11)) == []
+            assert list(disjoint_face_combinations(K, 11)) == []
+            assert deleted_product_stats(K, 11).as_dict() == {}
+            assert verify_free_action(K, 11) is True
+
     def test_brute_force_equivalence(self):
         rng = random.Random(11)
         suite = [simplex_skeleton(N, k) for N in range(1, 5) for k in range(N + 1)]
@@ -270,6 +279,44 @@ class TestDeletedProduct:
     def test_triangle_r3_is_vertex_triples(self):
         stats = deleted_product_stats(simplex_skeleton(2, 2), 3)
         assert stats.as_dict() == {0: 6} and stats.dimension == 0
+
+
+def multinomial_cells_by_dim(N, k, r):
+    """Sum of (N+1)!/((N+1-S)!·s_1!···s_r!) over every size vector, by dimension S - r."""
+    out = {}
+    for sizes in itertools.product(range(1, k + 2), repeat=r):
+        S = sum(sizes)
+        if S <= N + 1:
+            count = math.factorial(N + 1) // math.factorial(N + 1 - S)
+            for s in sizes:
+                count //= math.factorial(s)
+            out[S - r] = out.get(S - r, 0) + count
+    return out
+
+
+class TestSkeletonCellsByDim:
+    def test_matches_enumeration(self):
+        for N in range(8):
+            for k in range(N + 1):
+                for r in (2, 3, 4):
+                    want = deleted_product_stats(simplex_skeleton(N, k), r).as_dict()
+                    assert skeleton_cells_by_dim(N, k, r) == want, (N, k, r)
+
+    def test_matches_multinomial_sum_beyond_enumeration(self):
+        for N, k, r in ((20, 3, 4), (14, 5, 3), (12, 2, 6), (30, 1, 5)):
+            assert skeleton_cells_by_dim(N, k, r) == multinomial_cells_by_dim(N, k, r)
+
+    def test_paper_scale(self):
+        cells = skeleton_cells_by_dim(280, 45, 6)
+        assert max(cells) == 6 * 45 and min(cells) == 0
+        # top cells: six disjoint 46-sets of the 281 vertices, in order
+        assert cells[270] == math.perm(281, 276) // math.factorial(46) ** 6
+        assert cells[0] == math.perm(281, 6)
+
+    def test_rejects_bad_input(self):
+        for N, k, r in ((3, 4, 2), (-1, 0, 2), (3, -1, 2), (3, 1, 1)):
+            with pytest.raises(ValueError):
+                skeleton_cells_by_dim(N, k, r)
 
 
 class TestFreeAction:
