@@ -1,21 +1,22 @@
 """Degree-controlled equivariant self-maps of the matrix sphere.
 
 Points are 2 x r matrices with zero row sums and unit Frobenius norm, a
-sphere of dimension 2r-3 on which the symmetric group acts freely away
-from nowhere (it permutes columns).  Starting from the identity, each
-modification step picks the orbit of a two-valued center
+sphere of dimension 2r-3 on which the symmetric group acts by permuting
+columns.  Starting from the identity, each modification step picks the
+orbit of a two-valued center
 
     M = (k-r, ..., k-r, k, ..., k)   (k low entries, r-k high ones)
 
-normalized and placed as c_theta = (cos theta * M ; sin theta * M),
-pushes a bump-shaped neighborhood of the orbit through the origin and
-reprojects to the sphere.  Rotating the rows commutes with permuting the
-columns, so every angle gives an orbit with the same isotropy; the j-th
-of n steps at the same k uses theta_j = j*pi/(2n), which keeps its balls
-away from every earlier step.  The base map is therefore the identity
-at each new center family, and a step moves the mapping degree by
-exactly +-C(r,k); a Bezout certificate for -1 drives the total from 1
-to 0.
+whose isotropy group is S_k x S_{r-k} (the action is not free), so the
+orbit has C(r,k) points; the step normalizes M, places it as c_theta =
+(cos theta * M ; sin theta * M), pushes a bump-shaped neighborhood of
+the orbit through the origin and reprojects to the sphere.  Rotating the
+rows commutes with permuting the columns, so every angle gives an orbit
+with the same isotropy; the j-th of n steps at the same k uses theta_j =
+j*pi/(2n), which keeps its balls away from every earlier step.  The base
+map is therefore the identity at each new center family, and a step
+moves the mapping degree by exactly +-C(r,k); a Bezout certificate for
+-1 drives the total from 1 to 0.
 
 Two mechanisms realize the two signs: the "minus" formula subtracts
 2*rho(x)*f(center) directly (delta -C(r,k)), the "plus" formula first
@@ -78,10 +79,12 @@ ZERO_ZONE_FRACTION = 0.625
 # steps at k, and maps without a repeated k need only the first rule.
 RADIUS_RULE = "min_orbit_dist/3"
 RADIUS_RULE_REPEATED = "min_orbit_dist/3 if n = 1 else min(min_orbit_dist/3, sin(pi/(4n)))"
-# build_from_plan refuses larger plans before allocating anything.  Two
-# orbits of C(r,k) centers make a C(r,k)^2 float64 distance matrix in
-# _check_separation, and C(15,6) is the largest orbit of any r <= 15
-# certificate plan; evaluation recurses once per step.
+# build_from_plan refuses larger plans before allocating anything.  A
+# build's peak memory is _nearest over whole orbits: evaluating the map
+# built so far at the C(r,k) new centers (center_values) holds a
+# C(r,k) x C(r,k') float64 distance matrix for every earlier step at k'.
+# C(15,6) is the largest orbit of any r <= 15 certificate plan;
+# evaluation recurses once per step.
 MAX_ORBIT = 5005
 MAX_PLAN_STEPS = 500
 
@@ -191,32 +194,17 @@ def safe_radius(r: int, k: int) -> float:
     return min_orbit_distance(r, k) / 3.0
 
 
-def _orbit_centers(r: int, k: int, theta: float = 0.0
-                   ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _orbit_centers(r: int, k: int, theta: float) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """All C(r,k) orbit points of c_theta plus a coset permutation reaching each.
 
     c_theta has cos(theta) * row in row 0 and sin(theta) * row in row 1;
     centers[i] = act(perms[i], c_theta); perms[0] is the identity.
     """
-    norm = math.sqrt(k * (r - k) * r)
-    low = (k - r) / norm
-    high = k / norm
-    count = math.comb(r, k)
-    centers = np.zeros((count, 2, r))
-    perms: list[tuple[int, ...]] = []
-    for i, S in enumerate(itertools.combinations(range(r), k)):
-        row = np.full(r, high)
-        row[list(S)] = low
-        centers[i, 0] = math.cos(theta) * row
-        centers[i, 1] = math.sin(theta) * row
-        comp = [v for v in range(r) if v not in S]
-        sigma = [0] * r
-        for pos, v in enumerate(S):
-            sigma[pos] = v
-        for pos, v in enumerate(comp):
-            sigma[k + pos] = v
-        perms.append(tuple(sigma))
-    return centers, perms
+    row = _center_row(r, k)
+    c = np.stack([math.cos(theta) * row, math.sin(theta) * row])
+    perms = [S + tuple(v for v in range(r) if v not in S)
+             for S in itertools.combinations(range(r), k)]
+    return np.stack([_act_array(sigma, c) for sigma in perms]), perms
 
 
 def _smoothstep(u):
@@ -301,16 +289,6 @@ class MapLayer:
     node: Optional[ModificationNode]
     previous: Optional["MapLayer"]
 
-    def __call__(self, x):
-        single = isinstance(x, SpherePoint) or _as_array(x).ndim == 2
-        X = _as_array(x)
-        if single:
-            X = X[None]
-        out = _eval(self, X)
-        if single:
-            return SpherePoint(out[0] / _frob(out[0]))
-        return out
-
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         return _eval(self, np.asarray(X, dtype=float))
 
@@ -388,7 +366,12 @@ def _phi(node: ModificationNode, X: np.ndarray, idx: np.ndarray, dist: np.ndarra
     return y / ny[:, None, None]
 
 
-def _eval(layer: MapLayer, X: np.ndarray) -> np.ndarray:
+def _step(layer: MapLayer, X: np.ndarray, t, normalize: bool) -> np.ndarray:
+    """h_t = f(phi(x)) - 2*t*rho(x)*f(center) on the top step's balls, f(x) off them.
+
+    f is the map below; phi is the identity ("minus") or the reflection
+    blended in with tau = min(3t, 1) ("plus").  normalize reprojects h_t.
+    """
     if layer.node is None:
         return X.copy()
     node = layer.node
@@ -403,17 +386,25 @@ def _eval(layer: MapLayer, X: np.ndarray) -> np.ndarray:
         return out
     sel = np.flatnonzero(inside)[live]
     rho = rho[live]
+    t = np.asarray(t, dtype=float)
+    ts = t[sel] if t.ndim else t
     if node.variant == "minus":
         vals = out[sel]
     else:
-        phi = _phi(node, X[sel], idx[sel], dmin[sel], 1.0)
+        phi = _phi(node, X[sel], idx[sel], dmin[sel], np.minimum(3.0 * ts, 1.0))
         vals = _eval(layer.previous, phi)
-    h = vals - 2.0 * rho[:, None, None] * node.center_values[idx[sel]]
-    nh = _frob(h)
-    if np.any(nh < _NORM_FLOOR):
-        raise NumericalDegeneracyError("map value collapsed below 1e-9 during normalization")
-    out[sel] = h / nh[:, None, None]
+    h = vals - 2.0 * (ts * rho)[:, None, None] * node.center_values[idx[sel]]
+    if normalize:
+        nh = _frob(h)
+        if np.any(nh < _NORM_FLOOR):
+            raise NumericalDegeneracyError("map value collapsed below 1e-9 during normalization")
+        h /= nh[:, None, None]
+    out[sel] = h
     return out
+
+
+def _eval(layer: MapLayer, X: np.ndarray) -> np.ndarray:
+    return _step(layer, X, 1.0, normalize=True)
 
 
 def _homotopy(layer: MapLayer, X: np.ndarray, t) -> np.ndarray:
@@ -423,30 +414,7 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t) -> np.ndarray:
     unnormalized new map; zeros are designed to sit exactly at the
     orbit centers at t = 1/2.
     """
-    if layer.node is None:
-        return X.copy()
-    node = layer.node
-    t = np.broadcast_to(np.asarray(t, dtype=float), (len(X),))
-    out = _eval(layer.previous, X)
-    dmin, idx = _nearest(node, X)
-    inside = dmin < node.radius
-    if not inside.any():
-        return out
-    rho = _bump(dmin[inside], node.radius)
-    live = rho > 0.0
-    if not live.any():
-        return out
-    sel = np.flatnonzero(inside)[live]
-    rho = rho[live]
-    ts = t[sel]
-    if node.variant == "minus":
-        vals = out[sel]
-    else:
-        tau = np.minimum(3.0 * ts, 1.0)
-        phi = _phi(node, X[sel], idx[sel], dmin[sel], tau)
-        vals = _eval(layer.previous, phi)
-    out[sel] = vals - 2.0 * (ts * rho)[:, None, None] * node.center_values[idx[sel]]
-    return out
+    return _step(layer, X, t, normalize=False)
 
 
 def homotopy_eval(layer: MapLayer, x, t: float) -> np.ndarray:
@@ -467,18 +435,14 @@ def _check_separation(layer: MapLayer, centers: np.ndarray, k: int,
     within 5R/8 of a new center, and they force the base map to hit its
     center value there; so that inner zone (plus the centers themselves)
     must stay clear of every earlier step's support balls, where the
-    base map is wild.
+    base map is wild.  Both orbits are S_r-orbits and S_r acts by
+    isometries, so the distance between them is the distance from any
+    one new center to the nearest earlier one.
     """
     inner = ZERO_ZONE_FRACTION * radius
-    flat = centers.reshape(len(centers), -1)
     for prior in layer.chain():
         nd = prior.node
-        d2 = (
-            np.einsum("ij,ij->i", flat, flat)[:, None]
-            + nd.centers_sq[None, :]
-            - 2.0 * (flat @ nd.centers_flat.T)
-        )
-        dmin = math.sqrt(max(float(d2.min()), 0.0))
+        dmin = float(_nearest(nd, centers[:1])[0][0])
         if dmin <= nd.radius + inner:
             raise CenterSeparationError(
                 f"k={k} inner zones reach into the k={nd.k} balls "
@@ -493,7 +457,8 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: Optional[int] = None) 
     j*pi/(2n), with n = j+1 unless given.  Adjacent families are a chord
     2*sin(pi/(4n)) apart (the angles stay in [0, pi/2)), so capping the
     radius at sin(pi/(4n)) keeps 1.625*R below that chord and the new
-    inner zones clear of every earlier ball.
+    inner zones clear of every earlier ball; R <= min_orbit_dist/3 keeps
+    the balls of one orbit disjoint.
     """
     r = layer.r
     if not 1 <= k <= r - 1:
@@ -504,14 +469,6 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: Optional[int] = None) 
     radius = safe_radius(r, k)
     if n > 1:
         radius = min(radius, math.sin(math.pi / (4 * n)))
-    if len(centers) <= 2000:
-        flat = centers.reshape(len(centers), -1)
-        g = flat @ flat.T
-        sq = np.einsum("ij,ij->i", flat, flat)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * g
-        np.fill_diagonal(d2, np.inf)
-        if math.sqrt(float(d2.min())) <= 2.0 * radius:
-            raise CenterSeparationError(f"orbit balls for (r={r}, k={k}) are not disjoint")
     _check_separation(layer, centers, k, radius)
     companions = np.stack([-centers[:, 1], centers[:, 0]], axis=1)
     coeff = math.comb(r, k)
@@ -678,23 +635,16 @@ def verify_local_degrees(layer: MapLayer, fd_step: float = 1e-5) -> LocalDegreeR
     dim = len(base) + 1
     fd_signs: list[int] = []
     for center, sigma in zip(node.centers, node.perms):
-        B = np.stack([_act_array(sigma, b) for b in base])
+        B = _act_array(sigma, base)
         step = fd_step
-        for attempt in range(5):
-            pts = np.empty((2 * dim, 2, layer.r))
+        for _ in range(5):
+            # rows 2j and 2j+1 step along +-B[j]; the last two along +-t
+            p = np.stack([center + step * B, center - step * B], axis=1).reshape(-1, 2, layer.r)
+            pts = np.concatenate([p / _frob(p)[:, None, None], [center, center]])
             ts = np.full(2 * dim, 0.5)
-            for j in range(len(B)):
-                for s, off in ((1.0, 0), (-1.0, 1)):
-                    p = center + s * step * B[j]
-                    pts[2 * j + off] = p / _frob(p)
-            pts[-2] = center
-            pts[-1] = center
-            ts[-2] = 0.5 + step
-            ts[-1] = 0.5 - step
+            ts[-2:] = 0.5 + step, 0.5 - step
             H = _coords(E, _homotopy(layer, pts, ts))
-            J = np.empty((dim, dim))
-            for j in range(dim):
-                J[:, j] = (H[2 * j] - H[2 * j + 1]) / (2.0 * step)
+            J = ((H[0::2] - H[1::2]) / (2.0 * step)).T
             det = float(np.linalg.det(J))
             if abs(det) > 1e-8:
                 break

@@ -213,6 +213,41 @@ class TestModifications:
         assert ledger.final == plan.target
 
 
+class TestSeparation:
+    """_check_separation measures one center of the new orbit against each
+    earlier orbit; two S_r-orbits are equally near from any of their points."""
+
+    @pytest.mark.parametrize("r, steps", [
+        (6, ((1, -1), (2, -1), (3, 1), (4, 1), (5, -1))),
+        (6, ((1, -1), (1, -1), (2, 1), (1, 1))),
+        (10, "auto"),
+    ])
+    def test_one_center_distance_equals_all_pairs_minimum(self, r, steps):
+        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+                else plan_of(r, steps))
+        if steps == "auto":
+            assert sorted(k for k, _ in plan.steps) == [1, 2, 3, 3, 4, 5, 5]
+        layer, _ = eq.build_from_plan(plan)
+        nodes = [step.node for step in layer.chain()]
+        for i, later in enumerate(nodes):
+            for earlier in nodes[:i]:
+                diff = later.centers[:, None] - earlier.centers[None]
+                brute = float(np.sqrt(np.einsum("abij,abij->ab", diff, diff).min()))
+                alone = eq.MapLayer(r=r, node=earlier, previous=eq.identity_map(r))
+                # the check fails iff its distance is at most earlier radius + 5R/8;
+                # put that threshold 1e-12 below and above the brute-force distance
+                below = (brute - 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
+                eq._check_separation(alone, later.centers, later.k, below)
+                above = (brute + 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
+                with pytest.raises(eq.CenterSeparationError):
+                    eq._check_separation(alone, later.centers, later.k, above)
+
+    def test_error_fires_when_radii_grow(self, monkeypatch):
+        monkeypatch.setattr(eq, "safe_radius", lambda r, k: eq.min_orbit_distance(r, k) / 2.5)
+        with pytest.raises(eq.CenterSeparationError, match="inner zones reach into"):
+            eq.build_from_plan(certificate_to_plan(bezout_certificate(6)))
+
+
 class TestBuildFromPlan:
     def test_empty_plan_is_identity(self):
         layer, ledger = eq.build_from_plan(plan_of(2, ()))
@@ -325,6 +360,13 @@ class TestLocalDegrees:
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
             eq.verify_local_degrees(eq.identity_map(2))
+
+    def test_collapsed_stencil_raises(self):
+        # a step far below the resolution of the center's entries leaves
+        # every stencil point on the center, so J = 0 after every halving
+        layer = eq.modify_minus(eq.identity_map(6), 2)
+        with pytest.raises(eq.NumericalDegeneracyError, match="stayed below 1e-8"):
+            eq.verify_local_degrees(layer, fd_step=1e-30)
 
 
 def scipy_spurious_search(layer, samples, seed, refine_count, refine_iters):
