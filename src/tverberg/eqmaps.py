@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -79,12 +79,12 @@ ZERO_ZONE_FRACTION = 0.625
 # steps at k, and maps without a repeated k need only the first rule.
 RADIUS_RULE = "min_orbit_dist/3"
 RADIUS_RULE_REPEATED = "min_orbit_dist/3 if n = 1 else min(min_orbit_dist/3, sin(pi/(4n)))"
-# build_from_plan refuses larger plans before allocating anything.  A
-# build's peak memory is _nearest over whole orbits: evaluating the map
-# built so far at the C(r,k) new centers (center_values) holds a
-# C(r,k) x C(r,k') float64 distance matrix for every earlier step at k'.
-# C(15,6) is the largest orbit of any r <= 15 certificate plan;
-# evaluation recurses once per step.
+# build_from_plan refuses larger plans before allocating anything.  C(15,6)
+# is the largest orbit of any r <= 15 certificate plan; the cap bounds the
+# time of verify_local_degrees, one finite-difference Jacobian per center
+# (18 of the 20 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon), not
+# memory (r = 15 auto builds at a 55 MB peak, r = 18 uncapped at 228 MB).
+# Evaluation recurses once per step.
 MAX_ORBIT = 5005
 MAX_PLAN_STEPS = 500
 
@@ -264,21 +264,13 @@ class ModificationNode:
     k: int
     sign: int                 # requested delta sign; delta = sign * C(r,k)
     variant: str              # "minus" or "plus" (the formula used)
-    coefficient: int          # C(r,k)
     delta: int
     radius: float
     centers: np.ndarray       # (m, 2, r)
-    companions: np.ndarray    # each center rotated by +90 degrees
-    center_values: np.ndarray  # base map evaluated on the orbit
     perms: tuple[tuple[int, ...], ...]
+    weights: np.ndarray       # (2r, r+1): a flat x to its gains and <h, sum_i x_i> (_nearest)
     lam_inner: float          # reflection blend is full inside this distance
     lam_outer: float          # and off beyond this one
-    centers_flat: np.ndarray = field(init=False)
-    centers_sq: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.centers_flat = self.centers.reshape(len(self.centers), -1)
-        self.centers_sq = np.einsum("ij,ij->i", self.centers_flat, self.centers_flat)
 
 
 @dataclass(eq=False)
@@ -333,31 +325,40 @@ def identity_map(r: int) -> MapLayer:
     return MapLayer(r=r, node=None, previous=None)
 
 
-def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    Xf = X.reshape(len(X), -1)
-    x2 = np.einsum("ij,ij->i", Xf, Xf)
-    d2 = x2[:, None] + node.centers_sq[None, :] - 2.0 * (Xf @ node.centers_flat.T)
-    np.maximum(d2, 0.0, out=d2)
-    idx = np.argmin(d2, axis=1)
-    dmin = np.sqrt(d2[np.arange(len(X)), idx])
-    return dmin, idx
+def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distance to the nearest orbit center, the gains <l - h, x_i>, and the k-th largest.
+
+    Each center holds the column l at k places and h at the rest, so
+    <x, sigma c> is <h, sum_i x_i> plus the gains at its l places: the
+    nearest center puts l on the k largest gains (rearrangement
+    inequality), and inside a ball none ties with the k-th.
+    """
+    F = X.reshape(len(X), -1)
+    G = F @ node.weights
+    gains = G[:, :-1]
+    top = np.partition(gains, node.r - node.k, axis=1)[:, node.r - node.k:]
+    d2 = np.einsum("ij,ij->i", F, F) + 1.0 - 2.0 * (top.sum(axis=1) + G[:, -1])  # unit centers
+    return np.sqrt(np.maximum(d2, 0.0)), gains, top[:, 0]
 
 
-def _lambda_blend(node: ModificationNode, dist: np.ndarray) -> np.ndarray:
-    return 1.0 - _smoothstep((dist - node.lam_inner) / (node.lam_outer - node.lam_inner))
+def _orbit_point(node: ModificationNode, gains: np.ndarray, kth: np.ndarray) -> np.ndarray:
+    """The center with l where the gains reach the k-th largest, h elsewhere."""
+    c = node.centers[0]  # l in its first k columns, h in the rest
+    return np.where((gains >= kth[:, None])[:, None, :], c[:, :1], c[:, -1:])
 
 
-def _phi(node: ModificationNode, X: np.ndarray, idx: np.ndarray, dist: np.ndarray,
+def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,
          tau) -> np.ndarray:
-    """Blended reflection toward the per-ball companion hyperplane.
+    """Blended reflection in the hyperplane orthogonal to u, the center C turned by +90 degrees.
 
     phi = normalize(x - 2*s*<x,u>*u) with s = tau * lambda(dist); at
     s = 1 this is the exact reflection, at s = 0 the identity.  The
     blend zone (lambda strictly between 0 and 1) lives where the bump
     is below 1/3, so it can never host a zero of the homotopy.
     """
-    u = node.companions[idx]
-    s = np.asarray(tau, dtype=float) * _lambda_blend(node, dist)
+    u = np.stack([-C[:, 1], C[:, 0]], axis=1)
+    lam = 1.0 - _smoothstep((dist - node.lam_inner) / (node.lam_outer - node.lam_inner))
+    s = np.asarray(tau, dtype=float) * lam
     inner = np.einsum("nij,nij->n", X, u)
     y = X - 2.0 * (s * inner)[:, None, None] * u
     ny = _frob(y)
@@ -367,16 +368,17 @@ def _phi(node: ModificationNode, X: np.ndarray, idx: np.ndarray, dist: np.ndarra
 
 
 def _step(layer: MapLayer, X: np.ndarray, t, normalize: bool) -> np.ndarray:
-    """h_t = f(phi(x)) - 2*t*rho(x)*f(center) on the top step's balls, f(x) off them.
+    """h_t = f(phi(x)) - 2*t*rho(x)*c on the top step's balls, f(x) off them.
 
-    f is the map below; phi is the identity ("minus") or the reflection
-    blended in with tau = min(3t, 1) ("plus").  normalize reprojects h_t.
+    f is the map below, the identity at the nearest center c; phi is the
+    identity ("minus") or the reflection blended in with tau = min(3t, 1)
+    ("plus").  normalize reprojects h_t.
     """
     if layer.node is None:
         return X.copy()
     node = layer.node
     out = _eval(layer.previous, X)
-    dmin, idx = _nearest(node, X)
+    dmin, gains, kth = _nearest(node, X)
     inside = dmin < node.radius
     if not inside.any():
         return out
@@ -386,14 +388,15 @@ def _step(layer: MapLayer, X: np.ndarray, t, normalize: bool) -> np.ndarray:
         return out
     sel = np.flatnonzero(inside)[live]
     rho = rho[live]
+    C = _orbit_point(node, gains[sel], kth[sel])
     t = np.asarray(t, dtype=float)
     ts = t[sel] if t.ndim else t
     if node.variant == "minus":
         vals = out[sel]
     else:
-        phi = _phi(node, X[sel], idx[sel], dmin[sel], np.minimum(3.0 * ts, 1.0))
+        phi = _phi(node, X[sel], C, dmin[sel], np.minimum(3.0 * ts, 1.0))
         vals = _eval(layer.previous, phi)
-    h = vals - 2.0 * (ts * rho)[:, None, None] * node.center_values[idx[sel]]
+    h = vals - 2.0 * (ts * rho)[:, None, None] * C
     if normalize:
         nh = _frob(h)
         if np.any(nh < _NORM_FLOOR):
@@ -470,20 +473,17 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: Optional[int] = None) 
     if n > 1:
         radius = min(radius, math.sin(math.pi / (4 * n)))
     _check_separation(layer, centers, k, radius)
-    companions = np.stack([-centers[:, 1], centers[:, 0]], axis=1)
-    coeff = math.comb(r, k)
+    low, high = centers[0, :, 0], centers[0, :, -1]
     node = ModificationNode(
         r=r,
         k=k,
         sign=sign,
         variant="minus" if sign < 0 else "plus",
-        coefficient=coeff,
-        delta=sign * coeff,
+        delta=sign * math.comb(r, k),
         radius=radius,
         centers=centers,
-        companions=companions,
-        center_values=_eval(layer, centers),
         perms=tuple(perms),
+        weights=np.column_stack([np.kron((low - high)[:, None], np.eye(r)), np.repeat(high, r)]),
         lam_inner=_bump_level_radius(1.0 / 3.0, radius),
         lam_outer=_bump_level_radius(1.0 / 4.0, radius),
     )
@@ -802,7 +802,7 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         if node is None:
             keep = np.ones(len(vals), dtype=bool)
         else:
-            dmin, _ = _nearest(node, X)
+            dmin = _nearest(node, X)[0]
             in_zero_zone += int(np.count_nonzero(dmin <= ZERO_ZONE_FRACTION * node.radius))
             keep = ~((dmin < node.radius / 10.0) & (np.abs(T - 0.5) <= 0.1))
         if keep.any():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from importlib import resources
 
+import tverberg
 from tverberg import complexes as cx
 from tverberg.cli import main
 
@@ -256,6 +261,22 @@ class TestEqmap:
         assert code == 2
         assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
         assert captured.err == ""
+
+    def test_build_r15_auto_peak_memory(self):
+        """No orbit is measured against a whole other orbit: a fresh process building
+        the r = 15 auto plan (orbits up to C(15,6) = 5,005) peaks under 150 MB."""
+        script = ("import resource, sys\n"
+                  "from tverberg.cli import main\n"
+                  "code = main(['eqmap', 'build', '--r', '15', '--plan', 'auto'])\n"
+                  "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "print(code, peak, file=sys.stderr)\n")
+        src = str(Path(tverberg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        code, peak_kib = map(int, proc.stderr.split()[-2:])  # ru_maxrss is in KiB on Linux
+        assert code == 0
+        assert peak_kib / 1024 < 150
 
     def test_verify_r6_auto(self, capsys):
         code, report = run_cli(capsys, "eqmap", "verify", "--r", "6", "--plan", "auto",

@@ -146,7 +146,7 @@ class TestBump:
         X = node.centers + 0.5 * node.radius * noise
         X /= eq._frob(X)[:, None, None]
         X = np.concatenate([X, eq.random_sphere_points(10, 20, rng)])
-        dmin, _ = eq._nearest(node, X)
+        dmin = eq._nearest(node, X)[0]
         assert (dmin < node.radius).any() and (dmin >= node.radius).any()
         for x, d in zip(X, dmin):
             want = float(eq._bump(d, node.radius)) if d < node.radius else 0.0
@@ -167,13 +167,13 @@ class TestModifications:
         layer = eq.modify_minus(eq.identity_map(6), 2)
         node = layer.node
         vals = layer.eval_batch(node.centers)
-        assert np.allclose(vals, -node.center_values, atol=1e-12)
+        assert np.allclose(vals, -node.centers, atol=1e-12)
 
     def test_identity_outside_support(self):
         layer = eq.modify_minus(eq.identity_map(6), 1)
         rng = np.random.default_rng(7)
         X = eq.random_sphere_points(6, 500, rng)
-        dmin, _ = eq._nearest(layer.node, X)
+        dmin = eq._nearest(layer.node, X)[0]
         outside = dmin >= layer.node.radius
         assert outside.any()
         out = layer.eval_batch(X)
@@ -193,7 +193,7 @@ class TestModifications:
         plus = eq.modify_plus(eq.identity_map(6), 2)
         node = minus.node
         c = node.centers[0]
-        u = node.companions[0]
+        u = np.stack([-c[1], c[0]])  # the reflection axis: c rotated by +90 degrees
         # tangent direction at c orthogonal to the reflection axis u
         v = np.zeros((2, 6))
         v[0, 2] = 1.0
@@ -213,15 +213,46 @@ class TestModifications:
         assert ledger.final == plan.target
 
 
+class TestNearest:
+    """_nearest's closed form against the nearest point of the listed orbit."""
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_closed_form_matches_brute_force(self, r):
+        rng = np.random.default_rng(r)
+        for k in range(1, r):
+            # the j-th of three steps at k sits at theta = j*pi/6
+            layer, _ = eq.build_from_plan(plan_of(r, ((k, -1),) * 3))
+            for theta, step in zip((0.0, math.pi / 6, math.pi / 3), layer.chain()):
+                node = step.node
+                centers, _ = eq._orbit_centers(r, k, theta)
+                assert np.array_equal(node.centers, centers)
+                m = len(centers)
+                scale = rng.uniform(0.05, 0.95, (m, 1, 1)) * node.radius
+                near = centers + scale * eq.random_sphere_points(r, m, rng)
+                near /= eq._frob(near)[:, None, None]
+                X = np.concatenate([near, eq.random_sphere_points(r, 200, rng)])
+                diff = X[:, None] - centers[None]
+                dist = np.sqrt(np.einsum("abij,abij->ab", diff, diff))
+                dmin, gains, kth = eq._nearest(node, X)
+                assert np.abs(dmin - dist.min(axis=1)).max() < 1e-12
+                inside = dmin < node.radius
+                assert inside[:m].all() and not inside.all()
+                located = eq._orbit_point(node, gains[inside], kth[inside])
+                assert np.array_equal(located, centers[dist[inside].argmin(axis=1)])
+
+
+SEPARATED_PLANS = [
+    (6, ((1, -1), (2, -1), (3, 1), (4, 1), (5, -1))),
+    (6, ((1, -1), (1, -1), (2, 1), (1, 1))),
+    (10, "auto"),
+]
+
+
 class TestSeparation:
     """_check_separation measures one center of the new orbit against each
     earlier orbit; two S_r-orbits are equally near from any of their points."""
 
-    @pytest.mark.parametrize("r, steps", [
-        (6, ((1, -1), (2, -1), (3, 1), (4, 1), (5, -1))),
-        (6, ((1, -1), (1, -1), (2, 1), (1, 1))),
-        (10, "auto"),
-    ])
+    @pytest.mark.parametrize("r, steps", SEPARATED_PLANS)
     def test_one_center_distance_equals_all_pairs_minimum(self, r, steps):
         plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
                 else plan_of(r, steps))
@@ -241,6 +272,16 @@ class TestSeparation:
                 above = (brute + 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
                 with pytest.raises(eq.CenterSeparationError):
                     eq._check_separation(alone, later.centers, later.k, above)
+
+    @pytest.mark.parametrize("r, steps", [(6, "auto"), *SEPARATED_PLANS[1:]])
+    def test_map_below_is_identity_at_new_centers(self, r, steps):
+        """_step subtracts the center itself where the formula names f(center)."""
+        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+                else plan_of(r, steps))
+        layer, _ = eq.build_from_plan(plan)
+        for step in layer.chain():
+            node = step.node
+            assert np.array_equal(eq._eval(step.previous, node.centers), node.centers)
 
     def test_error_fires_when_radii_grow(self, monkeypatch):
         monkeypatch.setattr(eq, "safe_radius", lambda r, k: eq.min_orbit_distance(r, k) / 2.5)
@@ -278,7 +319,11 @@ class TestBuildFromPlan:
             theta = j * math.pi / 6
             row = node.centers[0, 0] / math.cos(theta)
             assert np.allclose(node.centers[0, 1], math.sin(theta) * row)
-            assert np.allclose(node.companions[0], [-math.sin(theta) * row, math.cos(theta) * row])
+            # the plus step reflects through the hyperplane orthogonal to c rotated by +90 degrees
+            u = np.array([-math.sin(theta) * row, math.cos(theta) * row])
+            c = node.centers[0]
+            phi = eq._phi(node, np.stack([u, c]), node.centers[[0, 0]], np.zeros(2), 1.0)
+            assert np.allclose(phi, [-u, c])
             assert node.radius == min(eq.safe_radius(2, 1), math.sin(math.pi / 12))
 
     def test_r3_plans_stay_1_mod_3(self):
@@ -388,7 +433,7 @@ def scipy_spurious_search(layer, samples, seed, refine_count, refine_iters):
         X = eq.random_sphere_points(r, n, rng)
         T = rng.uniform(0.0, 1.0, n)
         vals = eq._frob(eq._homotopy(layer, X, T))
-        dmin, _ = eq._nearest(node, X)
+        dmin = eq._nearest(node, X)[0]
         keep = ~((dmin < node.radius / 10.0) & (np.abs(T - 0.5) <= 0.1))
         record[0] = min(record[0], float(vals[keep].min()))
         idx = np.flatnonzero(keep)[np.argsort(vals[keep])[:refine_count]]
@@ -403,7 +448,7 @@ def scipy_spurious_search(layer, samples, seed, refine_count, refine_iters):
         x = x / nx
         t = float(np.clip(z[-1], 0.0, 1.0))
         val = float(eq._frob(eq._homotopy(layer, x[None], t)[0]))
-        dmin, _ = eq._nearest(node, x[None])
+        dmin = eq._nearest(node, x[None])[0]
         if not (dmin[0] < node.radius / 10.0 and abs(t - 0.5) <= 0.1):
             record[0] = min(record[0], val)
         return val
