@@ -238,9 +238,9 @@ def cmd_eqmap(args) -> tuple[dict, int]:
 def cmd_delprod(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     cells = cx.skeleton_cells_by_dim(args.N, args.k, args.r)
-    orbits = cx.count_face_combinations(cx.simplex_skeleton(args.N, args.k), args.r)
+    orbits = cx.skeleton_orbits(args.N, args.k, args.r)
     # Burnside: the cells fill `orbits` S_r-orbits of r! cells each iff no
-    # permutation but the identity fixes a cell, and the two counts share no code
+    # permutation but the identity fixes a cell; the two recurrences share no code
     free = sum(cells.values()) == math.factorial(args.r) * orbits
     outputs = {
         "N": args.N,

@@ -6,9 +6,9 @@ derived on demand.  The deleted product machinery enumerates ordered
 r-tuples of pairwise vertex-disjoint nonempty faces, which are exactly
 the cells sigma_1 x ... x sigma_r of the r-fold deleted product, with
 the symmetric group permuting coordinates freely.  For simplex skeleta
-``skeleton_cells_by_dim`` gives the cell counts by dimension from a
-closed form, without listing a face; the enumeration stays as the
-reference it is tested against.
+``skeleton_cells_by_dim`` and ``skeleton_orbits`` give the cell counts
+by dimension and the orbit count from two recurrences, without listing a
+face; the enumeration stays as the reference they are tested against.
 
 Vertex-disjointness tests run on integer bitmasks, which double as
 arbitrary-width bitsets, so the same code path covers any vertex count;
@@ -35,6 +35,7 @@ __all__ = [
     "count_face_combinations",
     "deleted_product_stats",
     "skeleton_cells_by_dim",
+    "skeleton_orbits",
     "verify_free_action",
 ]
 
@@ -129,9 +130,6 @@ class DisjointTuple:
             if used & set(f):
                 raise ValueError(f"faces are not pairwise disjoint: {self.faces}")
             used |= set(f)
-
-    def in_complex(self, K: SimplicialComplex) -> bool:
-        return all(K.has_face(f) for f in self.faces)
 
 
 def simplex_skeleton(N: int, k: int) -> SimplicialComplex:
@@ -344,6 +342,26 @@ def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
         a = [sum(math.comb(S, s) * a[S - s] for s in range(1, min(S, k + 1) + 1))
              for S in range(N + 2)]
     return {S - r: math.comb(N + 1, S) * a[S] for S in range(N + 2) if a[S]}
+
+
+def skeleton_orbits(N: int, k: int, r: int) -> int:
+    """``count_face_combinations(simplex_skeleton(N, k), r)`` without listing a face.
+
+    An unordered r-tuple of disjoint faces with S vertices in all is a
+    subset of S vertices and a partition of it into r blocks of at most
+    k+1 elements.  Taking first the block that holds the least element,
+    P_j(S) = sum_{s=1}^{min(k+1,S)} C(S-1, s-1)·P_{j-1}(S-s) counts those
+    partitions, and the tuples number sum_S C(N+1, S)·P_r(S).
+    """
+    if not 0 <= k <= N:
+        raise ValueError(f"skeleton needs 0 <= k <= N, got (N={N}, k={k})")
+    if r < 2:
+        raise ValueError(f"skeleton_orbits needs r >= 2, got {r}")
+    P = [1] + [0] * (N + 1)  # P_0: only the empty partition
+    for _ in range(r):
+        P = [sum(math.comb(S - 1, s - 1) * P[S - s] for s in range(1, min(S, k + 1) + 1))
+             for S in range(N + 2)]
+    return sum(math.comb(N + 1, S) * P[S] for S in range(N + 2))
 
 
 def verify_free_action(K: SimplicialComplex, r: int) -> bool:

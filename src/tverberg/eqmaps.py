@@ -21,8 +21,8 @@ moves the mapping degree by exactly +-C(r,k); a Bezout certificate for
 Two mechanisms realize the two signs: the "minus" formula subtracts
 2*rho(x)*f(center) directly (delta -C(r,k)), the "plus" formula first
 composes with a reflection through the hyperplane orthogonal to the
-companion center (the center rotated by +90 degrees), implemented as an
-explicit blended homotopy rather than an abstract extension (delta
+center rotated by +90 degrees in the plane of its two rows, implemented
+as an explicit blended homotopy rather than an abstract extension (delta
 +C(r,k)).  The finite-difference harness measures every local sign
 independently.
 
@@ -54,10 +54,7 @@ __all__ = [
     "center_point",
     "min_orbit_distance",
     "safe_radius",
-    "bump_rho",
     "identity_map",
-    "modify_minus",
-    "modify_plus",
     "build_from_plan",
     "homotopy_eval",
     "verify_equivariance",
@@ -82,11 +79,13 @@ RADIUS_RULE_REPEATED = "min_orbit_dist/3 if n = 1 else min(min_orbit_dist/3, sin
 # build_from_plan refuses larger plans before allocating anything.  C(15,6)
 # is the largest orbit of any r <= 15 certificate plan; the cap bounds the
 # time of verify_local_degrees, one finite-difference Jacobian per center
-# (18 of the 20 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon), not
-# memory (r = 15 auto builds at a 55 MB peak, r = 18 uncapped at 228 MB).
-# Evaluation recurses once per step.
+# (about 6 of the 12 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon;
+# r = 18 uncapped verifies in 38 s), not memory (r = 15 auto builds at a
+# 55 MB peak, r = 18 uncapped at 189 MB).  Evaluation recurses once per step.
 MAX_ORBIT = 5005
 MAX_PLAN_STEPS = 500
+# Centers per batched stencil evaluation in verify_local_degrees; bounds its memory.
+_LOCAL_DEGREE_CHUNK = 64
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -194,17 +193,26 @@ def safe_radius(r: int, k: int) -> float:
     return min_orbit_distance(r, k) / 3.0
 
 
-def _orbit_centers(r: int, k: int, theta: float) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """All C(r,k) orbit points of c_theta plus a coset permutation reaching each.
+def _low_masks(r: int, k: int) -> np.ndarray:
+    """One boolean row per k-subset of the columns, lexicographic: the low columns of a center."""
+    masks = np.zeros((math.comb(r, k), r), dtype=bool)
+    for i, S in enumerate(itertools.combinations(range(r), k)):
+        masks[i, list(S)] = True
+    return masks
 
-    c_theta has cos(theta) * row in row 0 and sin(theta) * row in row 1;
-    centers[i] = act(perms[i], c_theta); perms[0] is the identity.
+
+def _orbit_point(c: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The orbit points of c (l in its first column, h in its last) with l where low is True."""
+    return np.where(low[:, None, :], c[:, :1], c[:, -1:])
+
+
+def _orbit_centers(r: int, k: int, theta: float) -> np.ndarray:
+    """All C(r,k) orbit points of c_theta, one per mask of _low_masks.
+
+    c_theta has cos(theta) * row in row 0 and sin(theta) * row in row 1.
     """
     row = _center_row(r, k)
-    c = np.stack([math.cos(theta) * row, math.sin(theta) * row])
-    perms = [S + tuple(v for v in range(r) if v not in S)
-             for S in itertools.combinations(range(r), k)]
-    return np.stack([_act_array(sigma, c) for sigma in perms]), perms
+    return _orbit_point(np.stack([math.cos(theta) * row, math.sin(theta) * row]), _low_masks(r, k))
 
 
 def _smoothstep(u):
@@ -233,25 +241,6 @@ def _bump_level_radius(level: float, radius: float) -> float:
     return t0 + 0.5 * (lo + hi) * (radius - t0)
 
 
-def bump_rho(x, c, radius: float) -> float:
-    """Orbit-invariant bump evaluated at x: 1 near the orbit of c, 0 outside.
-
-    The orbit is generated by column permutations of c; radial in the
-    chordal distance to the nearest orbit point.  That point maximizes
-    <x, sigma c> = sum_i <c[:, i], x[:, sigma(i)]>, a linear assignment
-    over columns, so it is found exactly for every r.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    arr = _as_array(x)
-    carr = _as_array(c)
-    _, sigma = linear_sum_assignment(carr.T @ arr, maximize=True)
-    dmin = float(_frob(arr - _act_array(sigma, carr)))
-    if dmin >= radius:
-        return 0.0
-    return float(_bump(dmin, radius))
-
-
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
@@ -267,7 +256,6 @@ class ModificationNode:
     delta: int
     radius: float
     centers: np.ndarray       # (m, 2, r)
-    perms: tuple[tuple[int, ...], ...]
     weights: np.ndarray       # (2r, r+1): a flat x to its gains and <h, sum_i x_i> (_nearest)
     lam_inner: float          # reflection blend is full inside this distance
     lam_outer: float          # and off beyond this one
@@ -341,12 +329,6 @@ def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.sqrt(np.maximum(d2, 0.0)), gains, top[:, 0]
 
 
-def _orbit_point(node: ModificationNode, gains: np.ndarray, kth: np.ndarray) -> np.ndarray:
-    """The center with l where the gains reach the k-th largest, h elsewhere."""
-    c = node.centers[0]  # l in its first k columns, h in the rest
-    return np.where((gains >= kth[:, None])[:, None, :], c[:, :1], c[:, -1:])
-
-
 def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,
          tau) -> np.ndarray:
     """Blended reflection in the hyperplane orthogonal to u, the center C turned by +90 degrees.
@@ -379,16 +361,12 @@ def _step(layer: MapLayer, X: np.ndarray, t, normalize: bool) -> np.ndarray:
     node = layer.node
     out = _eval(layer.previous, X)
     dmin, gains, kth = _nearest(node, X)
-    inside = dmin < node.radius
-    if not inside.any():
+    rho = _bump(dmin, node.radius)
+    sel = np.flatnonzero(rho > 0.0)
+    if not len(sel):
         return out
-    rho = _bump(dmin[inside], node.radius)
-    live = rho > 0.0
-    if not live.any():
-        return out
-    sel = np.flatnonzero(inside)[live]
-    rho = rho[live]
-    C = _orbit_point(node, gains[sel], kth[sel])
+    rho = rho[sel]
+    C = _orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
     t = np.asarray(t, dtype=float)
     ts = t[sel] if t.ndim else t
     if node.variant == "minus":
@@ -453,22 +431,19 @@ def _check_separation(layer: MapLayer, centers: np.ndarray, k: int,
             )
 
 
-def _make_modified(layer: MapLayer, k: int, sign: int, n: Optional[int] = None) -> MapLayer:
-    """Add the next of n steps at k on its own rotated center family.
+def _make_modified(layer: MapLayer, k: int, sign: int, n: int) -> MapLayer:
+    """Add the next of the plan's n steps at k on its own rotated center family.
 
     The j-th step at k (j counted along the chain) sits at theta_j =
-    j*pi/(2n), with n = j+1 unless given.  Adjacent families are a chord
-    2*sin(pi/(4n)) apart (the angles stay in [0, pi/2)), so capping the
-    radius at sin(pi/(4n)) keeps 1.625*R below that chord and the new
-    inner zones clear of every earlier ball; R <= min_orbit_dist/3 keeps
-    the balls of one orbit disjoint.
+    j*pi/(2n).  Adjacent families are a chord 2*sin(pi/(4n)) apart (the
+    angles stay in [0, pi/2)), so capping the radius at sin(pi/(4n))
+    keeps 1.625*R below that chord and the new inner zones clear of every
+    earlier ball; R <= min_orbit_dist/3 keeps the balls of one orbit
+    disjoint.
     """
     r = layer.r
-    if not 1 <= k <= r - 1:
-        raise ValueError(f"modification needs 1 <= k <= r-1, got k={k}")
     j = sum(1 for prior in layer.chain() if prior.node.k == k)
-    n = j + 1 if n is None else n
-    centers, perms = _orbit_centers(r, k, j * math.pi / (2 * n))
+    centers = _orbit_centers(r, k, j * math.pi / (2 * n))
     radius = safe_radius(r, k)
     if n > 1:
         radius = min(radius, math.sin(math.pi / (4 * n)))
@@ -482,25 +457,11 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: Optional[int] = None) 
         delta=sign * math.comb(r, k),
         radius=radius,
         centers=centers,
-        perms=tuple(perms),
         weights=np.column_stack([np.kron((low - high)[:, None], np.eye(r)), np.repeat(high, r)]),
         lam_inner=_bump_level_radius(1.0 / 3.0, radius),
         lam_outer=_bump_level_radius(1.0 / 4.0, radius),
     )
     return MapLayer(r=r, node=node, previous=layer)
-
-
-def modify_minus(layer: MapLayer, k: int) -> MapLayer:
-    """x -> normalize(f(x) - 2 rho(x) f(center)) on each orbit ball.
-
-    Degree delta: -C(r,k); f is the identity at the new center family.
-    """
-    return _make_modified(layer, k, -1)
-
-
-def modify_plus(layer: MapLayer, k: int) -> MapLayer:
-    """Reflection-composed variant; degree delta +C(r,k)."""
-    return _make_modified(layer, k, 1)
 
 
 def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
@@ -619,41 +580,59 @@ class LocalDegreeReport:
     matches_ledger: bool
 
 
+def _stencil_dets(layer: MapLayer, E: np.ndarray, base: np.ndarray, centers: np.ndarray,
+                  rank: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference Jacobian determinants of (x, t) -> h_t(x) at (centers, 1/2).
+
+    Each center's tangent basis is base with its columns in the order of
+    that center's row of rank; one batched homotopy evaluation covers
+    every stencil point of every center.
+    """
+    B = np.moveaxis(base[..., rank], 2, 0)  # (m, 2r-3, 2, r)
+    m, dim = len(centers), B.shape[1] + 1
+    C = centers[:, None]
+    # rows 2j and 2j+1 step along +-B[j]; the last two along +-t
+    p = np.stack([C + step * B, C - step * B], axis=2).reshape(m, -1, 2, layer.r)
+    pts = np.concatenate([p / _frob(p)[..., None, None], C, C], axis=1)
+    ts = np.full((m, 2 * dim), 0.5)
+    ts[:, -2:] = 0.5 + step, 0.5 - step
+    H = _coords(E, _homotopy(layer, pts.reshape(-1, 2, layer.r), ts.ravel())).reshape(m, 2 * dim, -1)
+    return np.linalg.det(((H[:, 0::2] - H[:, 1::2]) / (2.0 * step)).transpose(0, 2, 1))
+
+
 def verify_local_degrees(layer: MapLayer, fd_step: float = 1e-5) -> LocalDegreeReport:
     """Jacobian sign of (x, t) -> h_t(x) at every (center, 1/2).
 
     The chart uses an oriented tangent basis transported along the
     orbit; with that convention the measured delta sign is minus the
-    Jacobian sign.  Steps are halved (up to 4 times) if the determinant
-    is smaller than 1e-8 in magnitude.
+    Jacobian sign.  Centers are evaluated _LOCAL_DEGREE_CHUNK at a time;
+    those whose determinant is at most 1e-8 in magnitude are redone with
+    the step halved (up to 4 times).
     """
     node = layer.node
     if node is None:
         raise ValueError("identity layer has no modification step to verify")
     E = _ambient_basis(layer.r)
     base = _tangent_basis(E, node.centers[0])
-    dim = len(base) + 1
-    fd_signs: list[int] = []
-    for center, sigma in zip(node.centers, node.perms):
-        B = _act_array(sigma, base)
+    # center i is c_theta with column j moved to column sigma_i[j], sigma_i
+    # listing its low columns and then the rest; the basis moves with it, so
+    # its column j is column rank_i[j] of base, rank_i the inverse of sigma_i
+    rank = np.argsort(np.argsort(~_low_masks(layer.r, node.k), axis=1, kind="stable"), axis=1)
+    det = np.empty(len(node.centers))
+    for start in range(0, len(det), _LOCAL_DEGREE_CHUNK):
+        todo = np.arange(start, min(start + _LOCAL_DEGREE_CHUNK, len(det)))
         step = fd_step
         for _ in range(5):
-            # rows 2j and 2j+1 step along +-B[j]; the last two along +-t
-            p = np.stack([center + step * B, center - step * B], axis=1).reshape(-1, 2, layer.r)
-            pts = np.concatenate([p / _frob(p)[:, None, None], [center, center]])
-            ts = np.full(2 * dim, 0.5)
-            ts[-2:] = 0.5 + step, 0.5 - step
-            H = _coords(E, _homotopy(layer, pts, ts))
-            J = ((H[0::2] - H[1::2]) / (2.0 * step)).T
-            det = float(np.linalg.det(J))
-            if abs(det) > 1e-8:
+            det[todo] = _stencil_dets(layer, E, base, node.centers[todo], rank[todo], step)
+            todo = todo[~(np.abs(det[todo]) > 1e-8)]
+            if not len(todo):
                 break
             step *= 0.5
         else:
             raise NumericalDegeneracyError(
                 f"Jacobian determinant stayed below 1e-8 at a k={node.k} center"
             )
-        fd_signs.append(1 if det > 0 else -1)
+    fd_signs = [1 if d > 0 else -1 for d in det]
     delta_signs = tuple(-s for s in fd_signs)
     consistent = len(set(delta_signs)) == 1
     matches = consistent and delta_signs[0] == node.sign

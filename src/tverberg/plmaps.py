@@ -384,19 +384,13 @@ class IntersectionWitness:
     barycentric: tuple[tuple[Fraction, ...], ...]
 
     def verify(self, f: PLMap) -> None:
-        """Re-check every invariant by plain rational arithmetic."""
+        """Re-check every invariant by plain rational arithmetic: one weight
+        vector per face, and each face of f's complex reaches the point."""
+        if len(self.barycentric) != len(self.tuple_.faces):
+            raise ValueError(f"{len(self.barycentric)} weight vectors for "
+                             f"{len(self.tuple_.faces)} faces")
         for face, w in zip(self.tuple_.faces, self.barycentric):
-            if len(w) != len(face):
-                raise ValueError("weight count mismatch")
-            if any(x < 0 for x in w):
-                raise ValueError("negative barycentric weight")
-            if sum(w) != 1:
-                raise ValueError("barycentric weights do not sum to 1")
-            combo = [Fraction(0)] * f.d
-            for wi, v in zip(w, face):
-                for ell in range(f.d):
-                    combo[ell] += wi * f.coords[v][ell]
-            if tuple(combo) != self.point:
+            if f.eval(face, w) != self.point:
                 raise ValueError(f"face {face} does not reach the witness point")
 
     def to_json(self) -> dict:

@@ -209,8 +209,8 @@ def test_criterion_9_degree_zero_r6():
         ok = ok and rep.consistent and rep.matches_ledger
     ok = ok and sign_count == 41
     for k in (1, 2, 3):
-        minus = eq.verify_local_degrees(eq.modify_minus(eq.identity_map(6), k))
-        plus = eq.verify_local_degrees(eq.modify_plus(eq.identity_map(6), k))
+        minus, plus = (eq.verify_local_degrees(eq.build_from_plan(
+            nc.ModificationPlan.from_steps(6, ((k, sign),)))[0]) for sign in (-1, 1))
         ok = ok and minus.delta_signs[0] == -plus.delta_signs[0]
 
     for step in layer.chain():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_python(script, *args):
+    """Run script in a fresh interpreter that imports this tverberg package."""
+    src = str(Path(tverberg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 def schema(name):
@@ -42,6 +51,26 @@ def radon_files(tmp_path):
         "coords": {"0": ["0", "0"], "1": ["1", "0"], "2": ["0", "1"], "3": ["1", "1"]},
     }))
     return str(complex_path), str(map_path)
+
+
+def test_commands_run_without_scipy(radon_files):
+    """scipy is a test dependency only: no subcommand imports it."""
+    complex_path, map_path = radon_files
+    script = ("import contextlib, io, sys\n"
+              "sys.modules['scipy'] = None  # every import of scipy now fails\n"
+              "from tverberg.cli import main\n"
+              "commands = [['bounds', '--r', '6', '--d', '54'], ['cert', '--r', '6'],\n"
+              "            ['check', '--complex', sys.argv[1], '--map', sys.argv[2], '--r', '2'],\n"
+              "            ['delprod', '--N', '9', '--k', '2', '--r', '3'],\n"
+              "            ['eqmap', 'verify', '--r', '6', '--samples', '200']]\n"
+              "for argv in commands:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = main(argv)\n"
+              "    print(argv[0], code)\n")
+    proc = run_python(script, complex_path, map_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["bounds", "0", "cert", "0", "check", "1",
+                                   "delprod", "0", "eqmap", "0"]
 
 
 class TestBounds:
@@ -270,10 +299,7 @@ class TestEqmap:
                   "code = main(['eqmap', 'build', '--r', '15', '--plan', 'auto'])\n"
                   "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
                   "print(code, peak, file=sys.stderr)\n")
-        src = str(Path(tverberg.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        proc = run_python(script)
         code, peak_kib = map(int, proc.stderr.split()[-2:])  # ru_maxrss is in KiB on Linux
         assert code == 0
         assert peak_kib / 1024 < 150
@@ -362,6 +388,17 @@ class TestDelprod:
         out = report["outputs"]
         assert out["cells_by_dim"] == {} and out["dimension"] is None
         assert out["orbits"] == 0 and out["free_action"] is True
+
+    @pytest.mark.parametrize("N, k, r", [(30, 5, 4), (280, 45, 6)])
+    def test_large_skeleton_lists_no_face(self, capsys, deadline, N, k, r):
+        with deadline(2.0):
+            code, report = run_cli(capsys, "delprod", "--N", str(N), "--k", str(k),
+                                   "--r", str(r))
+        assert code == 0
+        out = report["outputs"]
+        assert out["free_action"] is True
+        assert out["dimension"] == r * k
+        assert sum(out["cells_by_dim"].values()) == math.factorial(r) * out["orbits"]
 
     def test_wrong_cell_total_fails_freeness(self, capsys, monkeypatch):
         closed_form = cx.skeleton_cells_by_dim

@@ -16,6 +16,7 @@ from tverberg.complexes import (
     join_complexes,
     simplex_skeleton,
     skeleton_cells_by_dim,
+    skeleton_orbits,
     verify_free_action,
 )
 
@@ -317,6 +318,30 @@ class TestSkeletonCellsByDim:
         for N, k, r in ((3, 4, 2), (-1, 0, 2), (3, -1, 2), (3, 1, 1)):
             with pytest.raises(ValueError):
                 skeleton_cells_by_dim(N, k, r)
+
+
+class TestSkeletonOrbits:
+    def test_matches_enumeration(self):
+        for N in range(8):
+            for k in range(N + 1):
+                for r in (2, 3, 4):
+                    want = count_face_combinations(simplex_skeleton(N, k), r)
+                    assert skeleton_orbits(N, k, r) == want, (N, k, r)
+        assert skeleton_orbits(12, 2, 3) == count_face_combinations(simplex_skeleton(12, 2), 3)
+
+    def test_free_action_identity_at_paper_scale(self):
+        """S_r permutes the cells freely: r! cells per orbit, by the other recurrence."""
+        for N, k, r in ((20, 3, 4), (30, 1, 5), (280, 45, 6)):
+            cells = sum(skeleton_cells_by_dim(N, k, r).values())
+            assert cells == math.factorial(r) * skeleton_orbits(N, k, r)
+
+    def test_more_faces_than_vertices(self):
+        assert skeleton_orbits(9, 2, 11) == 0
+
+    def test_rejects_bad_input(self):
+        for N, k, r in ((3, 4, 2), (-1, 0, 2), (3, -1, 2), (3, 1, 1)):
+            with pytest.raises(ValueError):
+                skeleton_orbits(N, k, r)
 
 
 class TestFreeAction:

@@ -12,6 +12,30 @@ def plan_of(r, steps):
     return ModificationPlan.from_steps(r, steps)
 
 
+def one_step(r, k, sign=-1):
+    """The map of the one-step plan k:sign."""
+    return eq.build_from_plan(plan_of(r, ((k, sign),)))[0]
+
+
+def bump_rho(x, c, radius):
+    """Orbit-invariant bump evaluated at x: 1 near the orbit of c, 0 outside.
+
+    Radial in the chordal distance to the nearest orbit point, which
+    maximizes <x, sigma c> = sum_i <c[:, i], x[:, sigma(i)]>: a linear
+    assignment over columns, solved exactly for every r.  An oracle for
+    the closed form of eq._nearest.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    arr = eq._as_array(x)
+    carr = eq._as_array(c)
+    _, sigma = linear_sum_assignment(carr.T @ arr, maximize=True)
+    dmin = float(eq._frob(arr - eq._act_array(sigma, carr)))
+    if dmin >= radius:
+        return 0.0
+    return float(eq._bump(dmin, radius))
+
+
 def brute_min_orbit_distance(r, k):
     """Oracle: enumerate the whole orbit and minimize chordal distances."""
     c, _, _ = eq.center_point(r, k)
@@ -105,7 +129,7 @@ class TestCenters:
 
     def test_orbit_balls_pairwise_disjoint(self):
         for r, k in ((2, 1), (6, 1), (6, 2), (6, 3), (7, 3)):
-            layer = eq.modify_minus(eq.identity_map(r), k)
+            layer = one_step(r, k)
             node = layer.node
             m = len(node.centers)
             for i in range(m):
@@ -118,14 +142,14 @@ class TestBump:
     def test_plateau_and_support(self):
         c, _, _ = eq.center_point(6, 2)
         R = eq.safe_radius(6, 2)
-        assert eq.bump_rho(c, c, R) == 1.0
+        assert bump_rho(c, c, R) == 1.0
         # a point at distance exactly R from c (walk along a tangent great circle)
         t = np.zeros((2, 6))
         t[1] = c.entries[0]
         ang = 2 * math.asin(R / 2)
         far = eq.SpherePoint(math.cos(ang) * c.entries + math.sin(ang) * t)
         assert abs(np.linalg.norm(far.entries - c.entries) - R) < 1e-12
-        assert eq.bump_rho(far, c, R) == 0.0
+        assert bump_rho(far, c, R) == 0.0
 
     def test_value_at_third_radius(self):
         c, _, _ = eq.center_point(6, 2)
@@ -134,12 +158,12 @@ class TestBump:
         t[1] = c.entries[0]
         ang = 2 * math.asin(R / 6)
         x = eq.SpherePoint(math.cos(ang) * c.entries + math.sin(ang) * t)
-        val = eq.bump_rho(x, c, R)
+        val = bump_rho(x, c, R)
         assert 0.0 < val < 1.0
         assert val >= 1.0 / 3.0  # the reflection zone keeps clear of the blend
 
     def test_matches_nearest_orbit_point_at_r10(self):
-        layer = eq.modify_minus(eq.identity_map(10), 3)
+        layer = one_step(10, 3)
         node = layer.node
         rng = np.random.default_rng(17)
         noise = eq.random_sphere_points(10, len(node.centers), rng)
@@ -150,27 +174,27 @@ class TestBump:
         assert (dmin < node.radius).any() and (dmin >= node.radius).any()
         for x, d in zip(X, dmin):
             want = float(eq._bump(d, node.radius)) if d < node.radius else 0.0
-            assert abs(eq.bump_rho(x, node.centers[0], node.radius) - want) < 1e-12
+            assert abs(bump_rho(x, node.centers[0], node.radius) - want) < 1e-12
 
     def test_orbit_invariance(self):
         c, _, _ = eq.center_point(4, 2)
         R = eq.safe_radius(4, 2)
         rng = np.random.default_rng(5)
         for x in eq.random_sphere_points(4, 20, rng):
-            v = eq.bump_rho(x, c, R)
+            v = bump_rho(x, c, R)
             for sigma in eq.generators(4):
-                assert abs(eq.bump_rho(eq.act(sigma, x), c, R) - v) < 1e-12
+                assert abs(bump_rho(eq.act(sigma, x), c, R) - v) < 1e-12
 
 
 class TestModifications:
     def test_center_maps_to_antipode_of_value(self):
-        layer = eq.modify_minus(eq.identity_map(6), 2)
+        layer = one_step(6, 2)
         node = layer.node
         vals = layer.eval_batch(node.centers)
         assert np.allclose(vals, -node.centers, atol=1e-12)
 
     def test_identity_outside_support(self):
-        layer = eq.modify_minus(eq.identity_map(6), 1)
+        layer = one_step(6, 1)
         rng = np.random.default_rng(7)
         X = eq.random_sphere_points(6, 500, rng)
         dmin = eq._nearest(layer.node, X)[0]
@@ -189,8 +213,8 @@ class TestModifications:
         assert np.abs(eq._frob(Y) - 1.0).max() < 1e-9
 
     def test_plus_equals_minus_on_reflection_hyperplane(self):
-        minus = eq.modify_minus(eq.identity_map(6), 2)
-        plus = eq.modify_plus(eq.identity_map(6), 2)
+        minus = one_step(6, 2)
+        plus = one_step(6, 2, 1)
         node = minus.node
         c = node.centers[0]
         u = np.stack([-c[1], c[0]])  # the reflection axis: c rotated by +90 degrees
@@ -224,7 +248,7 @@ class TestNearest:
             layer, _ = eq.build_from_plan(plan_of(r, ((k, -1),) * 3))
             for theta, step in zip((0.0, math.pi / 6, math.pi / 3), layer.chain()):
                 node = step.node
-                centers, _ = eq._orbit_centers(r, k, theta)
+                centers = eq._orbit_centers(r, k, theta)
                 assert np.array_equal(node.centers, centers)
                 m = len(centers)
                 scale = rng.uniform(0.05, 0.95, (m, 1, 1)) * node.radius
@@ -237,7 +261,7 @@ class TestNearest:
                 assert np.abs(dmin - dist.min(axis=1)).max() < 1e-12
                 inside = dmin < node.radius
                 assert inside[:m].all() and not inside.all()
-                located = eq._orbit_point(node, gains[inside], kth[inside])
+                located = eq._orbit_point(node.centers[0], gains[inside] >= kth[inside, None])
                 assert np.array_equal(located, centers[dist[inside].argmin(axis=1)])
 
 
@@ -382,34 +406,89 @@ class TestEquivariance:
         assert eq.verify_equivariance(layer, samples=3000, seed=2) < 1e-9
 
 
+def per_center_fd_signs(layer, fd_step=1e-5):
+    """Reference: the Jacobian sign center by center, the tangent basis carried
+    to each center by a coset permutation that lists its low columns first."""
+    node, r = layer.node, layer.r
+    E = eq._ambient_basis(r)
+    base = eq._tangent_basis(E, node.centers[0])
+    dim = len(base) + 1
+    signs = []
+    for center, S in zip(node.centers, itertools.combinations(range(r), node.k)):
+        sigma = S + tuple(v for v in range(r) if v not in S)
+        assert np.array_equal(eq._act_array(sigma, node.centers[0]), center)
+        B = eq._act_array(sigma, base)
+        step = fd_step
+        for _ in range(5):
+            p = np.stack([center + step * B, center - step * B], axis=1).reshape(-1, 2, r)
+            pts = np.concatenate([p / eq._frob(p)[:, None, None], [center, center]])
+            ts = np.full(2 * dim, 0.5)
+            ts[-2:] = 0.5 + step, 0.5 - step
+            H = eq._coords(E, eq._homotopy(layer, pts, ts))
+            det = float(np.linalg.det(((H[0::2] - H[1::2]) / (2.0 * step)).T))
+            if abs(det) > 1e-8:
+                break
+            step *= 0.5
+        signs.append(1 if det > 0 else -1)
+    return tuple(signs)
+
+
 class TestLocalDegrees:
     def test_r2_minus_step(self):
-        layer = eq.modify_minus(eq.identity_map(2), 1)
+        layer = one_step(2, 1)
         rep = eq.verify_local_degrees(layer)
         assert len(rep.fd_signs) == 2
         assert rep.consistent and rep.matches_ledger
         assert rep.delta_signs[0] == -1
 
     def test_r6_k2_minus_step(self):
-        layer = eq.modify_minus(eq.identity_map(6), 2)
+        layer = one_step(6, 2)
         rep = eq.verify_local_degrees(layer)
         assert len(rep.fd_signs) == 15
         assert rep.consistent and rep.matches_ledger
 
     def test_plus_minus_opposite_signs(self):
         for r, k in ((2, 1), (6, 1), (6, 2)):
-            minus = eq.verify_local_degrees(eq.modify_minus(eq.identity_map(r), k))
-            plus = eq.verify_local_degrees(eq.modify_plus(eq.identity_map(r), k))
+            minus = eq.verify_local_degrees(one_step(r, k))
+            plus = eq.verify_local_degrees(one_step(r, k, 1))
             assert minus.delta_signs[0] == -plus.delta_signs[0]
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
             eq.verify_local_degrees(eq.identity_map(2))
 
+    @pytest.mark.parametrize("r, steps", [(6, "auto"), SEPARATED_PLANS[1], (10, "auto")])
+    def test_batched_signs_match_per_center_reference(self, r, steps):
+        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+                else plan_of(r, steps))
+        layer, _ = eq.build_from_plan(plan)
+        for step in layer.chain():
+            rep = eq.verify_local_degrees(step)
+            assert len(rep.fd_signs) == math.comb(r, step.node.k)
+            assert rep.fd_signs == per_center_fd_signs(step)
+
+    def test_degenerate_centers_are_redone_with_halved_steps(self, monkeypatch):
+        """Dets at most 1e-8 are redone for those centers only, with the step halved."""
+        layer = one_step(6, 2)
+        calls = []
+        batched = eq._stencil_dets
+
+        def first_try_flat(layer, E, base, centers, rank, step):
+            calls.append((len(centers), step))
+            det = batched(layer, E, base, centers, rank, step)
+            if step == 1e-5:
+                det[::4] = 0.0
+            return det
+
+        monkeypatch.setattr(eq, "_stencil_dets", first_try_flat)
+        rep = eq.verify_local_degrees(layer)
+        assert calls == [(15, 1e-5), (4, 5e-6)]
+        assert rep.consistent and rep.matches_ledger
+
     def test_collapsed_stencil_raises(self):
         # a step far below the resolution of the center's entries leaves
         # every stencil point on the center, so J = 0 after every halving
-        layer = eq.modify_minus(eq.identity_map(6), 2)
+        layer = one_step(6, 2)
         with pytest.raises(eq.NumericalDegeneracyError, match="stayed below 1e-8"):
             eq.verify_local_degrees(layer, fd_step=1e-30)
 
@@ -601,3 +680,13 @@ class TestPlanJson:
         assert [(s["k"], s["sign"]) for s in obj["steps"]] == list(plan.steps)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, -1))))
         assert eq.layer_plan_json(layer)["radius_rule"] == eq.RADIUS_RULE_REPEATED
+        for r, steps in ((6, plan.steps), (2, ((1, -1), (1, -1))), SEPARATED_PLANS[1]):
+            layer, _ = eq.build_from_plan(plan_of(r, steps))
+            obj = eq.layer_plan_json(layer)
+            again, _ = eq.build_from_plan(plan_of(obj["r"], [(s["k"], s["sign"])
+                                                             for s in obj["steps"]]))
+            assert again.depth == layer.depth == len(steps)
+            for a, b in zip(layer.chain(), again.chain()):
+                assert (a.node.k, a.node.sign) == (b.node.k, b.node.sign)
+                assert a.node.radius == b.node.radius
+                assert np.array_equal(a.node.centers, b.node.centers)

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from tverberg import plmaps
-from tverberg.complexes import SimplicialComplex, disjoint_face_combinations, simplex_skeleton
+from tverberg.complexes import (DisjointTuple, SimplicialComplex, disjoint_face_combinations,
+                                simplex_skeleton)
 from tverberg.plmaps import (
     CheckVerdict,
     IntersectionWitness,
@@ -500,6 +501,25 @@ class TestChecker:
         assert obj["faces"] == [[0, 3], [1, 2]]
         assert obj["point"] == ["1/2", "1/2"]
         assert all(isinstance(s, str) for row in obj["barycentric"] for s in row)
+
+
+class TestWitnessVerify:
+    def test_missing_weight_vector_is_rejected(self):
+        f = random_rational_map(simplex_skeleton(4, 1), 2, 0)
+        w = almost_r_embedding_check(f, 2).witness
+        w.verify(f)
+        short = IntersectionWitness(w.tuple_, w.point, w.barycentric[:1])
+        with pytest.raises(ValueError, match="1 weight vectors for 2 faces"):
+            short.verify(f)
+
+    def test_face_outside_the_complex_is_rejected(self):
+        # the segments 01 and 34 cross at (1, 1), but 34 is no face of K
+        K = SimplicialComplex.from_faces(5, [(0, 1), (2, 3), (2, 4)])
+        f = PLMap(K, 2, ((F(0), F(0)), (F(2), F(2)), (F(5), F(5)), (F(0), F(2)), (F(2), F(0))))
+        half = (F(1, 2), F(1, 2))
+        forged = IntersectionWitness(DisjointTuple(((0, 1), (3, 4))), (F(1), F(1)), (half, half))
+        with pytest.raises(ValueError, match=r"\(3, 4\) is not a face of the complex"):
+            forged.verify(f)
 
 
 class TestRandomMaps:
