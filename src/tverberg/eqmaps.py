@@ -81,11 +81,13 @@ RADIUS_RULE_REPEATED = "min_orbit_dist/3 if n = 1 else min(min_orbit_dist/3, sin
 # time of verify_local_degrees, one finite-difference Jacobian per center
 # (about 6 of the 12 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon;
 # r = 18 uncapped verifies in 38 s), not memory (r = 15 auto builds at a
-# 55 MB peak, r = 18 uncapped at 189 MB).  Evaluation recurses once per step.
+# 55 MB peak, r = 18 uncapped at 189 MB).
 MAX_ORBIT = 5005
 MAX_PLAN_STEPS = 500
 # Centers per batched stencil evaluation in verify_local_degrees; bounds its memory.
 _LOCAL_DEGREE_CHUNK = 64
+# Points per random draw of the sampled checks; bounds their memory.
+_SAMPLE_CHUNK = 20000
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -263,24 +265,27 @@ class ModificationNode:
 
 @dataclass(eq=False)
 class MapLayer:
-    """A self-map of the sphere: identity plus a chain of modifications."""
+    """A self-map of the sphere: the identity followed by modification steps, first applied first."""
 
     r: int
-    node: Optional[ModificationNode]
-    previous: Optional["MapLayer"]
+    nodes: tuple[ModificationNode, ...]
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         return _eval(self, np.asarray(X, dtype=float))
 
     @property
+    def node(self) -> Optional[ModificationNode]:
+        """The last step, None for the identity."""
+        return self.nodes[-1] if self.nodes else None
+
+    @property
     def depth(self) -> int:
-        return 0 if self.node is None else 1 + self.previous.depth
+        return len(self.nodes)
 
     def chain(self) -> Iterator["MapLayer"]:
-        """Modification layers from first applied to last."""
-        if self.node is not None:
-            yield from self.previous.chain()
-            yield self
+        """The maps after each step, from the first applied to the last."""
+        for j in range(1, len(self.nodes) + 1):
+            yield MapLayer(self.r, self.nodes[:j])
 
 
 @dataclass(frozen=True)
@@ -310,7 +315,7 @@ class DegreeLedger:
 def identity_map(r: int) -> MapLayer:
     if r < 2:
         raise ValueError(f"identity_map needs r >= 2, got {r}")
-    return MapLayer(r=r, node=None, previous=None)
+    return MapLayer(r, ())
 
 
 def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -327,6 +332,16 @@ def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     top = np.partition(gains, node.r - node.k, axis=1)[:, node.r - node.k:]
     d2 = np.einsum("ij,ij->i", F, F) + 1.0 - 2.0 * (top.sum(axis=1) + G[:, -1])  # unit centers
     return np.sqrt(np.maximum(d2, 0.0)), gains, top[:, 0]
+
+
+def _balls(node: ModificationNode, X: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
+    """Rows of X in the step's balls, their bumps, nearest centers and distances; None if none."""
+    dmin, gains, kth = _nearest(node, X)
+    rho = _bump(dmin, node.radius)
+    sel = np.flatnonzero(rho > 0.0)
+    if not len(sel):
+        return None
+    return sel, rho[sel], _orbit_point(node.centers[0], gains[sel] >= kth[sel, None]), dmin[sel]
 
 
 def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,
@@ -349,53 +364,42 @@ def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,
     return y / ny[:, None, None]
 
 
-def _step(layer: MapLayer, X: np.ndarray, t, normalize: bool) -> np.ndarray:
-    """h_t = f(phi(x)) - 2*t*rho(x)*c on the top step's balls, f(x) off them.
+def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False) -> np.ndarray:
+    """h_t = f(phi(x)) - 2*t*rho(x)*c on the last step's balls, f(x) off them.
 
-    f is the map below, the identity at the nearest center c; phi is the
-    identity ("minus") or the reflection blended in with tau = min(3t, 1)
-    ("plus").  normalize reprojects h_t.
+    f is the map of the earlier steps (each this formula at t = 1,
+    normalized), the identity at the nearest center c; phi is the identity
+    ("minus") or the reflection blended in with tau = min(3t, 1) ("plus").
+    t = 0 gives f, the zeros sit at the centers at t = 1/2; normalize reprojects.
+    Last step to first, each step finds its balls (one _nearest) and a plus
+    step moves their rows by phi; first to last, each subtracts 2*t*rho*c.
     """
-    if layer.node is None:
-        return X.copy()
-    node = layer.node
-    out = _eval(layer.previous, X)
-    dmin, gains, kth = _nearest(node, X)
-    rho = _bump(dmin, node.radius)
-    sel = np.flatnonzero(rho > 0.0)
-    if not len(sel):
-        return out
-    rho = rho[sel]
-    C = _orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
+    Y = X.copy()
     t = np.asarray(t, dtype=float)
-    ts = t[sel] if t.ndim else t
-    if node.variant == "minus":
-        vals = out[sel]
-    else:
-        phi = _phi(node, X[sel], C, dmin[sel], np.minimum(3.0 * ts, 1.0))
-        vals = _eval(layer.previous, phi)
-    h = vals - 2.0 * (ts * rho)[:, None, None] * C
-    if normalize:
-        nh = _frob(h)
-        if np.any(nh < _NORM_FLOOR):
-            raise NumericalDegeneracyError("map value collapsed below 1e-9 during normalization")
-        h /= nh[:, None, None]
-    out[sel] = h
-    return out
+    last = len(layer.nodes) - 1
+    pushes = []
+    for i, node in reversed(list(enumerate(layer.nodes))):
+        balls = _balls(node, Y)
+        if balls is None:
+            continue
+        sel, rho, C, dmin = balls
+        ts = (t[sel] if t.ndim else t) if i == last else 1.0
+        if node.variant == "plus":
+            Y[sel] = _phi(node, Y[sel], C, dmin, np.minimum(3.0 * ts, 1.0))
+        pushes.append((i, sel, ts * rho, C))
+    for i, sel, push, C in reversed(pushes):
+        h = Y[sel] - 2.0 * push[:, None, None] * C
+        if normalize or i < last:
+            nh = _frob(h)
+            if np.any(nh < _NORM_FLOOR):
+                raise NumericalDegeneracyError("map value collapsed below 1e-9 during normalization")
+            h /= nh[:, None, None]
+        Y[sel] = h
+    return Y
 
 
 def _eval(layer: MapLayer, X: np.ndarray) -> np.ndarray:
-    return _step(layer, X, 1.0, normalize=True)
-
-
-def _homotopy(layer: MapLayer, X: np.ndarray, t) -> np.ndarray:
-    """Unnormalized straight-line homotopy of the topmost modification.
-
-    t = 0 reproduces the base map (ambient inclusion), t = 1 the
-    unnormalized new map; zeros are designed to sit exactly at the
-    orbit centers at t = 1/2.
-    """
-    return _step(layer, X, t, normalize=False)
+    return _homotopy(layer, X, 1.0, normalize=True)
 
 
 def homotopy_eval(layer: MapLayer, x, t: float) -> np.ndarray:
@@ -421,8 +425,7 @@ def _check_separation(layer: MapLayer, centers: np.ndarray, k: int,
     one new center to the nearest earlier one.
     """
     inner = ZERO_ZONE_FRACTION * radius
-    for prior in layer.chain():
-        nd = prior.node
+    for nd in layer.nodes:
         dmin = float(_nearest(nd, centers[:1])[0][0])
         if dmin <= nd.radius + inner:
             raise CenterSeparationError(
@@ -442,7 +445,7 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: int) -> MapLayer:
     disjoint.
     """
     r = layer.r
-    j = sum(1 for prior in layer.chain() if prior.node.k == k)
+    j = sum(1 for prior in layer.nodes if prior.k == k)
     centers = _orbit_centers(r, k, j * math.pi / (2 * n))
     radius = safe_radius(r, k)
     if n > 1:
@@ -461,7 +464,7 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: int) -> MapLayer:
         lam_inner=_bump_level_radius(1.0 / 3.0, radius),
         lam_outer=_bump_level_radius(1.0 / 4.0, radius),
     )
-    return MapLayer(r=r, node=node, previous=layer)
+    return MapLayer(r, layer.nodes + (node,))
 
 
 def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
@@ -484,7 +487,7 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     per_k = Counter(k for k, _ in plan.steps)
     for k, sign in plan.steps:
         layer = _make_modified(layer, k, sign, per_k[k])
-    ledger = DegreeLedger(tuple((l.node.k, l.node.sign, l.node.delta) for l in layer.chain()))
+    ledger = DegreeLedger(tuple((nd.k, nd.sign, nd.delta) for nd in layer.nodes))
     if ledger.final != plan.target:
         raise AssertionError(
             f"ledger ends at {ledger.final}, plan target is {plan.target}"
@@ -510,17 +513,22 @@ def random_sphere_points(r: int, count: int, rng: np.random.Generator) -> np.nda
     return out
 
 
+def _sample_chunks(r: int, samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """samples uniform points, drawn _SAMPLE_CHUNK at a time; the stream equals one draw."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    for start in range(0, samples, _SAMPLE_CHUNK):
+        yield random_sphere_points(r, min(_SAMPLE_CHUNK, samples - start), rng)
+
+
 def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) -> float:
     """max over samples and generator permutations of |f(sigma x) - sigma f(x)|."""
-    _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    X = random_sphere_points(layer.r, samples, rng)
-    FX = _eval(layer, X)
     worst = 0.0
-    for sigma in generators(layer.r):
-        lhs = _eval(layer, _act_array(sigma, X))
-        rhs = _act_array(sigma, FX)
-        worst = max(worst, float(_frob(lhs - rhs).max()))
+    for X in _sample_chunks(layer.r, samples, np.random.default_rng(seed)):
+        FX = _eval(layer, X)
+        for sigma in generators(layer.r):
+            lhs = _eval(layer, _act_array(sigma, X))
+            worst = max(worst, float(_frob(lhs - _act_array(sigma, FX)).max()))
     return worst
 
 
@@ -744,11 +752,6 @@ def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
     return fsim[:, 0]
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-
-
 def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int = 0,
                              refine_count: int = 100, refine_iters: int = 120
                              ) -> SpuriousZeroSearch:
@@ -768,7 +771,6 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     above 1e-3 leaves no room for an unnoticed sign slip in the degree
     ledger.
     """
-    _check_samples(samples)
     rng = np.random.default_rng(seed)
     node = layer.node
     r = layer.r
@@ -793,12 +795,8 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         return keep
 
     pool: list[tuple[float, np.ndarray, float]] = []
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, 20000)
-        remaining -= n
-        X = random_sphere_points(r, n, rng)
-        T = rng.uniform(0.0, 1.0, n)
+    for X in _sample_chunks(r, samples, rng):
+        T = rng.uniform(0.0, 1.0, len(X))
         vals = _frob(_homotopy(layer, X, T))
         keep = note(vals, X, T)
         if node is not None and refine_count and keep.any():
@@ -869,7 +867,7 @@ def winding_number_r2(layer: MapLayer, max_samples: int = 2 ** 20) -> int:
 
 def layer_plan_json(layer: MapLayer) -> dict:
     """Reconstructible description: r, the signed steps, and the radius rule."""
-    steps = [{"k": l.node.k, "sign": l.node.sign} for l in layer.chain()]
+    steps = [{"k": nd.k, "sign": nd.sign} for nd in layer.nodes]
     repeated = len({s["k"] for s in steps}) < len(steps)
     return {"r": layer.r, "steps": steps,
             "radius_rule": RADIUS_RULE_REPEATED if repeated else RADIUS_RULE}

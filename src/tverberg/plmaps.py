@@ -113,6 +113,8 @@ class PLMap:
     @classmethod
     def from_json(cls, complex: SimplicialComplex, obj: dict) -> "PLMap":
         """Read a map; a malformed d, coords object, vertex key or point raises ValueError."""
+        if not isinstance(obj, dict) or not {"d", "coords"} <= obj.keys():
+            raise ValueError("map must be an object with d and coords")
         d = obj["d"]
         if type(d) is not int or d < 0:
             raise ValueError(f"map dimension d must be a non-negative integer, got {d!r}")

@@ -218,6 +218,24 @@ class TestCheck:
         assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
         assert captured.err == ""
 
+    @pytest.mark.parametrize("make", [
+        lambda obj: [1, 2],
+        lambda obj: {"d": obj["d"]},
+        lambda obj: {"coords": obj["coords"]},
+    ], ids=["list", "no-coords", "no-d"])
+    def test_map_without_d_or_coords_is_input_error(self, capsys, radon_files, make):
+        complex_path, map_path = radon_files
+        with open(map_path) as handle:
+            obj = make(json.load(handle))
+        with open(map_path, "w") as handle:
+            json.dump(obj, handle)
+        code = main(["check", "--complex", complex_path, "--map", map_path, "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": "map must be an object with d and coords",
+                                            "flags": {"pass": False}}
+        assert captured.err == ""
+
     @pytest.mark.parametrize("obj, message", [
         ({"num_vertices": 2.9, "maximal_faces": [[0, 1]]},
          "complex num_vertices must be a non-negative integer, got 2.9"),

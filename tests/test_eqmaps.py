@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -288,7 +289,7 @@ class TestSeparation:
             for earlier in nodes[:i]:
                 diff = later.centers[:, None] - earlier.centers[None]
                 brute = float(np.sqrt(np.einsum("abij,abij->ab", diff, diff).min()))
-                alone = eq.MapLayer(r=r, node=earlier, previous=eq.identity_map(r))
+                alone = eq.MapLayer(r, (earlier,))
                 # the check fails iff its distance is at most earlier radius + 5R/8;
                 # put that threshold 1e-12 below and above the brute-force distance
                 below = (brute - 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
@@ -299,13 +300,13 @@ class TestSeparation:
 
     @pytest.mark.parametrize("r, steps", [(6, "auto"), *SEPARATED_PLANS[1:]])
     def test_map_below_is_identity_at_new_centers(self, r, steps):
-        """_step subtracts the center itself where the formula names f(center)."""
+        """_homotopy subtracts the center itself where the formula names f(center)."""
         plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
         for step in layer.chain():
             node = step.node
-            assert np.array_equal(eq._eval(step.previous, node.centers), node.centers)
+            assert np.array_equal(eq._eval(eq.MapLayer(r, step.nodes[:-1]), node.centers), node.centers)
 
     def test_error_fires_when_radii_grow(self, monkeypatch):
         monkeypatch.setattr(eq, "safe_radius", lambda r, k: eq.min_orbit_distance(r, k) / 2.5)
@@ -365,7 +366,7 @@ class TestHomotopy:
         rng = np.random.default_rng(2)
         X = eq.random_sphere_points(2, 200, rng)
         H0 = eq._homotopy(layer, X, np.zeros(len(X)))
-        assert np.array_equal(H0, eq._eval(layer.previous, X))
+        assert np.array_equal(H0, eq._eval(eq.identity_map(2), X))
 
     def test_zero_at_centers_at_half(self):
         for steps in (((1, -1),), ((1, 1),)):
@@ -392,6 +393,116 @@ class TestHomotopy:
         assert worst > 1e-3
 
 
+def recursive_step(layer, X, t, normalize):
+    """Reference: the recursive evaluator the two-pass loop of eq._homotopy replaced.
+
+    It evaluates the map below the last step on all of X and, for a plus
+    step, once more on phi of the ball rows.
+    """
+    if layer.node is None:
+        return X.copy()
+    node = layer.node
+    below = eq.MapLayer(layer.r, layer.nodes[:-1])
+    out = recursive_step(below, X, 1.0, True)
+    dmin, gains, kth = eq._nearest(node, X)
+    rho = eq._bump(dmin, node.radius)
+    sel = np.flatnonzero(rho > 0.0)
+    if not len(sel):
+        return out
+    rho = rho[sel]
+    C = eq._orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
+    t = np.asarray(t, dtype=float)
+    ts = t[sel] if t.ndim else t
+    if node.variant == "minus":
+        vals = out[sel]
+    else:
+        phi = eq._phi(node, X[sel], C, dmin[sel], np.minimum(3.0 * ts, 1.0))
+        vals = recursive_step(below, phi, 1.0, True)
+    h = vals - 2.0 * (ts * rho)[:, None, None] * C
+    if normalize:
+        nh = eq._frob(h)
+        if np.any(nh < 1e-9):
+            raise eq.NumericalDegeneracyError("map value collapsed below 1e-9 during normalization")
+        h /= nh[:, None, None]
+    out[sel] = h
+    return out
+
+
+LOOP_PLANS = [
+    (6, "auto"),
+    (6, ((1, -1), (1, -1), (2, 1), (1, 1))),
+    (6, ((1, 1), (1, -1), (2, 1), (2, -1), (1, -1))),
+    (2, ((1, 1),) * 4),
+]
+
+
+def loop_plan_points(r, steps, seed):
+    """The plan's map and uniform points plus points inside every ball of every step."""
+    plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+            else plan_of(r, steps))
+    layer, _ = eq.build_from_plan(plan)
+    rng = np.random.default_rng(seed)
+    parts = [eq.random_sphere_points(r, 300, rng)]
+    for node in layer.nodes:
+        m = len(node.centers)
+        for _ in range(3):
+            scale = rng.uniform(0.0, 0.9, (m, 1, 1)) * node.radius
+            near = node.centers + scale * eq.random_sphere_points(r, m, rng)
+            parts.append(near / eq._frob(near)[:, None, None])
+    return layer, np.concatenate(parts), rng
+
+
+class TestLoopEvaluator:
+    """eq._homotopy's two passes against the recursive reference, bit for bit."""
+
+    @pytest.mark.parametrize("r, steps", LOOP_PLANS)
+    def test_matches_recursive_reference(self, r, steps):
+        layer, X, rng = loop_plan_points(r, steps, 5)
+        inside = 0
+        for step in layer.chain():
+            dmin = eq._nearest(step.node, X)[0]
+            inside += np.count_nonzero(dmin < step.node.radius)
+            for t in (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0, len(X))):
+                for normalize in (False, True):
+                    assert np.array_equal(eq._homotopy(step, X, t, normalize),
+                                          recursive_step(step, X, t, normalize))
+            assert np.array_equal(eq._eval(step, X), recursive_step(step, X, 1.0, True))
+            assert np.array_equal(step.eval_batch(X), recursive_step(step, X, 1.0, True))
+        assert inside >= len(X) - 300
+
+    @pytest.mark.parametrize("r, steps", LOOP_PLANS)
+    def test_one_nearest_per_step_on_every_row(self, monkeypatch, r, steps):
+        layer, X, _ = loop_plan_points(r, steps, 6)
+        rows = []
+        nearest = eq._nearest
+
+        def counted(node, Y):
+            rows.append(len(Y))
+            return nearest(node, Y)
+
+        monkeypatch.setattr(eq, "_nearest", counted)
+        eq._eval(layer, X)
+        assert rows == [len(X)] * layer.depth
+
+    def test_deep_plan_needs_no_recursion(self):
+        """120 steps evaluate under a recursion limit 60 frames above the current depth."""
+        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, 1)) * 60))
+        X = eq.random_sphere_points(2, 50, np.random.default_rng(7))
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            Y = layer.eval_batch(X)
+            H = eq._homotopy(layer, X, 0.5)
+            steps = list(layer.chain())
+        finally:
+            sys.setrecursionlimit(limit)
+        assert np.allclose(eq._frob(Y), 1.0) and H.shape == X.shape
+        assert [step.depth for step in steps] == list(range(1, 121))
+
+
 class TestEquivariance:
     def test_identity_is_exactly_equivariant(self):
         assert eq.verify_equivariance(eq.identity_map(6), samples=200, seed=0) == 0.0
@@ -404,6 +515,22 @@ class TestEquivariance:
         plan = certificate_to_plan(bezout_certificate(6))
         layer, _ = eq.build_from_plan(plan)
         assert eq.verify_equivariance(layer, samples=3000, seed=2) < 1e-9
+
+    def test_samples_are_drawn_in_chunks(self, monkeypatch):
+        """No draw exceeds 20,000 points, and the chunks continue one stream."""
+        draws = []
+        draw = eq.random_sphere_points
+
+        def recorded(r, count, rng):
+            draws.append(draw(r, count, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(eq, "random_sphere_points", recorded)
+        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
+        assert eq.verify_equivariance(layer, samples=45000, seed=4) < 1e-12
+        assert [len(X) for X in draws] == [20000, 20000, 5000]
+        once = draw(2, 45000, np.random.default_rng(4))
+        assert np.array_equal(np.concatenate(draws), once)
 
 
 def per_center_fd_signs(layer, fd_step=1e-5):
