@@ -27,7 +27,6 @@ from typing import Iterator, Optional, Sequence
 __all__ = [
     "SimplicialComplex",
     "DisjointTuple",
-    "DeletedProductStats",
     "simplex_skeleton",
     "join_complexes",
     "disjoint_tuples",
@@ -36,7 +35,6 @@ __all__ = [
     "deleted_product_stats",
     "skeleton_cells_by_dim",
     "skeleton_orbits",
-    "verify_free_action",
 ]
 
 
@@ -190,12 +188,11 @@ def _disjoint_index_tuples(masks: Sequence[int], r: int, ordered: bool,
 
 
 def _index_tuples(K: SimplicialComplex, r: int, caller: str, ordered: bool = True):
-    """Faces, their masks, and the disjoint index tuples over them."""
+    """Faces and the disjoint index tuples over them."""
     if r < 2:
         raise ValueError(f"{caller} needs r >= 2, got {r}")
     faces = K.faces()
-    masks = _face_masks(faces)
-    return faces, masks, _disjoint_index_tuples(masks, r, ordered, K.num_vertices)
+    return faces, _disjoint_index_tuples(_face_masks(faces), r, ordered, K.num_vertices)
 
 
 def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[DisjointTuple]:
@@ -205,14 +202,14 @@ def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[DisjointTuple]:
     come out lexicographically in that numbering, so the stream is
     deterministic.
     """
-    faces, _, tuples = _index_tuples(K, r, "disjoint_tuples")
+    faces, tuples = _index_tuples(K, r, "disjoint_tuples")
     for idx in tuples:
         yield DisjointTuple(tuple(faces[i] for i in idx))
 
 
 def disjoint_face_combinations(K: SimplicialComplex, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Unordered variant: one representative (sorted by face order) per orbit."""
-    faces, _, tuples = _index_tuples(K, r, "disjoint_face_combinations", ordered=False)
+    faces, tuples = _index_tuples(K, r, "disjoint_face_combinations", ordered=False)
     for idx in tuples:
         yield tuple(faces[i] for i in idx)
 
@@ -300,32 +297,19 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-@dataclass(frozen=True)
-class DeletedProductStats:
-    """Cell counts of the deleted product, grouped by total dimension."""
+def deleted_product_stats(K: SimplicialComplex, r: int) -> dict[int, int]:
+    """Counts of ordered disjoint tuples by sum of face dimensions, {dimension: count}.
 
-    cells_by_dim: tuple[tuple[int, int], ...]
-    dimension: Optional[int]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.cells_by_dim)
-
-
-def deleted_product_stats(K: SimplicialComplex, r: int) -> DeletedProductStats:
-    """Counts of ordered disjoint tuples by sum of face dimensions."""
-    faces, _, tuples = _index_tuples(K, r, "deleted_product_stats")
+    The dimensions come in increasing order; the largest is the dimension
+    of the deleted product, and an empty dict means the product is empty.
+    """
+    faces, tuples = _index_tuples(K, r, "deleted_product_stats")
     dims = [len(f) - 1 for f in faces]
-    counts = Counter(sum(dims[i] for i in idx) for idx in tuples)
-    if not counts:
-        return DeletedProductStats(cells_by_dim=(), dimension=None)
-    return DeletedProductStats(
-        cells_by_dim=tuple(sorted(counts.items())),
-        dimension=max(counts),
-    )
+    return dict(sorted(Counter(sum(dims[i] for i in idx) for idx in tuples).items()))
 
 
 def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
-    """``deleted_product_stats(simplex_skeleton(N, k), r).as_dict()`` without listing a face.
+    """``deleted_product_stats(simplex_skeleton(N, k), r)`` without listing a face.
 
     Ordered disjoint tuples of faces with s_1..s_r vertices number
     C(N+1, S)·S!/(s_1!···s_r!), S = s_1 + ... + s_r.  Summed over s_i in
@@ -363,15 +347,3 @@ def skeleton_orbits(N: int, k: int, r: int) -> int:
              for S in range(N + 2)]
     return sum(math.comb(N + 1, S) * P[S] for S in range(N + 2))
 
-
-def verify_free_action(K: SimplicialComplex, r: int) -> bool:
-    """Check that no nontrivial coordinate permutation fixes any tuple.
-
-    A permutation fixes a tuple iff it only moves coordinates between
-    equal faces, so a nontrivial one exists iff two faces coincide; the
-    check is that every tuple's faces are pairwise distinct.  Pairwise
-    disjoint nonempty faces always are, so this is a sanity check on the
-    enumeration.
-    """
-    _, masks, tuples = _index_tuples(K, r, "verify_free_action")
-    return all(len({masks[i] for i in idx}) == r for idx in tuples)

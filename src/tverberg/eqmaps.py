@@ -56,7 +56,6 @@ __all__ = [
     "safe_radius",
     "identity_map",
     "build_from_plan",
-    "homotopy_eval",
     "verify_equivariance",
     "verify_local_degrees",
     "verify_no_spurious_zeros",
@@ -69,9 +68,6 @@ __all__ = [
 _SPHERE_TOL = 1e-12
 _NORM_FLOOR = 1e-9
 PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the radius
-# Homotopy zeros can lie only where the bump is at least 1/2, which is
-# within this fraction of the radius: R/4 + (3R/4)/2.
-ZERO_ZONE_FRACTION = 0.625
 # The radius of a step at k, as written to plan JSON; n counts the plan's
 # steps at k, and maps without a repeated k need only the first rule.
 RADIUS_RULE = "min_orbit_dist/3"
@@ -243,19 +239,22 @@ def _bump_level_radius(level: float, radius: float) -> float:
     return t0 + 0.5 * (lo + hi) * (radius - t0)
 
 
+# Homotopy zeros can lie only where the bump is at least 1/2, which is
+# within this fraction of the radius (5/8: the smoothstep is symmetric).
+ZERO_ZONE_FRACTION = _bump_level_radius(0.5, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
 class ModificationNode:
-    """One modification step: center orbit, bump data, degree delta."""
+    """One modification step: center orbit, bump data, degree sign."""
 
     r: int
     k: int
-    sign: int                 # requested delta sign; delta = sign * C(r,k)
-    variant: str              # "minus" or "plus" (the formula used)
-    delta: int
+    sign: int                 # -1: the minus formula, +1: the plus one; delta = sign * C(r,k)
     radius: float
     centers: np.ndarray       # (m, 2, r)
     weights: np.ndarray       # (2r, r+1): a flat x to its gains and <h, sum_i x_i> (_nearest)
@@ -271,7 +270,8 @@ class MapLayer:
     nodes: tuple[ModificationNode, ...]
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        return _eval(self, np.asarray(X, dtype=float))
+        """The map at each point of X, (n, 2, r): the homotopy at t = 1, normalized."""
+        return _homotopy(self, np.asarray(X, dtype=float), 1.0, normalize=True)
 
     @property
     def node(self) -> Optional[ModificationNode]:
@@ -384,7 +384,7 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False) -> np.
             continue
         sel, rho, C, dmin = balls
         ts = (t[sel] if t.ndim else t) if i == last else 1.0
-        if node.variant == "plus":
+        if node.sign > 0:
             Y[sel] = _phi(node, Y[sel], C, dmin, np.minimum(3.0 * ts, 1.0))
         pushes.append((i, sel, ts * rho, C))
     for i, sel, push, C in reversed(pushes):
@@ -396,16 +396,6 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False) -> np.
             h /= nh[:, None, None]
         Y[sel] = h
     return Y
-
-
-def _eval(layer: MapLayer, X: np.ndarray) -> np.ndarray:
-    return _homotopy(layer, X, 1.0, normalize=True)
-
-
-def homotopy_eval(layer: MapLayer, x, t: float) -> np.ndarray:
-    """Ambient (unnormalized) homotopy value at a single point."""
-    X = _as_array(x)[None]
-    return _homotopy(layer, X, float(t))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +446,6 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: int) -> MapLayer:
         r=r,
         k=k,
         sign=sign,
-        variant="minus" if sign < 0 else "plus",
-        delta=sign * math.comb(r, k),
         radius=radius,
         centers=centers,
         weights=np.column_stack([np.kron((low - high)[:, None], np.eye(r)), np.repeat(high, r)]),
@@ -473,8 +461,8 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     Each step gets its own rotated center family, on which the map built
     so far is the identity, so a negative sign uses the minus formula, a
     positive one the plus formula, and the delta is exactly
-    sign * C(r,k); the final running degree equals the plan target (0 for
-    certificate plans).
+    sign * C(r,k); the ledger runs through plan.deltas to the plan target
+    (0 for certificate plans).
     """
     if len(plan.steps) > MAX_PLAN_STEPS:
         raise ValueError(f"plan has {len(plan.steps)} steps, beyond the builder's cap "
@@ -487,12 +475,7 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     per_k = Counter(k for k, _ in plan.steps)
     for k, sign in plan.steps:
         layer = _make_modified(layer, k, sign, per_k[k])
-    ledger = DegreeLedger(tuple((nd.k, nd.sign, nd.delta) for nd in layer.nodes))
-    if ledger.final != plan.target:
-        raise AssertionError(
-            f"ledger ends at {ledger.final}, plan target is {plan.target}"
-        )
-    return layer, ledger
+    return layer, DegreeLedger(tuple((k, s, d) for (k, s), d in zip(plan.steps, plan.deltas)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +508,9 @@ def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) ->
     """max over samples and generator permutations of |f(sigma x) - sigma f(x)|."""
     worst = 0.0
     for X in _sample_chunks(layer.r, samples, np.random.default_rng(seed)):
-        FX = _eval(layer, X)
+        FX = layer.eval_batch(X)
         for sigma in generators(layer.r):
-            lhs = _eval(layer, _act_array(sigma, X))
+            lhs = layer.eval_batch(_act_array(sigma, X))
             worst = max(worst, float(_frob(lhs - _act_array(sigma, FX)).max()))
     return worst
 
@@ -646,7 +629,7 @@ def verify_local_degrees(layer: MapLayer, fd_step: float = 1e-5) -> LocalDegreeR
     matches = consistent and delta_signs[0] == node.sign
     return LocalDegreeReport(
         k=node.k,
-        variant=node.variant,
+        variant="minus" if node.sign < 0 else "plus",
         fd_signs=tuple(fd_signs),
         delta_signs=delta_signs,
         consistent=consistent,
@@ -850,7 +833,7 @@ def winding_number_r2(layer: MapLayer, max_samples: int = 2 ** 20) -> int:
         X[:, 1, 0] = np.sin(theta) * inv
         X[:, 0, 1] = -X[:, 0, 0]
         X[:, 1, 1] = -X[:, 1, 0]
-        Y = _eval(layer, X)
+        Y = layer.eval_batch(X)
         alpha = np.arctan2(Y[:, 1, 0], Y[:, 0, 0])
         ext = np.append(alpha, alpha[0])
         d = np.diff(ext)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 __all__ = [
     "CertificateImpossibleError",
@@ -28,6 +28,9 @@ __all__ = [
     "bezout_certificate",
     "certificate_to_plan",
 ]
+
+# certificate_to_plan refuses certificates whose plan would be longer.
+MAX_CERT_STEPS = 100000
 
 
 class CertificateImpossibleError(ValueError):
@@ -109,12 +112,8 @@ class BezoutCertificate:
     def checksum(self) -> int:
         return sum(a * math.comb(self.r, k) for k, a in enumerate(self.coeffs, 1))
 
-    @property
-    def is_valid(self) -> bool:
-        return self.checksum == -1
-
     def verify(self) -> None:
-        if not self.is_valid:
+        if self.checksum != -1:
             raise ValueError(f"certificate checksum is {self.checksum}, not -1")
 
     def to_json(self) -> dict:
@@ -129,13 +128,11 @@ class BezoutCertificate:
 class ModificationPlan:
     """Ordered signed steps (k, +-1); the running degree starts at 1.
 
-    The declared target must equal 1 + sum sign*C(r,k); certificate
-    plans target 0.
+    The target is 1 + sum sign*C(r,k); certificate plans target 0.
     """
 
     r: int
     steps: tuple[tuple[int, int], ...]
-    target: int
 
     def __post_init__(self):
         if self.r < 2:
@@ -147,21 +144,14 @@ class ModificationPlan:
             if s not in (-1, 1):
                 raise ValueError(f"plan step sign must be +-1, got {s}")
         object.__setattr__(self, "steps", steps)
-        declared = 1 + sum(s * math.comb(self.r, k) for k, s in steps)
-        if declared != self.target:
-            raise ValueError(
-                f"plan target {self.target} disagrees with computed {declared}"
-            )
-
-    @classmethod
-    def from_steps(cls, r: int, steps: Sequence[tuple[int, int]]) -> "ModificationPlan":
-        steps = tuple((int(k), int(s)) for k, s in steps)
-        target = 1 + sum(s * math.comb(r, k) for k, s in steps)
-        return cls(r, steps, target)
 
     @property
     def deltas(self) -> tuple[int, ...]:
         return tuple(s * math.comb(self.r, k) for k, s in self.steps)
+
+    @property
+    def target(self) -> int:
+        return 1 + sum(self.deltas)
 
     def to_json(self) -> dict:
         return {
@@ -173,24 +163,24 @@ class ModificationPlan:
     @classmethod
     def from_json(cls, obj: dict) -> "ModificationPlan":
         steps = tuple((int(st["k"]), int(st["sign"])) for st in obj["steps"])
-        return cls.from_steps(int(obj["r"]), steps)
+        return cls(int(obj["r"]), steps)
 
 
-def certificate_to_plan(cert: BezoutCertificate, max_steps: int = 100000) -> ModificationPlan:
+def certificate_to_plan(cert: BezoutCertificate) -> ModificationPlan:
     """Linearize a certificate: |a_k| steps of sign(a_k) for each k.
 
     The target comes out as 1 + checksum, i.e. 0 for valid certificates
     and whatever the arithmetic says for demonstration coefficient sets.
-    Certificates with sum |a_k| beyond max_steps are rejected.
+    Certificates with sum |a_k| beyond MAX_CERT_STEPS are rejected.
     """
     total = sum(abs(a) for a in cert.coeffs)
-    if total > max_steps:
+    if total > MAX_CERT_STEPS:
         raise ValueError(
-            f"certificate needs {total} steps, beyond the max_steps={max_steps} "
-            "cap; it is still valid as a checksum"
+            f"certificate needs {total} steps, beyond the cap MAX_CERT_STEPS = "
+            f"{MAX_CERT_STEPS}; it is still valid as a checksum"
         )
     steps = [(k, 1 if a > 0 else -1) for k, a in enumerate(cert.coeffs, 1) for _ in range(abs(a))]
-    return ModificationPlan.from_steps(cert.r, steps)
+    return ModificationPlan(cert.r, tuple(steps))
 
 
 def _lll_reduce(rows: list[list[int]]) -> list[list[int]]:

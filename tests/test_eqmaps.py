@@ -10,7 +10,7 @@ from tverberg.numbercert import ModificationPlan, bezout_certificate, certificat
 
 
 def plan_of(r, steps):
-    return ModificationPlan.from_steps(r, steps)
+    return ModificationPlan(r, steps)
 
 
 def one_step(r, k, sign=-1):
@@ -306,7 +306,8 @@ class TestSeparation:
         layer, _ = eq.build_from_plan(plan)
         for step in layer.chain():
             node = step.node
-            assert np.array_equal(eq._eval(eq.MapLayer(r, step.nodes[:-1]), node.centers), node.centers)
+            below = eq.MapLayer(r, step.nodes[:-1])
+            assert np.array_equal(below.eval_batch(node.centers), node.centers)
 
     def test_error_fires_when_radii_grow(self, monkeypatch):
         monkeypatch.setattr(eq, "safe_radius", lambda r, k: eq.min_orbit_distance(r, k) / 2.5)
@@ -324,16 +325,16 @@ class TestBuildFromPlan:
         plan = certificate_to_plan(bezout_certificate(6))
         layer, ledger = eq.build_from_plan(plan)
         assert ledger.running == (1, -5, -20, 0)
-        assert [l.node.variant for l in layer.chain()] == ["minus", "minus", "plus"]
+        assert [l.node.sign for l in layer.chain()] == [-1, -1, 1]
+        assert [eq.verify_local_degrees(l).variant for l in layer.chain()] == ["minus", "minus", "plus"]
 
     def test_r6_repeated_k_plan(self):
         plan = plan_of(6, ((1, -1), (1, -1), (2, 1), (1, 1)))
         layer, ledger = eq.build_from_plan(plan)
         assert ledger.running == (1, -5, -11, 4, 10) and ledger.final == plan.target
         for step, (k, sign) in zip(layer.chain(), plan.steps):
-            assert step.node.variant == ("minus" if sign < 0 else "plus")
             rep = eq.verify_local_degrees(step)
-            assert rep.k == k
+            assert (rep.k, rep.variant) == (k, "minus" if sign < 0 else "plus")
             assert rep.consistent and rep.matches_ledger
             assert set(rep.delta_signs) == {sign}
 
@@ -366,7 +367,7 @@ class TestHomotopy:
         rng = np.random.default_rng(2)
         X = eq.random_sphere_points(2, 200, rng)
         H0 = eq._homotopy(layer, X, np.zeros(len(X)))
-        assert np.array_equal(H0, eq._eval(eq.identity_map(2), X))
+        assert np.array_equal(H0, eq.identity_map(2).eval_batch(X))
 
     def test_zero_at_centers_at_half(self):
         for steps in (((1, -1),), ((1, 1),)):
@@ -374,12 +375,6 @@ class TestHomotopy:
             node = layer.node
             H = eq._homotopy(layer, node.centers, np.full(len(node.centers), 0.5))
             assert eq._frob(H).max() < 1e-9
-
-    def test_single_point_api(self):
-        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        c = layer.node.centers[0]
-        assert np.linalg.norm(eq.homotopy_eval(layer, c, 0.5)) < 1e-9
-        assert np.linalg.norm(eq.homotopy_eval(layer, c, 0.0) - c) < 1e-15
 
     def test_nonzero_at_t1(self):
         plan = certificate_to_plan(bezout_certificate(6))
@@ -413,7 +408,7 @@ def recursive_step(layer, X, t, normalize):
     C = eq._orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
     t = np.asarray(t, dtype=float)
     ts = t[sel] if t.ndim else t
-    if node.variant == "minus":
+    if node.sign < 0:
         vals = out[sel]
     else:
         phi = eq._phi(node, X[sel], C, dmin[sel], np.minimum(3.0 * ts, 1.0))
@@ -466,7 +461,6 @@ class TestLoopEvaluator:
                 for normalize in (False, True):
                     assert np.array_equal(eq._homotopy(step, X, t, normalize),
                                           recursive_step(step, X, t, normalize))
-            assert np.array_equal(eq._eval(step, X), recursive_step(step, X, 1.0, True))
             assert np.array_equal(step.eval_batch(X), recursive_step(step, X, 1.0, True))
         assert inside >= len(X) - 300
 
@@ -481,7 +475,7 @@ class TestLoopEvaluator:
             return nearest(node, Y)
 
         monkeypatch.setattr(eq, "_nearest", counted)
-        eq._eval(layer, X)
+        layer.eval_batch(X)
         assert rows == [len(X)] * layer.depth
 
     def test_deep_plan_needs_no_recursion(self):
@@ -688,7 +682,7 @@ class TestSpuriousZeros:
             layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
         else:
             layer, _ = eq.build_from_plan(certificate_to_plan(bezout_certificate(6)))
-            assert (layer.node.k, layer.node.variant) == (3, "plus")
+            assert (layer.node.k, layer.node.sign) == (3, 1)
         record, objective, starts, best = scipy_spurious_search(
             layer, samples, seed, refine_count, refine_iters)
         assert len(starts) == refine_count

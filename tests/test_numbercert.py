@@ -231,12 +231,15 @@ class TestModificationPlan:
             certificate_to_plan(cert)
 
     def test_target_consistency_enforced(self):
-        with pytest.raises(ValueError):
+        # the target is derived from the steps and cannot be declared
+        assert ModificationPlan(2, ((1, -1),)).target == -1
+        assert ModificationPlan(6, [(1, -1), (2, -1), (3, 1)]).target == 0
+        with pytest.raises(TypeError):
             ModificationPlan(2, ((1, -1),), target=0)
         with pytest.raises(ValueError):
-            ModificationPlan(6, ((7, 1),), target=0)  # k out of range
+            ModificationPlan(6, ((7, 1),))  # k out of range
         with pytest.raises(ValueError):
-            ModificationPlan(6, ((1, 2),), target=0)  # bad sign
+            ModificationPlan(6, ((1, 2),))  # bad sign
 
     def test_json_round_trip(self):
         plan = certificate_to_plan(bezout_certificate(6))
