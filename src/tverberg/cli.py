@@ -312,7 +312,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     json_path = getattr(args, "json_path", None)
     try:
         report, code = args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         _emit({"error": str(exc), "flags": {"pass": False}}, json_path)
         return EXIT_INPUT
     except eq.NumericalDegeneracyError as exc:

@@ -91,7 +91,7 @@ class SimplicialComplex:
     @classmethod
     def from_json(cls, obj: dict) -> "SimplicialComplex":
         """Read a complex; a malformed vertex count or face list raises ValueError."""
-        if not isinstance(obj, dict):
+        if not isinstance(obj, dict) or not {"num_vertices", "maximal_faces"} <= obj.keys():
             raise ValueError("complex must be an object with num_vertices and maximal_faces")
         n, faces = obj["num_vertices"], obj["maximal_faces"]
         if type(n) is not int or n < 0:

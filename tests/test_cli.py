@@ -242,6 +242,8 @@ class TestCheck:
         ([[0, 1]], "complex must be an object with num_vertices and maximal_faces"),
         ({"num_vertices": 4, "maximal_faces": {"0": [0, 1]}},
          "complex maximal_faces must be a list of non-empty lists of vertices in 0..3"),
+        ({"maximal_faces": [[0, 1]]},
+         "complex must be an object with num_vertices and maximal_faces"),
     ])
     def test_malformed_complex_is_input_error(self, capsys, radon_files, obj, message):
         complex_path, map_path = radon_files
@@ -260,12 +262,16 @@ class TestCheck:
         assert exc.value.code == 2
         assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
-    def test_missing_file_is_input_error(self, capsys, tmp_path):
-        code, report = run_cli(
-            capsys, "check", "--complex", str(tmp_path / "nope.json"),
-            "--map", str(tmp_path / "nope2.json"), "--r", "2",
-        )
-        assert code == 2
+    def test_missing_file_is_input_error(self, capsys, tmp_path, radon_files):
+        complex_path, map_path = radon_files
+        for paths in ((str(tmp_path / "nope.json"), str(tmp_path / "nope2.json")),
+                      (str(tmp_path), map_path),  # unreadable paths: directories
+                      (complex_path, str(tmp_path))):
+            code = main(["check", "--complex", paths[0], "--map", paths[1], "--r", "2"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert json.loads(captured.out)["flags"] == {"pass": False}
+            assert captured.err == ""
 
 
 class TestEqmap:
