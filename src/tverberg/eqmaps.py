@@ -335,13 +335,19 @@ def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _balls(node: ModificationNode, X: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
-    """Rows of X in the step's balls, their bumps, nearest centers and distances; None if none."""
+    """Rows of X in the step's balls, their bumps, nearest centers and distances; None if none.
+
+    The closed-form distance of _nearest selects the rows; the bump is
+    taken from the distance to the located center itself, since the
+    expanded form loses digits near a center (absolute error ~eps/d).
+    """
     dmin, gains, kth = _nearest(node, X)
-    rho = _bump(dmin, node.radius)
-    sel = np.flatnonzero(rho > 0.0)
+    sel = np.flatnonzero(_bump(dmin, node.radius) > 0.0)
     if not len(sel):
         return None
-    return sel, rho[sel], _orbit_point(node.centers[0], gains[sel] >= kth[sel, None]), dmin[sel]
+    C = _orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
+    dist = _frob(X[sel] - C)
+    return sel, _bump(dist, node.radius), C, dist
 
 
 def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,

@@ -302,6 +302,14 @@ class TestEqmap:
         assert len(out["ledger"]["running"]) == 8
         validate("plan", out["map"])
 
+    def test_build_r2_100_steps_is_equivariant(self, capsys):
+        """The bump uses the direct distance to the center: the expanded form's
+        round-off pushed this plan's residual to 1.6e-9, over the 1e-9 bound."""
+        code, report = run_cli(capsys, "eqmap", "build", "--r", "2",
+                               "--plan", ",".join(["1:-"] * 100))
+        assert code == 0
+        assert report["outputs"]["equivariance_max_residual"] < 1e-9
+
     @pytest.mark.parametrize("r, plan, message", [
         ("18", "auto", "plan step k=5 has C(18,5) = 8568 centers, beyond the builder's "
                        "cap MAX_ORBIT = 5005"),

@@ -399,19 +399,16 @@ def recursive_step(layer, X, t, normalize):
     node = layer.node
     below = eq.MapLayer(layer.r, layer.nodes[:-1])
     out = recursive_step(below, X, 1.0, True)
-    dmin, gains, kth = eq._nearest(node, X)
-    rho = eq._bump(dmin, node.radius)
-    sel = np.flatnonzero(rho > 0.0)
-    if not len(sel):
+    balls = eq._balls(node, X)
+    if balls is None:
         return out
-    rho = rho[sel]
-    C = eq._orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
+    sel, rho, C, dist = balls
     t = np.asarray(t, dtype=float)
     ts = t[sel] if t.ndim else t
     if node.sign < 0:
         vals = out[sel]
     else:
-        phi = eq._phi(node, X[sel], C, dmin[sel], np.minimum(3.0 * ts, 1.0))
+        phi = eq._phi(node, X[sel], C, dist, np.minimum(3.0 * ts, 1.0))
         vals = recursive_step(below, phi, 1.0, True)
     h = vals - 2.0 * (ts * rho)[:, None, None] * C
     if normalize:
