@@ -159,7 +159,7 @@ def _parse_plan(r: int, text: str) -> nc.ModificationPlan:
         if sign_str not in ("+", "-"):
             raise ValueError(f"bad plan step {part!r}; expected 'k:+' or 'k:-'")
         steps.append((int(k_str), 1 if sign_str == "+" else -1))
-    return nc.ModificationPlan(r, tuple(steps))
+    return nc.ModificationPlan(r, steps)
 
 
 def cmd_eqmap(args) -> tuple[dict, int]:

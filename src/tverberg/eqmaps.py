@@ -388,10 +388,10 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False) -> np.
         balls = _balls(node, Y)
         if balls is None:
             continue
-        sel, rho, C, dmin = balls
+        sel, rho, C, dist = balls
         ts = (t[sel] if t.ndim else t) if i == last else 1.0
         if node.sign > 0:
-            Y[sel] = _phi(node, Y[sel], C, dmin, np.minimum(3.0 * ts, 1.0))
+            Y[sel] = _phi(node, Y[sel], C, dist, np.minimum(3.0 * ts, 1.0))
         pushes.append((i, sel, ts * rho, C))
     for i, sel, push, C in reversed(pushes):
         h = Y[sel] - 2.0 * push[:, None, None] * C

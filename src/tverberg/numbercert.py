@@ -180,7 +180,7 @@ def certificate_to_plan(cert: BezoutCertificate) -> ModificationPlan:
             f"{MAX_CERT_STEPS}; it is still valid as a checksum"
         )
     steps = [(k, 1 if a > 0 else -1) for k, a in enumerate(cert.coeffs, 1) for _ in range(abs(a))]
-    return ModificationPlan(cert.r, tuple(steps))
+    return ModificationPlan(cert.r, steps)
 
 
 def _lll_reduce(rows: list[list[int]]) -> list[list[int]]:
