@@ -45,13 +45,10 @@ __all__ = [
     "NumericalDegeneracyError",
     "WindingNonconvergenceError",
     "CenterSeparationError",
-    "SpherePoint",
     "ModificationNode",
     "MapLayer",
     "DegreeLedger",
     "LocalDegreeReport",
-    "act",
-    "center_point",
     "min_orbit_distance",
     "safe_radius",
     "identity_map",
@@ -65,13 +62,11 @@ __all__ = [
     "generators",
 ]
 
-_SPHERE_TOL = 1e-12
 _NORM_FLOOR = 1e-9
 PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the radius
 # The radius of a step at k, as written to plan JSON; n counts the plan's
-# steps at k, and maps without a repeated k need only the first rule.
-RADIUS_RULE = "min_orbit_dist/3"
-RADIUS_RULE_REPEATED = "min_orbit_dist/3 if n = 1 else min(min_orbit_dist/3, sin(pi/(4n)))"
+# steps at k; the sine binds only for n > 1 (see _make_modified).
+RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)))"
 # build_from_plan refuses larger plans before allocating anything.  C(15,6)
 # is the largest orbit of any r <= 15 certificate plan; the cap bounds the
 # time of verify_local_degrees, one finite-difference Jacobian per center
@@ -102,34 +97,6 @@ def _frob(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", a, a))
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, SpherePoint):
-        return x.entries
-    return np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class SpherePoint:
-    """A 2 x r matrix with zero row sums and unit Frobenius norm."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != 2 or arr.shape[1] < 2:
-            raise ValueError(f"expected a 2 x r matrix with r >= 2, got shape {arr.shape}")
-        if np.abs(arr.sum(axis=1)).max() > _SPHERE_TOL:
-            raise ValueError("row sums must vanish within 1e-12")
-        if abs(_frob(arr) - 1.0) > _SPHERE_TOL:
-            raise ValueError("Frobenius norm must be 1 within 1e-12")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def r(self) -> int:
-        return self.entries.shape[1]
-
-
 def generators(r: int) -> list[tuple[int, ...]]:
     """A transposition and the full cycle; they generate the group."""
     swap = tuple([1, 0] + list(range(2, r)))
@@ -138,39 +105,16 @@ def generators(r: int) -> list[tuple[int, ...]]:
 
 
 def _act_array(sigma: Sequence[int], arr: np.ndarray) -> np.ndarray:
+    """Column permutation action: column i moves to column sigma[i]."""
     out = np.empty_like(arr)
     out[..., list(sigma)] = arr
     return out
-
-
-def act(sigma: Sequence[int], x):
-    """Column permutation action: column i moves to column sigma[i]."""
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(len(sigma))):
-        raise ValueError(f"{sigma} is not a permutation")
-    if isinstance(x, SpherePoint):
-        if len(sigma) != x.r:
-            raise ValueError("permutation length does not match r")
-        return SpherePoint(_act_array(sigma, x.entries))
-    return _act_array(sigma, _as_array(x))
 
 
 def _center_row(r: int, k: int) -> np.ndarray:
     M = np.full(r, float(k))
     M[:k] = k - r
     return M / np.linalg.norm(M)
-
-
-def center_point(r: int, k: int) -> tuple[SpherePoint, SpherePoint, int]:
-    """Normalized center c, companion c1 (rows swapped), and orbit size C(r,k)."""
-    if not (r >= 2 and 1 <= k <= r - 1):
-        raise ValueError(f"center_point needs 1 <= k <= r-1, got (r={r}, k={k})")
-    row = _center_row(r, k)
-    c = np.zeros((2, r))
-    c[0] = row
-    c1 = np.zeros((2, r))
-    c1[1] = row
-    return SpherePoint(c), SpherePoint(c1), math.comb(r, k)
 
 
 def min_orbit_distance(r: int, k: int) -> float:
@@ -438,14 +382,13 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: int) -> MapLayer:
     angles stay in [0, pi/2)), so capping the radius at sin(pi/(4n))
     keeps 1.625*R below that chord and the new inner zones clear of every
     earlier ball; R <= min_orbit_dist/3 keeps the balls of one orbit
-    disjoint.
+    disjoint.  For n = 1 the cap is sin(pi/4) > 2/3 >= min_orbit_dist/3,
+    so R is safe_radius(r, k).
     """
     r = layer.r
     j = sum(1 for prior in layer.nodes if prior.k == k)
     centers = _orbit_centers(r, k, j * math.pi / (2 * n))
-    radius = safe_radius(r, k)
-    if n > 1:
-        radius = min(radius, math.sin(math.pi / (4 * n)))
+    radius = min(safe_radius(r, k), math.sin(math.pi / (4 * n)))
     _check_separation(layer, centers, k, radius)
     low, high = centers[0, :, 0], centers[0, :, -1]
     node = ModificationNode(
@@ -571,7 +514,6 @@ class LocalDegreeReport:
 
     k: int
     variant: str
-    fd_signs: tuple[int, ...]
     delta_signs: tuple[int, ...]
     consistent: bool
     matches_ledger: bool
@@ -629,14 +571,12 @@ def verify_local_degrees(layer: MapLayer, fd_step: float = 1e-5) -> LocalDegreeR
             raise NumericalDegeneracyError(
                 f"Jacobian determinant stayed below 1e-8 at a k={node.k} center"
             )
-    fd_signs = [1 if d > 0 else -1 for d in det]
-    delta_signs = tuple(-s for s in fd_signs)
+    delta_signs = tuple(-1 if d > 0 else 1 for d in det)
     consistent = len(set(delta_signs)) == 1
     matches = consistent and delta_signs[0] == node.sign
     return LocalDegreeReport(
         k=node.k,
         variant="minus" if node.sign < 0 else "plus",
-        fd_signs=tuple(fd_signs),
         delta_signs=delta_signs,
         consistent=consistent,
         matches_ledger=matches,
@@ -856,7 +796,5 @@ def winding_number_r2(layer: MapLayer, max_samples: int = 2 ** 20) -> int:
 
 def layer_plan_json(layer: MapLayer) -> dict:
     """Reconstructible description: r, the signed steps, and the radius rule."""
-    steps = [{"k": nd.k, "sign": nd.sign} for nd in layer.nodes]
-    repeated = len({s["k"] for s in steps}) < len(steps)
-    return {"r": layer.r, "steps": steps,
-            "radius_rule": RADIUS_RULE_REPEATED if repeated else RADIUS_RULE}
+    return {"r": layer.r, "steps": [{"k": nd.k, "sign": nd.sign} for nd in layer.nodes],
+            "radius_rule": RADIUS_RULE}

@@ -205,7 +205,7 @@ def test_criterion_9_degree_zero_r6():
     sign_count = 0
     for step in layer.chain():
         rep = eq.verify_local_degrees(step)
-        sign_count += len(rep.fd_signs)
+        sign_count += len(rep.delta_signs)
         ok = ok and rep.consistent and rep.matches_ledger
     ok = ok and sign_count == 41
     for k in (1, 2, 3):

@@ -28,8 +28,8 @@ def bump_rho(x, c, radius):
     """
     from scipy.optimize import linear_sum_assignment
 
-    arr = eq._as_array(x)
-    carr = eq._as_array(c)
+    arr = np.asarray(x, dtype=float)
+    carr = np.asarray(c, dtype=float)
     _, sigma = linear_sum_assignment(carr.T @ arr, maximize=True)
     dmin = float(eq._frob(arr - eq._act_array(sigma, carr)))
     if dmin >= radius:
@@ -39,25 +39,16 @@ def bump_rho(x, c, radius):
 
 def brute_min_orbit_distance(r, k):
     """Oracle: enumerate the whole orbit and minimize chordal distances."""
-    c, _, _ = eq.center_point(r, k)
-    base = c.entries
+    base = eq._orbit_centers(r, k, 0.0)[0]
     pts = {base.tobytes(): base}
     for sigma in itertools.permutations(range(r)):
-        img = eq.act(sigma, base)
+        img = eq._act_array(sigma, base)
         pts.setdefault(img.tobytes(), img)
     vals = [np.linalg.norm(base - p) for p in pts.values() if p.tobytes() != base.tobytes()]
     return min(vals)
 
 
 class TestSpherePoint:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            eq.SpherePoint(np.array([[1.0, 0.0], [0.0, 0.0]]))  # rows not zero-sum
-        with pytest.raises(ValueError):
-            eq.SpherePoint(np.array([[1.0, -1.0], [0.0, 0.0]]))  # norm sqrt(2)
-        p = eq.SpherePoint(np.array([[0.5, -0.5], [0.5, -0.5]]))
-        assert p.r == 2
-
     def test_random_points_satisfy_invariants(self):
         rng = np.random.default_rng(3)
         X = eq.random_sphere_points(6, 200, rng)
@@ -68,22 +59,21 @@ class TestSpherePoint:
 class TestAction:
     def test_identity(self):
         rng = np.random.default_rng(0)
-        x = eq.SpherePoint(eq.random_sphere_points(4, 1, rng)[0])
-        assert np.array_equal(eq.act((0, 1, 2, 3), x).entries, x.entries)
+        x = eq.random_sphere_points(4, 1, rng)[0]
+        assert np.array_equal(eq._act_array((0, 1, 2, 3), x), x)
 
     def test_r2_swap_is_antipode(self):
         a, b = 0.6, 0.8
         scale = 1.0 / math.sqrt(2.0)
-        x = eq.SpherePoint(np.array([[a, -a], [b, -b]]) * scale)
-        y = eq.act((1, 0), x)
-        assert np.allclose(y.entries, -x.entries)
+        x = np.array([[a, -a], [b, -b]]) * scale
+        assert np.allclose(eq._act_array((1, 0), x), -x)
 
     def test_stabilizer_fixes_center(self):
-        c, _, _ = eq.center_point(6, 2)
+        c = eq._orbit_centers(6, 2, 0.0)[0]
         sigma = (1, 0, 2, 3, 4, 5)  # transposition inside the low block
-        assert np.allclose(eq.act(sigma, c).entries, c.entries)
+        assert np.allclose(eq._act_array(sigma, c), c)
         tau = (0, 1, 3, 2, 4, 5)  # transposition inside the high block
-        assert np.allclose(eq.act(tau, c).entries, c.entries)
+        assert np.allclose(eq._act_array(tau, c), c)
 
     def test_composition_convention(self):
         rng = np.random.default_rng(1)
@@ -91,30 +81,28 @@ class TestAction:
         s = (1, 2, 0, 4, 3)
         t = (0, 2, 1, 3, 4)
         st = tuple(t[s[i]] for i in range(5))
-        assert np.allclose(eq.act(t, eq.act(s, x)), eq.act(st, x))
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            eq.act((0, 0, 1), np.zeros((2, 3)))
+        assert np.allclose(eq._act_array(t, eq._act_array(s, x)), eq._act_array(st, x))
 
 
 class TestCenters:
     def test_center_6_2(self):
-        c, c1, orbit = eq.center_point(6, 2)
+        centers = eq._orbit_centers(6, 2, 0.0)
+        c = centers[0]
+        c1 = eq._orbit_centers(6, 2, math.pi / 2)[0]  # the reflection axis u of c
         expected = np.array([-4, -4, 2, 2, 2, 2]) / math.sqrt(48)
-        assert np.allclose(c.entries[0], expected)
-        assert np.allclose(c.entries[1], 0)
-        assert np.allclose(c1.entries[1], expected)
-        assert np.allclose(c1.entries[0], 0)
-        assert orbit == 15
+        assert np.allclose(c[0], expected)
+        assert np.allclose(c[1], 0)
+        assert np.allclose(c1[1], expected)
+        assert np.allclose(c1[0], 0)
+        assert len(centers) == 15
 
     def test_center_2_1(self):
-        c, _, orbit = eq.center_point(2, 1)
-        assert np.allclose(c.entries[0], np.array([-1, 1]) / math.sqrt(2))
-        assert orbit == 2
+        centers = one_step(2, 1).node.centers
+        assert np.allclose(centers[0, 0], np.array([-1, 1]) / math.sqrt(2))
+        assert len(centers) == 2
 
     def test_orbit_size_6_3(self):
-        assert eq.center_point(6, 3)[2] == 20
+        assert len(one_step(6, 3).node.centers) == 20
 
     def test_safe_radius_values(self):
         assert abs(eq.safe_radius(6, 2) - math.sqrt(1.5) / 3) < 1e-15
@@ -122,6 +110,14 @@ class TestCenters:
         for r in range(2, 8):
             for k in range(1, r):
                 assert eq.safe_radius(r, k) > 0
+
+    def test_one_radius_rule_is_safe_radius_for_one_step(self):
+        """min_orbit_dist/3 < sin(pi/4), so the sine cap binds only for n > 1."""
+        for r in range(2, 101):
+            for k in range(1, r):
+                assert eq.safe_radius(r, k) < math.sin(math.pi / 4)
+        for r, k in ((2, 1), (6, 2), (10, 3)):
+            assert one_step(r, k).node.radius == eq.safe_radius(r, k)
 
     def test_min_orbit_distance_brute_force(self):
         for r in range(2, 8):
@@ -141,24 +137,24 @@ class TestCenters:
 
 class TestBump:
     def test_plateau_and_support(self):
-        c, _, _ = eq.center_point(6, 2)
+        c = eq._orbit_centers(6, 2, 0.0)[0]
         R = eq.safe_radius(6, 2)
         assert bump_rho(c, c, R) == 1.0
         # a point at distance exactly R from c (walk along a tangent great circle)
         t = np.zeros((2, 6))
-        t[1] = c.entries[0]
+        t[1] = c[0]
         ang = 2 * math.asin(R / 2)
-        far = eq.SpherePoint(math.cos(ang) * c.entries + math.sin(ang) * t)
-        assert abs(np.linalg.norm(far.entries - c.entries) - R) < 1e-12
+        far = math.cos(ang) * c + math.sin(ang) * t
+        assert abs(np.linalg.norm(far - c) - R) < 1e-12
         assert bump_rho(far, c, R) == 0.0
 
     def test_value_at_third_radius(self):
-        c, _, _ = eq.center_point(6, 2)
+        c = eq._orbit_centers(6, 2, 0.0)[0]
         R = eq.safe_radius(6, 2)
         t = np.zeros((2, 6))
-        t[1] = c.entries[0]
+        t[1] = c[0]
         ang = 2 * math.asin(R / 6)
-        x = eq.SpherePoint(math.cos(ang) * c.entries + math.sin(ang) * t)
+        x = math.cos(ang) * c + math.sin(ang) * t
         val = bump_rho(x, c, R)
         assert 0.0 < val < 1.0
         assert val >= 1.0 / 3.0  # the reflection zone keeps clear of the blend
@@ -178,13 +174,13 @@ class TestBump:
             assert abs(bump_rho(x, node.centers[0], node.radius) - want) < 1e-12
 
     def test_orbit_invariance(self):
-        c, _, _ = eq.center_point(4, 2)
+        c = eq._orbit_centers(4, 2, 0.0)[0]
         R = eq.safe_radius(4, 2)
         rng = np.random.default_rng(5)
         for x in eq.random_sphere_points(4, 20, rng):
             v = bump_rho(x, c, R)
             for sigma in eq.generators(4):
-                assert abs(bump_rho(eq.act(sigma, x), c, R) - v) < 1e-12
+                assert abs(bump_rho(eq._act_array(sigma, x), c, R) - v) < 1e-12
 
 
 class TestModifications:
@@ -555,14 +551,14 @@ class TestLocalDegrees:
     def test_r2_minus_step(self):
         layer = one_step(2, 1)
         rep = eq.verify_local_degrees(layer)
-        assert len(rep.fd_signs) == 2
+        assert len(rep.delta_signs) == 2
         assert rep.consistent and rep.matches_ledger
         assert rep.delta_signs[0] == -1
 
     def test_r6_k2_minus_step(self):
         layer = one_step(6, 2)
         rep = eq.verify_local_degrees(layer)
-        assert len(rep.fd_signs) == 15
+        assert len(rep.delta_signs) == 15
         assert rep.consistent and rep.matches_ledger
 
     def test_plus_minus_opposite_signs(self):
@@ -582,8 +578,8 @@ class TestLocalDegrees:
         layer, _ = eq.build_from_plan(plan)
         for step in layer.chain():
             rep = eq.verify_local_degrees(step)
-            assert len(rep.fd_signs) == math.comb(r, step.node.k)
-            assert rep.fd_signs == per_center_fd_signs(step)
+            assert len(rep.delta_signs) == math.comb(r, step.node.k)
+            assert rep.delta_signs == tuple(-s for s in per_center_fd_signs(step))
 
     def test_degenerate_centers_are_redone_with_halved_steps(self, monkeypatch):
         """Dets at most 1e-8 are redone for those centers only, with the step halved."""
@@ -794,10 +790,10 @@ class TestPlanJson:
         layer, _ = eq.build_from_plan(plan)
         obj = eq.layer_plan_json(layer)
         assert obj["r"] == 6
-        assert obj["radius_rule"] == "min_orbit_dist/3"
+        assert obj["radius_rule"] == eq.RADIUS_RULE == "min(min_orbit_dist/3, sin(pi/(4n)))"
         assert [(s["k"], s["sign"]) for s in obj["steps"]] == list(plan.steps)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, -1))))
-        assert eq.layer_plan_json(layer)["radius_rule"] == eq.RADIUS_RULE_REPEATED
+        assert eq.layer_plan_json(layer)["radius_rule"] == eq.RADIUS_RULE
         for r, steps in ((6, plan.steps), (2, ((1, -1), (1, -1))), SEPARATED_PLANS[1]):
             layer, _ = eq.build_from_plan(plan_of(r, steps))
             obj = eq.layer_plan_json(layer)
