@@ -10,6 +10,7 @@ serialized as strings, never floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -51,12 +52,16 @@ def _report(args, inputs: dict, outputs: dict, passed: bool, t0: float,
     }
 
 
-def _emit(report: dict, json_path: Optional[str]) -> None:
+def _emit(report: dict, sink=None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    if sink is not None:  # the open --json file; the report replaces its contents
+        sink.truncate(0)
+        sink.write(text + "\n")
+
+
+def _failure(error) -> dict:
+    return {"error": str(error), "flags": {"pass": False}}
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +315,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     args.command_echo = [args.subcommand] + [a for a in argv if a != args.subcommand]
     json_path = getattr(args, "json_path", None)
+    # An unwritable --json path is an input error before any work; append mode
+    # leaves an existing file (it may be an input) as it was until the report.
     try:
-        report, code = args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
-        _emit({"error": str(exc), "flags": {"pass": False}}, json_path)
+        sink = open(json_path, "a", encoding="utf-8") if json_path else contextlib.nullcontext()
+    except OSError as exc:
+        _emit(_failure(f"--json: {exc}"))
         return EXIT_INPUT
-    except eq.NumericalDegeneracyError as exc:
-        _emit({"error": str(exc), "flags": {"pass": False}}, json_path)
-        return EXIT_NUMERIC
-    _emit(report, json_path)
+    with sink as handle:
+        try:
+            report, code = args.func(args)
+        except (ValueError, OSError, KeyError) as exc:
+            report, code = _failure(exc), EXIT_INPUT
+        except eq.NumericalDegeneracyError as exc:
+            report, code = _failure(exc), EXIT_NUMERIC
+        _emit(report, handle)
     return code
 
 

@@ -73,6 +73,19 @@ def test_commands_run_without_scipy(radon_files):
                                    "delprod", "0", "eqmap", "0"]
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--r", "6", "--d", "54"], ["cert", "--r", "4"]],
+                         ids=["bounds", "cert-input-error"])
+def test_unwritable_json_path_is_input_error(capsys, tmp_path, argv):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):  # no such directory; a directory
+        code = main(argv + ["--json", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert str(path) in report["error"] and report["flags"] == {"pass": False}
+        assert captured.err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestBounds:
     def test_6_54(self, capsys):
         code, report = run_cli(capsys, "bounds", "--r", "6", "--d", "54")
@@ -352,6 +365,12 @@ class TestEqmap:
         assert [step["k"] for step in steps] == [1, 2, 3]
         assert sum(step["evaluations"] for step in steps) == out["spurious_zero_evaluations"]
         assert all(0 < step["in_zero_zone"] < step["evaluations"] for step in steps)
+
+    def test_verify_r6_seed42_minimum_quoted_in_readme(self, capsys):
+        code, report = run_cli(capsys, "eqmap", "verify", "--r", "6",
+                               "--samples", "10000", "--seed", "42")
+        assert code == 0
+        assert round(report["outputs"]["spurious_zero_min"], 3) == 0.076
 
     def test_verify_empty_plan_searches_the_identity(self, capsys):
         code, report = run_cli(capsys, "eqmap", "verify", "--r", "2", "--plan", "",
