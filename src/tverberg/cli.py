@@ -1,16 +1,18 @@
 """Command line front end with JSON reports and reproducible seeds.
 
-Every subcommand emits one RunReport JSON object on stdout: command
-echo, a digest of the inputs, the outputs, timings, and pass/fail
-flags.  Exit codes: 0 all requested checks pass, 1 a verdict failed,
-2 invalid input, 3 numerical degeneracy.  Exact rational values are
-serialized as strings, never floats.
+Each subcommand returns its inputs, outputs and verdict, and main emits
+one RunReport JSON object on stdout: the argument list as given, a
+digest of the inputs, the outputs, timings, and pass/fail flags.  Exit
+codes: 0 all requested checks pass, 1 a verdict failed, 2 invalid
+input, 3 numerical degeneracy.  Exact rational values are serialized as
+strings, never floats.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,21 +37,11 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _file_digest(path: str) -> str:
+def _read_json(path: str) -> tuple[object, str]:
+    """The parsed UTF-8 JSON of a file and the SHA-256 of its bytes."""
     with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
-def _report(args, inputs: dict, outputs: dict, passed: bool, t0: float,
-            seed: Optional[int] = None) -> dict:
-    return {
-        "command": list(args.command_echo),
-        "inputs_digest": _digest(inputs),
-        "seed": seed,
-        "outputs": outputs,
-        "timings": {"total_s": round(time.perf_counter() - t0, 6)},
-        "flags": {"pass": bool(passed)},
-    }
+        blob = handle.read()
+    return json.loads(blob.decode("utf-8")), hashlib.sha256(blob).hexdigest()
 
 
 def _emit(report: dict, sink=None) -> None:
@@ -65,11 +57,10 @@ def _failure(error) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its inputs (for the digest), outputs and verdict
 # ---------------------------------------------------------------------------
 
-def cmd_bounds(args) -> tuple[dict, int]:
-    t0 = time.perf_counter()
+def cmd_bounds(args) -> tuple[dict, dict, bool]:
     r, d = args.r, args.d
     outputs: dict = {"r": r, "d": d}
     warnings: list[str] = []
@@ -111,11 +102,10 @@ def cmd_bounds(args) -> tuple[dict, int]:
         outputs["corollary_b"] = bd.corollary_b_check(r, d, args.s)
     outputs["warnings"] = warnings
     inputs = {"cmd": "bounds", "r": r, "d": d, "k": args.k, "s": args.s, "q": args.q}
-    return _report(args, inputs, outputs, True, t0), EXIT_OK
+    return inputs, outputs, True
 
 
-def cmd_cert(args) -> tuple[dict, int]:
-    t0 = time.perf_counter()
+def cmd_cert(args) -> tuple[dict, dict, bool]:
     cert = nc.bezout_certificate(args.r)
     plan = nc.certificate_to_plan(cert)
     outputs = {
@@ -124,16 +114,14 @@ def cmd_cert(args) -> tuple[dict, int]:
         "plan": plan.to_json(),
         "binomial_gcd": nc.binomial_gcd(args.r),
     }
-    inputs = {"cmd": "cert", "r": args.r}
-    return _report(args, inputs, outputs, True, t0), EXIT_OK
+    return {"cmd": "cert", "r": args.r}, outputs, True
 
 
-def cmd_check(args) -> tuple[dict, int]:
-    t0 = time.perf_counter()
-    with open(args.complex, "r", encoding="utf-8") as handle:
-        K = cx.SimplicialComplex.from_json(json.load(handle))
-    with open(args.map, "r", encoding="utf-8") as handle:
-        f = pl.PLMap.from_json(K, json.load(handle))
+def cmd_check(args) -> tuple[dict, dict, bool]:
+    complex_obj, complex_sha = _read_json(args.complex)
+    K = cx.SimplicialComplex.from_json(complex_obj)
+    map_obj, map_sha = _read_json(args.map)
+    f = pl.PLMap.from_json(K, map_obj)
     verdict = pl.almost_r_embedding_check(f, args.r, maximal_only=args.maximal_only)
     outputs = {
         "r": args.r,
@@ -141,15 +129,9 @@ def cmd_check(args) -> tuple[dict, int]:
         "tuples_checked": verdict.tuples_checked,
         "witness": verdict.witness.to_json() if verdict.witness else None,
     }
-    inputs = {
-        "cmd": "check",
-        "r": args.r,
-        "complex": _file_digest(args.complex),
-        "map": _file_digest(args.map),
-        "maximal_only": args.maximal_only,
-    }
-    code = EXIT_OK if verdict.passed else EXIT_VERDICT
-    return _report(args, inputs, outputs, verdict.passed, t0), code
+    inputs = {"cmd": "check", "r": args.r, "complex": complex_sha, "map": map_sha,
+              "maximal_only": args.maximal_only}
+    return inputs, outputs, verdict.passed
 
 
 def _parse_plan(r: int, text: str) -> nc.ModificationPlan:
@@ -167,8 +149,7 @@ def _parse_plan(r: int, text: str) -> nc.ModificationPlan:
     return nc.ModificationPlan(r, steps)
 
 
-def cmd_eqmap(args) -> tuple[dict, int]:
-    t0 = time.perf_counter()
+def cmd_eqmap(args) -> tuple[dict, dict, bool]:
     plan = _parse_plan(args.r, args.plan)
     inputs = {"cmd": "eqmap", "mode": args.mode, "r": args.r,
               "plan": plan.to_json(), "samples": args.samples, "seed": args.seed}
@@ -176,15 +157,9 @@ def cmd_eqmap(args) -> tuple[dict, int]:
 
     if args.mode == "winding":
         w = eq.winding_number_r2(layer)
-        outputs = {
-            "winding": w,
-            "ledger": ledger.to_json(),
-            "agrees_with_ledger": w == ledger.final,
-        }
-        passed = w == ledger.final
-        return _report(args, inputs, outputs, passed, t0, args.seed), (
-            EXIT_OK if passed else EXIT_VERDICT
-        )
+        agrees = w == ledger.final
+        outputs = {"winding": w, "ledger": ledger.to_json(), "agrees_with_ledger": agrees}
+        return inputs, outputs, agrees
 
     outputs = {
         "map": eq.layer_plan_json(layer),
@@ -193,25 +168,12 @@ def cmd_eqmap(args) -> tuple[dict, int]:
     }
     residual = eq.verify_equivariance(layer, samples=args.samples, seed=args.seed)
     outputs["equivariance_max_residual"] = residual
-    zero_residual = 0.0
-    for step_layer in layer.chain():
-        node = step_layer.node
-        vals = eq._homotopy(step_layer, node.centers, 0.5)
-        zero_residual = max(zero_residual, float(eq._frob(vals).max()))
+    zero_residual = max((eq.center_residual(step) for step in layer.chain()), default=0.0)
     outputs["homotopy_zero_residual"] = zero_residual
     passed = residual < 1e-9 and zero_residual < 1e-9
     if args.mode == "verify":
         reports = [eq.verify_local_degrees(step) for step in layer.chain()]
-        outputs["local_degrees"] = [
-            {
-                "k": rep.k,
-                "variant": rep.variant,
-                "delta_signs": list(rep.delta_signs),
-                "consistent": rep.consistent,
-                "matches_ledger": rep.matches_ledger,
-            }
-            for rep in reports
-        ]
+        outputs["local_degrees"] = [dataclasses.asdict(rep) for rep in reports]
         # an empty plan leaves the identity map, which is searched itself
         searches = [eq.verify_no_spurious_zeros(step, samples=args.samples, seed=args.seed)
                     for step in list(layer.chain()) or [layer]]
@@ -228,13 +190,10 @@ def cmd_eqmap(args) -> tuple[dict, int]:
         passed = passed and worst.minimum > 1e-3 and all(
             rep.consistent and rep.matches_ledger for rep in reports
         )
-    return _report(args, inputs, outputs, passed, t0, args.seed), (
-        EXIT_OK if passed else EXIT_VERDICT
-    )
+    return inputs, outputs, passed
 
 
-def cmd_delprod(args) -> tuple[dict, int]:
-    t0 = time.perf_counter()
+def cmd_delprod(args) -> tuple[dict, dict, bool]:
     cells = cx.skeleton_cells_by_dim(args.N, args.k, args.r)
     orbits = cx.skeleton_orbits(args.N, args.k, args.r)
     # Burnside: the cells fill `orbits` S_r-orbits of r! cells each iff no
@@ -249,9 +208,7 @@ def cmd_delprod(args) -> tuple[dict, int]:
         "orbits": orbits,
         "free_action": free,
     }
-    inputs = {"cmd": "delprod", "N": args.N, "k": args.k, "r": args.r}
-    code = EXIT_OK if free else EXIT_VERDICT
-    return _report(args, inputs, outputs, free, t0), code
+    return {"cmd": "delprod", "N": args.N, "k": args.k, "r": args.r}, outputs, free
 
 
 # ---------------------------------------------------------------------------
@@ -265,45 +222,43 @@ def _build_parser() -> argparse.ArgumentParser:
                     "r-embedding checker, and equivariant sphere maps.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", dest="json_path", help="also write the report to this file")
 
-    p = sub.add_parser("bounds", help="emit the bound table for (r, d [, k, s, q])")
+    p = sub.add_parser("bounds", parents=[common], help="emit the bound table for (r, d [, k, s, q])")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("cert", help="Bezout certificate and modification plan")
+    p = sub.add_parser("cert", parents=[common], help="Bezout certificate and modification plan")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_cert)
 
-    p = sub.add_parser("check", help="run the exact almost r-embedding checker")
+    p = sub.add_parser("check", parents=[common], help="run the exact almost r-embedding checker")
     p.add_argument("--complex", required=True, help="complex JSON file")
     p.add_argument("--map", required=True, help="map JSON file")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--maximal-only", action="store_true", dest="maximal_only",
                    help="test only inclusion-maximal disjoint tuples")
-    p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("eqmap", help="build/verify sphere maps, circle windings")
+    p = sub.add_parser("eqmap", parents=[common], help="build/verify sphere maps, circle windings")
     p.add_argument("mode", choices=["build", "verify", "winding"])
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--plan", default="auto",
                    help="'auto' (certificate) or steps like '1:-,2:-,3:+'")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_eqmap)
 
-    p = sub.add_parser("delprod", help="deleted product cell counts for a skeleton")
+    p = sub.add_parser("delprod", parents=[common],
+                       help="deleted product cell counts for a skeleton")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_delprod)
 
     return parser
@@ -311,24 +266,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.command_echo = [args.subcommand] + [a for a in argv if a != args.subcommand]
-    json_path = getattr(args, "json_path", None)
+    args = _build_parser().parse_args(argv)
     # An unwritable --json path is an input error before any work; append mode
     # leaves an existing file (it may be an input) as it was until the report.
     try:
-        sink = open(json_path, "a", encoding="utf-8") if json_path else contextlib.nullcontext()
+        sink = (open(args.json_path, "a", encoding="utf-8") if args.json_path
+                else contextlib.nullcontext())
     except OSError as exc:
         _emit(_failure(f"--json: {exc}"))
         return EXIT_INPUT
     with sink as handle:
+        t0 = time.perf_counter()
         try:
-            report, code = args.func(args)
+            inputs, outputs, passed = args.func(args)
         except (ValueError, OSError, KeyError) as exc:
             report, code = _failure(exc), EXIT_INPUT
         except eq.NumericalDegeneracyError as exc:
             report, code = _failure(exc), EXIT_NUMERIC
+        else:
+            report = {
+                "command": argv,  # argv[0] is the subcommand: the top level has no options
+                "inputs_digest": _digest(inputs),
+                "seed": getattr(args, "seed", None),  # only eqmap takes --seed
+                "outputs": outputs,
+                "timings": {"total_s": round(time.perf_counter() - t0, 6)},
+                "flags": {"pass": bool(passed)},
+            }
+            code = EXIT_OK if passed else EXIT_VERDICT
         _emit(report, handle)
     return code
 

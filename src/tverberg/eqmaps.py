@@ -54,6 +54,7 @@ __all__ = [
     "identity_map",
     "build_from_plan",
     "verify_equivariance",
+    "center_residual",
     "verify_local_degrees",
     "verify_no_spurious_zeros",
     "SpuriousZeroSearch",
@@ -464,6 +465,13 @@ def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) ->
     return worst
 
 
+def center_residual(layer: MapLayer) -> float:
+    """max |h_1/2| over the last step's centers, where the homotopy should vanish."""
+    if layer.node is None:
+        raise ValueError("the identity map has no modification centers")
+    return float(_frob(_homotopy(layer, layer.node.centers, 0.5)).max())
+
+
 def _ambient_basis(r: int) -> np.ndarray:
     """Orthonormal basis of the zero-row-sum subspace, as (2r-2, 2, r)."""
     H = np.zeros((r - 1, r))
@@ -764,34 +772,39 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
 def winding_number_r2(layer: MapLayer, max_samples: int = 2 ** 20) -> int:
     """Exact circle degree for r = 2 via adaptive angle sampling.
 
-    The circle is parametrized by the top-left entry pair; samples are
-    doubled until consecutive image angles move by less than pi/4, then
-    the wrapped increments telescope to 2*pi times the winding number.
+    The circle is parametrized by the top-left entry pair.  The first grid
+    puts at least 8 samples across the smallest ball (spacing <= R_min/4,
+    at least 1,024 points, a power of two); then every arc whose image
+    angle moves by pi/4 or more is halved until none does, and the
+    wrapped increments telescope to 2*pi times the winding number.
     """
     if layer.r != 2:
         raise ValueError("winding numbers are defined here only for r = 2")
-    n = 1024
-    inv = 1.0 / math.sqrt(2.0)
-    while n <= max_samples:
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        X = np.empty((n, 2, 2))
-        X[:, 0, 0] = np.cos(theta) * inv
-        X[:, 1, 0] = np.sin(theta) * inv
-        X[:, 0, 1] = -X[:, 0, 0]
-        X[:, 1, 1] = -X[:, 1, 0]
+    r_min = min((nd.radius for nd in layer.nodes), default=1.0)
+    n = max(1024, 1 << math.ceil(math.log2(8.0 * math.pi / r_min)))
+
+    def image_angle(theta: np.ndarray) -> np.ndarray:
+        X = np.empty((len(theta), 2, 2))
+        X[:, :, 0] = np.stack([np.cos(theta), np.sin(theta)], axis=1) / math.sqrt(2.0)
+        X[:, :, 1] = -X[:, :, 0]
         Y = layer.eval_batch(X)
-        alpha = np.arctan2(Y[:, 1, 0], Y[:, 0, 0])
-        ext = np.append(alpha, alpha[0])
-        d = np.diff(ext)
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        if np.abs(d).max() < math.pi / 4.0:
-            total = float(d.sum())
-            w = round(total / (2.0 * math.pi))
-            if abs(total / (2.0 * math.pi) - w) > 1e-6:
-                raise WindingNonconvergenceError("angle increments do not telescope")
-            return int(w)
-        n *= 2
-    raise WindingNonconvergenceError(f"no convergence within {max_samples} samples")
+        return np.arctan2(Y[:, 1, 0], Y[:, 0, 0])
+
+    theta, alpha = np.empty(0), np.empty(0)
+    new, at = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), np.zeros(n, dtype=int)
+    while len(new):
+        if len(theta) + len(new) > max_samples:
+            raise WindingNonconvergenceError(f"no convergence within {max_samples} samples")
+        theta, alpha = np.insert(theta, at, new), np.insert(alpha, at, image_angle(new))
+        d = (np.diff(np.append(alpha, alpha[0])) + math.pi) % (2.0 * math.pi) - math.pi
+        coarse = np.flatnonzero(np.abs(d) >= math.pi / 4.0)
+        new = 0.5 * (theta[coarse] + np.append(theta[1:], 2.0 * math.pi)[coarse])
+        at = coarse + 1
+    total = float(d.sum())
+    w = round(total / (2.0 * math.pi))
+    if abs(total / (2.0 * math.pi) - w) > 1e-6:
+        raise WindingNonconvergenceError("angle increments do not telescope")
+    return int(w)
 
 
 def layer_plan_json(layer: MapLayer) -> dict:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from importlib import resources
 
 import tverberg
 from tverberg import complexes as cx
+from tverberg import eqmaps as eq
 from tverberg.cli import main
 
 
@@ -84,6 +86,58 @@ def test_unwritable_json_path_is_input_error(capsys, tmp_path, argv):
         assert str(path) in report["error"] and report["flags"] == {"pass": False}
         assert captured.err == ""
     assert list(tmp_path.iterdir()) == []
+
+
+class TestReport:
+    """main builds every report: argv as given, the input digest, the exit-code mapping."""
+
+    def test_command_is_argv_as_given(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["bounds", "--r", "6", "--d", "54", "--json", "bounds"]
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["command"] == argv
+        assert json.loads((tmp_path / "bounds").read_text()) == report
+
+    def test_check_digest_covers_the_file_bytes(self, capsys, tmp_path, monkeypatch, radon_files):
+        monkeypatch.chdir(tmp_path)
+        complex_path, map_path = radon_files
+        code, report = run_cli(capsys, "check", "--complex", complex_path, "--map", map_path,
+                               "--r", "2", "--maximal-only")
+        assert code == 1
+
+        def sha(blob):
+            return hashlib.sha256(blob).hexdigest()
+
+        inputs = {"cmd": "check", "r": 2, "complex": sha(Path(complex_path).read_bytes()),
+                  "map": sha(Path(map_path).read_bytes()), "maximal_only": True}
+        blob = json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode()
+        assert report["inputs_digest"] == sha(blob)
+
+    def test_byte_order_mark_is_input_error(self, capsys, tmp_path, monkeypatch, radon_files):
+        monkeypatch.chdir(tmp_path)
+        complex_path, map_path = radon_files
+        Path(complex_path).write_bytes(b"\xef\xbb\xbf" + Path(complex_path).read_bytes())
+        code = main(["check", "--complex", complex_path, "--map", map_path, "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert "BOM" in report["error"] and report["flags"] == {"pass": False}
+        assert captured.err == ""
+
+    def test_numerical_degeneracy_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+        def no_convergence(layer):
+            raise eq.WindingNonconvergenceError("no convergence within 512 samples")
+
+        monkeypatch.setattr(eq, "winding_number_r2", no_convergence)
+        code = main(["eqmap", "winding", "--r", "2", "--plan", "1:-"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out) == {"error": "no convergence within 512 samples",
+                                            "flags": {"pass": False}}
+        assert captured.err == ""
 
 
 class TestBounds:

@@ -372,6 +372,14 @@ class TestHomotopy:
             H = eq._homotopy(layer, node.centers, np.full(len(node.centers), 0.5))
             assert eq._frob(H).max() < 1e-9
 
+    def test_center_residual_is_the_largest_value_at_the_centers(self):
+        for steps in (((1, -1),), ((1, 1),), ((1, -1), (1, 1))):
+            layer, _ = eq.build_from_plan(plan_of(2, steps))
+            H = eq._homotopy(layer, layer.node.centers, 0.5)
+            assert eq.center_residual(layer) == float(eq._frob(H).max()) < 1e-9
+        with pytest.raises(ValueError, match="no modification centers"):
+            eq.center_residual(eq.identity_map(2))
+
     def test_nonzero_at_t1(self):
         plan = certificate_to_plan(bezout_certificate(6))
         layer, _ = eq.build_from_plan(plan)
@@ -782,6 +790,12 @@ class TestWinding:
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
         with pytest.raises(eq.WindingNonconvergenceError):
             eq.winding_number_r2(layer, max_samples=512)
+
+    def test_long_same_k_plan_within_budget(self):
+        """The first grid resolves the smallest ball, R = sin(pi/400) at 100 steps,
+        and only coarse arcs are halved: 2**16 samples suffice."""
+        layer, ledger = eq.build_from_plan(plan_of(2, ((1, -1),) * 100))
+        assert eq.winding_number_r2(layer, max_samples=2 ** 16) == ledger.final == -199
 
 
 class TestPlanJson:
