@@ -197,8 +197,10 @@ def cmd_delprod(args) -> tuple[dict, dict, bool]:
     cells = cx.skeleton_cells_by_dim(args.N, args.k, args.r)
     orbits = cx.skeleton_orbits(args.N, args.k, args.r)
     # Burnside: the cells fill `orbits` S_r-orbits of r! cells each iff no
-    # permutation but the identity fixes a cell; the two recurrences share no code
-    free = sum(cells.values()) == math.factorial(args.r) * orbits
+    # permutation but the identity fixes a cell; the two recurrences share no code.
+    # With no orbit r! is not needed, and r may be too large to take it.
+    total = sum(cells.values())
+    free = total == 0 if orbits == 0 else total == math.factorial(args.r) * orbits
     outputs = {
         "N": args.N,
         "k": args.k,

@@ -308,6 +308,12 @@ def deleted_product_stats(K: SimplicialComplex, r: int) -> dict[int, int]:
     return dict(sorted(Counter(sum(dims[i] for i in idx) for idx in tuples).items()))
 
 
+# skeleton_cells_by_dim and skeleton_orbits refuse larger (N+1)·(k+1)·r, a bound
+# on their big-integer products, before any work; the paper's d = 400 instance
+# (N = 2056, k = 341, r = 6) needs 4.22e6.
+MAX_SKELETON_WORK = 5_000_000
+
+
 def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
     """``deleted_product_stats(simplex_skeleton(N, k), r)`` without listing a face.
 
@@ -316,16 +322,29 @@ def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
     1..k+1, the multinomials give a_r(S), the ordered partitions of an
     S-set into r blocks of at most k+1 elements:
     a_j(S) = sum_s C(S, s)·a_{j-1}(S-s).  Such a cell has dimension S - r.
+    The loop runs over S and fills every level j at that S from one row
+    of binomials C(S, ·).
     """
     if not 0 <= k <= N:
         raise ValueError(f"skeleton needs 0 <= k <= N, got (N={N}, k={k})")
     if r < 2:
         raise ValueError(f"skeleton_cells_by_dim needs r >= 2, got {r}")
-    a = [1] + [0] * (N + 1)  # a_0: only the empty tuple
-    for _ in range(r):
-        a = [sum(math.comb(S, s) * a[S - s] for s in range(1, min(S, k + 1) + 1))
-             for S in range(N + 2)]
-    return {S - r: math.comb(N + 1, S) * a[S] for S in range(N + 2) if a[S]}
+    if r > N + 1:  # r disjoint nonempty faces need r vertices
+        return {}
+    if (N + 1) * (k + 1) * r > MAX_SKELETON_WORK:
+        raise ValueError(f"(N+1)(k+1)r = {(N + 1) * (k + 1) * r} is beyond the cap "
+                         f"MAX_SKELETON_WORK = {MAX_SKELETON_WORK}")
+    a = [[1] + [0] * (N + 1)] + [[0] * (N + 2) for _ in range(r)]  # a[j][S]; a_0: the empty tuple
+    row = [1]  # C(S, s) for s = 0..min(S, k+1)
+    for S in range(1, N + 2):
+        for s in range(1, len(row)):  # C(S, s) = C(S-1, s)·S/(S-s)
+            row[s] = row[s] * S // (S - s)
+        if S <= k + 1:
+            row.append(1)
+        for j in range(-(-S // (k + 1)), min(S, r) + 1):  # a_j(S) = 0 for other j
+            prev = a[j - 1]
+            a[j][S] = sum(row[s] * prev[S - s] for s in range(1, len(row)))
+    return {S - r: math.comb(N + 1, S) * a[r][S] for S in range(N + 2) if a[r][S]}
 
 
 def skeleton_orbits(N: int, k: int, r: int) -> int:
@@ -335,15 +354,27 @@ def skeleton_orbits(N: int, k: int, r: int) -> int:
     subset of S vertices and a partition of it into r blocks of at most
     k+1 elements.  Taking first the block that holds the least element,
     P_j(S) = sum_{s=1}^{min(k+1,S)} C(S-1, s-1)·P_{j-1}(S-s) counts those
-    partitions, and the tuples number sum_S C(N+1, S)·P_r(S).
+    partitions, and the tuples number sum_S C(N+1, S)·P_r(S).  The loop
+    runs over S and fills every level j at that S from one row of
+    binomials C(S-1, ·).
     """
     if not 0 <= k <= N:
         raise ValueError(f"skeleton needs 0 <= k <= N, got (N={N}, k={k})")
     if r < 2:
         raise ValueError(f"skeleton_orbits needs r >= 2, got {r}")
-    P = [1] + [0] * (N + 1)  # P_0: only the empty partition
-    for _ in range(r):
-        P = [sum(math.comb(S - 1, s - 1) * P[S - s] for s in range(1, min(S, k + 1) + 1))
-             for S in range(N + 2)]
-    return sum(math.comb(N + 1, S) * P[S] for S in range(N + 2))
-
+    if r > N + 1:  # r disjoint nonempty faces need r vertices
+        return 0
+    if (N + 1) * (k + 1) * r > MAX_SKELETON_WORK:
+        raise ValueError(f"(N+1)(k+1)r = {(N + 1) * (k + 1) * r} is beyond the cap "
+                         f"MAX_SKELETON_WORK = {MAX_SKELETON_WORK}")
+    P = [[1] + [0] * (N + 1)] + [[0] * (N + 2) for _ in range(r)]  # P[j][S]; P_0: the empty partition
+    row = [1]  # C(S-1, t) for t = 0..min(S-1, k)
+    for S in range(1, N + 2):
+        for j in range(-(-S // (k + 1)), min(S, r) + 1):  # P_j(S) = 0 for other j
+            prev = P[j - 1]
+            P[j][S] = sum(c * prev[S - 1 - t] for t, c in enumerate(row))
+        for t in range(1, len(row)):  # on to C(S, t) = C(S-1, t)·S/(S-t)
+            row[t] = row[t] * S // (S - t)
+        if S <= k:
+            row.append(1)
+    return sum(math.comb(N + 1, S) * P[r][S] for S in range(N + 2))

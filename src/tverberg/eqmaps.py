@@ -33,13 +33,35 @@ pushed centers at parameter 1/2, a sampled search for spurious zeros).
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy, loaded when one of its attributes is first read (LazyLoader).
+
+    Code that imports this module but evaluates no sphere map then runs
+    without it.  A numpy that is already imported is returned as it is,
+    and a missing one still fails here, at import.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 __all__ = [
     "NumericalDegeneracyError",
@@ -158,10 +180,14 @@ def _orbit_centers(r: int, k: int, theta: float) -> np.ndarray:
     return _orbit_point(np.stack([math.cos(theta) * row, math.sin(theta) * row]), _low_masks(r, k))
 
 
+def _quintic(u):
+    """6u^5 - 15u^4 + 10u^3, on floats or arrays."""
+    return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
+
+
 def _smoothstep(u):
     """Quintic smoothstep: C^2, flat to second order at both ends."""
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
+    return _quintic(np.clip(u, 0.0, 1.0))
 
 
 def _bump(dist, radius: float):
@@ -171,12 +197,16 @@ def _bump(dist, radius: float):
 
 
 def _bump_level_radius(level: float, radius: float) -> float:
-    """The distance at which the bump crosses a given level (bisection)."""
+    """The distance at which the bump crosses a given level (bisection).
+
+    Plain floats throughout: mid stays in [0, 1], where the smoothstep is
+    the quintic itself, so the module constant below needs no numpy.
+    """
     lo, hi = 0.0, 1.0
     target = 1.0 - level
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _smoothstep(mid) < target:
+        if _quintic(mid) < target:
             lo = mid
         else:
             hi = mid

@@ -25,10 +25,10 @@ def run_cli(capsys, *argv):
 
 
 def run_python(script, *args):
-    """Run script in a fresh interpreter that imports this tverberg package."""
+    """Run script in a fresh interpreter, warnings as errors, that imports this tverberg package."""
     src = str(Path(tverberg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+    return subprocess.run([sys.executable, "-W", "error", "-c", script, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
@@ -55,6 +55,19 @@ def radon_files(tmp_path):
     return str(complex_path), str(map_path)
 
 
+@pytest.fixture
+def triangle_files(tmp_path):
+    complex_path = tmp_path / "c.json"
+    map_path = tmp_path / "m.json"
+    complex_path.write_text(json.dumps(
+        {"num_vertices": 3, "maximal_faces": [[0, 1, 2]]}
+    ))
+    map_path.write_text(json.dumps({
+        "d": 2, "coords": {"0": ["0", "0"], "1": ["1", "0"], "2": ["0", "1"]},
+    }))
+    return str(complex_path), str(map_path)
+
+
 def test_commands_run_without_scipy(radon_files):
     """scipy is a test dependency only: no subcommand imports it."""
     complex_path, map_path = radon_files
@@ -73,6 +86,65 @@ def test_commands_run_without_scipy(radon_files):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["bounds", "0", "cert", "0", "check", "1",
                                    "delprod", "0", "eqmap", "0"]
+
+
+# Runs main on the arguments after the script and prints its exit code, then
+# whether numpy was loaded: eqmaps binds numpy lazily, so only a read of one
+# of its attributes imports the numpy.* submodules.
+NUMPY_PROBE = ("import contextlib, io, sys\n"
+               "from tverberg.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               "    code = main(sys.argv[1:])\n"
+               "print(code, any(name.startswith('numpy.') for name in sys.modules))\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--r", "6", "--d", "54"],
+    ["cert", "--r", "10"],
+    ["check", "--r", "2"],
+    ["delprod", "--N", "280", "--k", "45", "--r", "6"],
+], ids=["bounds", "cert", "check", "delprod"])
+def test_exact_subcommands_start_without_numpy(triangle_files, argv):
+    if argv[0] == "check":
+        argv = argv + ["--complex", triangle_files[0], "--map", triangle_files[1]]
+    proc = run_python(NUMPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+def test_eqmap_loads_numpy():
+    proc = run_python(NUMPY_PROBE, "eqmap", "build", "--r", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]
+
+
+def test_cli_import_loads_eqmaps_but_not_numpy():
+    """perfbench/tracer.py wraps the tverberg modules loaded by `import tverberg.cli`."""
+    proc = run_python("import sys, tverberg.cli\n"
+                      "print('tverberg.eqmaps' in sys.modules,\n"
+                      "      any(name.startswith('numpy.') for name in sys.modules))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
+def test_bump_level_radius_needs_no_numpy():
+    """The float bisection is the numpy one bit for bit; its mid never leaves [0, 1]."""
+    def numpy_bisection(level, radius):
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if eq._smoothstep(mid) < 1.0 - level:
+                lo = mid
+            else:
+                hi = mid
+        t0 = eq.PLATEAU_FRACTION * radius
+        return t0 + 0.5 * (lo + hi) * (radius - t0)
+
+    assert eq.ZERO_ZONE_FRACTION == 0.625
+    for radius in (1.0, 0.26, eq.safe_radius(6, 2), eq.safe_radius(15, 7), math.sin(math.pi / 2000)):
+        for level in (0.5, 1.0 / 3.0, 0.25):
+            got = eq._bump_level_radius(level, radius)
+            assert type(got) is float and got == numpy_bisection(level, radius)
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--r", "6", "--d", "54"], ["cert", "--r", "4"]],
@@ -231,19 +303,10 @@ class TestCheck:
         assert out["witness"]["faces"] == [[0, 3], [1, 2]]
         assert out["witness"]["point"] == ["1/2", "1/2"]
 
-    def test_triangle_passes(self, capsys, tmp_path):
-        complex_path = tmp_path / "c.json"
-        map_path = tmp_path / "m.json"
-        complex_path.write_text(json.dumps(
-            {"num_vertices": 3, "maximal_faces": [[0, 1, 2]]}
-        ))
-        map_path.write_text(json.dumps({
-            "d": 2, "coords": {"0": ["0", "0"], "1": ["1", "0"], "2": ["0", "1"]},
-        }))
-        code, report = run_cli(
-            capsys, "check", "--complex", str(complex_path), "--map", str(map_path),
-            "--r", "2",
-        )
+    def test_triangle_passes(self, capsys, triangle_files):
+        complex_path, map_path = triangle_files
+        code, report = run_cli(capsys, "check", "--complex", complex_path, "--map", map_path,
+                               "--r", "2")
         assert code == 0
         assert report["outputs"]["passed"] is True
 
@@ -493,6 +556,24 @@ class TestDelprod:
         out = report["outputs"]
         assert out["cells_by_dim"] == {} and out["dimension"] is None
         assert out["orbits"] == 0 and out["free_action"] is True
+
+    def test_more_faces_than_vertices_is_no_work(self, capsys, deadline):
+        """r > N+1 leaves no cell: no level loop and no r! (r! of 3e6 takes minutes)."""
+        with deadline(1.0):
+            code, report = run_cli(capsys, "delprod", "--N", "5", "--k", "0", "--r", "3000000")
+        assert code == 0
+        out = report["outputs"]
+        assert out["cells_by_dim"] == {} and out["dimension"] is None
+        assert out["orbits"] == 0 and out["free_action"] is True
+
+    def test_beyond_the_work_cap_is_input_error(self, capsys, deadline):
+        with deadline(1.0):
+            code, report = run_cli(capsys, "delprod", "--N", "3000", "--k", "400", "--r", "6")
+        assert code == 2
+        assert report == {"error": f"(N+1)(k+1)r = 7220406 is beyond the cap "
+                                   f"MAX_SKELETON_WORK = {cx.MAX_SKELETON_WORK}",
+                          "flags": {"pass": False}}
+        assert 2057 * 342 * 6 <= cx.MAX_SKELETON_WORK  # the paper's d = 400 instance
 
     @pytest.mark.parametrize("N, k, r", [(30, 5, 4), (280, 45, 6)])
     def test_large_skeleton_lists_no_face(self, capsys, deadline, N, k, r):
