@@ -11,8 +11,14 @@ by dimension and the orbit count from two recurrences, without listing a
 face; the enumeration stays as the reference they are tested against.
 
 Vertex-disjointness tests run on integer bitmasks, which double as
-arbitrary-width bitsets, so the same code path covers any vertex count;
-bitsets of faces let the unordered tuples be counted without listing.
+arbitrary-width bitsets, so the same code path covers any vertex count.
+This module alone knows what a prefix of an unordered disjoint tuple
+is: one walker on bitsets steps a prefix state (used vertices, extension
+vertices still free, candidate faces) by a face and counts the
+increasing tuples, inclusion-maximal ones if asked, that complete it.
+``count_face_combinations`` counts with it without listing a tuple; the
+checker of :mod:`tverberg.plmaps` walks the same states over its graph
+of faces whose boxes overlap, and looks ahead with the same count.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from typing import Iterator, Optional, Sequence
 
 __all__ = [
     "SimplicialComplex",
-    "DisjointTuple",
     "simplex_skeleton",
     "join_complexes",
     "disjoint_tuples",
@@ -114,22 +119,6 @@ def _all_faces(K: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found, key=lambda f: (len(f), f)))
 
 
-@dataclass(frozen=True)
-class DisjointTuple:
-    """Ordered r-tuple of nonempty pairwise vertex-disjoint faces."""
-
-    faces: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        used: set[int] = set()
-        for f in self.faces:
-            if not f:
-                raise ValueError("faces of a disjoint tuple must be nonempty")
-            if used & set(f):
-                raise ValueError(f"faces are not pairwise disjoint: {self.faces}")
-            used |= set(f)
-
-
 def simplex_skeleton(N: int, k: int) -> SimplicialComplex:
     """The k-skeleton of the N-simplex: all (k+1)-subsets of {0..N}."""
     if not 0 <= k <= N:
@@ -195,7 +184,7 @@ def _index_tuples(K: SimplicialComplex, r: int, caller: str, ordered: bool = Tru
     return faces, _disjoint_index_tuples(_face_masks(faces), r, ordered, K.num_vertices)
 
 
-def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[DisjointTuple]:
+def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All ordered r-tuples of pairwise disjoint nonempty faces, each once.
 
     Faces are numbered by (dimension, lexicographic) order and tuples
@@ -204,7 +193,7 @@ def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[DisjointTuple]:
     """
     faces, tuples = _index_tuples(K, r, "disjoint_tuples")
     for idx in tuples:
-        yield DisjointTuple(tuple(faces[i] for i in idx))
+        yield tuple(faces[i] for i in idx)
 
 
 def disjoint_face_combinations(K: SimplicialComplex, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -239,8 +228,7 @@ def count_face_combinations(K: SimplicialComplex, r: int, maximal_only: bool = F
     """
     if r < 2:
         raise ValueError(f"count_face_combinations needs r >= 2, got {r}")
-    take, count = _tuple_counter(K, maximal_only)
-    state = (0, 0, (1 << len(K.faces())) - 1)
+    state, take, count = _tuple_counter(K, maximal_only)
     if before is None:
         return count(state, r)
     total = 0
@@ -254,24 +242,34 @@ def count_face_combinations(K: SimplicialComplex, r: int, maximal_only: bool = F
 
 
 @lru_cache(maxsize=8)
-def _tuple_counter(K: SimplicialComplex, maximal_only: bool):
-    """Step and count over the states (used vertices, extension vertices still
-    free, candidate faces) of a prefix, with a memo kept per complex."""
+def _tuple_counter(K: SimplicialComplex, maximal_only: bool,
+                   graph: Optional[tuple[int, ...]] = None):
+    """Walker over prefixes of increasing disjoint faces: the empty prefix's
+    state, and ``take`` and ``count`` on states (used vertices, extension
+    vertices still free, candidate faces), with tables and a memo kept per
+    complex and graph.
+
+    A face's candidates after it are its later disjoint faces, or only its
+    successors in ``graph`` (bitsets of later disjoint faces) when given.
+    """
     masks = _face_masks(K.faces())
     ext = extension_masks(K) if maximal_only else (0,) * len(masks)
     meeting = [sum(1 << i for i, m in enumerate(masks) if m >> v & 1)  # faces that contain v
                for v in range(K.num_vertices)]
-    disjoint = [sum(1 << j for j, m in enumerate(masks) if not m & mi) for mi in masks]
+    if graph is None:
+        graph = tuple(sum(1 << j for j, m in enumerate(masks[i + 1:], i + 1) if not m & mi)
+                      for i, mi in enumerate(masks))
     closed = sum(1 << i for i, e in enumerate(ext) if not e)  # faces no vertex extends
     memo: dict = {}
 
     def take(state: tuple[int, int, int], i: int) -> tuple[int, int, int]:
         used, pending, cands = state
         now = used | masks[i]
-        return now, (pending | ext[i]) & ~now, cands & disjoint[i] & ~((2 << i) - 1)
+        return now, (pending | ext[i]) & ~now, cands & graph[i]
 
     def count(state: tuple[int, int, int], need: int) -> int:
-        """Increasing tuples of `need` disjoint candidates that complete the prefix."""
+        """Increasing tuples of `need` disjoint candidates that complete the prefix
+        (inclusion-maximal ones with maximal_only)."""
         used, pending, cands = state
         if need == 0:
             return int(not pending)
@@ -286,7 +284,7 @@ def _tuple_counter(K: SimplicialComplex, maximal_only: bool):
             memo[state, need] = sum(count(take(state, i), need - 1) for i in _bits(cands))
         return memo[state, need]
 
-    return take, count
+    return (0, 0, (1 << len(masks)) - 1), take, count
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -314,6 +312,20 @@ def deleted_product_stats(K: SimplicialComplex, r: int) -> dict[int, int]:
 MAX_SKELETON_WORK = 5_000_000
 
 
+def _skeleton_has_cells(N: int, k: int, r: int, caller: str) -> bool:
+    """Check the arguments of a skeleton recurrence; False if r > N+1 leaves no cell."""
+    if not 0 <= k <= N:
+        raise ValueError(f"skeleton needs 0 <= k <= N, got (N={N}, k={k})")
+    if r < 2:
+        raise ValueError(f"{caller} needs r >= 2, got {r}")
+    if r > N + 1:  # r disjoint nonempty faces need r vertices
+        return False
+    if (N + 1) * (k + 1) * r > MAX_SKELETON_WORK:
+        raise ValueError(f"(N+1)(k+1)r = {(N + 1) * (k + 1) * r} is beyond the cap "
+                         f"MAX_SKELETON_WORK = {MAX_SKELETON_WORK}")
+    return True
+
+
 def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
     """``deleted_product_stats(simplex_skeleton(N, k), r)`` without listing a face.
 
@@ -325,15 +337,8 @@ def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
     The loop runs over S and fills every level j at that S from one row
     of binomials C(S, ·).
     """
-    if not 0 <= k <= N:
-        raise ValueError(f"skeleton needs 0 <= k <= N, got (N={N}, k={k})")
-    if r < 2:
-        raise ValueError(f"skeleton_cells_by_dim needs r >= 2, got {r}")
-    if r > N + 1:  # r disjoint nonempty faces need r vertices
+    if not _skeleton_has_cells(N, k, r, "skeleton_cells_by_dim"):
         return {}
-    if (N + 1) * (k + 1) * r > MAX_SKELETON_WORK:
-        raise ValueError(f"(N+1)(k+1)r = {(N + 1) * (k + 1) * r} is beyond the cap "
-                         f"MAX_SKELETON_WORK = {MAX_SKELETON_WORK}")
     a = [[1] + [0] * (N + 1)] + [[0] * (N + 2) for _ in range(r)]  # a[j][S]; a_0: the empty tuple
     row = [1]  # C(S, s) for s = 0..min(S, k+1)
     for S in range(1, N + 2):
@@ -358,15 +363,8 @@ def skeleton_orbits(N: int, k: int, r: int) -> int:
     runs over S and fills every level j at that S from one row of
     binomials C(S-1, ·).
     """
-    if not 0 <= k <= N:
-        raise ValueError(f"skeleton needs 0 <= k <= N, got (N={N}, k={k})")
-    if r < 2:
-        raise ValueError(f"skeleton_orbits needs r >= 2, got {r}")
-    if r > N + 1:  # r disjoint nonempty faces need r vertices
+    if not _skeleton_has_cells(N, k, r, "skeleton_orbits"):
         return 0
-    if (N + 1) * (k + 1) * r > MAX_SKELETON_WORK:
-        raise ValueError(f"(N+1)(k+1)r = {(N + 1) * (k + 1) * r} is beyond the cap "
-                         f"MAX_SKELETON_WORK = {MAX_SKELETON_WORK}")
     P = [[1] + [0] * (N + 1)] + [[0] * (N + 2) for _ in range(r)]  # P[j][S]; P_0: the empty partition
     row = [1]  # C(S-1, t) for t = 0..min(S-1, k)
     for S in range(1, N + 2):

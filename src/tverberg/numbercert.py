@@ -1,11 +1,11 @@
 """Integer certificates behind the degree bookkeeping.
 
 Everything here is exact arbitrary-precision arithmetic: prime-power
-detection, binomial coefficients, the gcd of C(r,1), ..., C(r,r-1), and
-Bezout-style certificates writing -1 as an integer combination of those
-binomials.  Such a certificate exists exactly when r is not a prime
-power (the gcd is 1 then), and it linearizes into an ordered plan of
-signed steps whose running total starts at 1 and ends at the target 0.
+detection, the gcd of C(r,1), ..., C(r,r-1), and Bezout-style
+certificates writing -1 as an integer combination of those binomials.
+Such a certificate exists exactly when r is not a prime power (the gcd
+is 1 then), and it linearizes into an ordered plan of signed steps
+whose running total starts at 1 and ends at the target 0.
 
 Certificates come from one integral LLL reduction of the binomials, so
 sum |a_k|, the plan length, is short (3 at r = 6, at most 98 for r <= 100)
@@ -23,7 +23,6 @@ __all__ = [
     "BezoutCertificate",
     "ModificationPlan",
     "is_prime_power",
-    "binomial",
     "binomial_gcd",
     "bezout_certificate",
     "certificate_to_plan",
@@ -63,13 +62,6 @@ def is_prime_power(r: int) -> Optional[tuple[int, int]]:
             return (d, m) if n == 1 else None
         d += 1
     return (r, 1)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); raises on out-of-range arguments."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial needs 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
 
 
 def binomial_gcd(r: int) -> int:
@@ -119,10 +111,6 @@ class BezoutCertificate:
     def to_json(self) -> dict:
         return {"r": self.r, "coeffs": [str(a) for a in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BezoutCertificate":
-        return cls(int(obj["r"]), tuple(int(s) for s in obj["coeffs"]))
-
 
 @dataclass(frozen=True)
 class ModificationPlan:
@@ -159,11 +147,6 @@ class ModificationPlan:
             "steps": [{"k": k, "sign": s} for k, s in self.steps],
             "target": self.target,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModificationPlan":
-        steps = tuple((int(st["k"]), int(st["sign"])) for st in obj["steps"])
-        return cls(int(obj["r"]), steps)
 
 
 def certificate_to_plan(cert: BezoutCertificate) -> ModificationPlan:

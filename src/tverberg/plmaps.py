@@ -16,10 +16,12 @@ witness is the lexicographically first failing tuple.  r hulls share a
 point only if every two do, and two hulls meet only if their integer
 boxes do (pairwise overlapping boxes overlap jointly: Helly in
 dimension 1).  So a check walks the r-cliques of the box graph in that
-order on bitsets.  A face joins a prefix only if the clique can still be
-completed and its hull meets every prefix face's hull (a two-hull LP,
-once per pair); a full clique goes to the r-fold LP.  The tuples this
-skips are counted, not listed (``complexes.count_face_combinations``).
+order, stepping prefixes with the tuple walker of ``complexes``; this
+module keeps only the integer boxes and the LPs.  A face joins a
+nonempty prefix only if the walker counts a completion of the clique and
+its hull meets every prefix face's hull (a two-hull LP, once per pair);
+a full clique goes to the r-fold LP.  The tuples this skips are counted,
+not listed (``complexes.count_face_combinations``).
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .complexes import (DisjointTuple, SimplicialComplex, count_face_combinations, extension_masks,
-                        join_complexes)
+from .complexes import SimplicialComplex, _tuple_counter, count_face_combinations, join_complexes
 
 __all__ = [
     "PLMap",
@@ -379,25 +380,33 @@ def simplices_intersect(point_sets: Sequence[Sequence[Point]], d: int) -> Option
 
 @dataclass(frozen=True)
 class IntersectionWitness:
-    """A disjoint tuple whose images share a point, with exact evidence."""
+    """Pairwise disjoint faces whose images share a point, with exact evidence."""
 
-    tuple_: DisjointTuple
+    faces: tuple[tuple[int, ...], ...]
     point: Point
     barycentric: tuple[tuple[Fraction, ...], ...]
 
     def verify(self, f: PLMap) -> None:
-        """Re-check every invariant by plain rational arithmetic: one weight
-        vector per face, and each face of f's complex reaches the point."""
-        if len(self.barycentric) != len(self.tuple_.faces):
+        """Re-check every invariant by plain rational arithmetic: nonempty pairwise
+        disjoint faces, one weight vector per face, and each face of f's complex
+        reaches the point."""
+        used: set[int] = set()
+        for face in self.faces:
+            if not face:
+                raise ValueError("a witness face is empty")
+            if used.intersection(face):
+                raise ValueError(f"witness faces {self.faces} are not pairwise disjoint")
+            used.update(face)
+        if len(self.barycentric) != len(self.faces):
             raise ValueError(f"{len(self.barycentric)} weight vectors for "
-                             f"{len(self.tuple_.faces)} faces")
-        for face, w in zip(self.tuple_.faces, self.barycentric):
+                             f"{len(self.faces)} faces")
+        for face, w in zip(self.faces, self.barycentric):
             if f.eval(face, w) != self.point:
                 raise ValueError(f"face {face} does not reach the witness point")
 
     def to_json(self) -> dict:
         return {
-            "faces": [list(face) for face in self.tuple_.faces],
+            "faces": [list(face) for face in self.faces],
             "point": [str(x) for x in self.point],
             "barycentric": [[str(x) for x in w] for w in self.barycentric],
         }
@@ -435,42 +444,41 @@ def _first_hit(f: PLMap, r: int, maximal_only: bool,
     """Face indices and common point of the first r-clique of the box graph whose hulls meet.
 
     The box graph joins vertex-disjoint faces whose boxes overlap (lo <= hi
-    along every axis, both ways round).  The scan looks ahead without LPs
-    for a completion (inclusion-maximal with maximal_only) of each prefix.
+    along every axis, both ways round).  The scan steps with the tuple
+    walker of :mod:`tverberg.complexes` over that graph, and a face joins a
+    nonempty prefix only if the walker counts a completion (inclusion-maximal
+    with maximal_only) before any pair LP runs.
     """
-    graph = [sum(1 << j for j, b in enumerate(table[i + 1:], i + 1) if not a.mask & b.mask
-                 and all(map(int.__le__, a.lo, b.hi)) and all(map(int.__le__, b.lo, a.hi)))
-             for i, a in enumerate(table)]
-    ext = extension_masks(f.complex)
+    graph = tuple(sum(1 << j for j, b in enumerate(table[i + 1:], i + 1) if not a.mask & b.mask
+                      and all(map(int.__le__, a.lo, b.hi)) and all(map(int.__le__, b.lo, a.hi)))
+                  for i, a in enumerate(table))
+    empty, take, count = _tuple_counter(f.complex, maximal_only, graph)
     meet = functools.cache(  # face pair -> do the hulls meet
         lambda a, b: simplices_intersect([table[a].rows, table[b].rows], f.d) is not None)
 
-    def descend(prefix: tuple[int, ...], cands: int, used: int, reach: int, solve: bool):
-        """The first completion of prefix from cands; without solve any completion, no LP."""
-        need = r - len(prefix)
-        if f.complex.num_vertices - used.bit_count() < need:  # each face needs its own vertex
-            return None
+    def descend(prefix: tuple[int, ...], state: tuple[int, int, int]):
+        """The first clique that completes prefix from state and whose hulls meet."""
+        need = r - len(prefix) - 1  # faces still needed after the next one
+        cands = state[2]
         while cands:
             low = cands & -cands
             cands ^= low
             j = low.bit_length() - 1
-            now, wide, clique = used | table[j].mask, reach | ext[j], prefix + (j,)
-            if need > 1:
-                later = cands & graph[j]
-                if not solve or (descend(clique, later, now, wide, False)
-                                 and all(meet(p, j) for p in prefix)):
-                    if (found := descend(clique, later, now, wide, solve)) is not None:
-                        return found
-            elif not (maximal_only and wide & ~now):
-                if not solve:
-                    return clique, None
-                if r == 2 or all(meet(p, j) for p in prefix):  # r = 2: the pair is the tuple
-                    hit = simplices_intersect([table[p].rows for p in clique], f.d)
-                    if hit is not None:
-                        return clique, hit
+            after = take(state, j)
+            # a nonempty prefix runs pair LPs next, so it first needs a completion
+            # (at need = 0: the tuple must be inclusion-maximal under maximal_only)
+            if prefix and not count(after, need):
+                continue
+            if need:
+                if all(meet(p, j) for p in prefix) and (found := descend(prefix + (j,), after)):
+                    return found
+            elif r == 2 or all(meet(p, j) for p in prefix):  # r = 2: the pair is the tuple
+                hit = simplices_intersect([table[p].rows for p in prefix + (j,)], f.d)
+                if hit is not None:
+                    return prefix + (j,), hit
         return None
 
-    return descend((), (1 << len(table)) - 1, 0, 0, True)
+    return descend((), empty)
 
 
 def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False) -> CheckVerdict:
@@ -496,8 +504,7 @@ def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False) -> Ch
                             tuples_checked=count_face_combinations(f.complex, r, maximal_only))
     indices, hit = found
     faces = tuple(f.complex.faces()[i] for i in indices)
-    witness = IntersectionWitness(DisjointTuple(faces), tuple(x / denom for x in hit.point),
-                                  hit.barycentric)
+    witness = IntersectionWitness(faces, tuple(x / denom for x in hit.point), hit.barycentric)
     witness.verify(f)
     rank = count_face_combinations(f.complex, r, maximal_only, before=faces)
     return CheckVerdict(passed=False, witness=witness, tuples_checked=rank + 1)

@@ -145,7 +145,7 @@ def test_criterion_6_k5_oracle():
         if verdict.passed or not oracle_pairs:
             ok = False
             break
-        faces = verdict.witness.tuple_.faces
+        faces = verdict.witness.faces
         if frozenset(faces) not in oracle_pairs:
             ok = False
             break
@@ -234,7 +234,7 @@ def test_criterion_10_deleted_product_brute_force():
         if K.num_vertices > 6:
             continue
         for r in (2, 3):
-            stream = [t.faces for t in cx.disjoint_tuples(K, r)]
+            stream = list(cx.disjoint_tuples(K, r))
             brute = []
             for combo in itertools.product(K.faces(), repeat=r):
                 used = set()

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from tverberg.complexes import (
-    DisjointTuple,
     SimplicialComplex,
     count_face_combinations,
     deleted_product_stats,
@@ -165,15 +164,15 @@ class TestJoin:
 class TestDisjointTuples:
     def test_edge_r2(self):
         E = simplex_skeleton(1, 1)
-        tuples = [t.faces for t in disjoint_tuples(E, 2)]
+        tuples = list(disjoint_tuples(E, 2))
         assert tuples == [((0,), (1,)), ((1,), (0,))]
 
     def test_k3_r2(self):
         K3 = simplex_skeleton(2, 1)
         tuples = list(disjoint_tuples(K3, 2))
         assert len(tuples) == 12
-        vertex_vertex = [t for t in tuples if all(len(f) == 1 for f in t.faces)]
-        mixed = [t for t in tuples if {len(f) for f in t.faces} == {1, 2}]
+        vertex_vertex = [t for t in tuples if all(len(f) == 1 for f in t)]
+        mixed = [t for t in tuples if {len(f) for f in t} == {1, 2}]
         assert len(vertex_vertex) == 6 and len(mixed) == 6
 
     def test_too_few_vertices(self):
@@ -193,14 +192,14 @@ class TestDisjointTuples:
         suite += [random_complex(rng, n) for n in (3, 4, 5, 6) for _ in range(4)]
         for K in suite:
             for r in (2, 3):
-                got = [t.faces for t in disjoint_tuples(K, r)]
+                got = list(disjoint_tuples(K, r))
                 assert sorted(got) == sorted(brute_disjoint_tuples(K, r))
                 assert len(set(got)) == len(got)
 
     def test_symmetric_group_permutes_stream_bijectively(self):
         K = simplex_skeleton(4, 1)
         for r in (2, 3):
-            stream = {t.faces for t in disjoint_tuples(K, r)}
+            stream = set(disjoint_tuples(K, r))
             for p in itertools.permutations(range(r)):
                 permuted = {tuple(f[p[i]] for i in range(r)) for f in stream}
                 assert permuted == stream
@@ -210,15 +209,9 @@ class TestDisjointTuples:
         faces = K.faces()
         order = {f: i for i, f in enumerate(faces)}
         combos = list(disjoint_face_combinations(K, 2))
-        ordered = {t.faces for t in disjoint_tuples(K, 2)}
+        ordered = set(disjoint_tuples(K, 2))
         assert all(order[a] < order[b] for a, b in combos)
         assert {c for c in combos} == {t for t in ordered if order[t[0]] < order[t[1]]}
-
-    def test_tuple_validation(self):
-        with pytest.raises(ValueError):
-            DisjointTuple(((0, 1), (1, 2)))
-        with pytest.raises(ValueError):
-            DisjointTuple(((0,), ()))
 
 
 class TestCountFaceCombinations:
@@ -377,5 +370,5 @@ class TestFreeAction:
         tuples = list(disjoint_tuples(K, 2))
         assert tuples
         # the former check, distinct faces in every tuple, still holds
-        assert all(len(set(t.faces)) == 2 for t in tuples)
+        assert all(len(set(t)) == 2 for t in tuples)
         assert not fills_free_orbits(K, 2)

@@ -8,7 +8,6 @@ from tverberg.numbercert import (
     CertificateImpossibleError,
     ModificationPlan,
     bezout_certificate,
-    binomial,
     binomial_gcd,
     certificate_to_plan,
     is_prime_power,
@@ -90,27 +89,6 @@ class TestIsPrimePower:
                 assert p ** m == r
 
 
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(6, 3) == 20
-        assert binomial(6, 1) == 6
-        assert binomial(12, 6) == 924
-
-    def test_pascal_oracle(self):
-        for n in range(13):
-            row = pascal_row(n)
-            for k in range(n + 1):
-                assert binomial(n, k) == row[k]
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            binomial(5, 6)
-        with pytest.raises(ValueError):
-            binomial(5, -1)
-        with pytest.raises(ValueError):
-            binomial(-2, 0)
-
-
 class TestBinomialGcd:
     def test_examples(self):
         assert binomial_gcd(6) == 1
@@ -190,11 +168,11 @@ class TestBezoutCertificate:
         with pytest.raises(ValueError):
             bezout_certificate(1)
 
-    def test_json_round_trip(self):
+    def test_json_coefficients_are_strings(self):
         cert = bezout_certificate(12)
-        again = BezoutCertificate.from_json(cert.to_json())
-        assert again == cert
-        assert all(isinstance(s, str) for s in cert.to_json()["coeffs"])
+        obj = cert.to_json()
+        assert obj["r"] == 12 and tuple(int(s) for s in obj["coeffs"]) == cert.coeffs
+        assert all(isinstance(s, str) for s in obj["coeffs"])
 
 
 class TestModificationPlan:
@@ -241,6 +219,7 @@ class TestModificationPlan:
         with pytest.raises(ValueError):
             ModificationPlan(6, ((1, 2),))  # bad sign
 
-    def test_json_round_trip(self):
+    def test_json_lists_steps_and_target(self):
         plan = certificate_to_plan(bezout_certificate(6))
-        assert ModificationPlan.from_json(plan.to_json()) == plan
+        assert plan.to_json() == {"r": 6, "target": 0, "steps": [
+            {"k": 1, "sign": -1}, {"k": 2, "sign": -1}, {"k": 3, "sign": 1}]}

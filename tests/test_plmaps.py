@@ -6,8 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tverberg import plmaps
-from tverberg.complexes import (DisjointTuple, SimplicialComplex, disjoint_face_combinations,
-                                simplex_skeleton)
+from tverberg.complexes import SimplicialComplex, disjoint_face_combinations, simplex_skeleton
 from tverberg.plmaps import (
     CheckVerdict,
     IntersectionWitness,
@@ -107,7 +106,7 @@ def assert_matches_brute_force(f, r, maximal_only):
     assert verdict.tuples_checked == checked
     if first is not None:
         w = verdict.witness
-        assert (w.tuple_.faces, w.point, w.barycentric) == \
+        assert (w.faces, w.point, w.barycentric) == \
             (first[0], first[1].point, first[1].barycentric)
     return verdict
 
@@ -197,7 +196,7 @@ class TestConstantMap:
         f = constant_map(1)
         verdict = almost_r_embedding_check(f, 2)
         assert verdict.passed is False
-        assert verdict.witness.tuple_.faces == ((0,), (1,))
+        assert verdict.witness.faces == ((0,), (1,))
 
 
 class TestJoinMaps:
@@ -286,7 +285,7 @@ class TestChecker:
     def test_radon_square(self):
         verdict = almost_r_embedding_check(square_map(), 2)
         assert verdict.passed is False
-        assert verdict.witness.tuple_.faces == ((0, 3), (1, 2))
+        assert verdict.witness.faces == ((0, 3), (1, 2))
         assert verdict.witness.point == (F(1, 2), F(1, 2))
         verdict.witness.verify(square_map())
 
@@ -297,7 +296,7 @@ class TestChecker:
         verdict = almost_r_embedding_check(square_map(), 2)
         w = verdict.witness
         # independent recomputation of both affine combinations
-        for face, weights in zip(w.tuple_.faces, w.barycentric):
+        for face, weights in zip(w.faces, w.barycentric):
             pt = [F(0), F(0)]
             for wi, v in zip(weights, face):
                 pt[0] += wi * square_map().coords[v][0]
@@ -310,7 +309,7 @@ class TestChecker:
             f = random_rational_map(K5, 2, seed)
             verdict = almost_r_embedding_check(f, 2)
             assert verdict.passed is False
-            faces = verdict.witness.tuple_.faces
+            faces = verdict.witness.faces
             assert all(len(face) == 2 for face in faces)
             e1, e2 = faces
             pts = f.coords
@@ -365,7 +364,7 @@ class TestChecker:
         vf = almost_r_embedding_check(f, 2)
         vg = almost_r_embedding_check(g, 2)
         assert vf.passed == vg.passed is False
-        assert vf.witness.tuple_.faces == vg.witness.tuple_.faces
+        assert vf.witness.faces == vg.witness.faces
         assert vg.witness.point == T(vf.witness.point)
 
     def test_maximal_only_mode_agrees(self):
@@ -399,7 +398,7 @@ class TestChecker:
             verdict = almost_r_embedding_check(f, r, maximal_only=True)
             assert verdict.passed == (not hits) == almost_r_embedding_check(f, r).passed
             if hits:
-                assert verdict.witness.tuple_.faces == maximal[hits[0]]
+                assert verdict.witness.faces == maximal[hits[0]]
                 assert verdict.tuples_checked == hits[0] + 1
             else:
                 assert verdict.tuples_checked == len(maximal)
@@ -415,10 +414,10 @@ class TestChecker:
                                            (True, ((0, 1, 2), (3, 4, 5)), 1)):
             verdict = almost_r_embedding_check(f, 2, maximal_only=maximal_only)
             assert verdict.passed is False
-            assert verdict.witness.tuple_.faces == faces
+            assert verdict.witness.faces == faces
             assert verdict.tuples_checked == count
             w = verdict.witness
-            for face, weights in zip(w.tuple_.faces, w.barycentric):
+            for face, weights in zip(w.faces, w.barycentric):
                 assert sum(weights) == 1 and min(weights) >= 0
                 assert tuple(sum(wi * f.coords[v][ell] for wi, v in zip(weights, face))
                              for ell in range(3)) == w.point
@@ -481,6 +480,26 @@ class TestChecker:
                                for pair in itertools.combinations(faces, 2))]
             assert sum(len(call) == r for call in calls) == len(pairwise) > 0
 
+    @pytest.mark.parametrize("d, maximal_only, passed, lp_calls, tuples_checked", [
+        (5, False, True, 841, 59_830), (5, True, True, 403, 2_800), (3, False, False, 1_297, 57_064),
+    ])
+    def test_look_ahead_spares_lps(self, monkeypatch, d, maximal_only, passed, lp_calls,
+                                   tuples_checked):
+        """The maps of the benchmark's check workload.  A prefix whose clique
+        cannot be completed runs no pair LP; without that look-ahead the scan
+        makes 2,230 / 2,230 / 1,795 LP calls."""
+        f = random_rational_map(simplex_skeleton(9, 2), d, 1)
+        calls = []
+
+        def counting(point_sets, dim):
+            calls.append(len(point_sets))
+            return simplices_intersect(point_sets, dim)
+
+        monkeypatch.setattr(plmaps, "simplices_intersect", counting)
+        verdict = almost_r_embedding_check(f, 3, maximal_only=maximal_only)
+        assert (verdict.passed, len(calls), verdict.tuples_checked) == \
+            (passed, lp_calls, tuples_checked)
+
     def test_more_faces_than_vertices_pass_without_lp(self, monkeypatch):
         f = random_rational_map(simplex_skeleton(9, 2), 3, 1)
         calls = []
@@ -508,7 +527,7 @@ class TestWitnessVerify:
         f = random_rational_map(simplex_skeleton(4, 1), 2, 0)
         w = almost_r_embedding_check(f, 2).witness
         w.verify(f)
-        short = IntersectionWitness(w.tuple_, w.point, w.barycentric[:1])
+        short = IntersectionWitness(w.faces, w.point, w.barycentric[:1])
         with pytest.raises(ValueError, match="1 weight vectors for 2 faces"):
             short.verify(f)
 
@@ -517,9 +536,22 @@ class TestWitnessVerify:
         K = SimplicialComplex.from_faces(5, [(0, 1), (2, 3), (2, 4)])
         f = PLMap(K, 2, ((F(0), F(0)), (F(2), F(2)), (F(5), F(5)), (F(0), F(2)), (F(2), F(0))))
         half = (F(1, 2), F(1, 2))
-        forged = IntersectionWitness(DisjointTuple(((0, 1), (3, 4))), (F(1), F(1)), (half, half))
+        forged = IntersectionWitness(((0, 1), (3, 4)), (F(1), F(1)), (half, half))
         with pytest.raises(ValueError, match=r"\(3, 4\) is not a face of the complex"):
             forged.verify(f)
+
+    def test_faces_sharing_a_vertex_are_rejected(self):
+        # both edges reach the image of vertex 1, which they share
+        f = random_rational_map(simplex_skeleton(2, 1), 2, 0)
+        shared = IntersectionWitness(((0, 1), (1, 2)), f.coords[1], ((F(0), F(1)), (F(1), F(0))))
+        with pytest.raises(ValueError, match="not pairwise disjoint"):
+            shared.verify(f)
+
+    def test_empty_face_is_rejected(self):
+        f = random_rational_map(simplex_skeleton(2, 1), 2, 0)
+        empty = IntersectionWitness(((0,), ()), f.coords[0], ((F(1),), ()))
+        with pytest.raises(ValueError, match="empty"):
+            empty.verify(f)
 
 
 class TestRandomMaps:
