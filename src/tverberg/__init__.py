@@ -7,9 +7,37 @@ rational checker for the almost r-embedding property of simplexwise
 linear maps (``plmaps``), and a numerically verified construction of
 degree-zero equivariant self-maps of the matrix sphere (``eqmaps``).
 The ``tverberg`` command line front end ties them together.
+
+Each piece runs on the first read of one of its attributes, so a
+process runs only the pieces it uses: ``tverberg delprod`` runs
+``complexes`` alone, and only ``eqmap`` loads numpy.
 """
 
-from . import bounds, complexes, eqmaps, numbercert, plmaps
+import importlib.util
+import sys
+
+
+def _lazy(name: str):
+    """The module ``name``, run on the first read of one of its attributes (LazyLoader).
+
+    An imported module is returned as it is; a missing one, or a ``None``
+    entry in ``sys.modules`` (which blocks its import), raises here.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+bounds, complexes, eqmaps, numbercert, plmaps = (
+    _lazy(f"{__name__}.{name}") for name in ("bounds", "complexes", "eqmaps", "numbercert", "plmaps"))
 
 __version__ = "0.1.0"
 

@@ -33,35 +33,13 @@ pushed centers at parameter 1/2, a sampled search for spurious zeros).
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-
-def _lazy_numpy():
-    """numpy, loaded when one of its attributes is first read (LazyLoader).
-
-    Code that imports this module but evaluates no sphere map then runs
-    without it.  A numpy that is already imported is returned as it is,
-    and a missing one still fails here, at import.
-    """
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _lazy_numpy()
+from . import _lazy
 
 __all__ = [
     "NumericalDegeneracyError",
@@ -114,6 +92,11 @@ class WindingNonconvergenceError(NumericalDegeneracyError):
 
 class CenterSeparationError(RuntimeError):
     """Orbit balls of distinct steps interfere; degree tracking unsound."""
+
+
+# After the error classes: if numpy is missing, this raises and cli.main's
+# except clauses still find them in the half-run module.
+np = _lazy("numpy")
 
 
 def _frob(a: np.ndarray) -> np.ndarray:

@@ -245,35 +245,21 @@ def _phase_one(A: list[list[int]], b: list[int]) -> Optional[list[Fraction]]:
     termination is guaranteed.  The tableau stays integral via integer
     pivoting: after a pivot on (p, q) every other row transforms as
     (T[i][j]*piv - T[i][q]*T[p][j]) / det with exact division by the
-    previous pivot.
+    previous pivot.  The artificial variables start basic (indices
+    n..n+m-1) but get no columns: Bland's rule tries A's columns first,
+    and once none can enter, the artificial sum is minimal with the
+    artificials that left the basis held at 0.  A positive minimum
+    proves A x = b infeasible; at 0 the basic x is feasible.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    T: list[list[int]] = []
-    for i in range(m):
-        row = list(A[i])
-        rhs = b[i]
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [0] * m
-        art[i] = 1
-        T.append(row + art + [rhs])
-    obj = [-sum(T[i][j] for i in range(m)) for j in range(n)]
-    obj += [0] * m
-    obj.append(-sum(T[i][-1] for i in range(m)))
-    T.append(obj)
-
-    ncols = n + m
+    T = [[-v for v in row] + [-rhs] if rhs < 0 else [*row, rhs] for row, rhs in zip(A, b)]
+    T.append([-sum(T[i][j] for i in range(m)) for j in range(n + 1)])
     det = 1
     basis = list(range(n, n + m))
     while True:
         objrow = T[m]
-        q = -1
-        for j in range(ncols):
-            if objrow[j] < 0:
-                q = j
-                break
+        q = next((j for j in range(n) if objrow[j] < 0), -1)
         if q < 0:
             break
         p = -1

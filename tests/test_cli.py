@@ -118,13 +118,87 @@ def test_eqmap_loads_numpy():
     assert proc.stdout.split() == ["0", "True"]
 
 
-def test_cli_import_loads_eqmaps_but_not_numpy():
-    """perfbench/tracer.py wraps the tverberg modules loaded by `import tverberg.cli`."""
-    proc = run_python("import sys, tverberg.cli\n"
+def test_cli_import_registers_eqmaps_but_runs_nothing():
+    """perfbench/tracer.py wraps the tverberg modules registered by `import tverberg.cli`;
+    they are registered, not run, and numpy is not loaded."""
+    proc = run_python("import sys, types, tverberg.cli\n"
                       "print('tverberg.eqmaps' in sys.modules,\n"
+                      "      [name for name, module in sys.modules.items() if name.startswith('tverberg.')\n"
+                      "       and name != 'tverberg.cli' and type(module) is types.ModuleType],\n"
                       "      any(name.startswith('numpy.') for name in sys.modules))\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False"]
+    assert proc.stdout.split() == ["True", "[]", "False"]
+
+
+# Runs main on the arguments after the script and prints its exit code and
+# the tverberg modules that ran: the package registers each module lazily,
+# and one that has not run still has the lazy module type.
+MODULE_PROBE = ("import contextlib, io, sys, types\n"
+                "from tverberg.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = main(sys.argv[1:])\n"
+                "print(code, *(name for name in ('bounds', 'complexes', 'eqmaps', 'numbercert', 'plmaps')\n"
+                "              if type(sys.modules['tverberg.' + name]) is types.ModuleType))\n")
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["delprod", "--N", "280", "--k", "45", "--r", "6"], ["complexes"]),
+    (["check", "--r", "2"], ["complexes", "plmaps"]),
+    (["bounds", "--r", "6", "--d", "54"], ["bounds", "numbercert"]),
+    (["cert", "--r", "10"], ["numbercert"]),
+    (["eqmap", "build", "--r", "6"], ["eqmaps", "numbercert"]),
+], ids=["delprod", "check", "bounds", "cert", "eqmap"])
+def test_subcommand_runs_only_the_modules_it_needs(triangle_files, argv, ran):
+    if argv[0] == "check":
+        argv = argv + ["--complex", triangle_files[0], "--map", triangle_files[1]]
+    proc = run_python(MODULE_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", *ran]
+
+
+def test_monkeypatch_on_a_module_that_has_not_run():
+    """setattr reads the attribute first, which runs the module, and then replaces it."""
+    script = ("import contextlib, io, json, types, pytest, tverberg\n"
+              "from tverberg.cli import main\n"
+              "assert type(tverberg.bounds) is not types.ModuleType\n"
+              "out = io.StringIO()\n"
+              "with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):\n"
+              "    mp.setattr(tverberg.bounds, 'classic_N', lambda r, d: -1)\n"
+              "    code = main(['bounds', '--r', '6', '--d', '54'])\n"
+              "print(code, json.loads(out.getvalue())['outputs']['classic_N'])\n")
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "-1"]
+
+
+def test_exact_subcommands_run_with_numpy_blocked(triangle_files):
+    script = ("import contextlib, io, sys\n"
+              "sys.modules['numpy'] = None  # every import of numpy now fails\n"
+              "from tverberg.cli import main\n"
+              "codes = []\n"
+              "for argv in (['bounds', '--r', '6', '--d', '54'], ['cert', '--r', '10'],\n"
+              "             ['check', '--complex', sys.argv[1], '--map', sys.argv[2], '--r', '2'],\n"
+              "             ['delprod', '--N', '9', '--k', '2', '--r', '3']):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        codes.append(main(argv))\n"
+              "print(*codes)\n")
+    proc = run_python(script, *triangle_files)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+
+def test_eqmap_with_numpy_blocked_names_numpy():
+    """The ModuleNotFoundError leaves main as it is: its except clauses still evaluate."""
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from tverberg.cli import main\n"
+              "try:\n"
+              "    main(['eqmap', 'build', '--r', '2', '--plan', '1:-'])\n"
+              "except ModuleNotFoundError as exc:\n"
+              "    print(exc.name, exc.__context__)\n")
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numpy", "None"]
 
 
 def test_bump_level_radius_needs_no_numpy():

@@ -92,6 +92,99 @@ def degenerate_map(K, d, den, seed):
                              for _ in range(K.num_vertices)))
 
 
+def phase_one_with_artificial_columns(A, b):
+    """Feasible x >= 0 with A x = b, or None: plmaps._phase_one as it was with
+    explicit artificial columns, kept as the oracle of the column-free tableau.
+
+    Phase-one simplex with Bland's rule (smallest eligible index enters;
+    ties in the ratio test break toward the smallest basic index), so
+    termination is guaranteed.  The tableau stays integral via integer
+    pivoting: after a pivot on (p, q) every other row transforms as
+    (T[i][j]*piv - T[i][q]*T[p][j]) / det with exact division by the
+    previous pivot.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    T = []
+    for i in range(m):
+        row = list(A[i])
+        rhs = b[i]
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        art = [0] * m
+        art[i] = 1
+        T.append(row + art + [rhs])
+    obj = [-sum(T[i][j] for i in range(m)) for j in range(n)]
+    obj += [0] * m
+    obj.append(-sum(T[i][-1] for i in range(m)))
+    T.append(obj)
+
+    ncols = n + m
+    det = 1
+    basis = list(range(n, n + m))
+    while True:
+        objrow = T[m]
+        q = -1
+        for j in range(ncols):
+            if objrow[j] < 0:
+                q = j
+                break
+        if q < 0:
+            break
+        p = -1
+        bn = bd = 0
+        for i in range(m):
+            v = T[i][q]
+            if v > 0:
+                num = T[i][-1]
+                if p < 0 or num * bd < bn * v or (num * bd == bn * v and basis[i] < basis[p]):
+                    p, bn, bd = i, num, v
+        if p < 0:
+            raise AssertionError("phase-one objective is bounded; no pivot row found")
+        piv = T[p][q]
+        Tp = T[p]
+        for i in range(m + 1):
+            if i == p:
+                continue
+            Ti = T[i]
+            tiq = Ti[q]
+            if tiq:
+                T[i] = [(a * piv - tiq * c) // det for a, c in zip(Ti, Tp)]
+            elif piv != det:
+                T[i] = [(a * piv) // det for a in Ti]
+        det = piv
+        basis[p] = q
+
+    if T[m][-1] != 0:
+        return None
+    x = [F(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = F(T[i][-1], det)
+    return x
+
+
+def random_lp(rng):
+    """A small integer system A x = b: feasible at a sparse x0 >= 0 (so often
+    degenerate) or with a random b, plus combinations of rows and a zero row."""
+    m, n = rng.randint(1, 6), rng.randint(1, 9)
+    A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x0 = [rng.choice((0, 0, 0, 1, 2)) for _ in range(n)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = [rng.randint(-4, 4) for _ in range(m)]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i, j, c = rng.randrange(len(A)), rng.randrange(len(A)), rng.choice((-2, -1, 1, 2))
+        A.append([u + c * v for u, v in zip(A[i], A[j])])
+        b.append(b[i] + c * b[j])
+    if rng.random() < 0.1:
+        A.append([0] * n)
+        b.append(0)
+    return A, b
+
+
 def assert_matches_brute_force(f, r, maximal_only):
     """Every scanned tuple through the r-fold LP: same verdict, count and witness."""
     checked, first = 0, None
@@ -268,6 +361,17 @@ class TestSimplicesIntersect:
         assert by_int.point == (F(2), F(2))
         assert by_frac.point == (F(1, 2), F(1, 2))
         assert by_int.barycentric == by_frac.barycentric
+
+    def test_phase_one_matches_artificial_column_tableau(self):
+        """Same verdict and the same basic solution x on random systems."""
+        rng = random.Random(19)
+        feasible = 0
+        for _ in range(3000):
+            A, b = random_lp(rng)
+            x = plmaps._phase_one(A, b)
+            assert x == phase_one_with_artificial_columns(A, b), (A, b)
+            feasible += x is not None
+        assert 1000 < feasible < 2800  # both verdicts are exercised
 
     def test_touching_hulls(self):
         # shared endpoint counts as intersection
