@@ -41,7 +41,11 @@ def _read_json(path: str) -> tuple[object, str]:
     """The parsed UTF-8 JSON of a file and the SHA-256 of its bytes."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    return json.loads(blob.decode("utf-8")), hashlib.sha256(blob).hexdigest()
+    try:
+        obj = json.loads(blob.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+    return obj, hashlib.sha256(blob).hexdigest()
 
 
 def _emit(report: dict, sink=None) -> None:

@@ -502,28 +502,6 @@ def _coords(E: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.tensordot(v, E, axes=([-2, -1], [1, 2]))
 
 
-def _tangent_basis(E: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Oriented orthonormal tangent basis at a center, as (2r-3, 2, r).
-
-    Orientation convention: the ambient-coordinate matrix with columns
-    [center, b_1, ..., b_{2r-3}] has positive determinant; transported
-    bases at the other orbit points then agree in orientation because
-    column permutations act with determinant +1 on this subspace.
-    """
-    chat = _coords(E, center)
-    chat = chat / np.linalg.norm(chat)
-    n = len(chat)
-    A = np.column_stack([chat, np.eye(n)])
-    Q, _ = np.linalg.qr(A)
-    if np.dot(Q[:, 0], chat) < 0:
-        Q = -Q
-    tangent = Q[:, 1:n]
-    if np.linalg.det(np.column_stack([chat, tangent])) < 0:
-        tangent = tangent.copy()
-        tangent[:, 0] *= -1.0
-    return np.tensordot(tangent.T, E, axes=(1, 0))
-
-
 @dataclass(frozen=True)
 class LocalDegreeReport:
     """Finite-difference Jacobian signs of the homotopy at its zeros.
@@ -540,50 +518,50 @@ class LocalDegreeReport:
     matches_ledger: bool
 
 
-def _stencil_dets(layer: MapLayer, E: np.ndarray, base: np.ndarray, centers: np.ndarray,
-                  rank: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference Jacobian determinants of (x, t) -> h_t(x) at (centers, 1/2).
+def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, step: float) -> np.ndarray:
+    """Bordered central-difference Jacobian determinants of (x, t) -> h_t(x) at (centers, 1/2).
 
-    Each center's tangent basis is base with its columns in the order of
-    that center's row of rank; one batched homotopy evaluation covers
-    every stencil point of every center.
+    Columns step along the rows of E and along t, each x-step reprojected
+    onto the sphere; the top row is [c, 0], the center's own coordinates.
+    A radial step reprojects onto c, so J_x c = 0, and for any oriented
+    tangent basis b with det [c, b] = +1 the determinant equals that of
+    the chart Jacobian [J_x b, J_t].  One batched homotopy evaluation
+    covers every stencil point of every center.
     """
-    B = np.moveaxis(base[..., rank], 2, 0)  # (m, 2r-3, 2, r)
-    m, dim = len(centers), B.shape[1] + 1
+    m, n = len(centers), len(E)
     C = centers[:, None]
-    # rows 2j and 2j+1 step along +-B[j]; the last two along +-t
-    p = np.stack([C + step * B, C - step * B], axis=2).reshape(m, -1, 2, layer.r)
+    # rows 2j and 2j+1 step along +-E[j]; the last two along +-t
+    p = np.stack([C + step * E, C - step * E], axis=2).reshape(m, -1, 2, layer.r)
     pts = np.concatenate([p / _frob(p)[..., None, None], C, C], axis=1)
-    ts = np.full((m, 2 * dim), 0.5)
+    ts = np.full((m, 2 * n + 2), 0.5)
     ts[:, -2:] = 0.5 + step, 0.5 - step
-    H = _coords(E, _homotopy(layer, pts.reshape(-1, 2, layer.r), ts.ravel())).reshape(m, 2 * dim, -1)
-    return np.linalg.det(((H[:, 0::2] - H[:, 1::2]) / (2.0 * step)).transpose(0, 2, 1))
+    H = _coords(E, _homotopy(layer, pts.reshape(-1, 2, layer.r), ts.ravel())).reshape(m, -1, n)
+    J = np.zeros((m, n + 1, n + 1))
+    J[:, 0, :n] = _coords(E, centers)
+    J[:, 1:] = ((H[:, 0::2] - H[:, 1::2]) / (2.0 * step)).transpose(0, 2, 1)
+    return np.linalg.det(J)
 
 
 def verify_local_degrees(layer: MapLayer, fd_step: float = 1e-5) -> LocalDegreeReport:
     """Jacobian sign of (x, t) -> h_t(x) at every (center, 1/2).
 
-    The chart uses an oriented tangent basis transported along the
-    orbit; with that convention the measured delta sign is minus the
-    Jacobian sign.  Centers are evaluated _LOCAL_DEGREE_CHUNK at a time;
-    those whose determinant is at most 1e-8 in magnitude are redone with
-    the step halved (up to 4 times).
+    The sign is read from the bordered Jacobian of _stencil_dets, which
+    orients every center's tangent space by det [c, b] > 0; with that
+    convention the measured delta sign is minus the Jacobian sign.
+    Centers are evaluated _LOCAL_DEGREE_CHUNK at a time; those whose
+    determinant is at most 1e-8 in magnitude are redone with the step
+    halved (up to 4 times).
     """
     node = layer.node
     if node is None:
         raise ValueError("identity layer has no modification step to verify")
     E = _ambient_basis(layer.r)
-    base = _tangent_basis(E, node.centers[0])
-    # center i is c_theta with column j moved to column sigma_i[j], sigma_i
-    # listing its low columns and then the rest; the basis moves with it, so
-    # its column j is column rank_i[j] of base, rank_i the inverse of sigma_i
-    rank = np.argsort(np.argsort(~_low_masks(layer.r, node.k), axis=1, kind="stable"), axis=1)
     det = np.empty(len(node.centers))
     for start in range(0, len(det), _LOCAL_DEGREE_CHUNK):
         todo = np.arange(start, min(start + _LOCAL_DEGREE_CHUNK, len(det)))
         step = fd_step
         for _ in range(5):
-            det[todo] = _stencil_dets(layer, E, base, node.centers[todo], rank[todo], step)
+            det[todo] = _stencil_dets(layer, E, node.centers[todo], step)
             todo = todo[~(np.abs(det[todo]) > 1e-8)]
             if not len(todo):
                 break

@@ -30,6 +30,12 @@ __all__ = [
 
 # certificate_to_plan refuses certificates whose plan would be longer.
 MAX_CERT_STEPS = 100000
+# bezout_certificate refuses larger r before reducing: the exact LLL time
+# grows steeply (1.3 s at r = 297, 3.3 s at r = 400, 2-core Xeon).
+MAX_CERT_R = 300
+# is_prime_power refuses larger r: trial division runs to sqrt(r), 0.14 s
+# at the cap.
+MAX_PRIME_POWER_R = 10 ** 12
 
 
 class CertificateImpossibleError(ValueError):
@@ -47,11 +53,13 @@ class CertificateImpossibleError(ValueError):
 def is_prime_power(r: int) -> Optional[tuple[int, int]]:
     """Return (p, m) with r = p**m and p prime, or None.
 
-    Plain trial factorization; inputs are small enough that nothing
-    cleverer is warranted.
+    Plain trial factorization, so r above MAX_PRIME_POWER_R is refused.
     """
     if r < 2:
         raise ValueError(f"prime-power test needs r >= 2, got {r}")
+    if r > MAX_PRIME_POWER_R:
+        raise ValueError(f"prime-power test refuses r={r}, beyond the cap "
+                         f"MAX_PRIME_POWER_R = {MAX_PRIME_POWER_R}")
     d = 2
     while d * d <= r:
         if r % d == 0:
@@ -65,7 +73,11 @@ def is_prime_power(r: int) -> Optional[tuple[int, int]]:
 
 
 def binomial_gcd(r: int) -> int:
-    """gcd of C(r,k) for k = 1..r-1 (1 for r not a prime power, else p)."""
+    """gcd of C(r,k) for k = 1..r-1 (1 for r not a prime power, else p).
+
+    Brute force over half the row; bezout_certificate reads the same fact
+    from is_prime_power.
+    """
     if r < 2:
         raise ValueError(f"binomial_gcd needs r >= 2, got {r}")
     g = 0
@@ -225,11 +237,15 @@ def bezout_certificate(r: int) -> BezoutCertificate:
     [e_i | W * C(r,i)], i = 1..m, reduce to m - 1 rows ending in 0 and one
     ending in +-W, whose first m entries combine the binomials to +-1.
     C(r,k) = C(r,r-k), so k > m gets weight 0.  Short is not always
-    shortest: r = 20 gets sum |a_k| = 8, where 7 suffices.
+    shortest: r = 20 gets sum |a_k| = 8, where 7 suffices.  A prime power
+    p**m has binomial gcd p; r above MAX_CERT_R is refused.
     """
-    g = binomial_gcd(r)  # raises ValueError for r < 2
-    if g != 1:
-        raise CertificateImpossibleError(r, g)
+    pp = is_prime_power(r)  # raises ValueError for r < 2 or r > MAX_PRIME_POWER_R
+    if pp:
+        raise CertificateImpossibleError(r, pp[0])
+    if r > MAX_CERT_R:
+        raise ValueError(f"certificate for r={r} refused: lattice reduction beyond the cap "
+                         f"MAX_CERT_R = {MAX_CERT_R}")
     m = r // 2
     W = 2 ** (2 * m + 8)
     rows = [[int(i == j) for j in range(m)] + [W * math.comb(r, i + 1)] for i in range(m)]

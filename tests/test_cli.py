@@ -354,6 +354,23 @@ class TestCert:
         assert code == 2
         assert "gcd" in report["error"] and "2" in report["error"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("cert", "--r", "10007"), "no certificate for r=10007: gcd of C(10007,1..10006) is "
+                                   "10007, so -1 is not an integer combination"),
+        (("cert", "--r", "1002"), "certificate for r=1002 refused: lattice reduction beyond "
+                                  "the cap MAX_CERT_R = 300"),
+        (("bounds", "--r", "2305843009213693951", "--d", "54"),
+         "prime-power test refuses r=2305843009213693951, beyond the cap "
+         "MAX_PRIME_POWER_R = 1000000000000"),
+    ], ids=["prime", "beyond-cert-cap", "beyond-prime-power-cap"])
+    def test_large_r_fails_fast(self, capsys, deadline, argv, message):
+        with deadline(5):
+            code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
+        assert captured.err == ""
+
     def test_json_file_output(self, capsys, tmp_path):
         out_path = tmp_path / "cert.json"
         code, report = run_cli(capsys, "cert", "--r", "6", "--json", str(out_path))
@@ -457,6 +474,16 @@ class TestCheck:
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
+        assert captured.err == ""
+
+    def test_deeply_nested_json_is_input_error(self, capsys, radon_files):
+        complex_path, map_path = radon_files
+        Path(complex_path).write_text("[" * 100000)
+        code = main(["check", "--complex", complex_path, "--map", map_path, "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {
+            "error": f"{complex_path}: JSON nested too deeply to parse", "flags": {"pass": False}}
         assert captured.err == ""
 
     def test_parallel_flag_is_gone(self, capsys, radon_files):

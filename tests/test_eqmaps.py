@@ -528,18 +528,31 @@ class TestEquivariance:
         assert np.array_equal(np.concatenate(draws), once)
 
 
+def tangent_basis(E, center):
+    """Orthonormal tangent basis at center, as (2r-3, 2, r), with det [c, b] > 0
+    in the coordinates of E."""
+    chat = eq._coords(E, center)
+    chat = chat / np.linalg.norm(chat)
+    n = len(chat)
+    Q, _ = np.linalg.qr(np.column_stack([chat, np.eye(n)]))
+    if np.dot(Q[:, 0], chat) < 0:
+        Q = -Q
+    tangent = Q[:, 1:n]
+    if np.linalg.det(np.column_stack([chat, tangent])) < 0:
+        tangent = tangent.copy()
+        tangent[:, 0] *= -1.0
+    return np.tensordot(tangent.T, E, axes=(1, 0))
+
+
 def per_center_fd_signs(layer, fd_step=1e-5):
-    """Reference: the Jacobian sign center by center, the tangent basis carried
-    to each center by a coset permutation that lists its low columns first."""
+    """Reference: the Jacobian sign center by center, in a chart on the tangent
+    space of each center with its own QR frame."""
     node, r = layer.node, layer.r
     E = eq._ambient_basis(r)
-    base = eq._tangent_basis(E, node.centers[0])
-    dim = len(base) + 1
     signs = []
-    for center, S in zip(node.centers, itertools.combinations(range(r), node.k)):
-        sigma = S + tuple(v for v in range(r) if v not in S)
-        assert np.array_equal(eq._act_array(sigma, node.centers[0]), center)
-        B = eq._act_array(sigma, base)
+    for center in node.centers:
+        B = tangent_basis(E, center)
+        dim = len(B) + 1
         step = fd_step
         for _ in range(5):
             p = np.stack([center + step * B, center - step * B], axis=1).reshape(-1, 2, r)
@@ -595,9 +608,9 @@ class TestLocalDegrees:
         calls = []
         batched = eq._stencil_dets
 
-        def first_try_flat(layer, E, base, centers, rank, step):
+        def first_try_flat(layer, E, centers, step):
             calls.append((len(centers), step))
-            det = batched(layer, E, base, centers, rank, step)
+            det = batched(layer, E, centers, step)
             if step == 1e-5:
                 det[::4] = 0.0
             return det
@@ -606,6 +619,19 @@ class TestLocalDegrees:
         rep = eq.verify_local_degrees(layer)
         assert calls == [(15, 1e-5), (4, 5e-6)]
         assert rep.consistent and rep.matches_ledger
+
+    def test_negated_border_row_flips_every_sign(self, monkeypatch):
+        """The border row [c, 0] orients the chart: negating it (which negates
+        the determinant, linear in that row) flips every delta sign."""
+        layer, _ = eq.build_from_plan(plan_of(6, ((1, -1), (2, 1))))
+        batched = eq._stencil_dets
+        before = [eq.verify_local_degrees(step) for step in layer.chain()]
+        monkeypatch.setattr(eq, "_stencil_dets", lambda *args: -batched(*args))
+        for step, rep in zip(layer.chain(), before):
+            mutant = eq.verify_local_degrees(step)
+            assert rep.matches_ledger and mutant.consistent
+            assert mutant.delta_signs == tuple(-s for s in rep.delta_signs)
+            assert not mutant.matches_ledger
 
     def test_collapsed_stencil_raises(self):
         # a step far below the resolution of the center's entries leaves

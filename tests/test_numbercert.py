@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tverberg.numbercert import (
+    MAX_CERT_R,
+    MAX_PRIME_POWER_R,
     BezoutCertificate,
     CertificateImpossibleError,
     ModificationPlan,
@@ -70,6 +72,14 @@ class TestIsPrimePower:
         with pytest.raises(ValueError):
             is_prime_power(1)
 
+    def test_refuses_beyond_the_cap_fast(self, deadline):
+        with deadline(5):
+            # the largest prime below the cap: trial division to 10**6
+            assert is_prime_power(MAX_PRIME_POWER_R - 11) == (MAX_PRIME_POWER_R - 11, 1)
+            assert is_prime_power(MAX_PRIME_POWER_R) is None
+            with pytest.raises(ValueError, match="MAX_PRIME_POWER_R = 1000000000000"):
+                is_prime_power(2 ** 61 - 1)  # a Mersenne prime
+
     def test_against_factorization_oracle(self):
         for r in range(2, 400):
             primes = set()
@@ -127,6 +137,17 @@ class TestBezoutCertificate:
         with pytest.raises(CertificateImpossibleError) as err:
             bezout_certificate(9)
         assert err.value.obstruction_gcd == 3
+
+    @pytest.mark.parametrize("r, p", [(10007, 10007), (1000000007, 1000000007), (3 ** 25, 3)])
+    def test_large_prime_power_obstruction_is_fast(self, r, p, deadline):
+        with deadline(5), pytest.raises(CertificateImpossibleError) as err:
+            bezout_certificate(r)
+        assert err.value.obstruction_gcd == p
+
+    @pytest.mark.parametrize("r", [MAX_CERT_R + 1, 1002, 10 ** 12])
+    def test_refuses_beyond_the_cap_before_reducing(self, r, deadline):
+        with deadline(5), pytest.raises(ValueError, match=f"MAX_CERT_R = {MAX_CERT_R}"):
+            bezout_certificate(r)
 
     def test_r12(self):
         cert = bezout_certificate(12)
