@@ -53,25 +53,23 @@ class SimplicialComplex:
     def __post_init__(self):
         if self.num_vertices < 0:
             raise ValueError("num_vertices must be nonnegative")
-        seen = set()
         for f in self.maximal_faces:
             if not f or list(f) != sorted(set(f)):
                 raise ValueError(f"face {f} is not a sorted duplicate-free tuple")
             if f[0] < 0 or f[-1] >= self.num_vertices:
                 raise ValueError(f"face {f} has vertices outside 0..{self.num_vertices - 1}")
-            seen.add(frozenset(f))
-        for a in seen:
-            for b in seen:
-                if a < b:
-                    raise ValueError("maximal faces must form an antichain")
+        masks = set(_face_masks(self.maximal_faces))
+        if not masks.isdisjoint(_proper_subfaces(masks)):
+            raise ValueError("maximal faces must form an antichain")
 
     @classmethod
     def from_faces(cls, num_vertices: int, faces: Sequence[Sequence[int]]) -> "SimplicialComplex":
         """Normalize arbitrary generating faces: dedupe, drop dominated ones."""
-        sets = {frozenset(f) for f in faces if len(f) > 0}
-        maximal = [s for s in sets if not any(s < t for t in sets)]
-        ordered = sorted((tuple(sorted(s)) for s in maximal), key=lambda f: (len(f), f))
-        return cls(num_vertices, tuple(ordered))
+        unique = list({tuple(sorted(set(f))) for f in faces if len(f) > 0})
+        masks = _face_masks(unique)
+        dominated = _proper_subfaces(set(masks))
+        maximal = [f for f, m in zip(unique, masks) if m not in dominated]
+        return cls(num_vertices, tuple(sorted(maximal, key=lambda f: (len(f), f))))
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """All nonempty faces, sorted by (dimension, lexicographic)."""
@@ -146,6 +144,26 @@ def _face_masks(faces: Sequence[tuple[int, ...]]) -> list[int]:
             m |= 1 << v
         masks.append(m)
     return masks
+
+
+def _proper_subfaces(masks: set[int]) -> set[int]:
+    """The proper subfaces of the given faces (vertex masks) that have at least as
+    many vertices as the smallest given face, so every given face that another
+    one contains.  Each subface is found once and expanded at most twice, so the
+    work is linear in the face count of the complex, and nil when every given
+    face has the same size."""
+    floor = min((m.bit_count() for m in masks), default=0)
+    found: set[int] = set()
+    todo = [m for m in masks if m.bit_count() > floor]
+    while todo:
+        m = todo.pop()
+        for v in _bits(m):
+            sub = m ^ (1 << v)
+            if sub not in found:
+                found.add(sub)
+                if sub.bit_count() > floor:
+                    todo.append(sub)
+    return found
 
 
 def _disjoint_index_tuples(masks: Sequence[int], r: int, ordered: bool,

@@ -17,11 +17,18 @@ point only if every two do, and two hulls meet only if their integer
 boxes do (pairwise overlapping boxes overlap jointly: Helly in
 dimension 1).  So a check walks the r-cliques of the box graph in that
 order, stepping prefixes with the tuple walker of ``complexes``; this
-module keeps only the integer boxes and the LPs.  A face joins a
-nonempty prefix only if the walker counts a completion of the clique and
-its hull meets every prefix face's hull (a two-hull LP, once per pair);
-a full clique goes to the r-fold LP.  The tuples this skips are counted,
-not listed (``complexes.count_face_combinations``).
+module keeps only the integer boxes, the pair decision and the LPs.  A
+face joins a nonempty prefix only if the walker counts a completion of
+the clique and its hull meets every prefix face's hull; a full clique
+goes to the r-fold LP.
+
+Each face pair is decided once, from the kernel of its lifted points
+(p, 1) by integer elimination (Radon's argument): affinely independent
+points have disjoint hulls, and when the affine dependences form a line,
+the hulls meet iff its spanning vector, in one of its two signs, is
+nonnegative and nonzero on one face and nonpositive on the other.  Only
+a kernel of dimension 2 or more goes to the two-hull LP.  The tuples the
+scan skips are counted, not listed (``complexes.count_face_combinations``).
 """
 
 from __future__ import annotations
@@ -169,46 +176,17 @@ def join_maps(f: PLMap, g: PLMap) -> PLMap:
     return PLMap(K, d, tuple(coords))
 
 
-def _affinely_independent(points: Sequence[Point]) -> bool:
-    if len(points) <= 1:
-        return True
-    base = points[0]
-    rows = [[p[ell] - base[ell] for ell in range(len(base))] for p in points[1:]]
-    # exact rank by fraction-free elimination
-    rank = 0
-    ncols = len(base)
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col] / pv
-            if factor:
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank == len(rows)
-
-
 def in_general_position(f: PLMap) -> bool:
     """No d+1 of the vertex images are affinely dependent.
 
     Dependence is inherited by supersets, so checking all (d+1)-subsets
     covers every smaller subset as well.
     """
-    pts = f.coords
-    size = min(len(pts), f.d + 1)
+    rows, _ = _integer_rows(f.coords)
+    size = min(len(rows), f.d + 1)
     return all(
-        _affinely_independent([pts[i] for i in sub])
-        for sub in itertools.combinations(range(len(pts)), size)
+        (w := _affine_dependence([rows[i] for i in sub])) is not None and not any(w)
+        for sub in itertools.combinations(range(len(rows)), size)
     )
 
 
@@ -237,8 +215,9 @@ def random_rational_map(K: SimplicialComplex, d: int, seed: int, span: int = 4,
 # Exact feasibility core
 # ---------------------------------------------------------------------------
 
-def _phase_one(A: list[list[int]], b: list[int]) -> Optional[list[Fraction]]:
-    """Feasible x >= 0 with A x = b over the integers, or None.
+def _phase_one(A: list[list[int]], b: list[int]) -> Optional[tuple[list[int], int]]:
+    """Feasible x >= 0 with A x = b over the integers, or None; x as its
+    integer numerators over the common denominator det, the last pivot.
 
     Phase-one simplex with Bland's rule (smallest eligible index enters;
     ties in the ratio test break toward the smallest basic index), so
@@ -288,11 +267,60 @@ def _phase_one(A: list[list[int]], b: list[int]) -> Optional[list[Fraction]]:
 
     if T[m][-1] != 0:
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(T[i][-1], det)
-    return x
+            x[basis[i]] = T[i][-1]
+    return x, det
+
+
+def _affine_dependence(points: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Integer weights w with sum w_i*(p_i, 1) = 0 spanning all such weights, or None.
+
+    The weights are the kernel of the lifted matrix whose columns are the
+    points with a 1 appended: the zero vector when the points are affinely
+    independent (rank n), one integer vector when the kernel is a line
+    (rank n-1), and None when it has dimension 2 or more.  Equivalently,
+    w_1.. is the kernel of the differences p_i - p_0 and w_0 = -sum w_i,
+    which is the matrix eliminated here.  Fraction-free (Bareiss)
+    elimination keeps every entry an integer, a minor of that matrix, and
+    the rows below a pivot update only the columns after it.  With a single
+    free column, back-substitution from w_free = 1 scales the weights found
+    so far by each pivot instead of dividing.
+    """
+    if not points:
+        return []
+    p0 = points[0]
+    rows = [list(row) for row in zip(*([a - b for a, b in zip(p, p0)] for p in points[1:]))]
+    n = len(points) - 1  # columns
+    if n > len(rows) + 1:  # rank <= d leaves a kernel of dimension >= 2
+        return None
+    det = 1
+    pivots: list[int] = []  # pivots[k]: the column of rows[k]'s pivot
+    free = -1
+    for c in range(n):
+        k = len(pivots)
+        p = next((i for i in range(k, len(rows)) if rows[i][c]), -1)
+        if p < 0:
+            if free >= 0:
+                return None
+            free = c
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        piv, tail = rows[k][c], rows[k][c + 1:]
+        for ri in rows[k + 1:]:
+            ric = ri[c]
+            ri[c + 1:] = [(a * piv - ric * b) // det for a, b in zip(ri[c + 1:], tail)]
+        det = piv
+        pivots.append(c)
+    w = [0] * n
+    if free >= 0:
+        w[free] = 1
+        for row, c in zip(reversed(rows[:len(pivots)]), reversed(pivots)):
+            rest = sum(a * x for a, x in zip(row[c + 1:], w[c + 1:]))
+            w = [x * row[c] for x in w]
+            w[c] = -rest
+    return [-sum(w), *w]
 
 
 @dataclass(frozen=True)
@@ -349,15 +377,34 @@ def simplices_intersect(point_sets: Sequence[Sequence[Point]], d: int) -> Option
             A.append(row)
             b.append(0)
 
-    x = _phase_one(A, b)
-    if x is None:
+    solution = _phase_one(A, b)
+    if solution is None:
         return None
-    barys = tuple(tuple(x[j] for j in span) for span in spans)
-    hulls = [tuple(sum(x[j] * rows[j][ell] for j in span) for ell in range(d)) for span in spans]
-    if any(other != hulls[0] for other in hulls[1:]):
+    x, det = solution  # the weights are x / det
+    hulls = [[sum(x[j] * rows[j][ell] for j in span) for ell in range(d)] for span in spans]
+    if any(sum(x[j] for j in span) != det for span in spans) or \
+            any(other != hulls[0] for other in hulls[1:]):
         raise AssertionError("LP solution does not reproduce a common point")
-    point = tuple(Fraction(y) / denom for y in hulls[0])
+    barys = tuple(tuple(Fraction(x[j], det) for j in span) for span in spans)
+    point = tuple(Fraction(y, det * denom) for y in hulls[0])
     return IntersectionPoint(point=point, barycentric=barys)
+
+
+def _hulls_meet(P: Sequence[Sequence[int]], Q: Sequence[Sequence[int]]) -> bool:
+    """Whether the hulls of two integer point sets meet, by Radon's argument.
+
+    A common point is an affine dependence w of P followed by Q with
+    w >= 0 on P, w <= 0 on Q and w nonzero on P.  Affinely independent
+    points (w = 0) have disjoint hulls; when the dependences form a line,
+    the signs of its integer spanning vector, read either way round,
+    decide; a larger kernel goes to the two-hull LP.
+    """
+    w = _affine_dependence([*P, *Q])
+    if w is None:
+        return simplices_intersect([P, Q], len(P[0])) is not None
+    k = len(P)
+    s = next((x for x in w[:k] if x), 0)  # the sign to read w in, if w is nonzero on P
+    return bool(s) and all(x * s >= 0 for x in w[:k]) and all(x * s <= 0 for x in w[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +480,16 @@ def _first_hit(f: PLMap, r: int, maximal_only: bool,
     along every axis, both ways round).  The scan steps with the tuple
     walker of :mod:`tverberg.complexes` over that graph, and a face joins a
     nonempty prefix only if the walker counts a completion (inclusion-maximal
-    with maximal_only) before any pair LP runs.
+    with maximal_only) and ``_hulls_meet`` finds its hull meeting each
+    prefix face's hull.  That pair decision is cached per face pair, and it
+    runs the two-hull LP only when the pair's lifted points have a kernel of
+    dimension 2 or more.
     """
     graph = tuple(sum(1 << j for j, b in enumerate(table[i + 1:], i + 1) if not a.mask & b.mask
                       and all(map(int.__le__, a.lo, b.hi)) and all(map(int.__le__, b.lo, a.hi)))
                   for i, a in enumerate(table))
     empty, take, count = _tuple_counter(f.complex, maximal_only, graph)
-    meet = functools.cache(  # face pair -> do the hulls meet
-        lambda a, b: simplices_intersect([table[a].rows, table[b].rows], f.d) is not None)
+    meet = functools.cache(lambda a, b: _hulls_meet(table[a].rows, table[b].rows))
 
     def descend(prefix: tuple[int, ...], state: tuple[int, int, int]):
         """The first clique that completes prefix from state and whose hulls meet."""
@@ -451,7 +500,7 @@ def _first_hit(f: PLMap, r: int, maximal_only: bool,
             cands ^= low
             j = low.bit_length() - 1
             after = take(state, j)
-            # a nonempty prefix runs pair LPs next, so it first needs a completion
+            # a nonempty prefix decides face pairs next, so it first needs a completion
             # (at need = 0: the tuple must be inclusion-maximal under maximal_only)
             if prefix and not count(after, need):
                 continue

@@ -96,6 +96,34 @@ class TestSimplicialComplex:
         K = SimplicialComplex.from_faces(3, [(0, 1), (0, 1, 2), (2,)])
         assert K.maximal_faces == ((0, 1, 2),)
 
+    def test_antichain_enforced_across_dimensions(self):
+        with pytest.raises(ValueError, match="antichain"):
+            SimplicialComplex(6, ((2,), (0, 1, 3), (2, 3, 4, 5)))
+        assert SimplicialComplex(6, ((2,), (0, 1, 3), (3, 4, 5))).dim == 2
+        assert SimplicialComplex(2, ((0, 1), (0, 1))).maximal_faces == ((0, 1), (0, 1))
+
+    def test_from_faces_keeps_the_faces_no_other_contains(self):
+        """Against the pairwise test on random generating faces of mixed sizes."""
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            faces = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 12))]
+            sets = {frozenset(f) for f in faces}
+            maximal = sorted((tuple(sorted(s)) for s in sets if not any(s < t for t in sets)),
+                             key=lambda f: (len(f), f))
+            assert SimplicialComplex.from_faces(n, faces).maximal_faces == tuple(maximal)
+
+    def test_large_complex_reads_in_linear_time(self, deadline):
+        """The 3-skeleton of the 30-simplex, 31,465 maximal faces (282 s when
+        every face was compared with every other)."""
+        obj = {"num_vertices": 31,
+               "maximal_faces": [list(f) for f in itertools.combinations(range(31), 4)]}
+        with deadline(2.0):
+            K = SimplicialComplex.from_json(obj)
+            assert len(SimplicialComplex.from_faces(31, obj["maximal_faces"] + [[0], [1, 2, 3]])
+                       .maximal_faces) == 31_465
+        assert K == simplex_skeleton(30, 3)
+
     def test_has_face(self):
         K = simplex_skeleton(2, 1)
         assert K.has_face((0, 1)) and K.has_face((2,))

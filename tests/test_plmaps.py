@@ -92,6 +92,23 @@ def degenerate_map(K, d, den, seed):
                              for _ in range(K.num_vertices)))
 
 
+def lifted_kernel_dim(points):
+    """Dimension of the affine dependences of the points: the number of points
+    less the rank of the rows (p, 1), by plain rational elimination."""
+    rows = [[F(x) for x in p] + [F(1)] for p in points]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            ratio = rows[i][c] / rows[rank][c]
+            rows[i] = [a - ratio * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return len(points) - rank
+
+
 def phase_one_with_artificial_columns(A, b):
     """Feasible x >= 0 with A x = b, or None: plmaps._phase_one as it was with
     explicit artificial columns, kept as the oracle of the column-free tableau.
@@ -363,15 +380,58 @@ class TestSimplicesIntersect:
         assert by_int.barycentric == by_frac.barycentric
 
     def test_phase_one_matches_artificial_column_tableau(self):
-        """Same verdict and the same basic solution x on random systems."""
+        """Same verdict and the same basic solution x = numerators / det on random systems."""
         rng = random.Random(19)
         feasible = 0
         for _ in range(3000):
             A, b = random_lp(rng)
-            x = plmaps._phase_one(A, b)
+            solution = plmaps._phase_one(A, b)
+            x = None if solution is None else [F(v, solution[1]) for v in solution[0]]
             assert x == phase_one_with_artificial_columns(A, b), (A, b)
             feasible += x is not None
         assert 1000 < feasible < 2800  # both verdicts are exercised
+
+    def test_pair_decision_matches_the_lp_on_random_pairs(self):
+        """_hulls_meet against the two-hull LP, on spans small enough for
+        coincident, collinear and coplanar points to be common."""
+        rng = random.Random(21)
+        kinds = Counter()
+        for _ in range(20_000):
+            d, span = rng.randint(1, 5), rng.choice((1, 2, 3, 50, 16_384))
+            P, Q = ([tuple(rng.randint(-span, span) for _ in range(d))
+                     for _ in range(rng.randint(1, 3))] for _ in range(2))
+            meet = simplices_intersect([P, Q], d) is not None
+            assert plmaps._hulls_meet(P, Q) == meet, (P, Q)
+            w = plmaps._affine_dependence(P + Q)
+            kinds[2 if w is None else int(any(w)), meet] += 1
+        # every branch, with both verdicts where both can occur
+        assert min(kinds[dim, meet] for dim in (0, 1, 2) for meet in (False, True)
+                   if (dim, meet) != (0, True)) > 1000, kinds
+        assert kinds[0, True] == 0  # affinely independent points: the hulls are disjoint
+
+    @pytest.mark.parametrize("P, Q, kernel_dim, meet", [
+        ([(0, 0)], [(1, 0), (0, 1)], 0, False),
+        ([(0, 0), (2, 2)], [(2, 0), (0, 2)], 1, True),  # the diagonals cross
+        ([(0, 0), (1, 0)], [(0, 1), (3, 2)], 1, False),  # the segments miss
+        ([(0, 0), (4, 0), (0, 4)], [(1, 1), (5, 5), (9, 1)], 2, True),  # 6 points in the plane
+        ([(1, 1), (1, 1)], [(1, 1)], 2, True),  # coincident
+        ([(0, 0), (2, 0)], [(3, 0), (5, 0)], 2, False),  # collinear
+    ], ids=["independent", "radon-meet", "radon-miss", "plane-meet", "coincident", "collinear"])
+    def test_pair_decision_by_kernel_rank(self, monkeypatch, P, Q, kernel_dim, meet):
+        """Affinely independent points have disjoint hulls, the sign pattern of
+        a dependence line decides, and a larger kernel goes to the LP."""
+        lps = []
+        monkeypatch.setattr(plmaps, "simplices_intersect",
+                            lambda sets, d: lps.append(sets) or simplices_intersect(sets, d))
+        w = plmaps._affine_dependence(P + Q)
+        assert min(lifted_kernel_dim(P + Q), 2) == kernel_dim  # 2 stands for 2 or more
+        if kernel_dim < 2:
+            assert any(w) == kernel_dim
+            assert [sum(wi * (*p, 1)[ell] for wi, p in zip(w, P + Q)) for ell in range(3)] == [0] * 3
+        else:
+            assert w is None
+        assert plmaps._hulls_meet(P, Q) is meet
+        assert lps == ([[P, Q]] if kernel_dim == 2 else [])
 
     def test_touching_hulls(self):
         # shared endpoint counts as intersection
@@ -556,9 +616,16 @@ class TestChecker:
         (3, simplex_skeleton(7, 1), 2), (3, simplex_skeleton(6, 2), 2),
     ])
     def test_each_face_pair_solved_once(self, monkeypatch, r, K, d):
-        """Pair LPs run once per pair; the r-fold LP only where every pair meets."""
+        """Each face pair is decided once, and reaches the LP only when the kernel
+        of its lifted points has dimension 2 or more; the r-fold LP runs only
+        where every pair meets."""
         f = random_rational_map(K, d, 1, span=20, denominator=1)
-        calls = []
+        decided, calls = [], []
+        hulls_meet = plmaps._hulls_meet
+
+        def deciding(P, Q):
+            decided.append((tuple(map(tuple, P)), tuple(map(tuple, Q))))
+            return hulls_meet(P, Q)
 
         def counting(point_sets, dim):
             calls.append(tuple(tuple(map(tuple, ps)) for ps in point_sets))
@@ -569,40 +636,52 @@ class TestChecker:
             return all(max(lo for lo, _ in axis) <= min(hi for _, hi in axis)
                        for axis in zip(*boxes))
 
+        monkeypatch.setattr(plmaps, "_hulls_meet", deciding)
         monkeypatch.setattr(plmaps, "simplices_intersect", counting)
         verdict = almost_r_embedding_check(f, r)
         scanned = list(itertools.islice(scanned_tuples(K, r, False), verdict.tuples_checked))
-        pair_calls = Counter(call for call in calls if len(call) == 2)
-        assert pair_calls.most_common(1)[0][1] == 1
-        assert all(boxes_meet(call) for call in pair_calls)
+        assert len(set(decided)) == len(decided) and len(set(calls)) == len(calls)
+        assert all(boxes_meet(pair) for pair in decided)
         if r == 2:
-            # as many LPs as the per-tuple box prefilter let through
+            # the pair is the tuple: as many LPs as the per-tuple box prefilter let through
+            assert decided == []
             assert len(calls) == sum(boxes_meet(images(f, faces)) for faces in scanned)
         else:
+            assert [call for call in calls if len(call) == 2] == \
+                [pair for pair in decided if lifted_kernel_dim(pair[0] + pair[1]) >= 2]
             pairwise = [faces for faces in scanned
                         if all(simplices_intersect(images(f, pair), d)
                                for pair in itertools.combinations(faces, 2))]
             assert sum(len(call) == r for call in calls) == len(pairwise) > 0
 
-    @pytest.mark.parametrize("d, maximal_only, passed, lp_calls, tuples_checked", [
-        (5, False, True, 841, 59_830), (5, True, True, 403, 2_800), (3, False, False, 1_297, 57_064),
+    @pytest.mark.parametrize("d, maximal_only, passed, decisions, lp_calls, tuples_checked", [
+        (5, False, True, 841, 0, 59_830), (5, True, True, 403, 0, 2_800),
+        (3, False, False, 1_175, 269, 57_064),
     ])
-    def test_look_ahead_spares_lps(self, monkeypatch, d, maximal_only, passed, lp_calls,
-                                   tuples_checked):
+    def test_look_ahead_spares_lps(self, monkeypatch, d, maximal_only, passed, decisions,
+                                   lp_calls, tuples_checked):
         """The maps of the benchmark's check workload.  A prefix whose clique
-        cannot be completed runs no pair LP; without that look-ahead the scan
-        makes 2,230 / 2,230 / 1,795 LP calls."""
+        cannot be completed decides no face pair; without that look-ahead the
+        scan decides 2,230 / 2,230 / 1,673 pairs.  In R^5 a pair has at most 6
+        points, affinely independent here, so no pair reaches the LP; in R^3,
+        147 pairs and the 122 cliques whose pairs all meet do."""
         f = random_rational_map(simplex_skeleton(9, 2), d, 1)
-        calls = []
+        decided, calls = [], []
+        hulls_meet = plmaps._hulls_meet
+
+        def deciding(P, Q):
+            decided.append(1)
+            return hulls_meet(P, Q)
 
         def counting(point_sets, dim):
             calls.append(len(point_sets))
             return simplices_intersect(point_sets, dim)
 
+        monkeypatch.setattr(plmaps, "_hulls_meet", deciding)
         monkeypatch.setattr(plmaps, "simplices_intersect", counting)
         verdict = almost_r_embedding_check(f, 3, maximal_only=maximal_only)
-        assert (verdict.passed, len(calls), verdict.tuples_checked) == \
-            (passed, lp_calls, tuples_checked)
+        assert (verdict.passed, len(decided), len(calls), verdict.tuples_checked) == \
+            (passed, decisions, lp_calls, tuples_checked)
 
     def test_more_faces_than_vertices_pass_without_lp(self, monkeypatch):
         f = random_rational_map(simplex_skeleton(9, 2), 3, 1)
@@ -670,6 +749,16 @@ class TestRandomMaps:
         for seed in range(6):
             f = random_rational_map(simplex_skeleton(4, 1), 2, seed)
             assert in_general_position(f)
+
+    @pytest.mark.parametrize("coords, general", [
+        (((0, 0), (1, 0), (0, 1), (1, 1)), True),
+        (((0, 0), (1, 1), (F(5, 2), F(5, 2)), (1, 0)), False),  # a collinear triple
+        (((1, 1), (1, 1), (0, 3), (1, 0)), False),  # coincident images
+        (((F(1, 3), 0), (F(1, 3), 0), (F(1, 3), 0)), False),  # three coincide: kernel of dim 2
+    ])
+    def test_general_position_rejects_dependent_images(self, coords, general):
+        f = PLMap(simplex_skeleton(len(coords) - 1, 1), 2, coords)
+        assert in_general_position(f) is general
 
     def test_bounded_rationals(self):
         f = random_rational_map(simplex_skeleton(4, 1), 2, 7)
