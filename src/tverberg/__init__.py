@@ -2,7 +2,7 @@
 
 Five pieces: exact bound formulas (``bounds``), binomial-gcd
 certificates and modification plans (``numbercert``), simplicial
-complexes with deleted-product enumeration (``complexes``), an exact
+complexes with deleted-product counts (``complexes``), an exact
 rational checker for the almost r-embedding property of simplexwise
 linear maps (``plmaps``), and a numerically verified construction of
 degree-zero equivariant self-maps of the matrix sphere (``eqmaps``).
@@ -17,18 +17,18 @@ import importlib.util
 import sys
 
 
-def _lazy(name: str):
-    """The module ``name``, run on the first read of one of its attributes (LazyLoader).
+class NumericalDegeneracyError(RuntimeError):
+    """A float quantity fell below the trusted resolution.  Defined here, and
+    re-exported by ``eqmaps``, so that catching it runs no module."""
 
-    An imported module is returned as it is; a missing one, or a ``None``
-    entry in ``sys.modules`` (which blocks its import), raises here.
-    """
+
+def _lazy(name: str):
+    """The package module ``name``, run on the first read of one of its attributes
+    (LazyLoader); an imported module is returned as it is."""
     module = sys.modules.get(name)
     if module is not None:
         return module
     spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -41,4 +41,5 @@ bounds, complexes, eqmaps, numbercert, plmaps = (
 
 __version__ = "0.1.0"
 
-__all__ = ["bounds", "complexes", "eqmaps", "numbercert", "plmaps", "__version__"]
+__all__ = ["NumericalDegeneracyError", "bounds", "complexes", "eqmaps", "numbercert", "plmaps",
+           "__version__"]

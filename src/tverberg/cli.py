@@ -20,6 +20,7 @@ import sys
 import time
 from typing import Optional
 
+from . import NumericalDegeneracyError
 from . import bounds as bd
 from . import complexes as cx
 from . import eqmaps as eq
@@ -287,7 +288,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             inputs, outputs, passed = args.func(args)
         except (ValueError, OSError, KeyError) as exc:
             report, code = _failure(exc), EXIT_INPUT
-        except eq.NumericalDegeneracyError as exc:
+        except NumericalDegeneracyError as exc:
             report, code = _failure(exc), EXIT_NUMERIC
         else:
             report = {

@@ -2,13 +2,13 @@
 
 A complex is stored by its maximal faces only (an antichain of sorted
 vertex tuples on vertices 0..n-1); the full downward-closed face set is
-derived on demand.  The deleted product machinery enumerates ordered
-r-tuples of pairwise vertex-disjoint nonempty faces, which are exactly
-the cells sigma_1 x ... x sigma_r of the r-fold deleted product, with
-the symmetric group permuting coordinates freely.  For simplex skeleta
-``skeleton_cells_by_dim`` and ``skeleton_orbits`` give the cell counts
-by dimension and the orbit count from two recurrences, without listing a
-face; the enumeration stays as the reference they are tested against.
+derived on demand.  The ordered r-tuples of pairwise vertex-disjoint
+nonempty faces are exactly the cells sigma_1 x ... x sigma_r of the
+r-fold deleted product, with the symmetric group permuting coordinates
+freely; an unordered tuple lists its faces in increasing face index.
+For simplex skeleta ``skeleton_cells_by_dim`` and ``skeleton_orbits``
+give the cell counts by dimension and the orbit count from two
+recurrences, without listing a face.
 
 Vertex-disjointness tests run on integer bitmasks, which double as
 arbitrary-width bitsets, so the same code path covers any vertex count.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -34,10 +33,8 @@ __all__ = [
     "SimplicialComplex",
     "simplex_skeleton",
     "join_complexes",
-    "disjoint_tuples",
     "extension_masks",
     "count_face_combinations",
-    "deleted_product_stats",
     "skeleton_cells_by_dim",
     "skeleton_orbits",
 ]
@@ -166,61 +163,6 @@ def _proper_subfaces(masks: set[int]) -> set[int]:
     return found
 
 
-def _disjoint_index_tuples(masks: Sequence[int], r: int, ordered: bool,
-                           num_vertices: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking enumeration of index tuples with disjoint masks.
-
-    ordered=True yields all ordered tuples, in lexicographic order with
-    respect to the face numbering; ordered=False yields only strictly
-    increasing index tuples (one representative per symmetric orbit).
-    """
-    n = len(masks)
-    chosen: list[int] = []
-
-    def rec(used: int, start: int) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == r:
-            yield tuple(chosen)
-            return
-        if num_vertices - used.bit_count() < r - len(chosen):  # each face needs a vertex of its own
-            return
-        for i in range(start, n):
-            m = masks[i]
-            if m & used:
-                continue
-            chosen.append(i)
-            yield from rec(used | m, i + 1 if not ordered else 0)
-            chosen.pop()
-
-    yield from rec(0, 0)
-
-
-def _index_tuples(K: SimplicialComplex, r: int, caller: str, ordered: bool = True):
-    """Faces and the disjoint index tuples over them."""
-    if r < 2:
-        raise ValueError(f"{caller} needs r >= 2, got {r}")
-    faces = K.faces()
-    return faces, _disjoint_index_tuples(_face_masks(faces), r, ordered, K.num_vertices)
-
-
-def disjoint_tuples(K: SimplicialComplex, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All ordered r-tuples of pairwise disjoint nonempty faces, each once.
-
-    Faces are numbered by (dimension, lexicographic) order and tuples
-    come out lexicographically in that numbering, so the stream is
-    deterministic.
-    """
-    faces, tuples = _index_tuples(K, r, "disjoint_tuples")
-    for idx in tuples:
-        yield tuple(faces[i] for i in idx)
-
-
-def disjoint_face_combinations(K: SimplicialComplex, r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Unordered variant: one representative (sorted by face order) per orbit."""
-    faces, tuples = _index_tuples(K, r, "disjoint_face_combinations", ordered=False)
-    for idx in tuples:
-        yield tuple(faces[i] for i in idx)
-
-
 def extension_masks(K: SimplicialComplex) -> tuple[int, ...]:
     """Per face of ``K.faces()``, the mask of the vertices that extend it to a face of K.
 
@@ -238,11 +180,13 @@ def extension_masks(K: SimplicialComplex) -> tuple[int, ...]:
 
 def count_face_combinations(K: SimplicialComplex, r: int, maximal_only: bool = False,
                             before: Optional[Sequence[tuple[int, ...]]] = None) -> int:
-    """Count the tuples of ``disjoint_face_combinations(K, r)`` without listing them.
+    """Count the unordered r-tuples of pairwise disjoint faces of K without listing them.
 
-    With maximal_only only inclusion-maximal tuples count.  With ``before``
-    (a prefix of such a tuple) only those before every tuple that starts
-    with it count: for a whole tuple, its rank.
+    A tuple lists its faces in increasing face index (of ``K.faces()``),
+    and tuples are ordered lexicographically by those indices.  With
+    maximal_only only inclusion-maximal tuples count.  With ``before`` (a
+    prefix of such a tuple) only those before every tuple that starts with
+    it count: for a whole tuple, its rank.
     """
     if r < 2:
         raise ValueError(f"count_face_combinations needs r >= 2, got {r}")
@@ -313,17 +257,6 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def deleted_product_stats(K: SimplicialComplex, r: int) -> dict[int, int]:
-    """Counts of ordered disjoint tuples by sum of face dimensions, {dimension: count}.
-
-    The dimensions come in increasing order; the largest is the dimension
-    of the deleted product, and an empty dict means the product is empty.
-    """
-    faces, tuples = _index_tuples(K, r, "deleted_product_stats")
-    dims = [len(f) - 1 for f in faces]
-    return dict(sorted(Counter(sum(dims[i] for i in idx) for idx in tuples).items()))
-
-
 # skeleton_cells_by_dim and skeleton_orbits refuse larger (N+1)·(k+1)·r, a bound
 # on their big-integer products, before any work; the paper's d = 400 instance
 # (N = 2056, k = 341, r = 6) needs 4.22e6.
@@ -345,12 +278,13 @@ def _skeleton_has_cells(N: int, k: int, r: int, caller: str) -> bool:
 
 
 def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
-    """``deleted_product_stats(simplex_skeleton(N, k), r)`` without listing a face.
+    """Cells of the r-fold deleted product of the k-skeleton of the N-simplex by
+    dimension, {dimension: count} in increasing dimension, without listing a face.
 
-    Ordered disjoint tuples of faces with s_1..s_r vertices number
-    C(N+1, S)·S!/(s_1!···s_r!), S = s_1 + ... + s_r.  Summed over s_i in
-    1..k+1, the multinomials give a_r(S), the ordered partitions of an
-    S-set into r blocks of at most k+1 elements:
+    A cell is an ordered r-tuple of pairwise disjoint faces; those with
+    s_1..s_r vertices number C(N+1, S)·S!/(s_1!···s_r!), S = s_1 + ... + s_r.
+    Summed over s_i in 1..k+1, the multinomials give a_r(S), the ordered
+    partitions of an S-set into r blocks of at most k+1 elements:
     a_j(S) = sum_s C(S, s)·a_{j-1}(S-s).  Such a cell has dimension S - r.
     The loop runs over S and fills every level j at that S from one row
     of binomials C(S, ·).
@@ -371,7 +305,8 @@ def skeleton_cells_by_dim(N: int, k: int, r: int) -> dict[int, int]:
 
 
 def skeleton_orbits(N: int, k: int, r: int) -> int:
-    """``count_face_combinations(simplex_skeleton(N, k), r)`` without listing a face.
+    """``count_face_combinations(simplex_skeleton(N, k), r)``, the S_r-orbits of the
+    cells of ``skeleton_cells_by_dim(N, k, r)``, from a recurrence on N, k and r.
 
     An unordered r-tuple of disjoint faces with S vertices in all is a
     subset of S vertices and a partition of it into r blocks of at most

@@ -39,7 +39,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from . import _lazy
+import numpy as np
+
+from . import NumericalDegeneracyError
 
 __all__ = [
     "NumericalDegeneracyError",
@@ -82,21 +84,12 @@ _LOCAL_DEGREE_CHUNK = 64
 _SAMPLE_CHUNK = 20000
 
 
-class NumericalDegeneracyError(RuntimeError):
-    """A float quantity fell below the trusted resolution."""
-
-
 class WindingNonconvergenceError(NumericalDegeneracyError):
     """Adaptive circle sampling exceeded its budget."""
 
 
 class CenterSeparationError(RuntimeError):
     """Orbit balls of distinct steps interfere; degree tracking unsound."""
-
-
-# After the error classes: if numpy is missing, this raises and cli.main's
-# except clauses still find them in the half-run module.
-np = _lazy("numpy")
 
 
 def _frob(a: np.ndarray) -> np.ndarray:

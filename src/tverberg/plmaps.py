@@ -190,6 +190,11 @@ def in_general_position(f: PLMap) -> bool:
     )
 
 
+# random_rational_map gives up after this many draws; the seeded maps of the
+# tests and the benchmark self-test take at most 6.
+MAX_MAP_DRAWS = 100
+
+
 def random_rational_map(K: SimplicialComplex, d: int, seed: int, span: int = 4,
                         denominator: int = 4096) -> PLMap:
     """Seeded random map with bounded rational coordinates.
@@ -197,11 +202,12 @@ def random_rational_map(K: SimplicialComplex, d: int, seed: int, span: int = 4,
     Coordinates are n/denominator with |n| <= span*denominator, drawn
     from the stdlib Mersenne Twister (stable across platforms for a
     fixed seed).  For complexes on at most 12 vertices the draw is
-    rejected until the images are in general position.
+    rejected until the images are in general position, at most
+    ``MAX_MAP_DRAWS`` times; then a ValueError says the grid is too coarse.
     """
     rng = random.Random(seed)
     lim = span * denominator
-    while True:
+    for _ in range(MAX_MAP_DRAWS):
         coords = tuple(
             tuple(Fraction(rng.randint(-lim, lim), denominator) for _ in range(d))
             for _ in range(K.num_vertices)
@@ -209,6 +215,8 @@ def random_rational_map(K: SimplicialComplex, d: int, seed: int, span: int = 4,
         f = PLMap(K, d, coords)
         if K.num_vertices > 12 or in_general_position(f):
             return f
+    raise ValueError(f"no draw in general position within MAX_MAP_DRAWS = {MAX_MAP_DRAWS}: "
+                     f"span {span} and denominator {denominator} leave too few points")
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +528,10 @@ def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False) -> Ch
     """Decide whether f is an almost r-embedding, exactly.
 
     Passes iff no r pairwise vertex-disjoint faces have intersecting
-    images.  On failure the witness is the first failing tuple in the
-    deterministic order of ``disjoint_face_combinations`` (one
-    representative per unordered tuple; the condition is symmetric).
+    images.  On failure the witness is the first failing unordered tuple
+    (the condition is symmetric) in the order of
+    ``complexes.count_face_combinations``: faces in increasing face index,
+    tuples lexicographic in those indices.
     With maximal_only=True only inclusion-maximal disjoint tuples are
     tested, which is equivalent because an intersection of subfaces
     persists on superfaces.

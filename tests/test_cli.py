@@ -89,8 +89,8 @@ def test_commands_run_without_scipy(radon_files):
 
 
 # Runs main on the arguments after the script and prints its exit code, then
-# whether numpy was loaded: eqmaps binds numpy lazily, so only a read of one
-# of its attributes imports the numpy.* submodules.
+# whether numpy was loaded: eqmaps imports numpy, and the package runs eqmaps
+# only on the first read of one of its attributes.
 NUMPY_PROBE = ("import contextlib, io, sys\n"
                "from tverberg.cli import main\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -188,7 +188,7 @@ def test_exact_subcommands_run_with_numpy_blocked(triangle_files):
 
 
 def test_eqmap_with_numpy_blocked_names_numpy():
-    """The ModuleNotFoundError leaves main as it is: its except clauses still evaluate."""
+    """The ModuleNotFoundError leaves main as it is: no except clause of main runs eqmaps."""
     script = ("import sys\n"
               "sys.modules['numpy'] = None\n"
               "from tverberg.cli import main\n"
@@ -199,6 +199,28 @@ def test_eqmap_with_numpy_blocked_names_numpy():
     proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["numpy", "None"]
+
+
+@pytest.mark.parametrize("numpy", ["present", "blocked"])
+def test_unexpected_error_leaves_eqmaps_unrun(numpy):
+    """An error that main does not handle reaches the caller as it is, and the
+    except clauses it passes do not run eqmaps or load numpy."""
+    script = ("import sys, types\n"
+              "if sys.argv[1] == 'blocked':\n"
+              "    sys.modules['numpy'] = None\n"
+              "import tverberg\n"
+              "from tverberg.cli import main\n"
+              "def planted(*args):\n"
+              "    raise MemoryError('planted')\n"
+              "tverberg.complexes.skeleton_orbits = planted\n"
+              "try:\n"
+              "    main(['delprod', '--N', '9', '--k', '2', '--r', '3'])\n"
+              "except MemoryError as exc:\n"
+              "    print(exc, type(sys.modules['tverberg.eqmaps']) is not types.ModuleType,\n"
+              "          any(name.startswith('numpy.') for name in sys.modules))\n")
+    proc = run_python(script, numpy)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["planted", "True", "False"]
 
 
 def test_bump_level_radius_needs_no_numpy():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tverberg import plmaps
-from tverberg.complexes import SimplicialComplex, disjoint_face_combinations, simplex_skeleton
+from tverberg.complexes import SimplicialComplex, simplex_skeleton
 from tverberg.plmaps import (
     CheckVerdict,
     IntersectionWitness,
@@ -72,9 +72,14 @@ NON_PURE = SimplicialComplex.from_faces(9, [(0, 1, 2, 3), (2, 4, 5), (5, 6), (6,
                                             (0, 8), (1, 4), (3, 7), (4, 6)])
 
 
+def disjoint_combinations(K, r):
+    """The r-subsets of the face list, in increasing face index, whose faces are pairwise disjoint."""
+    return (t for t in itertools.combinations(K.faces(), r) if len(set().union(*t)) == sum(map(len, t)))
+
+
 def scanned_tuples(K, r, maximal_only):
     """Disjoint tuples in the checker's order; with maximal_only, by has_face."""
-    for faces in disjoint_face_combinations(K, r):
+    for faces in disjoint_combinations(K, r):
         free = set(range(K.num_vertices)).difference(*faces)
         if not maximal_only or not any(K.has_face(tuple(sorted(face + (v,))))
                                        for face in faces for v in free):
@@ -765,3 +770,8 @@ class TestRandomMaps:
         for pt in f.coords:
             for x in pt:
                 assert abs(x) <= 4 and x.denominator <= 4096
+
+    def test_too_coarse_a_grid_fails_fast(self, deadline):
+        """Twelve vertices on a line of five points are never in general position."""
+        with deadline(5.0), pytest.raises(ValueError, match="MAX_MAP_DRAWS"):
+            random_rational_map(simplex_skeleton(11, 1), 1, 0, span=1, denominator=2)
