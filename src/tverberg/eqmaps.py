@@ -73,15 +73,17 @@ RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)))"
 # build_from_plan refuses larger plans before allocating anything.  C(15,6)
 # is the largest orbit of any r <= 15 certificate plan; the cap bounds the
 # time of verify_local_degrees, one finite-difference Jacobian per center
-# (about 6 of the 12 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon;
-# r = 18 uncapped verifies in 38 s), not memory (r = 15 auto builds at a
-# 55 MB peak, r = 18 uncapped at 189 MB).
+# (about 5 of the 10 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon;
+# r = 18 uncapped verifies in 34 s), not memory (r = 15 auto builds at a
+# 48 MB peak, r = 18 uncapped at 163 MB).
 MAX_ORBIT = 5005
 MAX_PLAN_STEPS = 500
-# Centers per batched stencil evaluation in verify_local_degrees; bounds its memory.
-_LOCAL_DEGREE_CHUNK = 64
+# Stencil points (4r - 2 per center) per evaluation in verify_local_degrees; bounds its memory.
+_STENCIL_POINTS = 4096
+FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
 # Points per random draw of the sampled checks; bounds their memory.
 _SAMPLE_CHUNK = 20000
+MAX_WINDING_SAMPLES = 2 ** 20  # winding_number_r2 gives up beyond this many angle samples
 
 
 class WindingNonconvergenceError(NumericalDegeneracyError):
@@ -535,34 +537,29 @@ def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, step: flo
     return np.linalg.det(J)
 
 
-def verify_local_degrees(layer: MapLayer, fd_step: float = 1e-5) -> LocalDegreeReport:
+def verify_local_degrees(layer: MapLayer) -> LocalDegreeReport:
     """Jacobian sign of (x, t) -> h_t(x) at every (center, 1/2).
 
     The sign is read from the bordered Jacobian of _stencil_dets, which
     orients every center's tangent space by det [c, b] > 0; with that
     convention the measured delta sign is minus the Jacobian sign.
-    Centers are evaluated _LOCAL_DEGREE_CHUNK at a time; those whose
-    determinant is at most 1e-8 in magnitude are redone with the step
-    halved (up to 4 times).
+    Stencils of step FD_STEP are evaluated in blocks of at most
+    _STENCIL_POINTS points.  In every plan build_from_plan admits, each
+    stencil point lies on the plateau of its ball, where |det| = 2 up to
+    rounding, so a center whose determinant is at most 1e-8 in magnitude
+    raises NumericalDegeneracyError.
     """
     node = layer.node
     if node is None:
         raise ValueError("identity layer has no modification step to verify")
     E = _ambient_basis(layer.r)
-    det = np.empty(len(node.centers))
-    for start in range(0, len(det), _LOCAL_DEGREE_CHUNK):
-        todo = np.arange(start, min(start + _LOCAL_DEGREE_CHUNK, len(det)))
-        step = fd_step
-        for _ in range(5):
-            det[todo] = _stencil_dets(layer, E, node.centers[todo], step)
-            todo = todo[~(np.abs(det[todo]) > 1e-8)]
-            if not len(todo):
-                break
-            step *= 0.5
-        else:
-            raise NumericalDegeneracyError(
-                f"Jacobian determinant stayed below 1e-8 at a k={node.k} center"
-            )
+    block = max(1, _STENCIL_POINTS // (4 * layer.r - 2))
+    det = np.concatenate([_stencil_dets(layer, E, node.centers[i:i + block], FD_STEP)
+                          for i in range(0, len(node.centers), block)])
+    flat = np.flatnonzero(~(np.abs(det) > 1e-8))
+    if len(flat):
+        raise NumericalDegeneracyError(f"Jacobian determinant at most 1e-8 in magnitude "
+                                       f"at center {flat[0]} of the k={node.k} step")
     delta_signs = tuple(-1 if d > 0 else 1 for d in det)
     consistent = len(set(delta_signs)) == 1
     matches = consistent and delta_signs[0] == node.sign
@@ -599,6 +596,7 @@ class SpuriousZeroSearch:
 # and initial-simplex steps, as in scipy.optimize's non-adaptive method.
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+REFINE_COUNT, REFINE_ITERS = 100, 120  # Nelder-Mead starts and iterations of the spurious search
 
 
 def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
@@ -673,15 +671,14 @@ def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
     return fsim[:, 0]
 
 
-def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int = 0,
-                             refine_count: int = 100, refine_iters: int = 120
+def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int = 0
                              ) -> SpuriousZeroSearch:
     """Smallest |h_t(x)| found away from the designed zeros, and where.
 
     Random starts over the sphere times t in [0, 1], excluding tubes of
     radius R/10 around each pushed center for t in [0.4, 0.6]; the
-    refine_count best samples are polished by a derivative-free
-    Nelder-Mead search of refine_iters iterations over (x, t), with x
+    REFINE_COUNT best samples are polished by a derivative-free
+    Nelder-Mead search of REFINE_ITERS iterations over (x, t), with x
     re-centered and normalized onto the sphere and t clipped to [0, 1].
     All starts advance in lockstep, one batched homotopy evaluation per
     simplex move, and each takes the steps of
@@ -720,13 +717,13 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         T = rng.uniform(0.0, 1.0, len(X))
         vals = _frob(_homotopy(layer, X, T))
         keep = note(vals, X, T)
-        if node is not None and refine_count and keep.any():
+        if node is not None:
             vk = vals[keep]
-            order = np.argsort(vk)[:refine_count]
+            order = np.argsort(vk)[:REFINE_COUNT]
             kept_idx = np.flatnonzero(keep)[order]
             pool.extend((float(vals[i]), X[i], float(T[i])) for i in kept_idx)
 
-    if node is not None and refine_count and pool:
+    if pool:
         def objective(Z: np.ndarray) -> np.ndarray:
             X = Z[:, :-1].reshape(len(Z), 2, r)
             X = X - X.mean(axis=2, keepdims=True)
@@ -740,8 +737,8 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
             return vals
 
         pool.sort(key=lambda entry: entry[0])
-        Z0 = np.array([np.append(x0.ravel(), t0) for _, x0, t0 in pool[:refine_count]])
-        _nelder_mead_lockstep(objective, Z0, refine_iters, xatol=1e-9, fatol=1e-12)
+        Z0 = np.array([np.append(x0.ravel(), t0) for _, x0, t0 in pool[:REFINE_COUNT]])
+        _nelder_mead_lockstep(objective, Z0, REFINE_ITERS, xatol=1e-9, fatol=1e-12)
 
     return SpuriousZeroSearch(
         minimum=best,
@@ -753,7 +750,7 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     )
 
 
-def winding_number_r2(layer: MapLayer, max_samples: int = 2 ** 20) -> int:
+def winding_number_r2(layer: MapLayer) -> int:
     """Exact circle degree for r = 2 via adaptive angle sampling.
 
     The circle is parametrized by the top-left entry pair.  The first grid
@@ -777,8 +774,8 @@ def winding_number_r2(layer: MapLayer, max_samples: int = 2 ** 20) -> int:
     theta, alpha = np.empty(0), np.empty(0)
     new, at = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), np.zeros(n, dtype=int)
     while len(new):
-        if len(theta) + len(new) > max_samples:
-            raise WindingNonconvergenceError(f"no convergence within {max_samples} samples")
+        if len(theta) + len(new) > MAX_WINDING_SAMPLES:
+            raise WindingNonconvergenceError(f"no convergence within {MAX_WINDING_SAMPLES} samples")
         theta, alpha = np.insert(theta, at, new), np.insert(alpha, at, image_angle(new))
         d = (np.diff(np.append(alpha, alpha[0])) + math.pi) % (2.0 * math.pi) - math.pi
         coarse = np.flatnonzero(np.abs(d) >= math.pi / 4.0)

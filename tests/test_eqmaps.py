@@ -602,23 +602,57 @@ class TestLocalDegrees:
             assert len(rep.delta_signs) == math.comb(r, step.node.k)
             assert rep.delta_signs == tuple(-s for s in per_center_fd_signs(step))
 
-    def test_degenerate_centers_are_redone_with_halved_steps(self, monkeypatch):
-        """Dets at most 1e-8 are redone for those centers only, with the step halved."""
+    def test_flat_determinant_raises_naming_k_and_center(self, monkeypatch):
+        """A determinant at most 1e-8 at one center fails the step at once,
+        with no retry; the error names the center's index in the orbit."""
         layer = one_step(6, 2)
+        flat = layer.node.centers[11]
         calls = []
         batched = eq._stencil_dets
 
-        def first_try_flat(layer, E, centers, step):
+        def planted(layer, E, centers, step):
             calls.append((len(centers), step))
             det = batched(layer, E, centers, step)
-            if step == 1e-5:
-                det[::4] = 0.0
+            det[np.all(centers == flat, axis=(1, 2))] = 1e-9
             return det
 
-        monkeypatch.setattr(eq, "_stencil_dets", first_try_flat)
-        rep = eq.verify_local_degrees(layer)
-        assert calls == [(15, 1e-5), (4, 5e-6)]
-        assert rep.consistent and rep.matches_ledger
+        monkeypatch.setattr(eq, "_stencil_dets", planted)
+        monkeypatch.setattr(eq, "_STENCIL_POINTS", 4 * 22)  # 4 centers of 22 stencil points
+        with pytest.raises(eq.NumericalDegeneracyError, match="at center 11 of the k=2 step"):
+            eq.verify_local_degrees(layer)
+        assert calls == [(4, 1e-5), (4, 1e-5), (4, 1e-5), (3, 1e-5)]
+
+    @pytest.mark.parametrize("r, steps", [
+        (6, "auto"), (10, "auto"), (12, "auto"),
+        (6, ((1, -1), (1, -1), (2, 1), (1, 1))), (2, ((1, -1),) * 64),
+    ])
+    def test_determinant_is_two_at_every_center(self, r, steps):
+        """Every stencil point lies on the plateau of its ball, where h_t is
+        x - 2t*c (minus) or the full reflection (plus), so |det| = 2; this is
+        why a center with |det| <= 1e-8 is an error and not retried."""
+        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+                else plan_of(r, steps))
+        layer, _ = eq.build_from_plan(plan)
+        E = eq._ambient_basis(r)
+        for step in layer.chain():
+            det = eq._stencil_dets(step, E, step.node.centers, eq.FD_STEP)
+            assert len(det) == math.comb(r, step.node.k)
+            assert np.abs(np.abs(det) - 2.0).max() < 1e-6
+
+    def test_stencil_memory_is_bounded_by_point_blocks(self):
+        """r = 100 has 100 centers of 398 stencil points each: blocks of
+        10 centers, where blocks of 64 centers peaked at about 235 MB."""
+        import tracemalloc
+
+        layer = one_step(100, 1)
+        tracemalloc.start()
+        try:
+            rep = eq.verify_local_degrees(layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.delta_signs) == 100 and rep.consistent and rep.matches_ledger
+        assert peak < 64 * 2 ** 20
 
     def test_negated_border_row_flips_every_sign(self, monkeypatch):
         """The border row [c, 0] orients the chart: negating it (which negates
@@ -633,12 +667,12 @@ class TestLocalDegrees:
             assert mutant.delta_signs == tuple(-s for s in rep.delta_signs)
             assert not mutant.matches_ledger
 
-    def test_collapsed_stencil_raises(self):
+    def test_collapsed_stencil_raises(self, monkeypatch):
         # a step far below the resolution of the center's entries leaves
-        # every stencil point on the center, so J = 0 after every halving
-        layer = one_step(6, 2)
-        with pytest.raises(eq.NumericalDegeneracyError, match="stayed below 1e-8"):
-            eq.verify_local_degrees(layer, fd_step=1e-30)
+        # every stencil point on the center, so J = 0
+        monkeypatch.setattr(eq, "FD_STEP", 1e-30)
+        with pytest.raises(eq.NumericalDegeneracyError, match="at most 1e-8 .* at center 0 "):
+            eq.verify_local_degrees(one_step(6, 2))
 
 
 def scipy_spurious_search(layer, samples, seed, refine_count, refine_iters):
@@ -693,10 +727,11 @@ class TestSpuriousZeros:
         val = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=2000, seed=0).minimum
         assert abs(val - 1.0) < 1e-9
 
-    def test_one_step_r2(self):
+    def test_one_step_r2(self, monkeypatch):
+        monkeypatch.setattr(eq, "REFINE_COUNT", 20)
+        monkeypatch.setattr(eq, "REFINE_ITERS", 60)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        val = eq.verify_no_spurious_zeros(layer, samples=20000, seed=3,
-                                          refine_count=20, refine_iters=60).minimum
+        val = eq.verify_no_spurious_zeros(layer, samples=20000, seed=3).minimum
         assert val > 1e-3
 
     @pytest.mark.parametrize("which, samples, seed, refine_count, refine_iters", [
@@ -704,7 +739,7 @@ class TestSpuriousZeros:
         ("r6 auto k=3", 10000, 1, 10, 120),
     ])
     def test_lockstep_matches_scipy_nelder_mead(self, which, samples, seed,
-                                                refine_count, refine_iters):
+                                                refine_count, refine_iters, monkeypatch):
         if which == "r2 1:-":
             layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
         else:
@@ -713,9 +748,9 @@ class TestSpuriousZeros:
         record, objective, starts, best = scipy_spurious_search(
             layer, samples, seed, refine_count, refine_iters)
         assert len(starts) == refine_count
-        search = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed,
-                                             refine_count=refine_count,
-                                             refine_iters=refine_iters)
+        monkeypatch.setattr(eq, "REFINE_COUNT", refine_count)
+        monkeypatch.setattr(eq, "REFINE_ITERS", refine_iters)
+        search = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed)
         assert abs(search.minimum - record) < 1e-12
         lockstep = eq._nelder_mead_lockstep(
             lambda Z: np.array([objective(z) for z in Z]), starts, refine_iters,
@@ -744,10 +779,11 @@ class TestSpuriousZeros:
                                         xatol=1e-9, fatol=1e-12)
         assert np.abs(best - [res.fun for res in ref]).max() < 1e-12
 
-    def test_reports_where_and_evaluations(self):
+    def test_reports_where_and_evaluations(self, monkeypatch):
+        monkeypatch.setattr(eq, "REFINE_COUNT", 5)
+        monkeypatch.setattr(eq, "REFINE_ITERS", 10)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        search = eq.verify_no_spurious_zeros(layer, samples=2000, seed=0,
-                                             refine_count=5, refine_iters=10)
+        search = eq.verify_no_spurious_zeros(layer, samples=2000, seed=0)
         assert search.k == 1
         assert 0.0 <= search.t <= 1.0
         assert search.distance_in_R >= 0.0
@@ -759,17 +795,20 @@ class TestSpuriousZeros:
         assert (identity.k, identity.distance_in_R, identity.t) == (None, None, None)
         assert identity.evaluations == 300
 
-    def test_counts_points_in_zero_zone(self):
+    def test_counts_points_in_zero_zone(self, monkeypatch):
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
         node = layer.node
         X = eq.random_sphere_points(2, 3000, np.random.default_rng(4))
         dist = np.sqrt(((X[:, None] - node.centers[None]) ** 2).sum(axis=(2, 3))).min(axis=1)
         expected = int((dist <= 0.625 * node.radius).sum())
         assert 0 < expected < 3000
-        samples_only = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4, refine_count=0)
+        monkeypatch.setattr(eq, "REFINE_COUNT", 0)
+        samples_only = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4)
+        assert samples_only.evaluations == 3000
         assert samples_only.in_zero_zone == expected
-        refined = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4,
-                                              refine_count=5, refine_iters=10)
+        monkeypatch.setattr(eq, "REFINE_COUNT", 5)
+        monkeypatch.setattr(eq, "REFINE_ITERS", 10)
+        refined = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4)
         assert expected <= refined.in_zero_zone <= expected + refined.evaluations - 3000
         identity = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
         assert identity.in_zero_zone == 0
@@ -812,16 +851,18 @@ class TestWinding:
         with pytest.raises(ValueError):
             eq.winding_number_r2(eq.identity_map(3))
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(eq, "MAX_WINDING_SAMPLES", 512)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        with pytest.raises(eq.WindingNonconvergenceError):
-            eq.winding_number_r2(layer, max_samples=512)
+        with pytest.raises(eq.WindingNonconvergenceError, match="within 512 samples"):
+            eq.winding_number_r2(layer)
 
-    def test_long_same_k_plan_within_budget(self):
+    def test_long_same_k_plan_within_budget(self, monkeypatch):
         """The first grid resolves the smallest ball, R = sin(pi/400) at 100 steps,
         and only coarse arcs are halved: 2**16 samples suffice."""
+        monkeypatch.setattr(eq, "MAX_WINDING_SAMPLES", 2 ** 16)
         layer, ledger = eq.build_from_plan(plan_of(2, ((1, -1),) * 100))
-        assert eq.winding_number_r2(layer, max_samples=2 ** 16) == ledger.final == -199
+        assert eq.winding_number_r2(layer) == ledger.final == -199
 
 
 class TestPlanJson:
