@@ -155,6 +155,7 @@ def _parse_plan(r: int, text: str) -> nc.ModificationPlan:
 
 
 def cmd_eqmap(args) -> tuple[dict, dict, bool]:
+    import numpy  # before eq: a missing numpy fails here, not half-way through the lazy eqmaps
     plan = _parse_plan(args.r, args.plan)
     inputs = {"cmd": "eqmap", "mode": args.mode, "r": args.r,
               "plan": plan.to_json(), "samples": args.samples, "seed": args.seed}

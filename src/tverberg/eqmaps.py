@@ -158,14 +158,10 @@ def _orbit_centers(r: int, k: int, theta: float) -> np.ndarray:
     return _orbit_point(np.stack([math.cos(theta) * row, math.sin(theta) * row]), _low_masks(r, k))
 
 
-def _quintic(u):
-    """6u^5 - 15u^4 + 10u^3, on floats or arrays."""
-    return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
-
-
 def _smoothstep(u):
-    """Quintic smoothstep: C^2, flat to second order at both ends."""
-    return _quintic(np.clip(u, 0.0, 1.0))
+    """6u^5 - 15u^4 + 10u^3 of u clipped to [0, 1]: C^2, flat to second order at both ends."""
+    u = np.clip(u, 0.0, 1.0)
+    return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
 
 
 def _bump(dist, radius: float):
@@ -174,27 +170,25 @@ def _bump(dist, radius: float):
     return 1.0 - _smoothstep((dist - t0) / (radius - t0))
 
 
-def _bump_level_radius(level: float, radius: float) -> float:
-    """The distance at which the bump crosses a given level (bisection).
-
-    Plain floats throughout: mid stays in [0, 1], where the smoothstep is
-    the quintic itself, so the module constant below needs no numpy.
-    """
+def _bump_level(level: float) -> float:
+    """The distance, in units of the radius, at which the bump falls to level (bisection)."""
     lo, hi = 0.0, 1.0
-    target = 1.0 - level
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _quintic(mid) < target:
+        if _smoothstep(mid) < 1.0 - level:
             lo = mid
         else:
             hi = mid
-    t0 = PLATEAU_FRACTION * radius
-    return t0 + 0.5 * (lo + hi) * (radius - t0)
+    return PLATEAU_FRACTION + 0.5 * (lo + hi) * (1.0 - PLATEAU_FRACTION)
 
 
 # Homotopy zeros can lie only where the bump is at least 1/2, which is
 # within this fraction of the radius (5/8: the smoothstep is symmetric).
-ZERO_ZONE_FRACTION = _bump_level_radius(0.5, 1.0)
+ZERO_ZONE_FRACTION = _bump_level(0.5)
+# _phi's reflection blend is full where the bump is at least 1/3 and off where it is at
+# most 1/4; ZERO_ZONE_FRACTION < BLEND_FULL_FRACTION, so it is full wherever a zero can lie.
+BLEND_FULL_FRACTION = _bump_level(1.0 / 3.0)
+BLEND_OFF_FRACTION = _bump_level(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +197,13 @@ ZERO_ZONE_FRACTION = _bump_level_radius(0.5, 1.0)
 
 @dataclass(eq=False)
 class ModificationNode:
-    """One modification step: center orbit, bump data, degree sign."""
+    """One modification step: its orbit, radius and sign (the bump's shape: *_FRACTION)."""
 
     r: int
     k: int
     sign: int                 # -1: the minus formula, +1: the plus one; delta = sign * C(r,k)
     radius: float
-    centers: np.ndarray       # (m, 2, r)
-    weights: np.ndarray       # (2r, r+1): a flat x to its gains and <h, sum_i x_i> (_nearest)
-    lam_inner: float          # reflection blend is full inside this distance
-    lam_outer: float          # and off beyond this one
+    centers: np.ndarray       # (C(r,k), 2, r), one per mask of _low_masks
 
 
 @dataclass(eq=False)
@@ -274,16 +265,19 @@ def identity_map(r: int) -> MapLayer:
 def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance to the nearest orbit center, the gains <l - h, x_i>, and the k-th largest.
 
-    Each center holds the column l at k places and h at the rest, so
-    <x, sigma c> is <h, sum_i x_i> plus the gains at its l places: the
-    nearest center puts l on the k largest gains (rearrangement
-    inequality), and inside a ball none ties with the k-th.
+    Each center holds the column l at k places and h at the rest (the two
+    columns of centers[0]), so <x, sigma c> is <h, sum_i x_i> plus the
+    gains at its l places: the nearest center puts l on the k largest gains
+    (rearrangement inequality), and inside a ball none ties with the k-th.
+    X must have zero row sums, so the first term is 0: samples are
+    recentered, stencils step along a zero-row-sum basis, _phi reflects
+    along a zero-row-sum u, and each step subtracts a center.
     """
-    F = X.reshape(len(X), -1)
-    G = F @ node.weights
-    gains = G[:, :-1]
+    c = node.centers[0]
+    gains = (c[:, 0] - c[:, -1]) @ X
     top = np.partition(gains, node.r - node.k, axis=1)[:, node.r - node.k:]
-    d2 = np.einsum("ij,ij->i", F, F) + 1.0 - 2.0 * (top.sum(axis=1) + G[:, -1])  # unit centers
+    F = X.reshape(len(X), -1)
+    d2 = np.einsum("ij,ij->i", F, F) + 1.0 - 2.0 * top.sum(axis=1)  # unit centers
     return np.sqrt(np.maximum(d2, 0.0)), gains, top[:, 0]
 
 
@@ -308,12 +302,14 @@ def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,
     """Blended reflection in the hyperplane orthogonal to u, the center C turned by +90 degrees.
 
     phi = normalize(x - 2*s*<x,u>*u) with s = tau * lambda(dist); at
-    s = 1 this is the exact reflection, at s = 0 the identity.  The
-    blend zone (lambda strictly between 0 and 1) lives where the bump
-    is below 1/3, so it can never host a zero of the homotopy.
+    s = 1 this is the exact reflection, at s = 0 the identity.  lambda
+    falls from 1 at BLEND_FULL_FRACTION * R, where the bump is 1/3, to 0
+    at BLEND_OFF_FRACTION * R, where it is 1/4; the blend zone lies beyond
+    ZERO_ZONE_FRACTION * R, so it can never host a zero of the homotopy.
     """
     u = np.stack([-C[:, 1], C[:, 0]], axis=1)
-    lam = 1.0 - _smoothstep((dist - node.lam_inner) / (node.lam_outer - node.lam_inner))
+    lam = 1.0 - _smoothstep((dist / node.radius - BLEND_FULL_FRACTION)
+                            / (BLEND_OFF_FRACTION - BLEND_FULL_FRACTION))
     s = np.asarray(tau, dtype=float) * lam
     inner = np.einsum("nij,nij->n", X, u)
     y = X - 2.0 * (s * inner)[:, None, None] * u
@@ -399,17 +395,7 @@ def _make_modified(layer: MapLayer, k: int, sign: int, n: int) -> MapLayer:
     centers = _orbit_centers(r, k, j * math.pi / (2 * n))
     radius = min(safe_radius(r, k), math.sin(math.pi / (4 * n)))
     _check_separation(layer, centers, k, radius)
-    low, high = centers[0, :, 0], centers[0, :, -1]
-    node = ModificationNode(
-        r=r,
-        k=k,
-        sign=sign,
-        radius=radius,
-        centers=centers,
-        weights=np.column_stack([np.kron((low - high)[:, None], np.eye(r)), np.repeat(high, r)]),
-        lam_inner=_bump_level_radius(1.0 / 3.0, radius),
-        lam_outer=_bump_level_radius(1.0 / 4.0, radius),
-    )
+    node = ModificationNode(r=r, k=k, sign=sign, radius=radius, centers=centers)
     return MapLayer(r, layer.nodes + (node,))
 
 

@@ -515,7 +515,7 @@ def _first_hit(f: PLMap, r: int, maximal_only: bool,
             if need:
                 if all(meet(p, j) for p in prefix) and (found := descend(prefix + (j,), after)):
                     return found
-            elif r == 2 or all(meet(p, j) for p in prefix):  # r = 2: the pair is the tuple
+            elif all(meet(p, j) for p in prefix):
                 hit = simplices_intersect([table[p].rows for p in prefix + (j,)], f.d)
                 if hit is not None:
                     return prefix + (j,), hit

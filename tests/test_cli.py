@@ -188,17 +188,20 @@ def test_exact_subcommands_run_with_numpy_blocked(triangle_files):
 
 
 def test_eqmap_with_numpy_blocked_names_numpy():
-    """The ModuleNotFoundError leaves main as it is: no except clause of main runs eqmaps."""
-    script = ("import sys\n"
+    """The ModuleNotFoundError leaves main as it is: no except clause of main runs eqmaps.
+    eqmaps is not run at all, so a second call fails the same way, not on a half-run module."""
+    script = ("import sys, types\n"
               "sys.modules['numpy'] = None\n"
               "from tverberg.cli import main\n"
-              "try:\n"
-              "    main(['eqmap', 'build', '--r', '2', '--plan', '1:-'])\n"
-              "except ModuleNotFoundError as exc:\n"
-              "    print(exc.name, exc.__context__)\n")
+              "for _ in range(2):\n"
+              "    try:\n"
+              "        main(['eqmap', 'build', '--r', '2', '--plan', '1:-'])\n"
+              "    except ModuleNotFoundError as exc:\n"
+              "        print(exc.name, exc.__context__)\n"
+              "print(type(sys.modules['tverberg.eqmaps']) is not types.ModuleType)\n")
     proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["numpy", "None"]
+    assert proc.stdout.split() == ["numpy", "None", "numpy", "None", "True"]
 
 
 @pytest.mark.parametrize("numpy", ["present", "blocked"])
@@ -221,26 +224,6 @@ def test_unexpected_error_leaves_eqmaps_unrun(numpy):
     proc = run_python(script, numpy)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["planted", "True", "False"]
-
-
-def test_bump_level_radius_needs_no_numpy():
-    """The float bisection is the numpy one bit for bit; its mid never leaves [0, 1]."""
-    def numpy_bisection(level, radius):
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if eq._smoothstep(mid) < 1.0 - level:
-                lo = mid
-            else:
-                hi = mid
-        t0 = eq.PLATEAU_FRACTION * radius
-        return t0 + 0.5 * (lo + hi) * (radius - t0)
-
-    assert eq.ZERO_ZONE_FRACTION == 0.625
-    for radius in (1.0, 0.26, eq.safe_radius(6, 2), eq.safe_radius(15, 7), math.sin(math.pi / 2000)):
-        for level in (0.5, 1.0 / 3.0, 0.25):
-            got = eq._bump_level_radius(level, radius)
-            assert type(got) is float and got == numpy_bisection(level, radius)
 
 
 @pytest.mark.parametrize("argv", [["bounds", "--r", "6", "--d", "54"], ["cert", "--r", "4"]],

@@ -159,6 +159,16 @@ class TestBump:
         assert 0.0 < val < 1.0
         assert val >= 1.0 / 3.0  # the reflection zone keeps clear of the blend
 
+    def test_bump_geometry(self):
+        """Zeros can lie only where the reflection blend is complete, and each
+        fraction of the radius is where the bump crosses its level."""
+        assert eq.ZERO_ZONE_FRACTION == 0.625 < eq.BLEND_FULL_FRACTION < eq.BLEND_OFF_FRACTION < 1.0
+        levels = ((eq.ZERO_ZONE_FRACTION, 0.5), (eq.BLEND_FULL_FRACTION, 1.0 / 3.0),
+                  (eq.BLEND_OFF_FRACTION, 0.25))
+        for R in (1.0, 0.26, eq.safe_radius(6, 2), eq.safe_radius(15, 7), math.sin(math.pi / 2000)):
+            for fraction, level in levels:
+                assert abs(float(eq._bump(fraction * R, R)) - level) < 1e-12
+
     def test_matches_nearest_orbit_point_at_r10(self):
         layer = one_step(10, 3)
         node = layer.node

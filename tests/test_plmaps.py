@@ -647,13 +647,15 @@ class TestChecker:
         scanned = list(itertools.islice(scanned_tuples(K, r, False), verdict.tuples_checked))
         assert len(set(decided)) == len(decided) and len(set(calls)) == len(calls)
         assert all(boxes_meet(pair) for pair in decided)
+        pair_lps = [pair for pair in decided if lifted_kernel_dim(pair[0] + pair[1]) >= 2]
         if r == 2:
-            # the pair is the tuple: as many LPs as the per-tuple box prefilter let through
-            assert decided == []
-            assert len(calls) == sum(boxes_meet(images(f, faces)) for faces in scanned)
+            # the pair is the tuple: every scanned pair whose boxes meet is decided, in
+            # scan order, and only the first that meets, the witness, reaches the r-fold LP
+            assert decided == [tuple(tuple(map(tuple, ps)) for ps in images(f, faces))
+                               for faces in scanned if boxes_meet(images(f, faces))]
+            assert calls == pair_lps + ([] if verdict.passed else decided[-1:])
         else:
-            assert [call for call in calls if len(call) == 2] == \
-                [pair for pair in decided if lifted_kernel_dim(pair[0] + pair[1]) >= 2]
+            assert [call for call in calls if len(call) == 2] == pair_lps
             pairwise = [faces for faces in scanned
                         if all(simplices_intersect(images(f, pair), d)
                                for pair in itertools.combinations(faces, 2))]
