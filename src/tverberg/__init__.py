@@ -1,16 +1,19 @@
 """Toolkit around almost r-embeddings of simplicial complexes.
 
-Five pieces: exact bound formulas (``bounds``), binomial-gcd
+Six pieces: exact bound formulas (``bounds``), binomial-gcd
 certificates and modification plans (``numbercert``), simplicial
 complexes with deleted-product counts (``complexes``), an exact
 rational checker for the almost r-embedding property of simplexwise
-linear maps (``plmaps``), and a numerically verified construction of
-degree-zero equivariant self-maps of the matrix sphere (``eqmaps``).
+linear maps (``plmaps``), a numerically verified construction of
+degree-zero equivariant self-maps of the matrix sphere (``eqmaps``),
+and, without numpy, what those maps' steps share together with the
+r = 2 map on the circle and its exact winding number (``circle``).
 The ``tverberg`` command line front end ties them together.
 
 Each piece runs on the first read of one of its attributes, so a
 process runs only the pieces it uses: ``tverberg delprod`` runs
-``complexes`` alone, and only ``eqmap`` loads numpy.
+``complexes`` alone, and only ``eqmap build`` and ``eqmap verify``
+load numpy.
 """
 
 import importlib.util
@@ -36,10 +39,11 @@ def _lazy(name: str):
     return module
 
 
-bounds, complexes, eqmaps, numbercert, plmaps = (
-    _lazy(f"{__name__}.{name}") for name in ("bounds", "complexes", "eqmaps", "numbercert", "plmaps"))
+bounds, circle, complexes, eqmaps, numbercert, plmaps = (
+    _lazy(f"{__name__}.{name}")
+    for name in ("bounds", "circle", "complexes", "eqmaps", "numbercert", "plmaps"))
 
 __version__ = "0.1.0"
 
-__all__ = ["NumericalDegeneracyError", "bounds", "complexes", "eqmaps", "numbercert", "plmaps",
-           "__version__"]
+__all__ = ["NumericalDegeneracyError", "bounds", "circle", "complexes", "eqmaps", "numbercert",
+           "plmaps", "__version__"]

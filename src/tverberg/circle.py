@@ -1,0 +1,336 @@
+"""What a plan fixes before any point is evaluated, and the r = 2 map on the circle.
+
+``eqmaps`` evaluates degree-controlled equivariant self-maps of the sphere
+of 2 x r matrices in numpy.  This module holds, without numpy, what such a
+map's steps share and what ``eqmaps`` imports: the bump's shape (its
+plateau and the three level radii), the radius rule, the closed-form
+distance between two center orbits and the separation check built on it,
+the plan-size cap, and the degree ledger.
+
+At r = 2 the sphere is a circle.  A point X = [[a, -a], [b, -b]] is the
+complex number z = sqrt(2)(a + ib); the Frobenius distance and inner
+product become |z - w| and Re(z conj(w)).  Every step is a k = 1 step,
+and its orbit is the antipodal pair +-e^{i theta}.  ``CircleMap`` is the
+map of a plan there, the homotopy of ``eqmaps._homotopy`` at t = 1 in
+Python complex arithmetic, and ``winding_number`` reads its exact
+degree, so ``eqmap winding`` runs without numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
+
+from . import NumericalDegeneracyError
+
+__all__ = [
+    "WindingNonconvergenceError",
+    "CenterSeparationError",
+    "DegreeLedger",
+    "CircleMap",
+    "min_orbit_distance",
+    "safe_radius",
+    "step_radius",
+    "orbit_distance",
+    "build_circle_map",
+    "winding_number",
+]
+
+_NORM_FLOOR = 1e-9
+PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the radius
+# The radius of a step at k, as written to plan JSON; n counts the plan's
+# steps at k; the sine binds only for n > 1 (see step_radius).
+RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)))"
+MAX_PLAN_STEPS = 500  # the builders refuse longer plans before building anything
+MAX_WINDING_SAMPLES = 2 ** 20  # winding_number gives up beyond this many angle samples
+
+
+class WindingNonconvergenceError(NumericalDegeneracyError):
+    """Adaptive circle sampling exceeded its budget."""
+
+
+class CenterSeparationError(RuntimeError):
+    """Orbit balls of distinct steps interfere; degree tracking unsound."""
+
+
+# ---------------------------------------------------------------------------
+# The bump's shape
+# ---------------------------------------------------------------------------
+
+def _quintic(u):
+    """6u^5 - 15u^4 + 10u^3, of a float or an array: the smoothstep on [0, 1]."""
+    return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
+
+
+def _smoothstep(u: float) -> float:
+    """The quintic of u clipped to [0, 1]: C^2, flat to second order at both ends."""
+    return _quintic(min(max(u, 0.0), 1.0))
+
+
+def _bump_level(level: float) -> float:
+    """The distance, in units of the radius, at which the bump falls to level (bisection)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _smoothstep(mid) < 1.0 - level:
+            lo = mid
+        else:
+            hi = mid
+    return PLATEAU_FRACTION + 0.5 * (lo + hi) * (1.0 - PLATEAU_FRACTION)
+
+
+# Homotopy zeros can lie only where the bump is at least 1/2, which is
+# within this fraction of the radius (5/8: the smoothstep is symmetric).
+ZERO_ZONE_FRACTION = _bump_level(0.5)
+# The reflection blend is full where the bump is at least 1/3 and off where it is at
+# most 1/4; ZERO_ZONE_FRACTION < BLEND_FULL_FRACTION, so it is full wherever a zero can lie.
+BLEND_FULL_FRACTION = _bump_level(1.0 / 3.0)
+BLEND_OFF_FRACTION = _bump_level(0.25)
+
+
+# ---------------------------------------------------------------------------
+# Radii, orbit distances and the ledger
+# ---------------------------------------------------------------------------
+
+def min_orbit_distance(r: int, k: int) -> float:
+    """Chordal distance from the center to its nearest orbit mate.
+
+    Swapping one low entry with one high entry changes two coordinates
+    by r/|M| each, and any permutation moves at least that much, so the
+    minimum is sqrt(2*r/(k*(r-k))); the test suite confirms this against
+    brute-force orbit enumeration.
+    """
+    if not (r >= 2 and 1 <= k <= r - 1):
+        raise ValueError(f"min_orbit_distance needs 1 <= k <= r-1, got (r={r}, k={k})")
+    return math.sqrt(2.0 * r / (k * (r - k)))
+
+
+def safe_radius(r: int, k: int) -> float:
+    """One third of the minimal orbit distance: balls stay well separated."""
+    return min_orbit_distance(r, k) / 3.0
+
+
+def step_angle(j: int, n: int) -> float:
+    """theta_j = j*pi/(2n), the angle of the j-th of a plan's n steps at one k."""
+    return j * math.pi / (2 * n)
+
+
+def step_radius(r: int, k: int, n: int) -> float:
+    """The radius of each of a plan's n steps at k (RADIUS_RULE).
+
+    Adjacent families at k are a chord 2*sin(pi/(4n)) apart (the angles
+    stay in [0, pi/2)), so capping the radius at sin(pi/(4n)) keeps
+    1.625*R below that chord and the new inner zones clear of every
+    earlier ball; R <= min_orbit_dist/3 keeps the balls of one orbit
+    disjoint.  For n = 1 the cap is sin(pi/4) > 2/3 >= min_orbit_dist/3,
+    so R is safe_radius(r, k).
+    """
+    return min(safe_radius(r, k), math.sin(math.pi / (4 * n)))
+
+
+def orbit_distance(r: int, k: int, theta: float, k2: int, theta2: float) -> float:
+    """Distance between the orbits of c_theta at k and c_theta2 at k2, in closed form.
+
+    With M_k the unnormalized center row, <c, sigma c2> is cos(theta -
+    theta2) <M_k, sigma M_k2> / (|M_k| |M_k2|), |M_k|^2 = k(r-k)r.  For
+    |theta - theta2| < pi/2 (the builders' angles lie in [0, pi/2)) the
+    cosine is positive, and the rearrangement inequality puts the sorted
+    rows together: I = r*min(k,k2)*(r - max(k,k2)).  So dist^2 = 2 -
+    2*cos(theta - theta2)*rho with rho = I / (|M_k| |M_k2|), computed as
+    2(1 - rho) + 4*rho*sin^2((theta - theta2)/2), which keeps its digits
+    for near orbits; equal k give rho = 1, and at r = 2 the distance is
+    2*sin(|theta - theta2|/2).
+    """
+    lo, hi = min(k, k2), max(k, k2)
+    rho = math.sqrt(lo * (r - hi) / (hi * (r - lo)))
+    return math.sqrt(2.0 * (1.0 - rho) + 4.0 * rho * math.sin(0.5 * (theta - theta2)) ** 2)
+
+
+def _check_separation(r: int, earlier: Iterable[tuple[int, float, float]], k: int,
+                      theta: float, radius: float) -> None:
+    """Zero locations of the new step must see an untouched base map.
+
+    Homotopy zeros can only occur where the bump is at least 1/2, i.e.
+    within 5R/8 of a new center, and they force the base map to hit its
+    center value there; so that inner zone (plus the centers themselves)
+    must stay clear of every earlier step's support balls, where the
+    base map is wild.  earlier holds (k, theta, radius) of each earlier
+    step, and orbit_distance measures the two orbits apart.
+    """
+    inner = ZERO_ZONE_FRACTION * radius
+    for k0, theta0, radius0 in earlier:
+        dmin = orbit_distance(r, k0, theta0, k, theta)
+        if dmin <= radius0 + inner:
+            raise CenterSeparationError(
+                f"k={k} inner zones reach into the k={k0} balls "
+                f"(distance {dmin:.6f} <= {radius0:.6f} + {inner:.6f})"
+            )
+
+
+def _check_plan_length(plan) -> None:
+    if len(plan.steps) > MAX_PLAN_STEPS:
+        raise ValueError(f"plan has {len(plan.steps)} steps, beyond the builder's cap "
+                         f"MAX_PLAN_STEPS = {MAX_PLAN_STEPS}")
+
+
+@dataclass(frozen=True)
+class DegreeLedger:
+    """Signed degree bookkeeping: steps (k, sign, delta), running from 1."""
+
+    steps: tuple[tuple[int, int, int], ...]
+
+    @classmethod
+    def of_plan(cls, plan) -> "DegreeLedger":
+        """The ledger of a plan: each step's delta is sign * C(r,k)."""
+        return cls(tuple((k, s, d) for (k, s), d in zip(plan.steps, plan.deltas)))
+
+    @property
+    def running(self) -> tuple[int, ...]:
+        vals = [1]
+        for _, _, delta in self.steps:
+            vals.append(vals[-1] + delta)
+        return tuple(vals)
+
+    @property
+    def final(self) -> int:
+        return self.running[-1]
+
+    def to_json(self) -> dict:
+        return {
+            "steps": [{"k": k, "sign": s, "delta": d} for k, s, d in self.steps],
+            "running": list(self.running),
+        }
+
+
+# ---------------------------------------------------------------------------
+# The r = 2 map on the circle
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CircleMap:
+    """The r = 2 map of a plan on the unit circle, z = sqrt(2)(a + ib).
+
+    Step j of n has the sign signs[j] and the orbit +-centers[j],
+    centers[j] = e^{i theta_j} with theta_j = j*pi/(2n) (eqmaps places
+    c_theta at -e^{i theta_j}, the same orbit); all share one radius.
+    The identity has no steps, and its radius 1.0 only sizes the first
+    grid of winding_number.
+    """
+
+    signs: tuple[int, ...]
+    radius: float
+    centers: tuple[complex, ...]
+
+    def image(self, z: complex) -> complex:
+        """The map at the unit point z."""
+        return self._image(z, self._window)
+
+    def _window(self, z: complex, below: int) -> Sequence[int]:
+        """The steps below `below` whose balls can hold the unit point z, last first.
+
+        Modulo pi, z's angle lies x spacings of pi/(2n) from 0, and step j
+        sits at j spacings.  build_circle_map asserts that a ball's arc
+        reaches less than half a spacing from its step, so only the steps
+        at floor(x) and floor(x) + 1, taken modulo 2n, can hold z.
+        """
+        n = len(self.signs)
+        j = int(math.atan2(z.imag, z.real) % math.pi * (2 * n) / math.pi)
+        return [i for i in ((j + 1) % (2 * n), j % (2 * n)) if i < min(below, n)]
+
+    def _image(self, z: complex, near: Callable[[complex, int], Iterable[int]]) -> complex:
+        """The map at the unit point z, in the two passes of eqmaps._homotopy at t = 1.
+
+        From the last step to the first, each step whose ball holds z
+        records its bump and nearest center, and a plus step moves z by
+        the blended reflection; the steps tested are near(z, below), the
+        candidates below the last one recorded, last first.  Then from
+        the first recorded step to the last, each subtracts 2*rho*c and
+        normalizes.
+        """
+        pushes = []
+        below = len(self.signs)
+        t0 = PLATEAU_FRACTION * self.radius
+        while below:
+            for i in near(z, below):
+                u = self.centers[i]
+                c = u if z.real * u.real + z.imag * u.imag >= 0.0 else -u
+                dist = abs(z - c)
+                rho = 1.0 - _smoothstep((dist - t0) / (self.radius - t0))
+                if rho > 0.0:
+                    break
+            else:
+                break
+            if self.signs[i] > 0:
+                v = 1j * c  # the center turned by +90 degrees: reflect in the line orthogonal to it
+                lam = 1.0 - _smoothstep((dist / self.radius - BLEND_FULL_FRACTION)
+                                        / (BLEND_OFF_FRACTION - BLEND_FULL_FRACTION))
+                y = z - 2.0 * lam * (z.real * v.real + z.imag * v.imag) * v
+                ny = abs(y)
+                if ny < _NORM_FLOOR:
+                    raise NumericalDegeneracyError("reflection blend collapsed a point")
+                z = y / ny
+            pushes.append((rho, c))
+            below = i
+        for rho, c in reversed(pushes):
+            h = z - 2.0 * rho * c
+            nh = abs(h)
+            if nh < _NORM_FLOOR:
+                raise NumericalDegeneracyError(
+                    "map value collapsed below 1e-9 during normalization")
+            z = h / nh
+        return z
+
+
+def build_circle_map(plan) -> tuple[CircleMap, DegreeLedger]:
+    """The map of an r = 2 plan on the circle, and its degree ledger.
+
+    The steps are those of eqmaps.build_from_plan: the j-th of n sits at
+    theta_j = j*pi/(2n) with the one radius step_radius(2, 1, n), and
+    each passes the same separation check.
+    """
+    _check_plan_length(plan)
+    if plan.r != 2:
+        raise ValueError("winding numbers are defined here only for r = 2")
+    n = len(plan.steps)
+    thetas = [step_angle(j, n) for j in range(n)]
+    radius = step_radius(2, 1, n) if n else 1.0
+    for j, theta in enumerate(thetas):
+        _check_separation(2, ((1, t, radius) for t in thetas[:j]), 1, theta, radius)
+    # CircleMap._window rests on this: one radius, step j at j*pi/(2n) mod pi, and
+    # each ball's arc reaching 2*asin(R/2) from its step, less than half a spacing
+    assert not n or 2.0 * math.asin(radius / 2.0) < math.pi / (4 * n)
+    centers = tuple(complex(math.cos(t), math.sin(t)) for t in thetas)
+    return CircleMap(tuple(s for _, s in plan.steps), radius, centers), DegreeLedger.of_plan(plan)
+
+
+def winding_number(cmap: CircleMap) -> int:
+    """Exact circle degree via adaptive angle sampling.
+
+    The first grid puts at least 8 samples across each ball (spacing
+    <= R/4, at least 1,024 points, a power of two); then every arc whose
+    image angle moves by pi/4 or more is halved until none does, and the
+    wrapped increments telescope to 2*pi times the winding number.
+    """
+    def angle(theta: float) -> float:
+        w = cmap.image(complex(math.cos(theta), math.sin(theta)))
+        return math.atan2(w.imag, w.real)
+
+    n = max(1024, 1 << math.ceil(math.log2(8.0 * math.pi / cmap.radius)))
+    theta = [i * (2.0 * math.pi / n) for i in range(n)]
+    alpha = [None] * n  # None: not yet evaluated
+    while None in alpha:
+        if len(theta) > MAX_WINDING_SAMPLES:
+            raise WindingNonconvergenceError(f"no convergence within {MAX_WINDING_SAMPLES} samples")
+        alpha = [angle(t) if a is None else a for t, a in zip(theta, alpha)]
+        d = [(b - a + math.pi) % (2.0 * math.pi) - math.pi
+             for a, b in zip(alpha, alpha[1:] + alpha[:1])]
+        halve = [abs(step) >= math.pi / 4.0 for step in d]
+        ends = theta[1:] + [2.0 * math.pi]
+        theta = [x for t, e, h in zip(theta, ends, halve) for x in ((t, 0.5 * (t + e)) if h else (t,))]
+        alpha = [x for a, h in zip(alpha, halve) for x in ((a, None) if h else (a,))]
+    total = math.fsum(d)
+    w = round(total / (2.0 * math.pi))
+    if abs(total / (2.0 * math.pi) - w) > 1e-6:
+        raise WindingNonconvergenceError("angle increments do not telescope")
+    return int(w)

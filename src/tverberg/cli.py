@@ -22,6 +22,7 @@ from typing import Optional
 
 from . import NumericalDegeneracyError
 from . import bounds as bd
+from . import circle as ci
 from . import complexes as cx
 from . import eqmaps as eq
 from . import numbercert as nc
@@ -155,18 +156,18 @@ def _parse_plan(r: int, text: str) -> nc.ModificationPlan:
 
 
 def cmd_eqmap(args) -> tuple[dict, dict, bool]:
-    import numpy  # before eq: a missing numpy fails here, not half-way through the lazy eqmaps
     plan = _parse_plan(args.r, args.plan)
     inputs = {"cmd": "eqmap", "mode": args.mode, "r": args.r,
               "plan": plan.to_json(), "samples": args.samples, "seed": args.seed}
-    layer, ledger = eq.build_from_plan(plan)
-
-    if args.mode == "winding":
-        w = eq.winding_number_r2(layer)
+    if args.mode == "winding":  # the circle map, in plain complex arithmetic
+        circle_map, ledger = ci.build_circle_map(plan)
+        w = ci.winding_number(circle_map)
         agrees = w == ledger.final
         outputs = {"winding": w, "ledger": ledger.to_json(), "agrees_with_ledger": agrees}
         return inputs, outputs, agrees
 
+    import numpy  # before eq: a missing numpy fails here, not half-way through the lazy eqmaps
+    layer, ledger = eq.build_from_plan(plan)
     outputs = {
         "map": eq.layer_plan_json(layer),
         "ledger": ledger.to_json(),

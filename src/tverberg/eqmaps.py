@@ -42,17 +42,18 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import NumericalDegeneracyError
+from .circle import (BLEND_FULL_FRACTION, BLEND_OFF_FRACTION, PLATEAU_FRACTION,
+                     RADIUS_RULE, ZERO_ZONE_FRACTION, CenterSeparationError, DegreeLedger,
+                     _NORM_FLOOR, _check_plan_length, _check_separation, _quintic, step_angle,
+                     step_radius)
 
 __all__ = [
     "NumericalDegeneracyError",
-    "WindingNonconvergenceError",
     "CenterSeparationError",
     "ModificationNode",
     "MapLayer",
     "DegreeLedger",
     "LocalDegreeReport",
-    "min_orbit_distance",
-    "safe_radius",
     "identity_map",
     "build_from_plan",
     "verify_equivariance",
@@ -60,38 +61,22 @@ __all__ = [
     "verify_local_degrees",
     "verify_no_spurious_zeros",
     "SpuriousZeroSearch",
-    "winding_number_r2",
     "random_sphere_points",
     "generators",
 ]
 
-_NORM_FLOOR = 1e-9
-PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the radius
-# The radius of a step at k, as written to plan JSON; n counts the plan's
-# steps at k; the sine binds only for n > 1 (see _make_modified).
-RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)))"
-# build_from_plan refuses larger plans before allocating anything.  C(15,6)
+# build_from_plan refuses larger orbits before allocating anything.  C(15,6)
 # is the largest orbit of any r <= 15 certificate plan; the cap bounds the
 # time of verify_local_degrees, one finite-difference Jacobian per center
 # (about 5 of the 10 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon;
 # r = 18 uncapped verifies in 34 s), not memory (r = 15 auto builds at a
 # 48 MB peak, r = 18 uncapped at 163 MB).
 MAX_ORBIT = 5005
-MAX_PLAN_STEPS = 500
 # Stencil points (4r - 2 per center) per evaluation in verify_local_degrees; bounds its memory.
 _STENCIL_POINTS = 4096
 FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
 # Points per random draw of the sampled checks; bounds their memory.
 _SAMPLE_CHUNK = 20000
-MAX_WINDING_SAMPLES = 2 ** 20  # winding_number_r2 gives up beyond this many angle samples
-
-
-class WindingNonconvergenceError(NumericalDegeneracyError):
-    """Adaptive circle sampling exceeded its budget."""
-
-
-class CenterSeparationError(RuntimeError):
-    """Orbit balls of distinct steps interfere; degree tracking unsound."""
 
 
 def _frob(a: np.ndarray) -> np.ndarray:
@@ -118,24 +103,6 @@ def _center_row(r: int, k: int) -> np.ndarray:
     return M / np.linalg.norm(M)
 
 
-def min_orbit_distance(r: int, k: int) -> float:
-    """Chordal distance from the center to its nearest orbit mate.
-
-    Swapping one low entry with one high entry changes two coordinates
-    by r/|M| each, and any permutation moves at least that much, so the
-    minimum is sqrt(2*r/(k*(r-k))); the test suite confirms this against
-    brute-force orbit enumeration.
-    """
-    if not (r >= 2 and 1 <= k <= r - 1):
-        raise ValueError(f"min_orbit_distance needs 1 <= k <= r-1, got (r={r}, k={k})")
-    return math.sqrt(2.0 * r / (k * (r - k)))
-
-
-def safe_radius(r: int, k: int) -> float:
-    """One third of the minimal orbit distance: balls stay well separated."""
-    return min_orbit_distance(r, k) / 3.0
-
-
 def _low_masks(r: int, k: int) -> np.ndarray:
     """One boolean row per k-subset of the columns, lexicographic: the low columns of a center."""
     masks = np.zeros((math.comb(r, k), r), dtype=bool)
@@ -159,9 +126,8 @@ def _orbit_centers(r: int, k: int, theta: float) -> np.ndarray:
 
 
 def _smoothstep(u):
-    """6u^5 - 15u^4 + 10u^3 of u clipped to [0, 1]: C^2, flat to second order at both ends."""
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * u * (u * (6.0 * u - 15.0) + 10.0)
+    """The quintic of u clipped to [0, 1], elementwise (circle._smoothstep takes a float)."""
+    return _quintic(np.clip(u, 0.0, 1.0))
 
 
 def _bump(dist, radius: float):
@@ -170,39 +136,19 @@ def _bump(dist, radius: float):
     return 1.0 - _smoothstep((dist - t0) / (radius - t0))
 
 
-def _bump_level(level: float) -> float:
-    """The distance, in units of the radius, at which the bump falls to level (bisection)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _smoothstep(mid) < 1.0 - level:
-            lo = mid
-        else:
-            hi = mid
-    return PLATEAU_FRACTION + 0.5 * (lo + hi) * (1.0 - PLATEAU_FRACTION)
-
-
-# Homotopy zeros can lie only where the bump is at least 1/2, which is
-# within this fraction of the radius (5/8: the smoothstep is symmetric).
-ZERO_ZONE_FRACTION = _bump_level(0.5)
-# _phi's reflection blend is full where the bump is at least 1/3 and off where it is at
-# most 1/4; ZERO_ZONE_FRACTION < BLEND_FULL_FRACTION, so it is full wherever a zero can lie.
-BLEND_FULL_FRACTION = _bump_level(1.0 / 3.0)
-BLEND_OFF_FRACTION = _bump_level(0.25)
-
-
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
 class ModificationNode:
-    """One modification step: its orbit, radius and sign (the bump's shape: *_FRACTION)."""
+    """One modification step: its orbit (k, theta), radius and sign (bump shape: *_FRACTION)."""
 
     r: int
     k: int
     sign: int                 # -1: the minus formula, +1: the plus one; delta = sign * C(r,k)
     radius: float
+    theta: float              # the orbit is that of c_theta = (cos(theta) * row ; sin(theta) * row)
     centers: np.ndarray       # (C(r,k), 2, r), one per mask of _low_masks
 
 
@@ -230,30 +176,6 @@ class MapLayer:
         """The maps after each step, from the first applied to the last."""
         for j in range(1, len(self.nodes) + 1):
             yield MapLayer(self.r, self.nodes[:j])
-
-
-@dataclass(frozen=True)
-class DegreeLedger:
-    """Signed degree bookkeeping: steps (k, sign, delta), running from 1."""
-
-    steps: tuple[tuple[int, int, int], ...]
-
-    @property
-    def running(self) -> tuple[int, ...]:
-        vals = [1]
-        for _, _, delta in self.steps:
-            vals.append(vals[-1] + delta)
-        return tuple(vals)
-
-    @property
-    def final(self) -> int:
-        return self.running[-1]
-
-    def to_json(self) -> dict:
-        return {
-            "steps": [{"k": k, "sign": s, "delta": d} for k, s, d in self.steps],
-            "running": list(self.running),
-        }
 
 
 def identity_map(r: int) -> MapLayer:
@@ -357,45 +279,19 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False) -> np.
 # Construction
 # ---------------------------------------------------------------------------
 
-def _check_separation(layer: MapLayer, centers: np.ndarray, k: int,
-                      radius: float) -> None:
-    """Zero locations of the new step must see an untouched base map.
-
-    Homotopy zeros can only occur where the bump is at least 1/2, i.e.
-    within 5R/8 of a new center, and they force the base map to hit its
-    center value there; so that inner zone (plus the centers themselves)
-    must stay clear of every earlier step's support balls, where the
-    base map is wild.  Both orbits are S_r-orbits and S_r acts by
-    isometries, so the distance between them is the distance from any
-    one new center to the nearest earlier one.
-    """
-    inner = ZERO_ZONE_FRACTION * radius
-    for nd in layer.nodes:
-        dmin = float(_nearest(nd, centers[:1])[0][0])
-        if dmin <= nd.radius + inner:
-            raise CenterSeparationError(
-                f"k={k} inner zones reach into the k={nd.k} balls "
-                f"(distance {dmin:.6f} <= {nd.radius:.6f} + {inner:.6f})"
-            )
-
-
 def _make_modified(layer: MapLayer, k: int, sign: int, n: int) -> MapLayer:
     """Add the next of the plan's n steps at k on its own rotated center family.
 
-    The j-th step at k (j counted along the chain) sits at theta_j =
-    j*pi/(2n).  Adjacent families are a chord 2*sin(pi/(4n)) apart (the
-    angles stay in [0, pi/2)), so capping the radius at sin(pi/(4n))
-    keeps 1.625*R below that chord and the new inner zones clear of every
-    earlier ball; R <= min_orbit_dist/3 keeps the balls of one orbit
-    disjoint.  For n = 1 the cap is sin(pi/4) > 2/3 >= min_orbit_dist/3,
-    so R is safe_radius(r, k).
+    The j-th step at k (j counted along the chain) sits at step_angle(j, n)
+    with the radius step_radius(r, k, n), and _check_separation keeps its
+    inner zones clear of every earlier ball.
     """
     r = layer.r
     j = sum(1 for prior in layer.nodes if prior.k == k)
-    centers = _orbit_centers(r, k, j * math.pi / (2 * n))
-    radius = min(safe_radius(r, k), math.sin(math.pi / (4 * n)))
-    _check_separation(layer, centers, k, radius)
-    node = ModificationNode(r=r, k=k, sign=sign, radius=radius, centers=centers)
+    theta, radius = step_angle(j, n), step_radius(r, k, n)
+    _check_separation(r, ((nd.k, nd.theta, nd.radius) for nd in layer.nodes), k, theta, radius)
+    node = ModificationNode(r=r, k=k, sign=sign, radius=radius, theta=theta,
+                            centers=_orbit_centers(r, k, theta))
     return MapLayer(r, layer.nodes + (node,))
 
 
@@ -408,9 +304,7 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     sign * C(r,k); the ledger runs through plan.deltas to the plan target
     (0 for certificate plans).
     """
-    if len(plan.steps) > MAX_PLAN_STEPS:
-        raise ValueError(f"plan has {len(plan.steps)} steps, beyond the builder's cap "
-                         f"MAX_PLAN_STEPS = {MAX_PLAN_STEPS}")
+    _check_plan_length(plan)
     for k, _ in plan.steps:
         if math.comb(plan.r, k) > MAX_ORBIT:
             raise ValueError(f"plan step k={k} has C({plan.r},{k}) = {math.comb(plan.r, k)} "
@@ -419,7 +313,7 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     per_k = Counter(k for k, _ in plan.steps)
     for k, sign in plan.steps:
         layer = _make_modified(layer, k, sign, per_k[k])
-    return layer, DegreeLedger(tuple((k, s, d) for (k, s), d in zip(plan.steps, plan.deltas)))
+    return layer, DegreeLedger.of_plan(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -734,44 +628,6 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         evaluations=evaluations,
         in_zero_zone=in_zero_zone,
     )
-
-
-def winding_number_r2(layer: MapLayer) -> int:
-    """Exact circle degree for r = 2 via adaptive angle sampling.
-
-    The circle is parametrized by the top-left entry pair.  The first grid
-    puts at least 8 samples across the smallest ball (spacing <= R_min/4,
-    at least 1,024 points, a power of two); then every arc whose image
-    angle moves by pi/4 or more is halved until none does, and the
-    wrapped increments telescope to 2*pi times the winding number.
-    """
-    if layer.r != 2:
-        raise ValueError("winding numbers are defined here only for r = 2")
-    r_min = min((nd.radius for nd in layer.nodes), default=1.0)
-    n = max(1024, 1 << math.ceil(math.log2(8.0 * math.pi / r_min)))
-
-    def image_angle(theta: np.ndarray) -> np.ndarray:
-        X = np.empty((len(theta), 2, 2))
-        X[:, :, 0] = np.stack([np.cos(theta), np.sin(theta)], axis=1) / math.sqrt(2.0)
-        X[:, :, 1] = -X[:, :, 0]
-        Y = layer.eval_batch(X)
-        return np.arctan2(Y[:, 1, 0], Y[:, 0, 0])
-
-    theta, alpha = np.empty(0), np.empty(0)
-    new, at = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), np.zeros(n, dtype=int)
-    while len(new):
-        if len(theta) + len(new) > MAX_WINDING_SAMPLES:
-            raise WindingNonconvergenceError(f"no convergence within {MAX_WINDING_SAMPLES} samples")
-        theta, alpha = np.insert(theta, at, new), np.insert(alpha, at, image_angle(new))
-        d = (np.diff(np.append(alpha, alpha[0])) + math.pi) % (2.0 * math.pi) - math.pi
-        coarse = np.flatnonzero(np.abs(d) >= math.pi / 4.0)
-        new = 0.5 * (theta[coarse] + np.append(theta[1:], 2.0 * math.pi)[coarse])
-        at = coarse + 1
-    total = float(d.sum())
-    w = round(total / (2.0 * math.pi))
-    if abs(total / (2.0 * math.pi) - w) > 1e-6:
-        raise WindingNonconvergenceError("angle increments do not telescope")
-    return int(w)
 
 
 def layer_plan_json(layer: MapLayer) -> dict:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tverberg import bounds as bd
+from tverberg import circle as ci
 from tverberg import complexes as cx
 from tverberg import eqmaps as eq
 from tverberg import numbercert as nc
@@ -171,15 +172,15 @@ def test_criterion_7_join_preservation():
 
 def test_criterion_8_circle_degrees():
     t0 = time.perf_counter()
-    ok = eq.winding_number_r2(eq.identity_map(2)) == 1
+    ok = ci.winding_number(ci.build_circle_map(nc.ModificationPlan(2, ()))[0]) == 1
     for steps, expected in (
         (((1, -1),), -1),
         (((1, 1),), 3),
         (((1, -1), (1, -1)), -3),
     ):
         plan = nc.ModificationPlan(2, steps)
-        layer, ledger = eq.build_from_plan(plan)
-        w = eq.winding_number_r2(layer)
+        circle_map, ledger = ci.build_circle_map(plan)
+        w = ci.winding_number(circle_map)
         ok = ok and w == expected == ledger.final
     report(8, "circle windings 1, -1, 3, -3 match the +-C(2,1) ledger",
            ok, time.perf_counter() - t0, 5.0)

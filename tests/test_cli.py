@@ -13,8 +13,8 @@ jsonschema = pytest.importorskip("jsonschema")
 from importlib import resources
 
 import tverberg
+from tverberg import circle as ci
 from tverberg import complexes as cx
-from tverberg import eqmaps as eq
 from tverberg.cli import main
 
 
@@ -89,8 +89,9 @@ def test_commands_run_without_scipy(radon_files):
 
 
 # Runs main on the arguments after the script and prints its exit code, then
-# whether numpy was loaded: eqmaps imports numpy, and the package runs eqmaps
-# only on the first read of one of its attributes.
+# whether numpy was loaded: eqmaps imports numpy, the package runs eqmaps
+# only on the first read of one of its attributes, and `eqmap winding` reads
+# only the numpy-free circle.
 NUMPY_PROBE = ("import contextlib, io, sys\n"
                "from tverberg.cli import main\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -103,7 +104,8 @@ NUMPY_PROBE = ("import contextlib, io, sys\n"
     ["cert", "--r", "10"],
     ["check", "--r", "2"],
     ["delprod", "--N", "280", "--k", "45", "--r", "6"],
-], ids=["bounds", "cert", "check", "delprod"])
+    ["eqmap", "winding", "--r", "2", "--plan", "1:-"],
+], ids=["bounds", "cert", "check", "delprod", "winding"])
 def test_exact_subcommands_start_without_numpy(triangle_files, argv):
     if argv[0] == "check":
         argv = argv + ["--complex", triangle_files[0], "--map", triangle_files[1]]
@@ -137,7 +139,8 @@ MODULE_PROBE = ("import contextlib, io, sys, types\n"
                 "from tverberg.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    code = main(sys.argv[1:])\n"
-                "print(code, *(name for name in ('bounds', 'complexes', 'eqmaps', 'numbercert', 'plmaps')\n"
+                "print(code, *(name for name in ('bounds', 'circle', 'complexes', 'eqmaps',\n"
+                "                                'numbercert', 'plmaps')\n"
                 "              if type(sys.modules['tverberg.' + name]) is types.ModuleType))\n")
 
 
@@ -146,8 +149,9 @@ MODULE_PROBE = ("import contextlib, io, sys, types\n"
     (["check", "--r", "2"], ["complexes", "plmaps"]),
     (["bounds", "--r", "6", "--d", "54"], ["bounds", "numbercert"]),
     (["cert", "--r", "10"], ["numbercert"]),
-    (["eqmap", "build", "--r", "6"], ["eqmaps", "numbercert"]),
-], ids=["delprod", "check", "bounds", "cert", "eqmap"])
+    (["eqmap", "build", "--r", "6"], ["circle", "eqmaps", "numbercert"]),
+    (["eqmap", "winding", "--r", "2", "--plan", "1:-"], ["circle", "numbercert"]),
+], ids=["delprod", "check", "bounds", "cert", "eqmap", "winding"])
 def test_subcommand_runs_only_the_modules_it_needs(triangle_files, argv, ran):
     if argv[0] == "check":
         argv = argv + ["--complex", triangle_files[0], "--map", triangle_files[1]]
@@ -172,19 +176,28 @@ def test_monkeypatch_on_a_module_that_has_not_run():
 
 
 def test_exact_subcommands_run_with_numpy_blocked(triangle_files):
+    """The winding rows: a plan, r = 3 and a 501-step plan (input errors), and
+    a sample budget too small to converge (numerical degeneracy)."""
     script = ("import contextlib, io, sys\n"
               "sys.modules['numpy'] = None  # every import of numpy now fails\n"
+              "import tverberg\n"
               "from tverberg.cli import main\n"
               "codes = []\n"
+              "winding = ['eqmap', 'winding', '--r', '2', '--plan']\n"
               "for argv in (['bounds', '--r', '6', '--d', '54'], ['cert', '--r', '10'],\n"
               "             ['check', '--complex', sys.argv[1], '--map', sys.argv[2], '--r', '2'],\n"
-              "             ['delprod', '--N', '9', '--k', '2', '--r', '3']):\n"
+              "             ['delprod', '--N', '9', '--k', '2', '--r', '3'],\n"
+              "             winding + ['1:-'], ['eqmap', 'winding', '--r', '3', '--plan', '1:-'],\n"
+              "             winding + [','.join(['1:-'] * 501)]):\n"
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        codes.append(main(argv))\n"
+              "tverberg.circle.MAX_WINDING_SAMPLES = 512\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes.append(main(winding + ['1:-']))\n"
               "print(*codes)\n")
     proc = run_python(script, *triangle_files)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0", "0", "0", "2", "2", "3"]
 
 
 def test_eqmap_with_numpy_blocked_names_numpy():
@@ -279,10 +292,10 @@ class TestReport:
     def test_numerical_degeneracy_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
 
-        def no_convergence(layer):
-            raise eq.WindingNonconvergenceError("no convergence within 512 samples")
+        def no_convergence(circle_map):
+            raise ci.WindingNonconvergenceError("no convergence within 512 samples")
 
-        monkeypatch.setattr(eq, "winding_number_r2", no_convergence)
+        monkeypatch.setattr(ci, "winding_number", no_convergence)
         code = main(["eqmap", "winding", "--r", "2", "--plan", "1:-"])
         captured = capsys.readouterr()
         assert code == 3
@@ -561,14 +574,17 @@ class TestEqmap:
 
     def test_build_r15_auto_peak_memory(self):
         """No orbit is measured against a whole other orbit: a fresh process building
-        the r = 15 auto plan (orbits up to C(15,6) = 5,005) peaks under 150 MB."""
-        script = ("import resource, sys\n"
+        the r = 15 auto plan (orbits up to C(15,6) = 5,005) peaks under 150 MB.
+        The peak is the child's own VmHWM: its ru_maxrss starts at the RSS of the
+        process that spawned it, which grows as the test session runs."""
+        script = ("import re, sys\n"
                   "from tverberg.cli import main\n"
                   "code = main(['eqmap', 'build', '--r', '15', '--plan', 'auto'])\n"
-                  "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "with open('/proc/self/status') as status:\n"
+                  "    peak = re.search(r'VmHWM:\\s*(\\d+) kB', status.read()).group(1)\n"
                   "print(code, peak, file=sys.stderr)\n")
         proc = run_python(script)
-        code, peak_kib = map(int, proc.stderr.split()[-2:])  # ru_maxrss is in KiB on Linux
+        code, peak_kib = map(int, proc.stderr.split()[-2:])
         assert code == 0
         assert peak_kib / 1024 < 150
 

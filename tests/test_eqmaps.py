@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from tverberg import circle as ci
 from tverberg import eqmaps as eq
 from tverberg.numbercert import ModificationPlan, bezout_certificate, certificate_to_plan
 
@@ -105,24 +106,24 @@ class TestCenters:
         assert len(one_step(6, 3).node.centers) == 20
 
     def test_safe_radius_values(self):
-        assert abs(eq.safe_radius(6, 2) - math.sqrt(1.5) / 3) < 1e-15
-        assert abs(eq.safe_radius(2, 1) - 2 / 3) < 1e-15
+        assert abs(ci.safe_radius(6, 2) - math.sqrt(1.5) / 3) < 1e-15
+        assert abs(ci.safe_radius(2, 1) - 2 / 3) < 1e-15
         for r in range(2, 8):
             for k in range(1, r):
-                assert eq.safe_radius(r, k) > 0
+                assert ci.safe_radius(r, k) > 0
 
     def test_one_radius_rule_is_safe_radius_for_one_step(self):
         """min_orbit_dist/3 < sin(pi/4), so the sine cap binds only for n > 1."""
         for r in range(2, 101):
             for k in range(1, r):
-                assert eq.safe_radius(r, k) < math.sin(math.pi / 4)
+                assert ci.safe_radius(r, k) < math.sin(math.pi / 4)
         for r, k in ((2, 1), (6, 2), (10, 3)):
-            assert one_step(r, k).node.radius == eq.safe_radius(r, k)
+            assert one_step(r, k).node.radius == ci.safe_radius(r, k)
 
     def test_min_orbit_distance_brute_force(self):
         for r in range(2, 8):
             for k in range(1, r):
-                assert abs(eq.min_orbit_distance(r, k) - brute_min_orbit_distance(r, k)) < 1e-12
+                assert abs(ci.min_orbit_distance(r, k) - brute_min_orbit_distance(r, k)) < 1e-12
 
     def test_orbit_balls_pairwise_disjoint(self):
         for r, k in ((2, 1), (6, 1), (6, 2), (6, 3), (7, 3)):
@@ -138,7 +139,7 @@ class TestCenters:
 class TestBump:
     def test_plateau_and_support(self):
         c = eq._orbit_centers(6, 2, 0.0)[0]
-        R = eq.safe_radius(6, 2)
+        R = ci.safe_radius(6, 2)
         assert bump_rho(c, c, R) == 1.0
         # a point at distance exactly R from c (walk along a tangent great circle)
         t = np.zeros((2, 6))
@@ -150,7 +151,7 @@ class TestBump:
 
     def test_value_at_third_radius(self):
         c = eq._orbit_centers(6, 2, 0.0)[0]
-        R = eq.safe_radius(6, 2)
+        R = ci.safe_radius(6, 2)
         t = np.zeros((2, 6))
         t[1] = c[0]
         ang = 2 * math.asin(R / 6)
@@ -165,7 +166,7 @@ class TestBump:
         assert eq.ZERO_ZONE_FRACTION == 0.625 < eq.BLEND_FULL_FRACTION < eq.BLEND_OFF_FRACTION < 1.0
         levels = ((eq.ZERO_ZONE_FRACTION, 0.5), (eq.BLEND_FULL_FRACTION, 1.0 / 3.0),
                   (eq.BLEND_OFF_FRACTION, 0.25))
-        for R in (1.0, 0.26, eq.safe_radius(6, 2), eq.safe_radius(15, 7), math.sin(math.pi / 2000)):
+        for R in (1.0, 0.26, ci.safe_radius(6, 2), ci.safe_radius(15, 7), math.sin(math.pi / 2000)):
             for fraction, level in levels:
                 assert abs(float(eq._bump(fraction * R, R)) - level) < 1e-12
 
@@ -185,7 +186,7 @@ class TestBump:
 
     def test_orbit_invariance(self):
         c = eq._orbit_centers(4, 2, 0.0)[0]
-        R = eq.safe_radius(4, 2)
+        R = ci.safe_radius(4, 2)
         rng = np.random.default_rng(5)
         for x in eq.random_sphere_points(4, 20, rng):
             v = bump_rho(x, c, R)
@@ -280,8 +281,8 @@ SEPARATED_PLANS = [
 
 
 class TestSeparation:
-    """_check_separation measures one center of the new orbit against each
-    earlier orbit; two S_r-orbits are equally near from any of their points."""
+    """_check_separation measures the new orbit against each earlier orbit by
+    circle.orbit_distance, a closed form in k, k', theta and theta'."""
 
     @pytest.mark.parametrize("r, steps", SEPARATED_PLANS)
     def test_one_center_distance_equals_all_pairs_minimum(self, r, steps):
@@ -295,14 +296,39 @@ class TestSeparation:
             for earlier in nodes[:i]:
                 diff = later.centers[:, None] - earlier.centers[None]
                 brute = float(np.sqrt(np.einsum("abij,abij->ab", diff, diff).min()))
-                alone = eq.MapLayer(r, (earlier,))
+                alone = [(earlier.k, earlier.theta, earlier.radius)]
                 # the check fails iff its distance is at most earlier radius + 5R/8;
                 # put that threshold 1e-12 below and above the brute-force distance
                 below = (brute - 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
-                eq._check_separation(alone, later.centers, later.k, below)
+                ci._check_separation(r, alone, later.k, later.theta, below)
                 above = (brute + 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
                 with pytest.raises(eq.CenterSeparationError):
-                    eq._check_separation(alone, later.centers, later.k, above)
+                    ci._check_separation(r, alone, later.k, later.theta, above)
+
+    @pytest.mark.parametrize("r, steps", [
+        (6, "auto"), (10, "auto"), (12, "auto"), (14, "auto"), (15, "auto"),
+        (6, ((1, -1), (1, -1), (2, 1), (1, 1))),
+        (2, ((1, -1),) * 8),
+    ], ids=["6-auto", "10-auto", "12-auto", "14-auto", "15-auto", "6-repeated-k", "2-eight"])
+    def test_closed_form_matches_nearest(self, r, steps):
+        """orbit_distance against _nearest from one center of the later orbit,
+        and its rearrangement sum I = r*min(k,k')*(r - max(k,k')) against the sorted rows."""
+        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+                else plan_of(r, steps))
+        layer, _ = eq.build_from_plan(plan)
+        nodes = [step.node for step in layer.chain()]
+        pairs = 0
+        for i, later in enumerate(nodes):
+            for earlier in nodes[:i]:
+                want = float(eq._nearest(earlier, later.centers[:1])[0][0])
+                got = ci.orbit_distance(r, earlier.k, earlier.theta, later.k, later.theta)
+                assert abs(got - want) < 1e-12
+                rows = [sorted(eq._center_row(r, k) * math.sqrt(k * (r - k) * r))
+                        for k in (earlier.k, later.k)]
+                lo, hi = sorted((earlier.k, later.k))
+                assert abs(float(np.dot(*rows)) - r * lo * (r - hi)) < 1e-9
+                pairs += 1
+        assert pairs == len(nodes) * (len(nodes) - 1) // 2 > 0
 
     @pytest.mark.parametrize("r, steps", [(6, "auto"), *SEPARATED_PLANS[1:]])
     def test_map_below_is_identity_at_new_centers(self, r, steps):
@@ -316,7 +342,7 @@ class TestSeparation:
             assert np.array_equal(below.eval_batch(node.centers), node.centers)
 
     def test_error_fires_when_radii_grow(self, monkeypatch):
-        monkeypatch.setattr(eq, "safe_radius", lambda r, k: eq.min_orbit_distance(r, k) / 2.5)
+        monkeypatch.setattr(ci, "safe_radius", lambda r, k: ci.min_orbit_distance(r, k) / 2.5)
         with pytest.raises(eq.CenterSeparationError, match="inner zones reach into"):
             eq.build_from_plan(certificate_to_plan(bezout_certificate(6)))
 
@@ -356,7 +382,7 @@ class TestBuildFromPlan:
             c = node.centers[0]
             phi = eq._phi(node, np.stack([u, c]), node.centers[[0, 0]], np.zeros(2), 1.0)
             assert np.allclose(phi, [-u, c])
-            assert node.radius == min(eq.safe_radius(2, 1), math.sin(math.pi / 12))
+            assert node.radius == min(ci.safe_radius(2, 1), math.sin(math.pi / 12))
 
     def test_r3_plans_stay_1_mod_3(self):
         for steps in itertools.product(((1, 1), (1, -1), (2, 1), (2, -1)), repeat=2):
@@ -831,9 +857,19 @@ class TestSpuriousZeros:
             eq.verify_equivariance(eq.identity_map(2), samples=samples)
 
 
+def circle_of(steps):
+    """The circle map of the r = 2 plan of steps."""
+    return ci.build_circle_map(plan_of(2, steps))[0]
+
+
+def every_step(z, below):
+    """All steps below `below`, last first: the loop that CircleMap._window narrows."""
+    return range(below - 1, -1, -1)
+
+
 class TestWinding:
     def test_identity(self):
-        assert eq.winding_number_r2(eq.identity_map(2)) == 1
+        assert ci.winding_number(circle_of(())) == 1
 
     def test_acceptance_plans(self):
         cases = {
@@ -842,37 +878,63 @@ class TestWinding:
             ((1, -1), (1, -1)): -3,
         }
         for steps, expected in cases.items():
-            layer, ledger = eq.build_from_plan(plan_of(2, steps))
-            assert eq.winding_number_r2(layer) == expected == ledger.final
+            circle_map, ledger = ci.build_circle_map(plan_of(2, steps))
+            assert ci.winding_number(circle_map) == expected == ledger.final
 
     def test_ledger_agreement_all_plans_to_length_6_and_length_8(self):
+        """Each plan's winding matches its ledger, and its circle map matches
+        MapLayer.eval_batch to 1e-12 on 2,048 angles, at least 60 in each ball."""
         plans = [steps for length in range(7)
                  for steps in itertools.product(((1, 1), (1, -1)), repeat=length)]
         for first in (1, -1):
             plans.append(((1, first),) * 8)
             plans.append(((1, first), (1, -first)) * 4)
+        theta = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+        X = np.zeros((len(theta), 2, 2))
+        X[:, :, 0] = np.stack([np.cos(theta), np.sin(theta)], axis=1) / math.sqrt(2.0)
+        X[:, :, 1] = -X[:, :, 0]
         for steps in plans:
-            layer, ledger = eq.build_from_plan(plan_of(2, steps))
-            w = eq.winding_number_r2(layer)
+            plan = plan_of(2, steps)
+            circle_map, ledger = ci.build_circle_map(plan)
+            Y = eq.build_from_plan(plan)[0].eval_batch(X)
+            want = math.sqrt(2.0) * (Y[:, 0, 0] + 1j * Y[:, 1, 0])
+            got = np.array([circle_map.image(complex(math.cos(t), math.sin(t))) for t in theta])
+            assert np.abs(got - want).max() < 1e-12, f"plan {steps}"
+            w = ci.winding_number(circle_map)
             assert w == ledger.final, f"plan {steps}: winding {w} != {ledger.final}"
             assert w % 2 == 1  # equivariant circle maps have odd degree
 
+    def test_window_equals_every_step(self):
+        """The windowed lookup gives the loop over every step's value, bit for bit."""
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            steps = [(1, int(s)) for s in rng.choice((-1, 1), size=rng.integers(1, 41))]
+            circle_map = circle_of(steps)
+            theta = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False),
+                                    rng.uniform(0.0, 2.0 * math.pi, 1024)])
+            hits = 0
+            for t in theta:
+                z = complex(math.cos(t), math.sin(t))
+                got = circle_map.image(z)
+                assert got == circle_map._image(z, every_step)
+                hits += got != z
+            assert hits > 0
+
     def test_requires_r2(self):
-        with pytest.raises(ValueError):
-            eq.winding_number_r2(eq.identity_map(3))
+        with pytest.raises(ValueError, match="only for r = 2"):
+            ci.build_circle_map(plan_of(3, ()))
 
     def test_budget_error(self, monkeypatch):
-        monkeypatch.setattr(eq, "MAX_WINDING_SAMPLES", 512)
-        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        with pytest.raises(eq.WindingNonconvergenceError, match="within 512 samples"):
-            eq.winding_number_r2(layer)
+        monkeypatch.setattr(ci, "MAX_WINDING_SAMPLES", 512)
+        with pytest.raises(ci.WindingNonconvergenceError, match="within 512 samples"):
+            ci.winding_number(circle_of(((1, -1),)))
 
     def test_long_same_k_plan_within_budget(self, monkeypatch):
         """The first grid resolves the smallest ball, R = sin(pi/400) at 100 steps,
         and only coarse arcs are halved: 2**16 samples suffice."""
-        monkeypatch.setattr(eq, "MAX_WINDING_SAMPLES", 2 ** 16)
-        layer, ledger = eq.build_from_plan(plan_of(2, ((1, -1),) * 100))
-        assert eq.winding_number_r2(layer) == ledger.final == -199
+        monkeypatch.setattr(ci, "MAX_WINDING_SAMPLES", 2 ** 16)
+        circle_map, ledger = ci.build_circle_map(plan_of(2, ((1, -1),) * 100))
+        assert ci.winding_number(circle_map) == ledger.final == -199
 
 
 class TestPlanJson:

@@ -3,7 +3,7 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("name", ["bounds", "complexes", "eqmaps", "numbercert", "plmaps"])
+@pytest.mark.parametrize("name", ["bounds", "circle", "complexes", "eqmaps", "numbercert", "plmaps"])
 def test_all_names_resolve(name):
     """`from tverberg.<module> import *` fails on a name __all__ lists but the module lacks."""
     module = importlib.import_module(f"tverberg.{name}")
