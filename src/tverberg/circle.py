@@ -5,7 +5,9 @@ of 2 x r matrices in numpy.  This module holds, without numpy, what such a
 map's steps share and what ``eqmaps`` imports: the bump's shape (its
 plateau and the three level radii), the radius rule, the closed-form
 distance between two center orbits and the separation check built on it,
-the plan-size cap, and the degree ledger.
+the plan caps, and the degree ledger.  ``place_steps`` is the one
+placement of a plan's steps: each step's orbit k, sign, angle and radius,
+which both ``eqmaps.build_from_plan`` and ``build_circle_map`` build from.
 
 At r = 2 the sphere is a circle.  A point X = [[a, -a], [b, -b]] is the
 complex number z = sqrt(2)(a + ib); the Frobenius distance and inner
@@ -19,6 +21,7 @@ degree, so ``eqmap winding`` runs without numpy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -33,6 +36,7 @@ __all__ = [
     "safe_radius",
     "step_radius",
     "orbit_distance",
+    "place_steps",
     "build_circle_map",
     "winding_number",
 ]
@@ -43,6 +47,13 @@ PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the rad
 # steps at k; the sine binds only for n > 1 (see step_radius).
 RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)))"
 MAX_PLAN_STEPS = 500  # the builders refuse longer plans before building anything
+# place_steps refuses larger orbits before placing anything.  C(15,6) is the
+# largest orbit of any r <= 15 certificate plan; the cap bounds the time of
+# eqmaps.verify_local_degrees, one finite-difference Jacobian per center
+# (about 5 of the 10 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon;
+# r = 18 uncapped verifies in 34 s), not memory (r = 15 auto builds at a
+# 48 MB peak, r = 18 uncapped at 163 MB).
+MAX_ORBIT = 5005
 MAX_WINDING_SAMPLES = 2 ** 20  # winding_number gives up beyond this many angle samples
 
 
@@ -168,10 +179,31 @@ def _check_separation(r: int, earlier: Iterable[tuple[int, float, float]], k: in
             )
 
 
-def _check_plan_length(plan) -> None:
+def place_steps(plan) -> list[tuple[int, int, float, float]]:
+    """Each step's (k, sign, theta, radius), first applied first.
+
+    The j-th of a plan's n steps at k sits at step_angle(j, n) with the
+    radius step_radius(r, k, n), and _check_separation keeps its inner
+    zones clear of every earlier ball, so the map below each step is the
+    identity wherever that step can have a zero.  A plan of more than
+    MAX_PLAN_STEPS steps, or with an orbit of more than MAX_ORBIT
+    centers, is refused before any step is placed.
+    """
     if len(plan.steps) > MAX_PLAN_STEPS:
         raise ValueError(f"plan has {len(plan.steps)} steps, beyond the builder's cap "
                          f"MAX_PLAN_STEPS = {MAX_PLAN_STEPS}")
+    for k, _ in plan.steps:
+        if math.comb(plan.r, k) > MAX_ORBIT:
+            raise ValueError(f"plan step k={k} has C({plan.r},{k}) = {math.comb(plan.r, k)} "
+                             f"centers, beyond the builder's cap MAX_ORBIT = {MAX_ORBIT}")
+    per_k = Counter(k for k, _ in plan.steps)
+    placed: list[tuple[int, int, float, float]] = []
+    for k, sign in plan.steps:
+        j = sum(1 for k0, *_ in placed if k0 == k)
+        theta, radius = step_angle(j, per_k[k]), step_radius(plan.r, k, per_k[k])
+        _check_separation(plan.r, ((k0, t0, r0) for k0, _, t0, r0 in placed), k, theta, radius)
+        placed.append((k, sign, theta, radius))
+    return placed
 
 
 @dataclass(frozen=True)
@@ -285,23 +317,19 @@ class CircleMap:
 def build_circle_map(plan) -> tuple[CircleMap, DegreeLedger]:
     """The map of an r = 2 plan on the circle, and its degree ledger.
 
-    The steps are those of eqmaps.build_from_plan: the j-th of n sits at
-    theta_j = j*pi/(2n) with the one radius step_radius(2, 1, n), and
-    each passes the same separation check.
+    The steps are those of eqmaps.build_from_plan, placed by place_steps:
+    the j-th of n sits at theta_j = j*pi/(2n), all with one radius.
     """
-    _check_plan_length(plan)
     if plan.r != 2:
         raise ValueError("winding numbers are defined here only for r = 2")
-    n = len(plan.steps)
-    thetas = [step_angle(j, n) for j in range(n)]
-    radius = step_radius(2, 1, n) if n else 1.0
-    for j, theta in enumerate(thetas):
-        _check_separation(2, ((1, t, radius) for t in thetas[:j]), 1, theta, radius)
+    placed = place_steps(plan)
+    n = len(placed)
+    radius = placed[0][3] if n else 1.0
     # CircleMap._window rests on this: one radius, step j at j*pi/(2n) mod pi, and
     # each ball's arc reaching 2*asin(R/2) from its step, less than half a spacing
     assert not n or 2.0 * math.asin(radius / 2.0) < math.pi / (4 * n)
-    centers = tuple(complex(math.cos(t), math.sin(t)) for t in thetas)
-    return CircleMap(tuple(s for _, s in plan.steps), radius, centers), DegreeLedger.of_plan(plan)
+    centers = tuple(complex(math.cos(theta), math.sin(theta)) for _, _, theta, _ in placed)
+    return CircleMap(tuple(s for _, s, _, _ in placed), radius, centers), DegreeLedger.of_plan(plan)
 
 
 def winding_number(cmap: CircleMap) -> int:

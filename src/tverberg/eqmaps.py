@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -44,8 +43,7 @@ import numpy as np
 from . import NumericalDegeneracyError
 from .circle import (BLEND_FULL_FRACTION, BLEND_OFF_FRACTION, PLATEAU_FRACTION,
                      RADIUS_RULE, ZERO_ZONE_FRACTION, CenterSeparationError, DegreeLedger,
-                     _NORM_FLOOR, _check_plan_length, _check_separation, _quintic, step_angle,
-                     step_radius)
+                     _NORM_FLOOR, _quintic, place_steps)
 
 __all__ = [
     "NumericalDegeneracyError",
@@ -65,13 +63,6 @@ __all__ = [
     "generators",
 ]
 
-# build_from_plan refuses larger orbits before allocating anything.  C(15,6)
-# is the largest orbit of any r <= 15 certificate plan; the cap bounds the
-# time of verify_local_degrees, one finite-difference Jacobian per center
-# (about 5 of the 10 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon;
-# r = 18 uncapped verifies in 34 s), not memory (r = 15 auto builds at a
-# 48 MB peak, r = 18 uncapped at 163 MB).
-MAX_ORBIT = 5005
 # Stencil points (4r - 2 per center) per evaluation in verify_local_degrees; bounds its memory.
 _STENCIL_POINTS = 4096
 FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
@@ -279,41 +270,19 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False) -> np.
 # Construction
 # ---------------------------------------------------------------------------
 
-def _make_modified(layer: MapLayer, k: int, sign: int, n: int) -> MapLayer:
-    """Add the next of the plan's n steps at k on its own rotated center family.
-
-    The j-th step at k (j counted along the chain) sits at step_angle(j, n)
-    with the radius step_radius(r, k, n), and _check_separation keeps its
-    inner zones clear of every earlier ball.
-    """
-    r = layer.r
-    j = sum(1 for prior in layer.nodes if prior.k == k)
-    theta, radius = step_angle(j, n), step_radius(r, k, n)
-    _check_separation(r, ((nd.k, nd.theta, nd.radius) for nd in layer.nodes), k, theta, radius)
-    node = ModificationNode(r=r, k=k, sign=sign, radius=radius, theta=theta,
-                            centers=_orbit_centers(r, k, theta))
-    return MapLayer(r, layer.nodes + (node,))
-
-
 def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     """Apply one modification per plan step, realizing each requested sign.
 
-    Each step gets its own rotated center family, on which the map built
-    so far is the identity, so a negative sign uses the minus formula, a
-    positive one the plus formula, and the delta is exactly
-    sign * C(r,k); the ledger runs through plan.deltas to the plan target
-    (0 for certificate plans).
+    circle.place_steps gives each step its own rotated center family, on
+    which the map built so far is the identity, so a negative sign uses
+    the minus formula, a positive one the plus formula, and the delta is
+    exactly sign * C(r,k); the ledger runs through plan.deltas to the
+    plan target (0 for certificate plans).
     """
-    _check_plan_length(plan)
-    for k, _ in plan.steps:
-        if math.comb(plan.r, k) > MAX_ORBIT:
-            raise ValueError(f"plan step k={k} has C({plan.r},{k}) = {math.comb(plan.r, k)} "
-                             f"centers, beyond the builder's cap MAX_ORBIT = {MAX_ORBIT}")
-    layer = identity_map(plan.r)
-    per_k = Counter(k for k, _ in plan.steps)
-    for k, sign in plan.steps:
-        layer = _make_modified(layer, k, sign, per_k[k])
-    return layer, DegreeLedger.of_plan(plan)
+    nodes = tuple(ModificationNode(r=plan.r, k=k, sign=sign, radius=radius, theta=theta,
+                                   centers=_orbit_centers(plan.r, k, theta))
+                  for k, sign, theta, radius in place_steps(plan))
+    return MapLayer(plan.r, nodes), DegreeLedger.of_plan(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +446,9 @@ class SpuriousZeroSearch:
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
 REFINE_COUNT, REFINE_ITERS = 100, 120  # Nelder-Mead starts and iterations of the spurious search
+# Simplex floats ((2r + 2) x (2r + 1) per start) per Nelder-Mead block of the
+# spurious search; bounds its memory.  Every r <= 24 runs its 100 starts in one block.
+_SIMPLEX_FLOATS = 2 ** 18
 
 
 def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
@@ -560,8 +532,10 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     REFINE_COUNT best samples are polished by a derivative-free
     Nelder-Mead search of REFINE_ITERS iterations over (x, t), with x
     re-centered and normalized onto the sphere and t clipped to [0, 1].
-    All starts advance in lockstep, one batched homotopy evaluation per
-    simplex move, and each takes the steps of
+    The starts advance in lockstep, in blocks of as many starts as keep
+    their simplices within _SIMPLEX_FLOATS floats (one at least), one
+    batched homotopy evaluation per simplex move of a block, and each
+    takes the steps of
     scipy.optimize.minimize(method="Nelder-Mead", xatol=1e-9,
     fatol=1e-12) (batched evaluation can move a value in its last bits
     only); the minimum covers every point evaluated outside the
@@ -618,7 +592,10 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
 
         pool.sort(key=lambda entry: entry[0])
         Z0 = np.array([np.append(x0.ravel(), t0) for _, x0, t0 in pool[:REFINE_COUNT]])
-        _nelder_mead_lockstep(objective, Z0, REFINE_ITERS, xatol=1e-9, fatol=1e-12)
+        block = max(1, _SIMPLEX_FLOATS // ((2 * r + 2) * (2 * r + 1)))
+        for i in range(0, len(Z0), block):
+            _nelder_mead_lockstep(objective, Z0[i:i + block], REFINE_ITERS,
+                                  xatol=1e-9, fatol=1e-12)
 
     return SpuriousZeroSearch(
         minimum=best,

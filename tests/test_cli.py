@@ -504,6 +504,23 @@ class TestCheck:
             "error": f"{complex_path}: JSON nested too deeply to parse", "flags": {"pass": False}}
         assert captured.err == ""
 
+    def test_exponential_face_listing_is_input_error(self, capsys, tmp_path, deadline):
+        """One 39-simplex on 40 vertices: 2^40 - 1 faces, refused before any is listed."""
+        complex_path, map_path = tmp_path / "c.json", tmp_path / "m.json"
+        complex_path.write_text(json.dumps({"num_vertices": 40, "maximal_faces": [list(range(40))]}))
+        map_path.write_text(json.dumps({"d": 2, "coords": {str(v): [str(v), str(v * v)]
+                                                           for v in range(40)}}))
+        with deadline(1.0):
+            code = main(["check", "--complex", str(complex_path), "--map", str(map_path),
+                         "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {
+            "error": "listing the faces of the complex takes 1099511627775 subsets of its "
+                     f"maximal faces, beyond the cap MAX_FACE_LISTING = {cx.MAX_FACE_LISTING}",
+            "flags": {"pass": False}}
+        assert captured.err == ""
+
     def test_parallel_flag_is_gone(self, capsys, radon_files):
         complex_path, map_path = radon_files
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from tverberg import complexes as cx
 from tverberg.complexes import (
     SimplicialComplex,
     count_face_combinations,
@@ -131,6 +132,23 @@ class TestSimplicialComplex:
             assert len(SimplicialComplex.from_faces(31, obj["maximal_faces"] + [[0], [1, 2, 3]])
                        .maximal_faces) == 31_465
         assert K == simplex_skeleton(30, 3)
+
+    def test_face_listing_beyond_the_cap_is_refused(self, deadline, monkeypatch):
+        """One 39-simplex would list 2^40 - 1 faces; the cap refuses it at once."""
+        K = SimplicialComplex(40, (tuple(range(40)),))
+        with deadline(1.0), pytest.raises(ValueError, match=(
+                "takes 1099511627775 subsets of its maximal faces, beyond the cap "
+                f"MAX_FACE_LISTING = {cx.MAX_FACE_LISTING}")):
+            K.faces()
+        # the largest complex of the suite and the benchmark lists within the cap
+        assert 31_465 * (2 ** 4 - 1) == 471_975 <= cx.MAX_FACE_LISTING
+        assert len(simplex_skeleton(30, 3).faces()) == 31 + 465 + 4_495 + 31_465
+        # a listing equal to the cap is admitted, one more subset is not (uncached calls)
+        monkeypatch.setattr(cx, "MAX_FACE_LISTING", 7 + 7 + 3)
+        at_cap = SimplicialComplex(6, ((4, 5), (0, 1, 2), (1, 2, 3)))
+        assert len(cx._all_faces.__wrapped__(at_cap)) == 6 + 6 + 2
+        with pytest.raises(ValueError, match="takes 18 subsets"):
+            cx._all_faces.__wrapped__(SimplicialComplex(6, ((4,), (0, 3), (0, 1, 2), (1, 2, 3))))
 
     def test_has_face(self):
         K = simplex_skeleton(2, 1)

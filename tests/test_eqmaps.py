@@ -347,6 +347,51 @@ class TestSeparation:
             eq.build_from_plan(certificate_to_plan(bezout_certificate(6)))
 
 
+class TestPlacement:
+    """circle.place_steps is the one placement that both builders read."""
+
+    @pytest.mark.parametrize("r, steps", [
+        (6, "auto"), (10, "auto"), (12, "auto"), (14, "auto"), (15, "auto"),
+        (6, ((1, -1), (1, -1), (2, 1), (1, 1))),
+    ], ids=["6-auto", "10-auto", "12-auto", "14-auto", "15-auto", "6-repeated-k"])
+    def test_nodes_are_the_placements(self, r, steps):
+        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+                else plan_of(r, steps))
+        layer, _ = eq.build_from_plan(plan)
+        nodes = [(nd.k, nd.sign, nd.theta, nd.radius) for nd in layer.nodes]
+        assert nodes == ci.place_steps(plan)
+        assert [(k, s) for k, s, _, _ in nodes] == list(plan.steps)
+
+    @pytest.mark.parametrize("steps", [
+        *itertools.product(((1, 1), (1, -1)), repeat=4), ((1, -1),) * 64,
+    ])
+    def test_circle_map_reads_the_placements(self, steps):
+        placed = ci.place_steps(plan_of(2, steps))
+        circle_map = circle_of(steps)
+        assert circle_map.signs == tuple(s for _, s in steps)
+        assert circle_map.centers == tuple(complex(math.cos(theta), math.sin(theta))
+                                           for _, _, theta, _ in placed)
+        assert {radius for _, _, _, radius in placed} == {circle_map.radius}
+
+    @pytest.mark.parametrize("build", [eq.build_from_plan, ci.build_circle_map])
+    def test_long_plan_refused_before_separation(self, build, monkeypatch):
+        calls = []
+        separation = ci._check_separation
+
+        def counted(*args):
+            calls.append(args)
+            separation(*args)
+
+        monkeypatch.setattr(ci, "_check_separation", counted)
+        build(plan_of(2, ((1, -1),) * 500))
+        assert len(calls) == 500
+        calls.clear()
+        with pytest.raises(ValueError, match="plan has 501 steps, beyond the builder's cap "
+                                             "MAX_PLAN_STEPS = 500"):
+            build(plan_of(2, ((1, -1),) * 501))
+        assert len(calls) == 0
+
+
 class TestBuildFromPlan:
     def test_empty_plan_is_identity(self):
         layer, ledger = eq.build_from_plan(plan_of(2, ()))
@@ -814,6 +859,34 @@ class TestSpuriousZeros:
         best = eq._nelder_mead_lockstep(lambda Z: np.array([f(z) for z in Z]), starts, 400,
                                         xatol=1e-9, fatol=1e-12)
         assert np.abs(best - [res.fun for res in ref]).max() < 1e-12
+
+    def test_polish_memory_is_bounded_by_simplex_blocks(self, monkeypatch):
+        """r = 100 has 100 starts of 202 x 201 simplex floats: blocks of 6 starts,
+        where one block of all 100 peaked at about 125 MB."""
+        import tracemalloc
+
+        monkeypatch.setattr(eq, "REFINE_ITERS", 2)
+        layer = one_step(100, 1)
+        tracemalloc.start()
+        try:
+            search = eq.verify_no_spurious_zeros(layer, samples=200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 200 samples and 100 initial simplices of 202 points, then one move per start
+        assert 200 + 100 * 202 < search.evaluations
+        assert peak < 40 * 2 ** 20
+
+    @pytest.mark.parametrize("r, steps", [(6, "auto"), (2, ((1, -1), (1, 1)))])
+    def test_blocks_leave_the_search_unchanged(self, r, steps, monkeypatch):
+        """Starts run on their own, so blocks of 7 starts give the report of one block."""
+        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+                else plan_of(r, steps))
+        layer, _ = eq.build_from_plan(plan)
+        whole = eq.verify_no_spurious_zeros(layer, samples=2000, seed=1)
+        assert eq.REFINE_COUNT * (2 * r + 2) * (2 * r + 1) <= eq._SIMPLEX_FLOATS
+        monkeypatch.setattr(eq, "_SIMPLEX_FLOATS", 7 * (2 * r + 2) * (2 * r + 1))
+        assert eq.verify_no_spurious_zeros(layer, samples=2000, seed=1) == whole
 
     def test_reports_where_and_evaluations(self, monkeypatch):
         monkeypatch.setattr(eq, "REFINE_COUNT", 5)
