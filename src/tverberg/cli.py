@@ -167,6 +167,8 @@ def cmd_eqmap(args) -> tuple[dict, dict, bool]:
         return inputs, outputs, agrees
 
     import numpy  # before eq: a missing numpy fails here, not half-way through the lazy eqmaps
+    if args.mode == "verify":
+        eq.check_polish_work(plan.r, len(plan.steps))
     layer, ledger = eq.build_from_plan(plan)
     outputs = {
         "map": eq.layer_plan_json(layer),
@@ -182,8 +184,7 @@ def cmd_eqmap(args) -> tuple[dict, dict, bool]:
         reports = [eq.verify_local_degrees(step) for step in layer.chain()]
         outputs["local_degrees"] = [dataclasses.asdict(rep) for rep in reports]
         # an empty plan leaves the identity map, which is searched itself
-        searches = [eq.verify_no_spurious_zeros(step, samples=args.samples, seed=args.seed)
-                    for step in list(layer.chain()) or [layer]]
+        searches = eq.verify_no_spurious_zeros(layer, samples=args.samples, seed=args.seed)
         worst = min(searches, key=lambda search: search.minimum)
         outputs["spurious_zero_min"] = worst.minimum
         outputs["spurious_zero_where"] = {

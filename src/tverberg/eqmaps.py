@@ -58,6 +58,7 @@ __all__ = [
     "center_residual",
     "verify_local_degrees",
     "verify_no_spurious_zeros",
+    "check_polish_work",
     "SpuriousZeroSearch",
     "random_sphere_points",
     "generators",
@@ -68,6 +69,8 @@ _STENCIL_POINTS = 4096
 FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
 # Points per random draw of the sampled checks; bounds their memory.
 _SAMPLE_CHUNK = 20000
+# Rows per homotopy evaluation of the sampled checks; bounds their memory.
+_EVAL_ROWS = 4096
 
 
 def _frob(a: np.ndarray) -> np.ndarray:
@@ -194,15 +197,22 @@ def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.sqrt(np.maximum(d2, 0.0)), gains, top[:, 0]
 
 
-def _balls(node: ModificationNode, X: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
+def _balls(node: ModificationNode, X: np.ndarray,
+           head: Optional[np.ndarray] = None) -> Optional[tuple[np.ndarray, ...]]:
     """Rows of X in the step's balls, their bumps, nearest centers and distances; None if none.
 
-    The closed-form distance of _nearest selects the rows; the bump is
-    taken from the distance to the located center itself, since the
-    expanded form loses digits near a center (absolute error ~eps/d).
+    The closed-form distance of _nearest selects the rows (head, if
+    given, receives it on the first len(head) rows), and the bump is
+    taken only where it is below the radius, since it is 0 from there
+    on; the bump of a selected row is taken from the distance to the
+    located center itself, since the expanded form loses digits near a
+    center (absolute error ~eps/d).
     """
     dmin, gains, kth = _nearest(node, X)
-    sel = np.flatnonzero(_bump(dmin, node.radius) > 0.0)
+    if head is not None:
+        head[:] = dmin[:len(head)]
+    sel = (dmin < node.radius).nonzero()[0]
+    sel = sel[_bump(dmin[sel], node.radius) > 0.0]
     if not len(sel):
         return None
     C = _orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
@@ -232,37 +242,54 @@ def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,
     return y / ny[:, None, None]
 
 
-def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False) -> np.ndarray:
+def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False,
+              first: Optional[Sequence[int]] = None, dmin: Optional[np.ndarray] = None
+              ) -> np.ndarray:
     """h_t = f(phi(x)) - 2*t*rho(x)*c on the last step's balls, f(x) off them.
 
     f is the map of the earlier steps (each this formula at t = 1,
     normalized), the identity at the nearest center c; phi is the identity
     ("minus") or the reflection blended in with tau = min(3t, 1) ("plus").
     t = 0 gives f, the zeros sit at the centers at t = 1/2; normalize reprojects.
-    Last step to first, each step finds its balls (one _nearest) and a plus
-    step moves their rows by phi; first to last, each subtracts 2*t*rho*c.
+    Given first, each row takes its own prefix of the steps: the rows
+    first[j]:first[j + 1] take the map after step j, whose step j carries
+    t, so step i acts on the suffix of rows from first[i] on.  Last step to
+    first, each step finds its balls (one _nearest) and a plus step moves
+    their rows by phi; first to last, each subtracts 2*t*rho*c, normalized
+    on the rows it is not the last step of.  dmin, if given, receives each
+    row's distance to the nearest center of its own last step, which no
+    later step has moved when that step reads it.
     """
+    nodes = layer.nodes
+    if first is None:
+        first = [0] * len(nodes) + [len(X)]
     Y = X.copy()
     t = np.asarray(t, dtype=float)
-    last = len(layer.nodes) - 1
     pushes = []
-    for i, node in reversed(list(enumerate(layer.nodes))):
-        balls = _balls(node, Y)
+    for i in reversed(range(len(nodes))):
+        lo, own = first[i], first[i + 1] - first[i]
+        if lo == len(X):
+            continue
+        node, Z = nodes[i], Y[lo:]
+        balls = _balls(node, Z, None if dmin is None else dmin[lo:lo + own])
         if balls is None:
             continue
         sel, rho, C, dist = balls
-        ts = (t[sel] if t.ndim else t) if i == last else 1.0
+        ts = t[lo + sel] if t.ndim else np.full(len(sel), t)
+        split = sel.searchsorted(own)  # sel[:split] are the rows whose last step is i
+        ts[split:] = 1.0
         if node.sign > 0:
-            Y[sel] = _phi(node, Y[sel], C, dist, np.minimum(3.0 * ts, 1.0))
-        pushes.append((i, sel, ts * rho, C))
-    for i, sel, push, C in reversed(pushes):
-        h = Y[sel] - 2.0 * push[:, None, None] * C
-        if normalize or i < last:
-            nh = _frob(h)
+            Z[sel] = _phi(node, Z[sel], C, dist, np.minimum(3.0 * ts, 1.0))
+        pushes.append((lo, sel, 0 if normalize else split, ts * rho, C))
+    for lo, sel, split, push, C in reversed(pushes):
+        Z = Y[lo:]
+        h = Z[sel] - 2.0 * push[:, None, None] * C
+        if split < len(h):  # the rows from split on are normalized
+            nh = _frob(h[split:])
             if np.any(nh < _NORM_FLOOR):
                 raise NumericalDegeneracyError("map value collapsed below 1e-9 during normalization")
-            h /= nh[:, None, None]
-        Y[sel] = h
+            h[split:] /= nh[:, None, None]
+        Z[sel] = h
     return Y
 
 
@@ -311,14 +338,20 @@ def _sample_chunks(r: int, samples: int, rng: np.random.Generator) -> Iterator[n
         yield random_sphere_points(r, min(_SAMPLE_CHUNK, samples - start), rng)
 
 
+def _row_blocks(n: int) -> Iterator[slice]:
+    """n rows in order, _EVAL_ROWS at a time."""
+    return (slice(a, a + _EVAL_ROWS) for a in range(0, n, _EVAL_ROWS))
+
+
 def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) -> float:
     """max over samples and generator permutations of |f(sigma x) - sigma f(x)|."""
     worst = 0.0
     for X in _sample_chunks(layer.r, samples, np.random.default_rng(seed)):
-        FX = layer.eval_batch(X)
-        for sigma in generators(layer.r):
-            lhs = layer.eval_batch(_act_array(sigma, X))
-            worst = max(worst, float(_frob(lhs - _act_array(sigma, FX)).max()))
+        for rows in _row_blocks(len(X)):
+            FX = layer.eval_batch(X[rows])
+            for sigma in generators(layer.r):
+                lhs = layer.eval_batch(_act_array(sigma, X[rows]))
+                worst = max(worst, float(_frob(lhs - _act_array(sigma, FX)).max()))
     return worst
 
 
@@ -445,10 +478,28 @@ class SpuriousZeroSearch:
 # and initial-simplex steps, as in scipy.optimize's non-adaptive method.
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
-REFINE_COUNT, REFINE_ITERS = 100, 120  # Nelder-Mead starts and iterations of the spurious search
+# A second trial point is a * xbar - b * worst: (a, b) of the expansion,
+# the outside contraction and the inside one; each product is exact.
+_NM_TRIAL = np.array([[1 + _NM_RHO * _NM_CHI, _NM_RHO * _NM_CHI],
+                      [1 + _NM_PSI * _NM_RHO, _NM_PSI * _NM_RHO],
+                      [1 - _NM_PSI, -_NM_PSI]])
+REFINE_COUNT, REFINE_ITERS = 100, 120  # Nelder-Mead starts and iterations per step of the search
 # Simplex floats ((2r + 2) x (2r + 1) per start) per Nelder-Mead block of the
-# spurious search; bounds its memory.  Every r <= 24 runs its 100 starts in one block.
+# spurious search; bounds its memory.  Every r <= 24 runs a step's 100 starts in one block.
 _SIMPLEX_FLOATS = 2 ** 18
+# Steps x REFINE_COUNT x REFINE_ITERS x simplex floats that the spurious search
+# admits: one step up to r = 101, or the 7 steps of r = 15 auto six times over.
+MAX_POLISH_WORK = 500_000_000
+
+
+def check_polish_work(r: int, steps: int) -> None:
+    """Refuse a spurious search whose Nelder-Mead work bound exceeds MAX_POLISH_WORK."""
+    work = steps * REFINE_COUNT * REFINE_ITERS * (2 * r + 2) * (2 * r + 1)
+    if work > MAX_POLISH_WORK:
+        raise ValueError(f"the spurious-zero search would polish up to {work:,} simplex floats "
+                         f"at r={r} ({steps} steps x {REFINE_COUNT} starts x {REFINE_ITERS} "
+                         f"iterations x {2 * r + 2} x {2 * r + 1}), beyond the cap "
+                         f"eqmaps.MAX_POLISH_WORK = {MAX_POLISH_WORK:,}")
 
 
 def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
@@ -459,152 +510,200 @@ def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
     with maxiter, xatol and fatol applied to each start on its own: the
     same initial simplex, the same branches and arithmetic, the same
     numpy argsort of each simplex and the same per-start stopping rule.
-    objective maps an (m, N) array of points to their m values; every
-    iteration calls it at most three times, for the reflections, the
-    second trial points and the shrinks of the starts still running.
+    objective maps an (m, N) array of points and the (m,) rows of Z0
+    they start from to their m values; every iteration calls it at most
+    three times, for the reflections, the second trial points and the
+    shrinks of the starts still running.  The simplices are held vertex
+    first, sim[v, b] the v-th vertex of start b, so the centroid sums
+    whole vertex slices, in scipy's order; a start that stops leaves the
+    arrays, and the xatol test runs only on starts that pass fatol.
     """
     B, N = Z0.shape
     sim = np.repeat(Z0[:, None, :], N + 1, axis=1)
     diag = np.arange(N)
     sim[:, diag + 1, diag] = np.where(Z0 != 0, (1 + _NM_NONZDELT) * Z0, _NM_ZDELT)
-    fsim = objective(sim.reshape(-1, N)).reshape(B, N + 1)
+    live = np.arange(B)
+    fsim = objective(sim.reshape(-1, N), np.repeat(live, N + 1)).reshape(B, N + 1).T
+    sim = sim.transpose(1, 0, 2)
     # scipy sorts the initial simplex twice; numpy's default argsort is
     # not stable on every machine, so the second sort can move ties.
     for _ in range(2):
-        order = np.argsort(fsim, axis=1)
-        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-        fsim = np.take_along_axis(fsim, order, axis=1)
+        sim, fsim = _sort_simplices(sim, fsim)
 
-    live = np.arange(B)
+    best = np.empty(B)
     for _ in range(1, maxiter):
-        s, f = sim[live], fsim[live]
-        done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
-                & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol))
-        if done.all():
-            break
-        live, s, f = live[~done], s[~done], f[~done]
-        xbar = np.add.reduce(s[:, :-1], 1) / N
-        worst = s[:, -1]
+        done = np.abs(fsim[:1] - fsim[1:]).max(axis=0) <= fatol
+        flat = done.nonzero()[0]
+        if len(flat):
+            near = flat[np.abs(sim[-1, flat] - sim[0, flat]).max(axis=1) <= xatol]
+            done[flat] = False
+            done[near] = np.abs(sim[1:, near] - sim[:1, near]).max(axis=(0, 2)) <= xatol
+            if done.any():
+                best[live[done]] = fsim[0, done]
+                running = ~done
+                live, sim, fsim = live[running], sim[:, running], fsim[:, running]
+                if not len(live):
+                    return best
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        worst = sim[-1]
         xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = objective(xr)
+        fxr = objective(xr, live)
 
-        expand = fxr < f[:, 0]
-        accept = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~accept & (fxr < f[:, -1])
+        expand = fxr < fsim[0]
+        accept = ~expand & (fxr < fsim[-2])
+        outside = ~expand & ~accept & (fxr < fsim[-1])
         inside = ~(expand | accept | outside)
-        trial = np.where(
-            expand[:, None],
-            (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst,
-            np.where(outside[:, None],
-                     (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst,
-                     (1 - _NM_PSI) * xbar + _NM_PSI * worst),
-        )
+        coef = _NM_TRIAL[outside + 2 * inside]
+        trial = coef[:, :1] * xbar - coef[:, 1:] * worst
         ftrial = np.full(len(live), np.inf)
-        if not accept.all():
-            ftrial[~accept] = objective(trial[~accept])
+        moved = (~accept).nonzero()[0]
+        if len(moved):
+            ftrial[moved] = objective(trial[moved], live[moved])
 
         take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
-                      | (inside & (ftrial < f[:, -1])))
-        take_reflection = accept | (expand & ~take_trial)
-        shrink = (outside | inside) & ~take_trial
-        s[take_trial, -1] = trial[take_trial]
-        f[take_trial, -1] = ftrial[take_trial]
-        s[take_reflection, -1] = xr[take_reflection]
-        f[take_reflection, -1] = fxr[take_reflection]
-        if shrink.any():
-            best = s[shrink, :1]
-            shrunk = best + _NM_SIGMA * (s[shrink, 1:] - best)
-            s[shrink, 1:] = shrunk
-            f[shrink, 1:] = objective(shrunk.reshape(-1, N)).reshape(-1, N)
+                      | (inside & (ftrial < fsim[-1])))
+        shrink = ((outside | inside) & ~take_trial).nonzero()[0]
+        if len(shrink):
+            low = sim[:1, shrink]
+            shrunk = low + _NM_SIGMA * (sim[1:, shrink] - low)
+        # the reflection or the trial point replaces the worst vertex; a shrink replaces it again
+        sim[-1] = np.where(take_trial[:, None], trial, xr)
+        fsim[-1] = np.where(take_trial, ftrial, fxr)
+        if len(shrink):
+            sim[1:, shrink] = shrunk
+            fsim[1:, shrink] = objective(shrunk.transpose(1, 0, 2).reshape(-1, N),
+                                         np.repeat(live[shrink], N)).reshape(-1, N).T
+        sim, fsim = _sort_simplices(sim, fsim)
+    best[live] = fsim[0]
+    return best
 
-        order = np.argsort(f, axis=1)
-        sim[live] = np.take_along_axis(s, order[:, :, None], axis=1)
-        fsim[live] = np.take_along_axis(f, order, axis=1)
-    return fsim[:, 0]
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each start's vertices (sim[v, b], valued fsim[v, b]) in numpy's argsort order."""
+    V, B, N = sim.shape
+    flat = (np.argsort(fsim.T, axis=1).T * B + np.arange(B)).ravel()
+    return sim.reshape(-1, N).take(flat, axis=0).reshape(V, B, N), fsim.take(flat).reshape(V, B)
+
+
+def _blocks(counts: Sequence[int], block: int) -> Iterator[list[tuple[int, int, int]]]:
+    """Nelder-Mead blocks of at most block starts, each a list of (step, lo, hi) starts.
+
+    A block holds whole steps, in order; a step of more than block starts
+    runs alone, in consecutive pieces of block starts.
+    """
+    current: list[tuple[int, int, int]] = []
+    size = 0
+    for j, count in enumerate(counts):
+        if current and size + count > block:
+            yield current
+            current, size = [], 0
+        if count > block:
+            yield from ([(j, lo, min(lo + block, count))] for lo in range(0, count, block))
+        elif count:
+            current.append((j, 0, count))
+            size += count
+    if current:
+        yield current
 
 
 def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int = 0
-                             ) -> SpuriousZeroSearch:
-    """Smallest |h_t(x)| found away from the designed zeros, and where.
+                             ) -> list[SpuriousZeroSearch]:
+    """Smallest |h_t(x)| found away from the designed zeros of each step, and where.
 
-    Random starts over the sphere times t in [0, 1], excluding tubes of
-    radius R/10 around each pushed center for t in [0.4, 0.6]; the
-    REFINE_COUNT best samples are polished by a derivative-free
-    Nelder-Mead search of REFINE_ITERS iterations over (x, t), with x
-    re-centered and normalized onto the sphere and t clipped to [0, 1].
-    The starts advance in lockstep, in blocks of as many starts as keep
-    their simplices within _SIMPLEX_FLOATS floats (one at least), one
-    batched homotopy evaluation per simplex move of a block, and each
-    takes the steps of
-    scipy.optimize.minimize(method="Nelder-Mead", xatol=1e-9,
-    fatol=1e-12) (batched evaluation can move a value in its last bits
-    only); the minimum covers every point evaluated outside the
-    exclusion tubes.  Sampled evidence only, but a reported minimum
-    above 1e-3 leaves no room for an unnoticed sign slip in the degree
-    ledger.
+    One search per step of layer, first applied first, each on the map
+    after that step (the identity map gets one search of its own).
+    Random points over the sphere times t in [0, 1], drawn once for all
+    steps, excluding tubes of radius R/10 around each pushed center for
+    t in [0.4, 0.6]; each step's REFINE_COUNT best samples are polished by
+    a derivative-free Nelder-Mead search of REFINE_ITERS iterations over
+    (x, t), with x re-centered and normalized onto the sphere and t
+    clipped to [0, 1].  All starts of all steps advance in lockstep, in
+    blocks of whole steps of as many starts as keep their simplices
+    within _SIMPLEX_FLOATS floats (a step of more starts runs alone, in
+    pieces), one batched homotopy evaluation per simplex move of a
+    block, in which each row runs its own step's map; each start takes
+    the steps of scipy.optimize.minimize(method="Nelder-Mead",
+    xatol=1e-9, fatol=1e-12) (batched evaluation can move a value in its
+    last bits only), and a step's points are recorded in the order of a
+    search of that step alone.  A minimum covers every point of its step
+    evaluated outside the exclusion tubes.  Sampled evidence only, but a
+    reported minimum above 1e-3 leaves no room for an unnoticed sign slip
+    in the degree ledger.  A layer whose polish bound exceeds
+    MAX_POLISH_WORK is refused before any sample is drawn.
     """
+    nodes, r, m = layer.nodes, layer.r, len(layer.nodes)
+    check_polish_work(r, m)
     rng = np.random.default_rng(seed)
-    node = layer.node
-    r = layer.r
-    best, where, evaluations, in_zero_zone = np.inf, (None, None), 0, 0
+    if not m:
+        minimum, evaluations = np.inf, 0
+        for X in _sample_chunks(r, samples, rng):
+            rng.uniform(0.0, 1.0, len(X))  # the t of each sample, as for a step
+            minimum, evaluations = min(minimum, float(_frob(X).min())), evaluations + len(X)
+        return [SpuriousZeroSearch(minimum, None, None, None, evaluations, 0)]
 
-    def note(vals: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """Record evaluated points; returns the mask of those outside the tubes."""
-        nonlocal best, where, evaluations, in_zero_zone
-        evaluations += len(vals)
-        if node is None:
-            keep = np.ones(len(vals), dtype=bool)
-        else:
-            dmin = _nearest(node, X)[0]
-            in_zero_zone += int(np.count_nonzero(dmin <= ZERO_ZONE_FRACTION * node.radius))
-            keep = ~((dmin < node.radius / 10.0) & (np.abs(T - 0.5) <= 0.1))
-        if keep.any():
-            i = np.flatnonzero(keep)[np.argmin(vals[keep])]
-            if vals[i] < best:
-                best = float(vals[i])
-                if node is not None:
-                    where = (float(dmin[i] / node.radius), float(T[i]))
-        return keep
+    radius = np.array([node.radius for node in nodes])
+    zone, tube, bounds = ZERO_ZONE_FRACTION * radius, radius / 10.0, np.arange(m + 1)
+    best = [np.inf] * m
+    where: list[tuple[Optional[float], Optional[float]]] = [(None, None)] * m
+    evaluations = np.zeros(m, dtype=int)
+    in_zero_zone = np.zeros(m, dtype=int)
 
-    pool: list[tuple[float, np.ndarray, float]] = []
+    def evaluate(X: np.ndarray, T: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|h_T(X)|, recorded, row i on the map after step own[i] (ascending), in blocks of
+        _EVAL_ROWS rows; and the rows outside the tubes."""
+        vals, keep = np.empty(len(X)), np.empty(len(X), dtype=bool)
+        for rows in _row_blocks(len(X)):
+            x, t, step = X[rows], T[rows], own[rows]
+            first = step.searchsorted(bounds).tolist()
+            dmin = np.empty(len(x))
+            v = vals[rows] = _frob(_homotopy(layer, x, t, first=first, dmin=dmin))
+            evaluations[:] += np.bincount(step, minlength=m)
+            in_zero_zone[:] += np.bincount(step[dmin <= zone[step]], minlength=m)
+            out = keep[rows] = ~((dmin < tube[step]) & (np.abs(t - 0.5) <= 0.1))
+            masked = np.where(out, v, np.inf)
+            present = [j for j in range(m) if first[j] < first[j + 1]]
+            lows = np.minimum.reduceat(masked, [first[j] for j in present]).tolist()
+            for j, low in zip(present, lows):
+                if low < best[j]:  # where goes to the first row of the new minimum
+                    i = first[j] + int(np.argmin(masked[first[j]:first[j + 1]]))
+                    best[j], where[j] = low, (float(dmin[i] / radius[j]), float(t[i]))
+        return vals, keep
+
+    pools: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in nodes]
     for X in _sample_chunks(r, samples, rng):
         T = rng.uniform(0.0, 1.0, len(X))
-        vals = _frob(_homotopy(layer, X, T))
-        keep = note(vals, X, T)
-        if node is not None:
-            vk = vals[keep]
-            order = np.argsort(vk)[:REFINE_COUNT]
-            kept_idx = np.flatnonzero(keep)[order]
+        for j, pool in enumerate(pools):
+            vals, keep = evaluate(X, T, np.full(len(X), j))
+            kept_idx = np.flatnonzero(keep)[np.argsort(vals[keep])[:REFINE_COUNT]]
             pool.extend((float(vals[i]), X[i], float(T[i])) for i in kept_idx)
 
-    if pool:
-        def objective(Z: np.ndarray) -> np.ndarray:
-            X = Z[:, :-1].reshape(len(Z), 2, r)
-            X = X - X.mean(axis=2, keepdims=True)
-            nx = _frob(X)
-            vals = np.full(len(Z), 10.0)
-            ok = ~(nx < 1e-9)
-            X = X[ok] / nx[ok, None, None]
-            T = np.clip(Z[ok, -1], 0.0, 1.0)
-            vals[ok] = _frob(_homotopy(layer, X, T))
-            note(vals[ok], X, T)
-            return vals
-
+    starts = []
+    for pool in pools:
         pool.sort(key=lambda entry: entry[0])
-        Z0 = np.array([np.append(x0.ravel(), t0) for _, x0, t0 in pool[:REFINE_COUNT]])
-        block = max(1, _SIMPLEX_FLOATS // ((2 * r + 2) * (2 * r + 1)))
-        for i in range(0, len(Z0), block):
-            _nelder_mead_lockstep(objective, Z0[i:i + block], REFINE_ITERS,
-                                  xatol=1e-9, fatol=1e-12)
+        starts.append(np.array([np.append(x0.ravel(), t0) for _, x0, t0 in pool[:REFINE_COUNT]]))
 
-    return SpuriousZeroSearch(
-        minimum=best,
-        k=None if node is None else node.k,
-        distance_in_R=where[0],
-        t=where[1],
-        evaluations=evaluations,
-        in_zero_zone=in_zero_zone,
-    )
+    def objective(Z: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """|h_t(x)| at the points Z = (x, t), recorded, row i on step own[i]; 10 if x collapses."""
+        X = Z[:, :-1].reshape(len(Z), 2, r)
+        X = X - X.mean(axis=2, keepdims=True)
+        nx = _frob(X)
+        vals = np.full(len(Z), 10.0)
+        ok = ~(nx < 1e-9)
+        X = X[ok] / nx[ok, None, None]
+        vals[ok] = evaluate(X, np.clip(Z[ok, -1], 0.0, 1.0), own[ok])[0]
+        return vals
+
+    block = max(1, _SIMPLEX_FLOATS // ((2 * r + 2) * (2 * r + 1)))
+    for pieces in _blocks([len(Z) for Z in starts], block):
+        steps = np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces])
+        _nelder_mead_lockstep(lambda Z, rows: objective(Z, steps[rows]),
+                              np.concatenate([starts[j][lo:hi] for j, lo, hi in pieces]),
+                              REFINE_ITERS, xatol=1e-9, fatol=1e-12)
+
+    return [SpuriousZeroSearch(minimum=best[j], k=node.k, distance_in_R=where[j][0],
+                               t=where[j][1], evaluations=int(evaluations[j]),
+                               in_zero_zone=int(in_zero_zone[j]))
+            for j, node in enumerate(nodes)]
 
 
 def layer_plan_json(layer: MapLayer) -> dict:

@@ -184,6 +184,23 @@ class TestBump:
             want = float(eq._bump(d, node.radius)) if d < node.radius else 0.0
             assert abs(bump_rho(x, node.centers[0], node.radius) - want) < 1e-12
 
+    def test_balls_select_the_rows_of_positive_bump(self):
+        """_balls keeps exactly the rows whose bump is above 0: within about
+        1e-6 R of the rim the bump rounds to 0 although d < R."""
+        node = one_step(6, 2).node
+        c, R = node.centers[0], node.radius
+        v = eq.random_sphere_points(6, 1, np.random.default_rng(3))[0]
+        v -= np.sum(v * c) * c
+        v /= np.linalg.norm(v)
+        rim = R * (1.0 - np.logspace(-2, -12, 11))
+        d = np.concatenate([np.linspace(0.0, 1.02 * R, 52), rim])
+        ang = 2 * np.arcsin(d / 2)
+        X = np.cos(ang)[:, None, None] * c + np.sin(ang)[:, None, None] * v
+        dmin = eq._nearest(node, X)[0]
+        assert abs(dmin - d).max() < 1e-12
+        assert np.array_equal(eq._balls(node, X)[0], np.flatnonzero(eq._bump(dmin, R) > 0.0))
+        assert np.count_nonzero((dmin < R) & ~(eq._bump(dmin, R) > 0.0)) >= 3
+
     def test_orbit_invariance(self):
         c = eq._orbit_centers(4, 2, 0.0)[0]
         R = ci.safe_radius(4, 2)
@@ -560,6 +577,28 @@ class TestLoopEvaluator:
         layer.eval_batch(X)
         assert rows == [len(X)] * layer.depth
 
+    @pytest.mark.parametrize("r, steps", LOOP_PLANS)
+    def test_rows_on_their_own_steps(self, r, steps):
+        """Given first, each row block runs the map after its own step, bit for
+        bit as that map alone, and dmin receives each row's distance to its
+        own step; a step may have no rows of its own."""
+        layer, X, rng = loop_plan_points(r, steps, 8)
+        chain = list(layer.chain())
+        for skip in (None, 1):
+            own = [0 if j == skip else len(X) for j in range(layer.depth)]
+            first = np.concatenate([[0], np.cumsum(own)]).tolist()
+            Xcat = np.concatenate([X[:n] for n in own])
+            for t in (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0, len(X))):
+                tcat = np.concatenate([np.broadcast_to(t, len(X))[:n] for n in own])
+                for normalize in (False, True):
+                    dmin = np.full(len(Xcat), np.nan)
+                    H = eq._homotopy(layer, Xcat, tcat, normalize, first=first, dmin=dmin)
+                    for j, step in enumerate(chain):
+                        rows = slice(first[j], first[j + 1])
+                        assert np.array_equal(H[rows], eq._homotopy(step, X, t, normalize)[:own[j]])
+                        assert np.array_equal(H[rows], recursive_step(step, X, t, normalize)[:own[j]])
+                        assert np.array_equal(dmin[rows], eq._nearest(step.node, X)[0][:own[j]])
+
     def test_deep_plan_needs_no_recursion(self):
         """120 steps evaluate under a recursion limit 60 frames above the current depth."""
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, 1)) * 60))
@@ -805,15 +844,15 @@ def scipy_spurious_search(layer, samples, seed, refine_count, refine_iters):
 
 class TestSpuriousZeros:
     def test_identity_min_is_one(self):
-        val = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=2000, seed=0).minimum
-        assert abs(val - 1.0) < 1e-9
+        (search,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=2000, seed=0)
+        assert abs(search.minimum - 1.0) < 1e-9
 
     def test_one_step_r2(self, monkeypatch):
         monkeypatch.setattr(eq, "REFINE_COUNT", 20)
         monkeypatch.setattr(eq, "REFINE_ITERS", 60)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        val = eq.verify_no_spurious_zeros(layer, samples=20000, seed=3).minimum
-        assert val > 1e-3
+        (search,) = eq.verify_no_spurious_zeros(layer, samples=20000, seed=3)
+        assert search.minimum > 1e-3
 
     @pytest.mark.parametrize("which, samples, seed, refine_count, refine_iters", [
         ("r2 1:-", 20000, 3, 20, 60),
@@ -831,10 +870,10 @@ class TestSpuriousZeros:
         assert len(starts) == refine_count
         monkeypatch.setattr(eq, "REFINE_COUNT", refine_count)
         monkeypatch.setattr(eq, "REFINE_ITERS", refine_iters)
-        search = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed)
+        search = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed)[-1]
         assert abs(search.minimum - record) < 1e-12
         lockstep = eq._nelder_mead_lockstep(
-            lambda Z: np.array([objective(z) for z in Z]), starts, refine_iters,
+            lambda Z, rows: np.array([objective(z) for z in Z]), starts, refine_iters,
             xatol=1e-9, fatol=1e-12)
         assert np.abs(lockstep - best).max() < 1e-12
 
@@ -856,9 +895,18 @@ class TestSpuriousZeros:
                         options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12})
                for z0 in starts]
         assert any(res.nit < 399 for res in ref)  # some starts stop on tolerance
-        best = eq._nelder_mead_lockstep(lambda Z: np.array([f(z) for z in Z]), starts, 400,
-                                        xatol=1e-9, fatol=1e-12)
+        calls = []
+
+        def objective(Z, rows):
+            calls.append(rows)
+            return np.array([f(z) for z in Z])
+
+        best = eq._nelder_mead_lockstep(objective, starts, 400, xatol=1e-9, fatol=1e-12)
         assert np.abs(best - [res.fun for res in ref]).max() < 1e-12
+        # each point comes with the row of Z0 it starts from, in ascending order
+        # (the spurious search reads each row's step from it)
+        assert np.array_equal(calls[0], np.repeat(np.arange(12), 5))
+        assert all(np.all(np.diff(rows) >= 0) for rows in calls)
 
     def test_polish_memory_is_bounded_by_simplex_blocks(self, monkeypatch):
         """r = 100 has 100 starts of 202 x 201 simplex floats: blocks of 6 starts,
@@ -869,7 +917,7 @@ class TestSpuriousZeros:
         layer = one_step(100, 1)
         tracemalloc.start()
         try:
-            search = eq.verify_no_spurious_zeros(layer, samples=200, seed=0)
+            (search,) = eq.verify_no_spurious_zeros(layer, samples=200, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -888,11 +936,34 @@ class TestSpuriousZeros:
         monkeypatch.setattr(eq, "_SIMPLEX_FLOATS", 7 * (2 * r + 2) * (2 * r + 1))
         assert eq.verify_no_spurious_zeros(layer, samples=2000, seed=1) == whole
 
+    @pytest.mark.parametrize("r, steps", [(6, "auto"), (2, ((1, -1), (1, 1))),
+                                          (6, ((1, -1), (1, -1), (2, 1), (1, 1))), (10, "auto")])
+    def test_each_step_gets_the_search_of_its_prefix(self, r, steps, monkeypatch):
+        """The lockstep over every step gives each step the search of the map
+        after it alone: in the default blocks, which hold several whole steps,
+        and, with 20 starts a step, in blocks of one step and of 7 starts.
+        That holds at tied minima too: every step of r = 10 auto and the
+        k = 1 steps of the second r = 6 plan report the identity's value, and
+        the first point to reach it says where."""
+        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
+                else plan_of(r, steps))
+        layer, _ = eq.build_from_plan(plan)
+        floats = (2 * r + 2) * (2 * r + 1)
+        assert 2 * eq.REFINE_COUNT * floats <= eq._SIMPLEX_FLOATS
+        for count, starts in ((eq.REFINE_COUNT, None), (20, 20), (20, 7)):
+            monkeypatch.setattr(eq, "REFINE_COUNT", count)
+            if starts is not None:
+                monkeypatch.setattr(eq, "_SIMPLEX_FLOATS", starts * floats)
+            searches = eq.verify_no_spurious_zeros(layer, samples=2000, seed=1)
+            assert [search.k for search in searches] == [node.k for node in layer.nodes]
+            assert searches == [eq.verify_no_spurious_zeros(step, samples=2000, seed=1)[-1]
+                                for step in layer.chain()]
+
     def test_reports_where_and_evaluations(self, monkeypatch):
         monkeypatch.setattr(eq, "REFINE_COUNT", 5)
         monkeypatch.setattr(eq, "REFINE_ITERS", 10)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        search = eq.verify_no_spurious_zeros(layer, samples=2000, seed=0)
+        (search,) = eq.verify_no_spurious_zeros(layer, samples=2000, seed=0)
         assert search.k == 1
         assert 0.0 <= search.t <= 1.0
         assert search.distance_in_R >= 0.0
@@ -900,7 +971,7 @@ class TestSpuriousZeros:
         # 2000 samples, 5 initial simplices of 6 points, then 9 moves per start
         # of 1 (reflection) to 7 (reflection, second trial, 5 shrunk points)
         assert 2000 + 30 + 5 * 9 <= search.evaluations <= 2000 + 30 + 5 * 9 * 7
-        identity = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
+        (identity,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
         assert (identity.k, identity.distance_in_R, identity.t) == (None, None, None)
         assert identity.evaluations == 300
 
@@ -912,15 +983,29 @@ class TestSpuriousZeros:
         expected = int((dist <= 0.625 * node.radius).sum())
         assert 0 < expected < 3000
         monkeypatch.setattr(eq, "REFINE_COUNT", 0)
-        samples_only = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4)
+        (samples_only,) = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4)
         assert samples_only.evaluations == 3000
         assert samples_only.in_zero_zone == expected
         monkeypatch.setattr(eq, "REFINE_COUNT", 5)
         monkeypatch.setattr(eq, "REFINE_ITERS", 10)
-        refined = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4)
+        (refined,) = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4)
         assert expected <= refined.in_zero_zone <= expected + refined.evaluations - 3000
-        identity = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
+        (identity,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
         assert identity.in_zero_zone == 0
+
+    def test_polish_cap(self):
+        """MAX_POLISH_WORK admits the auto plans up to r = 15, the four-step
+        r = 6 plan and one step up to r = 101, and the search refuses more
+        before it draws a sample."""
+        for r in (6, 10, 12, 14, 15):
+            eq.check_polish_work(r, len(certificate_to_plan(bezout_certificate(r)).steps))
+        eq.check_polish_work(6, 4)
+        eq.check_polish_work(101, 1)
+        for r in (102, 300):
+            with pytest.raises(ValueError, match=r"beyond the cap eqmaps\.MAX_POLISH_WORK = "):
+                eq.check_polish_work(r, 1)
+        with pytest.raises(ValueError, match=r"polish up to 506,760,000 simplex floats at r=102"):
+            eq.verify_no_spurious_zeros(one_step(102, 1), samples=0)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_empty_sample_set_rejected(self, samples):
