@@ -105,18 +105,25 @@ class SimplicialComplex:
         return cls.from_faces(n, faces)
 
 
-# _all_faces refuses a larger face listing, the sum over maximal faces of
-# 2^|face| - 1 (a face shared by two maximal faces counts twice), before it
-# lists anything; the 3-skeleton of the 30-simplex lists 471,975.
+# _face_listing_bound refuses a larger face listing, so _all_faces lists
+# nothing beyond it; the 3-skeleton of the 30-simplex lists 471,975.
 MAX_FACE_LISTING = 1_000_000
 
 
-@lru_cache(maxsize=None)
-def _all_faces(K: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+def _face_listing_bound(K: SimplicialComplex) -> int:
+    """The subsets of maximal faces that listing K's faces takes, the sum of 2^|face| - 1,
+    a bound on the face count (a shared face counts once per maximal face); beyond
+    MAX_FACE_LISTING it raises ValueError."""
     listing = sum((1 << len(mf)) - 1 for mf in K.maximal_faces)
     if listing > MAX_FACE_LISTING:
         raise ValueError(f"listing the faces of the complex takes {listing} subsets of its "
                          f"maximal faces, beyond the cap MAX_FACE_LISTING = {MAX_FACE_LISTING}")
+    return listing
+
+
+@lru_cache(maxsize=None)
+def _all_faces(K: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    _face_listing_bound(K)
     found: set[tuple[int, ...]] = set()
     for mf in K.maximal_faces:
         for size in range(1, len(mf) + 1):

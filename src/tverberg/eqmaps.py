@@ -64,12 +64,11 @@ __all__ = [
     "generators",
 ]
 
-# Stencil points (4r - 2 per center) per evaluation in verify_local_degrees; bounds its memory.
-_STENCIL_POINTS = 4096
 FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
 # Points per random draw of the sampled checks; bounds their memory.
 _SAMPLE_CHUNK = 20000
-# Rows per homotopy evaluation of the sampled checks; bounds their memory.
+# Rows per homotopy evaluation of the sampled checks, and stencil points (4r - 2
+# per center) per evaluation in verify_local_degrees; bounds their memory.
 _EVAL_ROWS = 4096
 
 
@@ -426,7 +425,7 @@ def verify_local_degrees(layer: MapLayer) -> LocalDegreeReport:
     orients every center's tangent space by det [c, b] > 0; with that
     convention the measured delta sign is minus the Jacobian sign.
     Stencils of step FD_STEP are evaluated in blocks of at most
-    _STENCIL_POINTS points.  In every plan build_from_plan admits, each
+    _EVAL_ROWS points.  In every plan build_from_plan admits, each
     stencil point lies on the plateau of its ball, where |det| = 2 up to
     rounding, so a center whose determinant is at most 1e-8 in magnitude
     raises NumericalDegeneracyError.
@@ -435,7 +434,7 @@ def verify_local_degrees(layer: MapLayer) -> LocalDegreeReport:
     if node is None:
         raise ValueError("identity layer has no modification step to verify")
     E = _ambient_basis(layer.r)
-    block = max(1, _STENCIL_POINTS // (4 * layer.r - 2))
+    block = max(1, _EVAL_ROWS // (4 * layer.r - 2))
     det = np.concatenate([_stencil_dets(layer, E, node.centers[i:i + block], FD_STEP)
                           for i in range(0, len(node.centers), block)])
     flat = np.flatnonzero(~(np.abs(det) > 1e-8))
@@ -588,20 +587,20 @@ def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.n
 def _blocks(counts: Sequence[int], block: int) -> Iterator[list[tuple[int, int, int]]]:
     """Nelder-Mead blocks of at most block starts, each a list of (step, lo, hi) starts.
 
-    A block holds whole steps, in order; a step of more than block starts
-    runs alone, in consecutive pieces of block starts.
+    Each step's starts are cut at multiples of block, so how a step is
+    split does not depend on the other steps; the pieces fill the blocks
+    in order, and a piece that does not fit starts the next block.
     """
     current: list[tuple[int, int, int]] = []
     size = 0
     for j, count in enumerate(counts):
-        if current and size + count > block:
-            yield current
-            current, size = [], 0
-        if count > block:
-            yield from ([(j, lo, min(lo + block, count))] for lo in range(0, count, block))
-        elif count:
-            current.append((j, 0, count))
-            size += count
+        for lo in range(0, count, block):
+            hi = min(lo + block, count)
+            if size + hi - lo > block:
+                yield current
+                current, size = [], 0
+            current.append((j, lo, hi))
+            size += hi - lo
     if current:
         yield current
 
@@ -618,10 +617,11 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     a derivative-free Nelder-Mead search of REFINE_ITERS iterations over
     (x, t), with x re-centered and normalized onto the sphere and t
     clipped to [0, 1].  All starts of all steps advance in lockstep, in
-    blocks of whole steps of as many starts as keep their simplices
-    within _SIMPLEX_FLOATS floats (a step of more starts runs alone, in
-    pieces), one batched homotopy evaluation per simplex move of a
-    block, in which each row runs its own step's map; each start takes
+    blocks of as many starts as keep their simplices within
+    _SIMPLEX_FLOATS floats (each step's starts cut at multiples of that
+    block size, see _blocks), one batched homotopy evaluation, in
+    _EVAL_ROWS rows at a time, per simplex move of a block, in which
+    each row runs its own step's map; each start takes
     the steps of scipy.optimize.minimize(method="Nelder-Mead",
     xatol=1e-9, fatol=1e-12) (batched evaluation can move a value in its
     last bits only), and a step's points are recorded in the order of a
@@ -649,38 +649,36 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     in_zero_zone = np.zeros(m, dtype=int)
 
     def evaluate(X: np.ndarray, T: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|h_T(X)|, recorded, row i on the map after step own[i] (ascending), in blocks of
-        _EVAL_ROWS rows; and the rows outside the tubes."""
-        vals, keep = np.empty(len(X)), np.empty(len(X), dtype=bool)
+        """|h_T(X)|, row i on the map after step own[i] (ascending), in blocks of _EVAL_ROWS
+        rows and recorded once for the call; and the rows outside the tubes."""
+        vals, dmin = np.empty(len(X)), np.empty(len(X))
         for rows in _row_blocks(len(X)):
-            x, t, step = X[rows], T[rows], own[rows]
-            first = step.searchsorted(bounds).tolist()
-            dmin = np.empty(len(x))
-            v = vals[rows] = _frob(_homotopy(layer, x, t, first=first, dmin=dmin))
-            evaluations[:] += np.bincount(step, minlength=m)
-            in_zero_zone[:] += np.bincount(step[dmin <= zone[step]], minlength=m)
-            out = keep[rows] = ~((dmin < tube[step]) & (np.abs(t - 0.5) <= 0.1))
-            masked = np.where(out, v, np.inf)
-            present = [j for j in range(m) if first[j] < first[j + 1]]
-            lows = np.minimum.reduceat(masked, [first[j] for j in present]).tolist()
-            for j, low in zip(present, lows):
-                if low < best[j]:  # where goes to the first row of the new minimum
-                    i = first[j] + int(np.argmin(masked[first[j]:first[j + 1]]))
-                    best[j], where[j] = low, (float(dmin[i] / radius[j]), float(t[i]))
+            first = own[rows].searchsorted(bounds).tolist()
+            vals[rows] = _frob(_homotopy(layer, X[rows], T[rows], first=first, dmin=dmin[rows]))
+        evaluations[:] += np.bincount(own, minlength=m)
+        in_zero_zone[:] += np.bincount(own[dmin <= zone[own]], minlength=m)
+        keep = ~((dmin < tube[own]) & (np.abs(T - 0.5) <= 0.1))
+        masked = np.where(keep, vals, np.inf)
+        first = own.searchsorted(bounds).tolist()
+        for j in range(m):
+            if first[j] < first[j + 1]:  # where goes to the first row of the step's minimum
+                i = first[j] + int(np.argmin(masked[first[j]:first[j + 1]]))
+                if masked[i] < best[j]:
+                    best[j], where[j] = float(masked[i]), (float(dmin[i] / radius[j]), float(T[i]))
         return vals, keep
 
-    pools: list[list[tuple[float, np.ndarray, float]]] = [[] for _ in nodes]
+    lows: list[list[np.ndarray]] = [[] for _ in nodes]
+    pools: list[list[np.ndarray]] = [[] for _ in nodes]
     for X in _sample_chunks(r, samples, rng):
         T = rng.uniform(0.0, 1.0, len(X))
-        for j, pool in enumerate(pools):
+        for j in range(m):
             vals, keep = evaluate(X, T, np.full(len(X), j))
-            kept_idx = np.flatnonzero(keep)[np.argsort(vals[keep])[:REFINE_COUNT]]
-            pool.extend((float(vals[i]), X[i], float(T[i])) for i in kept_idx)
-
-    starts = []
-    for pool in pools:
-        pool.sort(key=lambda entry: entry[0])
-        starts.append(np.array([np.append(x0.ravel(), t0) for _, x0, t0 in pool[:REFINE_COUNT]]))
+            kept = np.flatnonzero(keep)[np.argsort(vals[keep])[:REFINE_COUNT]]
+            lows[j].append(vals[kept])
+            pools[j].append(np.column_stack([X[kept].reshape(len(kept), 2 * r), T[kept]]))
+    # each step's REFINE_COUNT best rows over all chunks, ties in the order the chunks gave them
+    starts = [np.concatenate(pool)[np.argsort(np.concatenate(low), kind="stable")[:REFINE_COUNT]]
+              for low, pool in zip(lows, pools)]
 
     def objective(Z: np.ndarray, own: np.ndarray) -> np.ndarray:
         """|h_t(x)| at the points Z = (x, t), recorded, row i on step own[i]; 10 if x collapses."""

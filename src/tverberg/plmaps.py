@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .complexes import SimplicialComplex, _tuple_counter, count_face_combinations, join_complexes
+from .complexes import (SimplicialComplex, _face_listing_bound, _tuple_counter,
+                        count_face_combinations, join_complexes)
 
 __all__ = [
     "PLMap",
@@ -524,6 +525,12 @@ def _first_hit(f: PLMap, r: int, maximal_only: bool,
     return descend((), empty)
 
 
+# almost_r_embedding_check refuses a complex whose box graph could test more
+# face pairs, the square of complexes._face_listing_bound, before it lists a
+# face; the 2-skeleton of the 20-simplex bounds at 9,310^2 = 86,676,100.
+MAX_PAIR_WORK = 100_000_000
+
+
 def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False) -> CheckVerdict:
     """Decide whether f is an almost r-embedding, exactly.
 
@@ -537,10 +544,17 @@ def almost_r_embedding_check(f: PLMap, r: int, maximal_only: bool = False) -> Ch
     persists on superfaces.
 
     ``tuples_checked`` counts the tuples of that order up to the witness,
-    or all of them on a PASS.
+    or all of them on a PASS.  A complex whose face listing exceeds
+    ``complexes.MAX_FACE_LISTING``, or whose pair work, the square of that
+    listing bound, exceeds ``MAX_PAIR_WORK``, raises ValueError before any
+    face is listed.
     """
     if r < 2:
         raise ValueError(f"almost_r_embedding_check needs r >= 2, got {r}")
+    pairs = _face_listing_bound(f.complex) ** 2
+    if pairs > MAX_PAIR_WORK:
+        raise ValueError(f"the box graph of the complex could test {pairs} face pairs, "
+                         f"beyond the cap MAX_PAIR_WORK = {MAX_PAIR_WORK}")
     table, denom = _face_table(f)
     found = _first_hit(f, r, maximal_only, table)
     if found is None:

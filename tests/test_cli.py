@@ -15,6 +15,7 @@ from importlib import resources
 import tverberg
 from tverberg import circle as ci
 from tverberg import complexes as cx
+from tverberg import plmaps as pl
 from tverberg.cli import main
 
 
@@ -518,6 +519,24 @@ class TestCheck:
         assert json.loads(captured.out) == {
             "error": "listing the faces of the complex takes 1099511627775 subsets of its "
                      f"maximal faces, beyond the cap MAX_FACE_LISTING = {cx.MAX_FACE_LISTING}",
+            "flags": {"pass": False}}
+        assert captured.err == ""
+
+    def test_pair_work_beyond_the_cap_is_input_error(self, capsys, tmp_path, deadline):
+        """One 18-simplex on 19 vertices: 524,287 faces, within the face cap, but
+        524,287^2 face pairs for the box graph, refused before any face is listed."""
+        complex_path, map_path = tmp_path / "c.json", tmp_path / "m.json"
+        complex_path.write_text(json.dumps({"num_vertices": 19, "maximal_faces": [list(range(19))]}))
+        map_path.write_text(json.dumps({"d": 2, "coords": {str(v): [str(v), str(v * v)]
+                                                           for v in range(19)}}))
+        with deadline(1.0):
+            code = main(["check", "--complex", str(complex_path), "--map", str(map_path),
+                         "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {
+            "error": "the box graph of the complex could test 274876858369 face pairs, "
+                     f"beyond the cap MAX_PAIR_WORK = {pl.MAX_PAIR_WORK}",
             "flags": {"pass": False}}
         assert captured.err == ""
 

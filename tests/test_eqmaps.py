@@ -737,7 +737,7 @@ class TestLocalDegrees:
             return det
 
         monkeypatch.setattr(eq, "_stencil_dets", planted)
-        monkeypatch.setattr(eq, "_STENCIL_POINTS", 4 * 22)  # 4 centers of 22 stencil points
+        monkeypatch.setattr(eq, "_EVAL_ROWS", 4 * 22)  # 4 centers of 22 stencil points
         with pytest.raises(eq.NumericalDegeneracyError, match="at center 11 of the k=2 step"):
             eq.verify_local_degrees(layer)
         assert calls == [(4, 1e-5), (4, 1e-5), (4, 1e-5), (3, 1e-5)]
@@ -935,6 +935,25 @@ class TestSpuriousZeros:
         assert eq.REFINE_COUNT * (2 * r + 2) * (2 * r + 1) <= eq._SIMPLEX_FLOATS
         monkeypatch.setattr(eq, "_SIMPLEX_FLOATS", 7 * (2 * r + 2) * (2 * r + 1))
         assert eq.verify_no_spurious_zeros(layer, samples=2000, seed=1) == whole
+
+    @pytest.mark.parametrize("counts, block", [
+        ([5, 12, 3, 7], 8), ([20, 20, 20, 20], 7), ([100, 100, 100], 69), ([0, 3, 0, 9, 1], 4),
+        ([100, 100, 100], 1440),
+    ])
+    def test_blocks_cut_each_step_on_its_own(self, counts, block):
+        """Each step's starts are cut at multiples of block, whichever steps
+        share its blocks; the pieces fill blocks of at most block starts in
+        step order."""
+        blocks = list(eq._blocks(counts, block))
+        assert all(0 < sum(hi - lo for _, lo, hi in pieces) <= block for pieces in blocks)
+        pieces = [piece for pieces in blocks for piece in pieces]
+        assert [j for j, _, _ in pieces] == sorted(j for j, _, _ in pieces)
+        for j, count in enumerate(counts):
+            own = [(lo, hi) for step, lo, hi in pieces if step == j]
+            assert own == [(lo, hi) for alone in eq._blocks([count], block) for _, lo, hi in alone]
+            assert own == [(lo, min(lo + block, count)) for lo in range(0, count, block)]
+        if counts == [5, 12, 3, 7]:  # step 1's partial piece shares a block with step 2
+            assert blocks == [[(0, 0, 5)], [(1, 0, 8)], [(1, 8, 12), (2, 0, 3)], [(3, 0, 7)]]
 
     @pytest.mark.parametrize("r, steps", [(6, "auto"), (2, ((1, -1), (1, 1))),
                                           (6, ((1, -1), (1, -1), (2, 1), (1, 1))), (10, "auto")])

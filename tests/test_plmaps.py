@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tverberg import plmaps
+from tverberg import complexes, plmaps
 from tverberg.complexes import SimplicialComplex, simplex_skeleton
 from tverberg.plmaps import (
     CheckVerdict,
@@ -699,6 +699,34 @@ class TestChecker:
             assert verdict.passed is True
             assert verdict.tuples_checked == 0
         assert calls == []
+
+    def test_pair_work_beyond_the_cap_is_refused_before_listing(self, deadline, monkeypatch):
+        """One 18-simplex lists within MAX_FACE_LISTING, but its box graph could
+        test 524,287^2 face pairs: the check refuses it before listing a face."""
+        K = SimplicialComplex(19, (tuple(range(19)),))
+        f = PLMap(K, 2, tuple((v, v * v) for v in range(19)))
+        listed = []
+        listing = complexes._all_faces
+        monkeypatch.setattr(complexes, "_all_faces", lambda K: listed.append(K) or listing(K))
+        with deadline(1.0), pytest.raises(ValueError, match=(
+                f"could test {524_287 ** 2} face pairs, beyond the cap "
+                f"MAX_PAIR_WORK = {plmaps.MAX_PAIR_WORK}")):
+            almost_r_embedding_check(f, 2)
+        assert listed == []
+        # the 2-skeleta of the 9-, 14- and 20-simplex (benchmark and README) are admitted
+        bounds = [complexes._face_listing_bound(simplex_skeleton(N, 2)) for N in (9, 14, 20)]
+        assert bounds == [840, 3_185, 9_310]
+        assert 9_310 ** 2 <= plmaps.MAX_PAIR_WORK
+        # pair work equal to the cap is admitted, one pair more is not
+        g = random_rational_map(simplex_skeleton(3, 1), 2, 1)  # 6 edges, 3 subsets each
+        monkeypatch.setattr(plmaps, "MAX_PAIR_WORK", 18 ** 2)
+        assert almost_r_embedding_check(g, 2).tuples_checked > 0
+        listings = len(listed)
+        assert listings > 0
+        monkeypatch.setattr(plmaps, "MAX_PAIR_WORK", 18 ** 2 - 1)
+        with pytest.raises(ValueError, match=f"could test {18 ** 2} face pairs"):
+            almost_r_embedding_check(g, 2)
+        assert len(listed) == listings
 
     def test_empty_tuple_set_passes(self):
         f = constant_map(1)
