@@ -9,7 +9,7 @@ which the test suite sweeps exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -69,7 +69,7 @@ class FrickEstimate:
     """Exact value of the displayed expression; only ever an approximation."""
 
     value: Fraction
-    flag: str = field(default="approximate")
+    flag = "approximate"  # a class constant, not a field: no estimate is exact
 
     def __float__(self) -> float:
         return float(self.value)
@@ -118,8 +118,6 @@ class Theorem1Decomposition:
     equals tverberg_N(r, d); both are re-checked on construction.
     """
 
-    r: int
-    d: int
     k: int
     vkf_target: int
     N: int
@@ -140,13 +138,11 @@ def theorem1_decomposition(r: int, d: int) -> Theorem1Decomposition:
         raise InternalConsistencyError(
             f"(r={r}, d={d}): constraint_N({k}, {r}) = {N} != tverberg_N = {Nt}"
         )
-    return Theorem1Decomposition(r=r, d=d, k=k, vkf_target=target, N=N)
+    return Theorem1Decomposition(k=k, vkf_target=target, N=N)
 
 
 @dataclass(frozen=True)
 class CorollaryAResult:
-    r: int
-    q: int
     d: int
     target_dim: int
     N: int
@@ -169,7 +165,7 @@ def corollary_a_check(r: int, q: int) -> CorollaryAResult:
         raise InternalConsistencyError(
             f"(r={r}, q={q}): proof inequality fails, {lhs} < {N}"
         )
-    return CorollaryAResult(r=r, q=q, d=d, target_dim=d - 1, N=N)
+    return CorollaryAResult(d=d, target_dim=d - 1, N=N)
 
 
 def corollary_b_check(r: int, d: int, s: int) -> bool:

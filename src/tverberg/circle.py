@@ -47,12 +47,12 @@ PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the rad
 # steps at k; the sine binds only for n > 1 (see step_radius).
 RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)))"
 MAX_PLAN_STEPS = 500  # the builders refuse longer plans before building anything
-# place_steps refuses larger orbits before placing anything.  C(15,6) is the
-# largest orbit of any r <= 15 certificate plan; the cap bounds the time of
-# eqmaps.verify_local_degrees, one finite-difference Jacobian per center
-# (about 5 of the 10 s of `eqmap verify --r 14 --plan auto`, 2-core Xeon;
-# r = 18 uncapped verifies in 34 s), not memory (r = 15 auto builds at a
-# 48 MB peak, r = 18 uncapped at 163 MB).
+# place_steps refuses larger orbits before placing anything; C(15,6) is the
+# largest orbit of any r <= 15 certificate plan.  The cap bounds the memory and
+# time of eqmaps.build_from_plan, which lists each orbit, C(r,k) x 2r floats, by a
+# Python loop over the k-subsets (237 MiB in 1.8 s at C(22,11); C(26,13) would take
+# 4.3 GB), and verify's per-center stencils (eqmaps.verify_local_degrees, about 5 of
+# the 10 s of `eqmap verify --r 14 --plan auto`; 2-core Xeon).
 MAX_ORBIT = 5005
 MAX_WINDING_SAMPLES = 2 ** 20  # winding_number gives up beyond this many angle samples
 
@@ -122,11 +122,6 @@ def safe_radius(r: int, k: int) -> float:
     return min_orbit_distance(r, k) / 3.0
 
 
-def step_angle(j: int, n: int) -> float:
-    """theta_j = j*pi/(2n), the angle of the j-th of a plan's n steps at one k."""
-    return j * math.pi / (2 * n)
-
-
 def step_radius(r: int, k: int, n: int) -> float:
     """The radius of each of a plan's n steps at k (RADIUS_RULE).
 
@@ -182,7 +177,7 @@ def _check_separation(r: int, earlier: Iterable[tuple[int, float, float]], k: in
 def place_steps(plan) -> list[tuple[int, int, float, float]]:
     """Each step's (k, sign, theta, radius), first applied first.
 
-    The j-th of a plan's n steps at k sits at step_angle(j, n) with the
+    The j-th of a plan's n steps at k sits at theta_j = j*pi/(2n) with the
     radius step_radius(r, k, n), and _check_separation keeps its inner
     zones clear of every earlier ball, so the map below each step is the
     identity wherever that step can have a zero.  A plan of more than
@@ -196,11 +191,12 @@ def place_steps(plan) -> list[tuple[int, int, float, float]]:
         if math.comb(plan.r, k) > MAX_ORBIT:
             raise ValueError(f"plan step k={k} has C({plan.r},{k}) = {math.comb(plan.r, k)} "
                              f"centers, beyond the builder's cap MAX_ORBIT = {MAX_ORBIT}")
-    per_k = Counter(k for k, _ in plan.steps)
+    per_k, seen = Counter(k for k, _ in plan.steps), Counter()
     placed: list[tuple[int, int, float, float]] = []
     for k, sign in plan.steps:
-        j = sum(1 for k0, *_ in placed if k0 == k)
-        theta, radius = step_angle(j, per_k[k]), step_radius(plan.r, k, per_k[k])
+        j, n = seen[k], per_k[k]  # the j-th of the plan's n steps at k
+        seen[k] += 1
+        theta, radius = j * math.pi / (2 * n), step_radius(plan.r, k, n)
         _check_separation(plan.r, ((k0, t0, r0) for k0, _, t0, r0 in placed), k, theta, radius)
         placed.append((k, sign, theta, radius))
     return placed

@@ -87,23 +87,14 @@ def cmd_bounds(args) -> tuple[dict, dict, bool]:
     }
     if d >= 3:
         dec = bd.theorem1_decomposition(r, d)
-        outputs["theorem1_decomposition"] = {
-            "k": dec.k,
-            "vkf_target": dec.vkf_target,
-            "N": dec.N,
-        }
+        outputs["theorem1_decomposition"] = dataclasses.asdict(dec)
         outputs["general_position_dim"] = bd.general_position_dim(dec.k, r)
     if args.k is not None:
         outputs["vkf_dim"] = bd.vkf_dim(args.k, r)
         outputs["constraint_N"] = bd.constraint_N(args.k, r)
         outputs["mw_codimension_ok"] = bd.mw_codimension_ok(r, d, args.k)
     if args.q is not None:
-        ca = bd.corollary_a_check(r, args.q)
-        outputs["corollary_a"] = {
-            "d": ca.d,
-            "target_dim": ca.target_dim,
-            "N": ca.N,
-        }
+        outputs["corollary_a"] = dataclasses.asdict(bd.corollary_a_check(r, args.q))
     if args.s is not None:
         outputs["corollary_b"] = bd.corollary_b_check(r, d, args.s)
     outputs["warnings"] = warnings

@@ -135,14 +135,12 @@ def _bump(dist, radius: float):
 
 @dataclass(eq=False)
 class ModificationNode:
-    """One modification step: its orbit (k, theta), radius and sign (bump shape: *_FRACTION)."""
+    """One modification step: its orbit, radius and sign (bump shape: *_FRACTION)."""
 
-    r: int
     k: int
     sign: int                 # -1: the minus formula, +1: the plus one; delta = sign * C(r,k)
     radius: float
-    theta: float              # the orbit is that of c_theta = (cos(theta) * row ; sin(theta) * row)
-    centers: np.ndarray       # (C(r,k), 2, r), one per mask of _low_masks
+    centers: np.ndarray       # (C(r,k), 2, r): _orbit_centers at the step's placed theta
 
 
 @dataclass(eq=False)
@@ -190,7 +188,7 @@ def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     c = node.centers[0]
     gains = (c[:, 0] - c[:, -1]) @ X
-    top = np.partition(gains, node.r - node.k, axis=1)[:, node.r - node.k:]
+    top = np.partition(gains, -node.k, axis=1)[:, -node.k:]  # the k largest, the k-th first
     F = X.reshape(len(X), -1)
     d2 = np.einsum("ij,ij->i", F, F) + 1.0 - 2.0 * top.sum(axis=1)  # unit centers
     return np.sqrt(np.maximum(d2, 0.0)), gains, top[:, 0]
@@ -305,7 +303,7 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     exactly sign * C(r,k); the ledger runs through plan.deltas to the
     plan target (0 for certificate plans).
     """
-    nodes = tuple(ModificationNode(r=plan.r, k=k, sign=sign, radius=radius, theta=theta,
+    nodes = tuple(ModificationNode(k=k, sign=sign, radius=radius,
                                    centers=_orbit_centers(plan.r, k, theta))
                   for k, sign, theta, radius in place_steps(plan))
     return MapLayer(plan.r, nodes), DegreeLedger.of_plan(plan)
@@ -394,17 +392,17 @@ class LocalDegreeReport:
     matches_ledger: bool
 
 
-def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, step: float) -> np.ndarray:
+def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Bordered central-difference Jacobian determinants of (x, t) -> h_t(x) at (centers, 1/2).
 
-    Columns step along the rows of E and along t, each x-step reprojected
-    onto the sphere; the top row is [c, 0], the center's own coordinates.
+    Columns step by FD_STEP along the rows of E and along t, each x-step
+    reprojected onto the sphere; the top row is [c, 0], the center's own coordinates.
     A radial step reprojects onto c, so J_x c = 0, and for any oriented
     tangent basis b with det [c, b] = +1 the determinant equals that of
     the chart Jacobian [J_x b, J_t].  One batched homotopy evaluation
     covers every stencil point of every center.
     """
-    m, n = len(centers), len(E)
+    m, n, step = len(centers), len(E), FD_STEP
     C = centers[:, None]
     # rows 2j and 2j+1 step along +-E[j]; the last two along +-t
     p = np.stack([C + step * E, C - step * E], axis=2).reshape(m, -1, 2, layer.r)
@@ -435,7 +433,7 @@ def verify_local_degrees(layer: MapLayer) -> LocalDegreeReport:
         raise ValueError("identity layer has no modification step to verify")
     E = _ambient_basis(layer.r)
     block = max(1, _EVAL_ROWS // (4 * layer.r - 2))
-    det = np.concatenate([_stencil_dets(layer, E, node.centers[i:i + block], FD_STEP)
+    det = np.concatenate([_stencil_dets(layer, E, node.centers[i:i + block])
                           for i in range(0, len(node.centers), block)])
     flat = np.flatnonzero(~(np.abs(det) > 1e-8))
     if len(flat):
@@ -477,6 +475,9 @@ class SpuriousZeroSearch:
 # and initial-simplex steps, as in scipy.optimize's non-adaptive method.
 _NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
 _NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+# A start stops when its simplex spans at most _NM_XATOL in every coordinate
+# and at most _NM_FATOL in value (scipy's xatol and fatol).
+_NM_XATOL, _NM_FATOL = 1e-9, 1e-12
 # A second trial point is a * xbar - b * worst: (a, b) of the expansion,
 # the outside contraction and the inside one; each product is exact.
 _NM_TRIAL = np.array([[1 + _NM_RHO * _NM_CHI, _NM_RHO * _NM_CHI],
@@ -501,14 +502,14 @@ def check_polish_work(r: int, steps: int) -> None:
                          f"eqmaps.MAX_POLISH_WORK = {MAX_POLISH_WORK:,}")
 
 
-def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
-                          xatol: float, fatol: float) -> np.ndarray:
+def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int) -> np.ndarray:
     """Nelder-Mead from every row of Z0 at once; each start's best value.
 
     Step for step this is scipy.optimize.minimize(method="Nelder-Mead")
-    with maxiter, xatol and fatol applied to each start on its own: the
-    same initial simplex, the same branches and arithmetic, the same
-    numpy argsort of each simplex and the same per-start stopping rule.
+    with maxiter, xatol = _NM_XATOL and fatol = _NM_FATOL applied to
+    each start on its own: the same initial simplex, the same branches and
+    arithmetic, the same numpy argsort of each simplex and the same
+    per-start stopping rule.
     objective maps an (m, N) array of points and the (m,) rows of Z0
     they start from to their m values; every iteration calls it at most
     three times, for the reflections, the second trial points and the
@@ -531,12 +532,12 @@ def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int,
 
     best = np.empty(B)
     for _ in range(1, maxiter):
-        done = np.abs(fsim[:1] - fsim[1:]).max(axis=0) <= fatol
+        done = np.abs(fsim[:1] - fsim[1:]).max(axis=0) <= _NM_FATOL
         flat = done.nonzero()[0]
         if len(flat):
-            near = flat[np.abs(sim[-1, flat] - sim[0, flat]).max(axis=1) <= xatol]
+            near = flat[np.abs(sim[-1, flat] - sim[0, flat]).max(axis=1) <= _NM_XATOL]
             done[flat] = False
-            done[near] = np.abs(sim[1:, near] - sim[:1, near]).max(axis=(0, 2)) <= xatol
+            done[near] = np.abs(sim[1:, near] - sim[:1, near]).max(axis=(0, 2)) <= _NM_XATOL
             if done.any():
                 best[live[done]] = fsim[0, done]
                 running = ~done
@@ -696,7 +697,7 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         steps = np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces])
         _nelder_mead_lockstep(lambda Z, rows: objective(Z, steps[rows]),
                               np.concatenate([starts[j][lo:hi] for j, lo, hi in pieces]),
-                              REFINE_ITERS, xatol=1e-9, fatol=1e-12)
+                              REFINE_ITERS)
 
     return [SpuriousZeroSearch(minimum=best[j], k=node.k, distance_in_R=where[j][0],
                                t=where[j][1], evaluations=int(evaluations[j]),

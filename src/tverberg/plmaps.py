@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .complexes import (SimplicialComplex, _face_listing_bound, _tuple_counter,
+from .complexes import (SimplicialComplex, _bits, _face_listing_bound, _tuple_counter,
                         count_face_combinations, join_complexes)
 
 __all__ = [
@@ -503,23 +503,18 @@ def _first_hit(f: PLMap, r: int, maximal_only: bool,
     def descend(prefix: tuple[int, ...], state: tuple[int, int, int]):
         """The first clique that completes prefix from state and whose hulls meet."""
         need = r - len(prefix) - 1  # faces still needed after the next one
-        cands = state[2]
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            j = low.bit_length() - 1
+        for j in _bits(state[2]):
             after = take(state, j)
             # a nonempty prefix decides face pairs next, so it first needs a completion
             # (at need = 0: the tuple must be inclusion-maximal under maximal_only)
-            if prefix and not count(after, need):
+            if (prefix and not count(after, need)) or not all(meet(p, j) for p in prefix):
                 continue
-            if need:
-                if all(meet(p, j) for p in prefix) and (found := descend(prefix + (j,), after)):
-                    return found
-            elif all(meet(p, j) for p in prefix):
+            if not need:
                 hit = simplices_intersect([table[p].rows for p in prefix + (j,)], f.d)
                 if hit is not None:
                     return prefix + (j,), hit
+            elif found := descend(prefix + (j,), after):
+                return found
         return None
 
     return descend((), empty)

@@ -317,6 +317,14 @@ class TestBounds:
         assert isinstance(out["frick_F_estimate"]["value"], str)
         assert out["warnings"] == []
 
+    def test_report_shape(self, capsys):
+        """The decomposition and corollary A records without the inputs they echo."""
+        code, report = run_cli(capsys, "bounds", "--r", "6", "--d", "54", "--q", "8")
+        assert code == 0
+        out = report["outputs"]
+        assert out["theorem1_decomposition"] == {"k": 45, "vkf_target": 53, "N": 280}
+        assert out["corollary_a"] == {"d": 55, "target_dim": 54, "N": 280}
+
     def test_6_55(self, capsys):
         code, report = run_cli(capsys, "bounds", "--r", "6", "--d", "55")
         assert code == 0
@@ -607,6 +615,25 @@ class TestEqmap:
         assert code == 2
         assert json.loads(captured.out) == {"error": message, "flags": {"pass": False}}
         assert captured.err == ""
+
+    def test_build_orbit_beyond_the_cap_lists_no_center(self, capsys, deadline, monkeypatch):
+        """C(26,13) = 10,400,600 centers would take about 4.3 GB to list; the
+        cap refuses the plan before _orbit_centers runs, which it does at k = 1."""
+        from tverberg import eqmaps as eq
+
+        calls = []
+        listed = eq._orbit_centers
+        monkeypatch.setattr(eq, "_orbit_centers", lambda *args: calls.append(args) or listed(*args))
+        assert run_cli(capsys, "eqmap", "build", "--r", "26", "--plan", "1:-",
+                       "--samples", "5")[0] == 0
+        assert calls == [(26, 1, 0.0)]
+        calls.clear()
+        with deadline(1.0):
+            code, report = run_cli(capsys, "eqmap", "build", "--r", "26", "--plan", "13:-")
+        assert code == 2
+        assert report == {"error": "plan step k=13 has C(26,13) = 10400600 centers, beyond the "
+                                   "builder's cap MAX_ORBIT = 5005", "flags": {"pass": False}}
+        assert calls == []
 
     def test_build_r15_auto_peak_memory(self):
         """No orbit is measured against a whole other orbit: a fresh process building

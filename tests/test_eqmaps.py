@@ -309,18 +309,19 @@ class TestSeparation:
             assert sorted(k for k, _ in plan.steps) == [1, 2, 3, 3, 4, 5, 5]
         layer, _ = eq.build_from_plan(plan)
         nodes = [step.node for step in layer.chain()]
+        thetas = [theta for _, _, theta, _ in ci.place_steps(plan)]
         for i, later in enumerate(nodes):
-            for earlier in nodes[:i]:
+            for earlier, theta0 in zip(nodes[:i], thetas):
                 diff = later.centers[:, None] - earlier.centers[None]
                 brute = float(np.sqrt(np.einsum("abij,abij->ab", diff, diff).min()))
-                alone = [(earlier.k, earlier.theta, earlier.radius)]
+                alone = [(earlier.k, theta0, earlier.radius)]
                 # the check fails iff its distance is at most earlier radius + 5R/8;
                 # put that threshold 1e-12 below and above the brute-force distance
                 below = (brute - 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
-                ci._check_separation(r, alone, later.k, later.theta, below)
+                ci._check_separation(r, alone, later.k, thetas[i], below)
                 above = (brute + 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
                 with pytest.raises(eq.CenterSeparationError):
-                    ci._check_separation(r, alone, later.k, later.theta, above)
+                    ci._check_separation(r, alone, later.k, thetas[i], above)
 
     @pytest.mark.parametrize("r, steps", [
         (6, "auto"), (10, "auto"), (12, "auto"), (14, "auto"), (15, "auto"),
@@ -334,11 +335,12 @@ class TestSeparation:
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
         nodes = [step.node for step in layer.chain()]
+        thetas = [theta for _, _, theta, _ in ci.place_steps(plan)]
         pairs = 0
         for i, later in enumerate(nodes):
-            for earlier in nodes[:i]:
+            for earlier, theta0 in zip(nodes[:i], thetas):
                 want = float(eq._nearest(earlier, later.centers[:1])[0][0])
-                got = ci.orbit_distance(r, earlier.k, earlier.theta, later.k, later.theta)
+                got = ci.orbit_distance(r, earlier.k, theta0, later.k, thetas[i])
                 assert abs(got - want) < 1e-12
                 rows = [sorted(eq._center_row(r, k) * math.sqrt(k * (r - k) * r))
                         for k in (earlier.k, later.k)]
@@ -375,9 +377,24 @@ class TestPlacement:
         plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
-        nodes = [(nd.k, nd.sign, nd.theta, nd.radius) for nd in layer.nodes]
-        assert nodes == ci.place_steps(plan)
-        assert [(k, s) for k, s, _, _ in nodes] == list(plan.steps)
+        placed = ci.place_steps(plan)
+        nodes = [(nd.k, nd.sign, nd.radius) for nd in layer.nodes]
+        assert nodes == [(k, s, radius) for k, s, _, radius in placed]
+        for nd, (k, _, theta, _) in zip(layer.nodes, placed):
+            assert np.array_equal(nd.centers, eq._orbit_centers(r, k, theta))
+        assert [(k, s) for k, s, _ in nodes] == list(plan.steps)
+
+    @pytest.mark.parametrize("r, steps", [
+        (6, ((1, -1), (2, -1), (1, 1), (2, 1), (1, -1))),
+        (10, ((3, 1), (1, -1), (3, -1), (5, 1), (1, 1), (3, -1))),
+    ], ids=["6-interleaved", "10-interleaved"])
+    def test_interleaved_steps_take_their_same_k_index(self, r, steps):
+        """The j-th of the n steps at k sits at theta = j*pi/(2n), where j counts
+        the earlier steps at k however the other k interleave with them."""
+        ks = [k for k, _ in steps]
+        want = [(k, s, ks[:i].count(k) * math.pi / (2 * ks.count(k)),
+                 ci.step_radius(r, k, ks.count(k))) for i, (k, s) in enumerate(steps)]
+        assert ci.place_steps(plan_of(r, steps)) == want
 
     @pytest.mark.parametrize("steps", [
         *itertools.product(((1, 1), (1, -1)), repeat=4), ((1, -1),) * 64,
@@ -730,9 +747,9 @@ class TestLocalDegrees:
         calls = []
         batched = eq._stencil_dets
 
-        def planted(layer, E, centers, step):
-            calls.append((len(centers), step))
-            det = batched(layer, E, centers, step)
+        def planted(layer, E, centers):
+            calls.append(len(centers))
+            det = batched(layer, E, centers)
             det[np.all(centers == flat, axis=(1, 2))] = 1e-9
             return det
 
@@ -740,7 +757,7 @@ class TestLocalDegrees:
         monkeypatch.setattr(eq, "_EVAL_ROWS", 4 * 22)  # 4 centers of 22 stencil points
         with pytest.raises(eq.NumericalDegeneracyError, match="at center 11 of the k=2 step"):
             eq.verify_local_degrees(layer)
-        assert calls == [(4, 1e-5), (4, 1e-5), (4, 1e-5), (3, 1e-5)]
+        assert calls == [4, 4, 4, 3]
 
     @pytest.mark.parametrize("r, steps", [
         (6, "auto"), (10, "auto"), (12, "auto"),
@@ -755,7 +772,7 @@ class TestLocalDegrees:
         layer, _ = eq.build_from_plan(plan)
         E = eq._ambient_basis(r)
         for step in layer.chain():
-            det = eq._stencil_dets(step, E, step.node.centers, eq.FD_STEP)
+            det = eq._stencil_dets(step, E, step.node.centers)
             assert len(det) == math.comb(r, step.node.k)
             assert np.abs(np.abs(det) - 2.0).max() < 1e-6
 
@@ -873,8 +890,7 @@ class TestSpuriousZeros:
         search = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed)[-1]
         assert abs(search.minimum - record) < 1e-12
         lockstep = eq._nelder_mead_lockstep(
-            lambda Z, rows: np.array([objective(z) for z in Z]), starts, refine_iters,
-            xatol=1e-9, fatol=1e-12)
+            lambda Z, rows: np.array([objective(z) for z in Z]), starts, refine_iters)
         assert np.abs(lockstep - best).max() < 1e-12
 
     @pytest.mark.parametrize("name", ["rosenbrock", "kinked"])
@@ -901,7 +917,7 @@ class TestSpuriousZeros:
             calls.append(rows)
             return np.array([f(z) for z in Z])
 
-        best = eq._nelder_mead_lockstep(objective, starts, 400, xatol=1e-9, fatol=1e-12)
+        best = eq._nelder_mead_lockstep(objective, starts, 400)
         assert np.abs(best - [res.fun for res in ref]).max() < 1e-12
         # each point comes with the row of Z0 it starts from, in ascending order
         # (the spurious search reads each row's step from it)
