@@ -13,8 +13,9 @@ At r = 2 the sphere is a circle.  A point X = [[a, -a], [b, -b]] is the
 complex number z = sqrt(2)(a + ib); the Frobenius distance and inner
 product become |z - w| and Re(z conj(w)).  Every step is a k = 1 step,
 and its orbit is the antipodal pair +-e^{i theta}.  ``CircleMap`` is the
-map of a plan there, the homotopy of ``eqmaps._homotopy`` at t = 1 in
-Python complex arithmetic, and ``winding_number`` reads its exact
+map of a plan there: ``CircleMap.image`` applies, in Python complex
+arithmetic, the one step whose ball can hold a point, one step of
+``eqmaps._homotopy`` at t = 1, and ``winding_number`` reads its exact
 degree, so ``eqmap winding`` runs without numpy.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from . import NumericalDegeneracyError
 
@@ -242,8 +243,8 @@ class CircleMap:
     Step j of n has the sign signs[j] and the orbit +-centers[j],
     centers[j] = e^{i theta_j} with theta_j = j*pi/(2n) (eqmaps places
     c_theta at -e^{i theta_j}, the same orbit); all share one radius.
-    The identity has no steps, and its radius 1.0 only sizes the first
-    grid of winding_number.
+    image is one step of eqmaps._homotopy at t = 1.  The identity has no
+    steps, and its radius 1.0 only sizes the first grid of winding_number.
     """
 
     signs: tuple[int, ...]
@@ -251,63 +252,40 @@ class CircleMap:
     centers: tuple[complex, ...]
 
     def image(self, z: complex) -> complex:
-        """The map at the unit point z."""
-        return self._image(z, self._window)
-
-    def _window(self, z: complex, below: int) -> Sequence[int]:
-        """The steps below `below` whose balls can hold the unit point z, last first.
+        """The map at the unit point z: one step of eqmaps._homotopy at t = 1.
 
         Modulo pi, z's angle lies x spacings of pi/(2n) from 0, and step j
-        sits at j spacings.  build_circle_map asserts that a ball's arc
-        reaches less than half a spacing from its step, so only the steps
-        at floor(x) and floor(x) + 1, taken modulo 2n, can hold z.
+        sits at j spacings.  build_circle_map asserts 2*asin(R/2) < pi/(4n):
+        each ball's arc reaches less than half a spacing from its step, so
+        no two balls meet and only step round(x) mod 2n can hold z (none
+        if that is n or more).  Nor does a plus step's blend move z out of
+        its ball: with v = ic, z = a*c + b*v and a = <z, c> > 7/9 (R <= 2/3),
+        the blend y = a*c + (1 - 2*lam)*b*v has a <= |y| <= 1, so y/|y| is
+        no farther from c than z.  So no other step acts on z, and the two passes
+        reduce to the blend, one subtraction of 2*rho*c and one normalization.
         """
         n = len(self.signs)
-        j = int(math.atan2(z.imag, z.real) % math.pi * (2 * n) / math.pi)
-        return [i for i in ((j + 1) % (2 * n), j % (2 * n)) if i < min(below, n)]
-
-    def _image(self, z: complex, near: Callable[[complex, int], Iterable[int]]) -> complex:
-        """The map at the unit point z, in the two passes of eqmaps._homotopy at t = 1.
-
-        From the last step to the first, each step whose ball holds z
-        records its bump and nearest center, and a plus step moves z by
-        the blended reflection; the steps tested are near(z, below), the
-        candidates below the last one recorded, last first.  Then from
-        the first recorded step to the last, each subtracts 2*rho*c and
-        normalizes.
-        """
-        pushes = []
-        below = len(self.signs)
+        i = round(math.atan2(z.imag, z.real) % math.pi * (2 * n) / math.pi) % max(2 * n, 1)
+        if i >= n:  # no steps, or z is nearest [pi/2, pi) mod pi, where no step sits
+            return z
+        u = self.centers[i]
+        c = u if z.real * u.real + z.imag * u.imag >= 0.0 else -u
+        dist = abs(z - c)
         t0 = PLATEAU_FRACTION * self.radius
-        while below:
-            for i in near(z, below):
-                u = self.centers[i]
-                c = u if z.real * u.real + z.imag * u.imag >= 0.0 else -u
-                dist = abs(z - c)
-                rho = 1.0 - _smoothstep((dist - t0) / (self.radius - t0))
-                if rho > 0.0:
-                    break
-            else:
-                break
-            if self.signs[i] > 0:
-                v = 1j * c  # the center turned by +90 degrees: reflect in the line orthogonal to it
-                lam = 1.0 - _smoothstep((dist / self.radius - BLEND_FULL_FRACTION)
-                                        / (BLEND_OFF_FRACTION - BLEND_FULL_FRACTION))
-                y = z - 2.0 * lam * (z.real * v.real + z.imag * v.imag) * v
-                ny = abs(y)
-                if ny < _NORM_FLOOR:
-                    raise NumericalDegeneracyError("reflection blend collapsed a point")
-                z = y / ny
-            pushes.append((rho, c))
-            below = i
-        for rho, c in reversed(pushes):
-            h = z - 2.0 * rho * c
-            nh = abs(h)
-            if nh < _NORM_FLOOR:
-                raise NumericalDegeneracyError(
-                    "map value collapsed below 1e-9 during normalization")
-            z = h / nh
-        return z
+        rho = 1.0 - _smoothstep((dist - t0) / (self.radius - t0))
+        if rho <= 0.0:
+            return z
+        if self.signs[i] > 0:
+            v = 1j * c  # the center turned by +90 degrees: reflect in the line orthogonal to it
+            lam = 1.0 - _smoothstep((dist / self.radius - BLEND_FULL_FRACTION)
+                                    / (BLEND_OFF_FRACTION - BLEND_FULL_FRACTION))
+            y = z - 2.0 * lam * (z.real * v.real + z.imag * v.imag) * v
+            z = y / abs(y)
+        h = z - 2.0 * rho * c
+        nh = abs(h)
+        if nh < _NORM_FLOOR:
+            raise NumericalDegeneracyError("map value collapsed below 1e-9 during normalization")
+        return h / nh
 
 
 def build_circle_map(plan) -> tuple[CircleMap, DegreeLedger]:
@@ -321,8 +299,9 @@ def build_circle_map(plan) -> tuple[CircleMap, DegreeLedger]:
     placed = place_steps(plan)
     n = len(placed)
     radius = placed[0][3] if n else 1.0
-    # CircleMap._window rests on this: one radius, step j at j*pi/(2n) mod pi, and
-    # each ball's arc reaching 2*asin(R/2) from its step, less than half a spacing
+    # CircleMap.image, one step of eqmaps._homotopy at t = 1, rests on this: one radius,
+    # step j at j*pi/(2n) mod pi, and each ball's arc reaching 2*asin(R/2) from its step,
+    # less than half a spacing, so no two balls meet
     assert not n or 2.0 * math.asin(radius / 2.0) < math.pi / (4 * n)
     centers = tuple(complex(math.cos(theta), math.sin(theta)) for _, _, theta, _ in placed)
     return CircleMap(tuple(s for _, s, _, _ in placed), radius, centers), DegreeLedger.of_plan(plan)

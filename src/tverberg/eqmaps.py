@@ -67,6 +67,9 @@ __all__ = [
 FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
 # Points per random draw of the sampled checks; bounds their memory.
 _SAMPLE_CHUNK = 20000
+# Points that a sampled check admits; bounds its time (`eqmap verify` at r = 6 auto
+# takes about 3.5 s at the cap, 2-core Xeon).
+MAX_SAMPLES = 1_000_000
 # Rows per homotopy evaluation of the sampled checks, and stencil points (4r - 2
 # per center) per evaluation in verify_local_degrees; bounds their memory.
 _EVAL_ROWS = 4096
@@ -331,6 +334,9 @@ def _sample_chunks(r: int, samples: int, rng: np.random.Generator) -> Iterator[n
     """samples uniform points, drawn _SAMPLE_CHUNK at a time; the stream equals one draw."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples = {samples:,} is beyond the cap "
+                         f"eqmaps.MAX_SAMPLES = {MAX_SAMPLES:,}")
     for start in range(0, samples, _SAMPLE_CHUNK):
         yield random_sphere_points(r, min(_SAMPLE_CHUNK, samples - start), rng)
 

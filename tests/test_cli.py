@@ -709,6 +709,15 @@ class TestEqmap:
         assert code == 2
         assert report["error"] == "samples must be >= 1"
 
+    @pytest.mark.parametrize("mode", ["build", "verify"])
+    def test_samples_beyond_the_cap_are_input_error(self, capsys, deadline, mode):
+        with deadline(1.0):
+            code, report = run_cli(capsys, "eqmap", mode, "--r", "6",
+                                   "--samples", "1000000000000")
+        assert code == 2
+        assert report == {"error": "samples = 1,000,000,000,000 is beyond the cap "
+                                   "eqmaps.MAX_SAMPLES = 1,000,000", "flags": {"pass": False}}
+
     def test_build_r4_is_input_error(self, capsys):
         code, report = run_cli(capsys, "eqmap", "build", "--r", "4")
         assert code == 2

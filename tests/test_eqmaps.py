@@ -1049,15 +1049,31 @@ class TestSpuriousZeros:
         with pytest.raises(ValueError, match="samples must be >= 1"):
             eq.verify_equivariance(eq.identity_map(2), samples=samples)
 
+    def test_sample_count_beyond_the_cap_rejected(self):
+        match = r"samples = 1,000,001 is beyond the cap eqmaps\.MAX_SAMPLES = 1,000,000"
+        with pytest.raises(ValueError, match=match):
+            eq.verify_no_spurious_zeros(eq.identity_map(2), samples=eq.MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match=match):
+            eq.verify_equivariance(eq.identity_map(2), samples=eq.MAX_SAMPLES + 1)
+
 
 def circle_of(steps):
     """The circle map of the r = 2 plan of steps."""
     return ci.build_circle_map(plan_of(2, steps))[0]
 
 
-def every_step(z, below):
-    """All steps below `below`, last first: the loop that CircleMap._window narrows."""
-    return range(below - 1, -1, -1)
+def on_circle(theta):
+    """The points [[a, -a], [b, -b]] of z = sqrt(2)(a + ib) = e^{i theta}."""
+    X = np.zeros((len(theta), 2, 2))
+    X[:, :, 0] = np.stack([np.cos(theta), np.sin(theta)], axis=1) / math.sqrt(2.0)
+    X[:, :, 1] = -X[:, :, 0]
+    return X
+
+
+def sphere_images(steps, theta):
+    """MapLayer.eval_batch of the r = 2 plan of steps at the angles theta, as z."""
+    Y = eq.build_from_plan(plan_of(2, steps))[0].eval_batch(on_circle(theta))
+    return math.sqrt(2.0) * (Y[:, 0, 0] + 1j * Y[:, 1, 0])
 
 
 class TestWinding:
@@ -1083,35 +1099,55 @@ class TestWinding:
             plans.append(((1, first),) * 8)
             plans.append(((1, first), (1, -first)) * 4)
         theta = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-        X = np.zeros((len(theta), 2, 2))
-        X[:, :, 0] = np.stack([np.cos(theta), np.sin(theta)], axis=1) / math.sqrt(2.0)
-        X[:, :, 1] = -X[:, :, 0]
         for steps in plans:
-            plan = plan_of(2, steps)
-            circle_map, ledger = ci.build_circle_map(plan)
-            Y = eq.build_from_plan(plan)[0].eval_batch(X)
-            want = math.sqrt(2.0) * (Y[:, 0, 0] + 1j * Y[:, 1, 0])
+            circle_map, ledger = ci.build_circle_map(plan_of(2, steps))
             got = np.array([circle_map.image(complex(math.cos(t), math.sin(t))) for t in theta])
-            assert np.abs(got - want).max() < 1e-12, f"plan {steps}"
+            assert np.abs(got - sphere_images(steps, theta)).max() < 1e-12, f"plan {steps}"
             w = ci.winding_number(circle_map)
             assert w == ledger.final, f"plan {steps}: winding {w} != {ledger.final}"
             assert w % 2 == 1  # equivariant circle maps have odd degree
 
-    def test_window_equals_every_step(self):
-        """The windowed lookup gives the loop over every step's value, bit for bit."""
+    def test_image_matches_sphere_map_on_long_plans(self):
+        """On random plans of up to 40 steps the one step that image applies
+        gives MapLayer.eval_batch's value, which runs every step, to 1e-11
+        (1.4e-12 at worst), and moves some point."""
         rng = np.random.default_rng(8)
         for _ in range(20):
             steps = [(1, int(s)) for s in rng.choice((-1, 1), size=rng.integers(1, 41))]
             circle_map = circle_of(steps)
             theta = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False),
                                     rng.uniform(0.0, 2.0 * math.pi, 1024)])
-            hits = 0
-            for t in theta:
-                z = complex(math.cos(t), math.sin(t))
-                got = circle_map.image(z)
-                assert got == circle_map._image(z, every_step)
-                hits += got != z
-            assert hits > 0
+            z = np.array([complex(math.cos(t), math.sin(t)) for t in theta])
+            got = np.array([circle_map.image(w) for w in z])
+            assert np.abs(got - sphere_images(steps, theta)).max() < 1e-11, f"plan {steps}"
+            assert np.any(got != z)
+
+    def test_balls_are_disjoint_and_the_blend_keeps_points_in_them(self):
+        """What image rests on: no point lies in two balls, over every step
+        and both points of its orbit, and the reflection blend moves no
+        ball point farther from its center, at any lam."""
+        rng = np.random.default_rng(34)
+        plans = [[(1, int(s)) for s in rng.choice((-1, 1), size=rng.integers(1, 61))]
+                 for _ in range(40)] + [[(1, -1)] * 100, [(1, -1)] * 500]
+        for steps in plans:
+            circle_map = circle_of(steps)
+            R = circle_map.radius
+            centers = np.array(circle_map.centers)
+            centers = np.concatenate([centers, -centers])
+            arc = 2.0 * math.asin(R / 2.0)  # a ball's reach in angle from its center
+            inside = np.angle(centers)[:, None] + rng.uniform(-arc, arc, (len(centers), 20))
+            theta = np.concatenate([inside.ravel(), rng.uniform(0.0, 2.0 * math.pi, 2000)])
+            z = np.exp(1j * theta)
+            dist = np.abs(z[:, None] - centers[None, :])
+            in_ball = dist < R
+            assert in_ball.sum(axis=1).max() <= 1, f"plan {steps}"
+            rows, cols = np.nonzero(in_ball)
+            assert len(rows) > 0.9 * inside.size
+            zb, c, d = z[rows], centers[cols], dist[rows, cols]
+            v = 1j * c
+            for lam in (0.0, 0.3, 0.5, 0.9, 1.0):
+                y = zb - 2.0 * lam * (zb.real * v.real + zb.imag * v.imag) * v
+                assert np.all(np.abs(y / np.abs(y) - c) <= d + 1e-15), f"plan {steps}, lam {lam}"
 
     def test_requires_r2(self):
         with pytest.raises(ValueError, match="only for r = 2"):
