@@ -168,11 +168,11 @@ def cmd_eqmap(args) -> tuple[dict, dict, bool]:
     }
     residual = eq.verify_equivariance(layer, samples=args.samples, seed=args.seed)
     outputs["equivariance_max_residual"] = residual
-    zero_residual = max((eq.center_residual(step) for step in layer.chain()), default=0.0)
+    zero_residual = max(eq.center_residual(layer), default=0.0)
     outputs["homotopy_zero_residual"] = zero_residual
     passed = residual < 1e-9 and zero_residual < 1e-9
     if args.mode == "verify":
-        reports = [eq.verify_local_degrees(step) for step in layer.chain()]
+        reports = eq.verify_local_degrees(layer)
         outputs["local_degrees"] = [dataclasses.asdict(rep) for rep in reports]
         # an empty plan leaves the identity map, which is searched itself
         searches = eq.verify_no_spurious_zeros(layer, samples=args.samples, seed=args.seed)

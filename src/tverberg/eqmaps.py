@@ -157,6 +157,9 @@ class MapLayer:
         """The map at each point of X, (n, 2, r): the homotopy at t = 1, normalized."""
         return _homotopy(self, np.asarray(X, dtype=float), 1.0, normalize=True)
 
+    # The checks take the whole map; node, depth and chain stay because
+    # perfbench/tracer.py reads them for the spheremap trace's eqmaps.depth
+    # and eqmaps.centers, which CI pins at (3, 41).
     @property
     def node(self) -> Optional[ModificationNode]:
         """The last step, None for the identity."""
@@ -346,6 +349,27 @@ def _row_blocks(n: int) -> Iterator[slice]:
     return (slice(a, a + _EVAL_ROWS) for a in range(0, n, _EVAL_ROWS))
 
 
+def _blocks(counts: Sequence[int], block: int) -> Iterator[list[tuple[int, int, int]]]:
+    """Blocks of at most block rows of the steps, each a list of (step, lo, hi) pieces.
+
+    Each step's counts[step] rows are cut at multiples of block, so how a
+    step is split does not depend on the other steps; the pieces fill the
+    blocks in order, and a piece that does not fit starts the next block.
+    """
+    current: list[tuple[int, int, int]] = []
+    size = 0
+    for j, count in enumerate(counts):
+        for lo in range(0, count, block):
+            hi = min(lo + block, count)
+            if size + hi - lo > block:
+                yield current
+                current, size = [], 0
+            current.append((j, lo, hi))
+            size += hi - lo
+    if current:
+        yield current
+
+
 def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) -> float:
     """max over samples and generator permutations of |f(sigma x) - sigma f(x)|."""
     worst = 0.0
@@ -358,11 +382,26 @@ def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) ->
     return worst
 
 
-def center_residual(layer: MapLayer) -> float:
-    """max |h_1/2| over the last step's centers, where the homotopy should vanish."""
-    if layer.node is None:
-        raise ValueError("the identity map has no modification centers")
-    return float(_frob(_homotopy(layer, layer.node.centers, 0.5)).max())
+def _first(own: np.ndarray, steps: int) -> list[int]:
+    """The first offsets of _homotopy for rows on the steps own (ascending)."""
+    return own.searchsorted(np.arange(steps + 1)).tolist()
+
+
+def _step_blocks(rows: Sequence[np.ndarray], size: int
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of every step, in the _blocks of at most size rows, and the step of each row."""
+    for pieces in _blocks([len(R) for R in rows], size):
+        yield (np.concatenate([rows[j][lo:hi] for j, lo, hi in pieces]),
+               np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces]))
+
+
+def center_residual(layer: MapLayer) -> list[float]:
+    """max |h_1/2| over each step's centers, where the homotopy should vanish: one entry
+    per step, first applied first, each on the map after that step ([] for the identity)."""
+    worst = np.zeros(layer.depth)
+    for C, own in _step_blocks([node.centers for node in layer.nodes], _EVAL_ROWS):
+        np.maximum.at(worst, own, _frob(_homotopy(layer, C, 0.5, first=_first(own, layer.depth))))
+    return worst.tolist()
 
 
 def _ambient_basis(r: int) -> np.ndarray:
@@ -398,7 +437,8 @@ class LocalDegreeReport:
     matches_ledger: bool
 
 
-def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, own: np.ndarray
+                  ) -> np.ndarray:
     """Bordered central-difference Jacobian determinants of (x, t) -> h_t(x) at (centers, 1/2).
 
     Columns step by FD_STEP along the rows of E and along t, each x-step
@@ -406,55 +446,54 @@ def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray) -> np.nda
     A radial step reprojects onto c, so J_x c = 0, and for any oriented
     tangent basis b with det [c, b] = +1 the determinant equals that of
     the chart Jacobian [J_x b, J_t].  One batched homotopy evaluation
-    covers every stencil point of every center.
+    covers every stencil point of every center, center i on the map after
+    step own[i] (ascending).
     """
     m, n, step = len(centers), len(E), FD_STEP
+    first = [(2 * n + 2) * i for i in _first(own, layer.depth)]
     C = centers[:, None]
     # rows 2j and 2j+1 step along +-E[j]; the last two along +-t
     p = np.stack([C + step * E, C - step * E], axis=2).reshape(m, -1, 2, layer.r)
-    pts = np.concatenate([p / _frob(p)[..., None, None], C, C], axis=1)
+    pts = np.concatenate([p / _frob(p)[..., None, None], C, C], axis=1).reshape(-1, 2, layer.r)
     ts = np.full((m, 2 * n + 2), 0.5)
     ts[:, -2:] = 0.5 + step, 0.5 - step
-    H = _coords(E, _homotopy(layer, pts.reshape(-1, 2, layer.r), ts.ravel())).reshape(m, -1, n)
+    H = _coords(E, _homotopy(layer, pts, ts.ravel(), first=first)).reshape(m, -1, n)
     J = np.zeros((m, n + 1, n + 1))
     J[:, 0, :n] = _coords(E, centers)
     J[:, 1:] = ((H[:, 0::2] - H[:, 1::2]) / (2.0 * step)).transpose(0, 2, 1)
     return np.linalg.det(J)
 
 
-def verify_local_degrees(layer: MapLayer) -> LocalDegreeReport:
-    """Jacobian sign of (x, t) -> h_t(x) at every (center, 1/2).
+def verify_local_degrees(layer: MapLayer) -> list[LocalDegreeReport]:
+    """Jacobian sign of (x, t) -> h_t(x) at every (center, 1/2), one report per step as in
+    center_residual.
 
     The sign is read from the bordered Jacobian of _stencil_dets, which
     orients every center's tangent space by det [c, b] > 0; with that
     convention the measured delta sign is minus the Jacobian sign.
     Stencils of step FD_STEP are evaluated in blocks of at most
-    _EVAL_ROWS points.  In every plan build_from_plan admits, each
-    stencil point lies on the plateau of its ball, where |det| = 2 up to
-    rounding, so a center whose determinant is at most 1e-8 in magnitude
-    raises NumericalDegeneracyError.
+    _EVAL_ROWS points, which may mix steps.  In every plan build_from_plan
+    admits, each stencil point lies on the plateau of its ball, where
+    |det| = 2 up to rounding, so a center whose determinant is at most
+    1e-8 in magnitude raises NumericalDegeneracyError.
     """
-    node = layer.node
-    if node is None:
-        raise ValueError("identity layer has no modification step to verify")
-    E = _ambient_basis(layer.r)
+    E, centers = _ambient_basis(layer.r), [node.centers for node in layer.nodes]
     block = max(1, _EVAL_ROWS // (4 * layer.r - 2))
-    det = np.concatenate([_stencil_dets(layer, E, node.centers[i:i + block])
-                          for i in range(0, len(node.centers), block)])
-    flat = np.flatnonzero(~(np.abs(det) > 1e-8))
-    if len(flat):
-        raise NumericalDegeneracyError(f"Jacobian determinant at most 1e-8 in magnitude "
-                                       f"at center {flat[0]} of the k={node.k} step")
-    delta_signs = tuple(-1 if d > 0 else 1 for d in det)
-    consistent = len(set(delta_signs)) == 1
-    matches = consistent and delta_signs[0] == node.sign
-    return LocalDegreeReport(
-        k=node.k,
-        variant="minus" if node.sign < 0 else "plus",
-        delta_signs=delta_signs,
-        consistent=consistent,
-        matches_ledger=matches,
-    )
+    det = np.concatenate([np.empty(0)] + [_stencil_dets(layer, E, C, own)
+                                          for C, own in _step_blocks(centers, block)])
+    reports = []
+    for node, lo in zip(layer.nodes, np.cumsum([0] + [len(c) for c in centers])):
+        step_det = det[lo:lo + len(node.centers)]
+        flat = np.flatnonzero(~(np.abs(step_det) > 1e-8))
+        if len(flat):
+            raise NumericalDegeneracyError(f"Jacobian determinant at most 1e-8 in magnitude "
+                                           f"at center {flat[0]} of the k={node.k} step")
+        delta_signs = tuple(-1 if d > 0 else 1 for d in step_det)
+        consistent = len(set(delta_signs)) == 1
+        reports.append(LocalDegreeReport(k=node.k, variant="minus" if node.sign < 0 else "plus",
+                                         delta_signs=delta_signs, consistent=consistent,
+                                         matches_ledger=consistent and delta_signs[0] == node.sign))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -591,27 +630,6 @@ def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.n
     return sim.reshape(-1, N).take(flat, axis=0).reshape(V, B, N), fsim.take(flat).reshape(V, B)
 
 
-def _blocks(counts: Sequence[int], block: int) -> Iterator[list[tuple[int, int, int]]]:
-    """Nelder-Mead blocks of at most block starts, each a list of (step, lo, hi) starts.
-
-    Each step's starts are cut at multiples of block, so how a step is
-    split does not depend on the other steps; the pieces fill the blocks
-    in order, and a piece that does not fit starts the next block.
-    """
-    current: list[tuple[int, int, int]] = []
-    size = 0
-    for j, count in enumerate(counts):
-        for lo in range(0, count, block):
-            hi = min(lo + block, count)
-            if size + hi - lo > block:
-                yield current
-                current, size = [], 0
-            current.append((j, lo, hi))
-            size += hi - lo
-    if current:
-        yield current
-
-
 def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int = 0
                              ) -> list[SpuriousZeroSearch]:
     """Smallest |h_t(x)| found away from the designed zeros of each step, and where.
@@ -649,7 +667,7 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         return [SpuriousZeroSearch(minimum, None, None, None, evaluations, 0)]
 
     radius = np.array([node.radius for node in nodes])
-    zone, tube, bounds = ZERO_ZONE_FRACTION * radius, radius / 10.0, np.arange(m + 1)
+    zone, tube = ZERO_ZONE_FRACTION * radius, radius / 10.0
     best = [np.inf] * m
     where: list[tuple[Optional[float], Optional[float]]] = [(None, None)] * m
     evaluations = np.zeros(m, dtype=int)
@@ -660,13 +678,13 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         rows and recorded once for the call; and the rows outside the tubes."""
         vals, dmin = np.empty(len(X)), np.empty(len(X))
         for rows in _row_blocks(len(X)):
-            first = own[rows].searchsorted(bounds).tolist()
+            first = _first(own[rows], m)
             vals[rows] = _frob(_homotopy(layer, X[rows], T[rows], first=first, dmin=dmin[rows]))
         evaluations[:] += np.bincount(own, minlength=m)
         in_zero_zone[:] += np.bincount(own[dmin <= zone[own]], minlength=m)
         keep = ~((dmin < tube[own]) & (np.abs(T - 0.5) <= 0.1))
         masked = np.where(keep, vals, np.inf)
-        first = own.searchsorted(bounds).tolist()
+        first = _first(own, m)
         for j in range(m):
             if first[j] < first[j + 1]:  # where goes to the first row of the step's minimum
                 i = first[j] + int(np.argmin(masked[first[j]:first[j + 1]]))
@@ -699,11 +717,8 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
         return vals
 
     block = max(1, _SIMPLEX_FLOATS // ((2 * r + 2) * (2 * r + 1)))
-    for pieces in _blocks([len(Z) for Z in starts], block):
-        steps = np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces])
-        _nelder_mead_lockstep(lambda Z, rows: objective(Z, steps[rows]),
-                              np.concatenate([starts[j][lo:hi] for j, lo, hi in pieces]),
-                              REFINE_ITERS)
+    for Z0, steps in _step_blocks(starts, block):
+        _nelder_mead_lockstep(lambda Z, rows: objective(Z, steps[rows]), Z0, REFINE_ITERS)
 
     return [SpuriousZeroSearch(minimum=best[j], k=node.k, distance_in_R=where[j][0],
                                t=where[j][1], evaluations=int(evaluations[j]),

@@ -10,7 +10,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from tverberg import bounds as bd
@@ -195,22 +194,15 @@ def test_criterion_9_degree_zero_r6():
     residual = eq.verify_equivariance(layer, samples=10000, seed=42)
     ok = ok and residual < 1e-9
 
-    total_centers = 0
-    for step in layer.chain():
-        node = step.node
-        vals = eq._homotopy(step, node.centers, np.full(len(node.centers), 0.5))
-        ok = ok and float(eq._frob(vals).max()) < 1e-9
-        total_centers += len(node.centers)
-    ok = ok and total_centers == 41
+    residuals = eq.center_residual(layer)
+    ok = ok and len(residuals) == 3 and max(residuals) < 1e-9
+    ok = ok and sum(len(node.centers) for node in layer.nodes) == 41
 
-    sign_count = 0
-    for step in layer.chain():
-        rep = eq.verify_local_degrees(step)
-        sign_count += len(rep.delta_signs)
-        ok = ok and rep.consistent and rep.matches_ledger
-    ok = ok and sign_count == 41
+    reports = eq.verify_local_degrees(layer)
+    ok = ok and sum(len(rep.delta_signs) for rep in reports) == 41
+    ok = ok and all(rep.consistent and rep.matches_ledger for rep in reports)
     for k in (1, 2, 3):
-        minus, plus = (eq.verify_local_degrees(eq.build_from_plan(
+        (minus,), (plus,) = (eq.verify_local_degrees(eq.build_from_plan(
             nc.ModificationPlan(6, ((k, sign),)))[0]) for sign in (-1, 1))
         ok = ok and minus.delta_signs[0] == -plus.delta_signs[0]
 

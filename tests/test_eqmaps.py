@@ -437,14 +437,13 @@ class TestBuildFromPlan:
         layer, ledger = eq.build_from_plan(plan)
         assert ledger.running == (1, -5, -20, 0)
         assert [l.node.sign for l in layer.chain()] == [-1, -1, 1]
-        assert [eq.verify_local_degrees(l).variant for l in layer.chain()] == ["minus", "minus", "plus"]
+        assert [rep.variant for rep in eq.verify_local_degrees(layer)] == ["minus", "minus", "plus"]
 
     def test_r6_repeated_k_plan(self):
         plan = plan_of(6, ((1, -1), (1, -1), (2, 1), (1, 1)))
         layer, ledger = eq.build_from_plan(plan)
         assert ledger.running == (1, -5, -11, 4, 10) and ledger.final == plan.target
-        for step, (k, sign) in zip(layer.chain(), plan.steps):
-            rep = eq.verify_local_degrees(step)
+        for rep, (k, sign) in zip(eq.verify_local_degrees(layer), plan.steps, strict=True):
             assert (rep.k, rep.variant) == (k, "minus" if sign < 0 else "plus")
             assert rep.consistent and rep.matches_ledger
             assert set(rep.delta_signs) == {sign}
@@ -486,14 +485,6 @@ class TestHomotopy:
             node = layer.node
             H = eq._homotopy(layer, node.centers, np.full(len(node.centers), 0.5))
             assert eq._frob(H).max() < 1e-9
-
-    def test_center_residual_is_the_largest_value_at_the_centers(self):
-        for steps in (((1, -1),), ((1, 1),), ((1, -1), (1, 1))):
-            layer, _ = eq.build_from_plan(plan_of(2, steps))
-            H = eq._homotopy(layer, layer.node.centers, 0.5)
-            assert eq.center_residual(layer) == float(eq._frob(H).max()) < 1e-9
-        with pytest.raises(ValueError, match="no modification centers"):
-            eq.center_residual(eq.identity_map(2))
 
     def test_nonzero_at_t1(self):
         plan = certificate_to_plan(bezout_certificate(6))
@@ -707,37 +698,66 @@ def per_center_fd_signs(layer, fd_step=1e-5):
 
 class TestLocalDegrees:
     def test_r2_minus_step(self):
-        layer = one_step(2, 1)
-        rep = eq.verify_local_degrees(layer)
+        (rep,) = eq.verify_local_degrees(one_step(2, 1))
         assert len(rep.delta_signs) == 2
         assert rep.consistent and rep.matches_ledger
         assert rep.delta_signs[0] == -1
 
     def test_r6_k2_minus_step(self):
-        layer = one_step(6, 2)
-        rep = eq.verify_local_degrees(layer)
+        (rep,) = eq.verify_local_degrees(one_step(6, 2))
         assert len(rep.delta_signs) == 15
         assert rep.consistent and rep.matches_ledger
 
     def test_plus_minus_opposite_signs(self):
         for r, k in ((2, 1), (6, 1), (6, 2)):
-            minus = eq.verify_local_degrees(one_step(r, k))
-            plus = eq.verify_local_degrees(one_step(r, k, 1))
+            (minus,) = eq.verify_local_degrees(one_step(r, k))
+            (plus,) = eq.verify_local_degrees(one_step(r, k, 1))
             assert minus.delta_signs[0] == -plus.delta_signs[0]
-
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            eq.verify_local_degrees(eq.identity_map(2))
 
     @pytest.mark.parametrize("r, steps", [(6, "auto"), SEPARATED_PLANS[1], (10, "auto")])
     def test_batched_signs_match_per_center_reference(self, r, steps):
         plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
-        for step in layer.chain():
-            rep = eq.verify_local_degrees(step)
+        for step, rep in zip(layer.chain(), eq.verify_local_degrees(layer)):
             assert len(rep.delta_signs) == math.comb(r, step.node.k)
             assert rep.delta_signs == tuple(-s for s in per_center_fd_signs(step))
+
+    @pytest.mark.parametrize("r, steps", [(6, "auto"), SEPARATED_PLANS[1], (10, "auto"),
+                                          (2, ((1, -1), (1, 1)) * 60), (2, ((1, 1),)), (2, ())])
+    def test_one_pass_matches_each_prefix(self, r, steps):
+        """Both checks give each step what the map after it gives alone: the
+        center residual, the largest |h_1/2| at its centers, bit for bit, and
+        the delta signs exactly; the identity gets no entry."""
+        layer, _ = eq.build_from_plan(certificate_to_plan(bezout_certificate(r))
+                                      if steps == "auto" else plan_of(r, steps))
+        E = eq._ambient_basis(r)
+        residuals, signs = [], []
+        for step in layer.chain():
+            C = step.node.centers
+            residuals.append(float(eq._frob(eq._homotopy(step, C, np.full(len(C), 0.5))).max()))
+            det = eq._stencil_dets(step, E, C, np.full(len(C), step.depth - 1))
+            signs.append(tuple(-1 if d > 0 else 1 for d in det))
+        assert eq.center_residual(layer) == residuals and all(res < 1e-9 for res in residuals)
+        assert [rep.delta_signs for rep in eq.verify_local_degrees(layer)] == signs
+
+    def test_one_homotopy_call_per_row_block(self, monkeypatch):
+        """On 120 steps of 2 centers, each check evaluates its rows in at most
+        ceil(rows / _EVAL_ROWS) calls, not one per step, in blocks that mix
+        steps, with the results of one block."""
+        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, 1)) * 60))
+        whole = eq.center_residual(layer), eq.verify_local_degrees(layer)
+        homotopy, rows = eq._homotopy, []
+        monkeypatch.setattr(eq, "_homotopy", lambda layer, X, *args, **kwargs:
+                            rows.append(len(X)) or homotopy(layer, X, *args, **kwargs))
+        for block in (eq._EVAL_ROWS, 16 * 6):  # 16 centers of 6 stencil points
+            monkeypatch.setattr(eq, "_EVAL_ROWS", block)
+            for check, points, result in zip((eq.center_residual, eq.verify_local_degrees),
+                                             (1, 6), whole):
+                rows.clear()
+                assert check(layer) == result and len(result) == 120
+                assert sum(rows) == 240 * points
+                assert len(rows) <= math.ceil(sum(rows) / block)
 
     def test_flat_determinant_raises_naming_k_and_center(self, monkeypatch):
         """A determinant at most 1e-8 at one center fails the step at once,
@@ -747,9 +767,9 @@ class TestLocalDegrees:
         calls = []
         batched = eq._stencil_dets
 
-        def planted(layer, E, centers):
+        def planted(layer, E, centers, own):
             calls.append(len(centers))
-            det = batched(layer, E, centers)
+            det = batched(layer, E, centers, own)
             det[np.all(centers == flat, axis=(1, 2))] = 1e-9
             return det
 
@@ -770,11 +790,11 @@ class TestLocalDegrees:
         plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
-        E = eq._ambient_basis(r)
-        for step in layer.chain():
-            det = eq._stencil_dets(step, E, step.node.centers)
-            assert len(det) == math.comb(r, step.node.k)
-            assert np.abs(np.abs(det) - 2.0).max() < 1e-6
+        E, centers = eq._ambient_basis(r), [node.centers for node in layer.nodes]
+        det = np.concatenate([eq._stencil_dets(layer, E, C, own)
+                              for C, own in eq._step_blocks(centers, 64)])
+        assert len(det) == sum(math.comb(r, node.k) for node in layer.nodes)
+        assert np.abs(np.abs(det) - 2.0).max() < 1e-6
 
     def test_stencil_memory_is_bounded_by_point_blocks(self):
         """r = 100 has 100 centers of 398 stencil points each: blocks of
@@ -784,7 +804,7 @@ class TestLocalDegrees:
         layer = one_step(100, 1)
         tracemalloc.start()
         try:
-            rep = eq.verify_local_degrees(layer)
+            (rep,) = eq.verify_local_degrees(layer)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -796,10 +816,9 @@ class TestLocalDegrees:
         the determinant, linear in that row) flips every delta sign."""
         layer, _ = eq.build_from_plan(plan_of(6, ((1, -1), (2, 1))))
         batched = eq._stencil_dets
-        before = [eq.verify_local_degrees(step) for step in layer.chain()]
+        before = eq.verify_local_degrees(layer)
         monkeypatch.setattr(eq, "_stencil_dets", lambda *args: -batched(*args))
-        for step, rep in zip(layer.chain(), before):
-            mutant = eq.verify_local_degrees(step)
+        for rep, mutant in zip(before, eq.verify_local_degrees(layer), strict=True):
             assert rep.matches_ledger and mutant.consistent
             assert mutant.delta_signs == tuple(-s for s in rep.delta_signs)
             assert not mutant.matches_ledger
