@@ -159,7 +159,7 @@ def cmd_eqmap(args) -> tuple[dict, dict, bool]:
 
     import numpy  # before eq: a missing numpy fails here, not half-way through the lazy eqmaps
     if args.mode == "verify":
-        eq.check_polish_work(plan.r, len(plan.steps))
+        eq.check_verify_work(plan.r, [k for k, _ in plan.steps], args.samples)
     layer, ledger = eq.build_from_plan(plan)
     outputs = {
         "map": eq.layer_plan_json(layer),

@@ -28,7 +28,8 @@ independently.
 
 Everything numerical is float64; verification thresholds are part of the
 public contract (equivariance residuals ~1e-9, homotopy zeros at the
-pushed centers at parameter 1/2, a sampled search for spurious zeros).
+pushed centers at parameter 1/2, a search for spurious zeros on points
+sampled in a ball of each step).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ __all__ = [
     "center_residual",
     "verify_local_degrees",
     "verify_no_spurious_zeros",
-    "check_polish_work",
+    "check_verify_work",
     "SpuriousZeroSearch",
     "random_sphere_points",
     "generators",
@@ -333,20 +334,20 @@ def random_sphere_points(r: int, count: int, rng: np.random.Generator) -> np.nda
     return out
 
 
-def _sample_chunks(r: int, samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """samples uniform points, drawn _SAMPLE_CHUNK at a time; the stream equals one draw."""
+def _check_samples(samples: int) -> None:
+    """Refuse a sample count below 1 or beyond MAX_SAMPLES."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples = {samples:,} is beyond the cap "
                          f"eqmaps.MAX_SAMPLES = {MAX_SAMPLES:,}")
+
+
+def _sample_chunks(r: int, samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """samples uniform points, drawn _SAMPLE_CHUNK at a time; the stream equals one draw."""
+    _check_samples(samples)
     for start in range(0, samples, _SAMPLE_CHUNK):
         yield random_sphere_points(r, min(_SAMPLE_CHUNK, samples - start), rng)
-
-
-def _row_blocks(n: int) -> Iterator[slice]:
-    """n rows in order, _EVAL_ROWS at a time."""
-    return (slice(a, a + _EVAL_ROWS) for a in range(0, n, _EVAL_ROWS))
 
 
 def _blocks(counts: Sequence[int], block: int) -> Iterator[list[tuple[int, int, int]]]:
@@ -374,10 +375,10 @@ def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) ->
     """max over samples and generator permutations of |f(sigma x) - sigma f(x)|."""
     worst = 0.0
     for X in _sample_chunks(layer.r, samples, np.random.default_rng(seed)):
-        for rows in _row_blocks(len(X)):
-            FX = layer.eval_batch(X[rows])
+        for block in (X[a:a + _EVAL_ROWS] for a in range(0, len(X), _EVAL_ROWS)):
+            FX = layer.eval_batch(block)
             for sigma in generators(layer.r):
-                lhs = layer.eval_batch(_act_array(sigma, X[rows]))
+                lhs = layer.eval_batch(_act_array(sigma, block))
                 worst = max(worst, float(_frob(lhs - _act_array(sigma, FX)).max()))
     return worst
 
@@ -503,9 +504,8 @@ class SpuriousZeroSearch:
     minimum is the smallest |h_t(x)| found away from the designed zeros;
     k, distance_in_R (to the nearest center, in units of the step's
     radius) and t say where it lies (None for the identity map);
-    evaluations counts the homotopy points evaluated, samples plus
-    simplex points, and in_zero_zone those of them within 5R/8 of a
-    center, the only place a zero of h_t can lie.
+    evaluations counts the points evaluated, and in_zero_zone those of
+    them within 5R/8 of a center, the only place a zero of h_t can lie.
     """
 
     minimum: float
@@ -516,118 +516,45 @@ class SpuriousZeroSearch:
     in_zero_zone: int
 
 
-# Nelder-Mead coefficients (reflection, expansion, contraction, shrink)
-# and initial-simplex steps, as in scipy.optimize's non-adaptive method.
-_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
-_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
-# A start stops when its simplex spans at most _NM_XATOL in every coordinate
-# and at most _NM_FATOL in value (scipy's xatol and fatol).
-_NM_XATOL, _NM_FATOL = 1e-9, 1e-12
-# A second trial point is a * xbar - b * worst: (a, b) of the expansion,
-# the outside contraction and the inside one; each product is exact.
-_NM_TRIAL = np.array([[1 + _NM_RHO * _NM_CHI, _NM_RHO * _NM_CHI],
-                      [1 + _NM_PSI * _NM_RHO, _NM_PSI * _NM_RHO],
-                      [1 - _NM_PSI, -_NM_PSI]])
-REFINE_COUNT, REFINE_ITERS = 100, 120  # Nelder-Mead starts and iterations per step of the search
-# Simplex floats ((2r + 2) x (2r + 1) per start) per Nelder-Mead block of the
-# spurious search; bounds its memory.  Every r <= 24 runs a step's 100 starts in one block.
-_SIMPLEX_FLOATS = 2 ** 18
-# Steps x REFINE_COUNT x REFINE_ITERS x simplex floats that the spurious search
-# admits: one step up to r = 101, or the 7 steps of r = 15 auto six times over.
-MAX_POLISH_WORK = 500_000_000
+# Row-steps of the spurious search (each step's samples run that step and every
+# earlier one) plus stencil work (C(r,k) * r^3 a step) that `eqmap verify` admits:
+# one step up to r = 131, or the default search of 500 steps at r = 2 (22 s on a
+# 2-core Xeon).
+MAX_VERIFY_WORK = 300_000_000
 
 
-def check_polish_work(r: int, steps: int) -> None:
-    """Refuse a spurious search whose Nelder-Mead work bound exceeds MAX_POLISH_WORK."""
-    work = steps * REFINE_COUNT * REFINE_ITERS * (2 * r + 2) * (2 * r + 1)
-    if work > MAX_POLISH_WORK:
-        raise ValueError(f"the spurious-zero search would polish up to {work:,} simplex floats "
-                         f"at r={r} ({steps} steps x {REFINE_COUNT} starts x {REFINE_ITERS} "
-                         f"iterations x {2 * r + 2} x {2 * r + 1}), beyond the cap "
-                         f"eqmaps.MAX_POLISH_WORK = {MAX_POLISH_WORK:,}")
+def check_verify_work(r: int, ks: Sequence[int], samples: int) -> None:
+    """Refuse an `eqmap verify` of the steps ks whose work exceeds MAX_VERIFY_WORK."""
+    _check_samples(samples)
+    search = samples * len(ks) * (len(ks) + 1) // 2  # samples * sum_j (j + 1)
+    stencils = sum(math.comb(r, k) for k in ks) * r ** 3
+    if search + stencils > MAX_VERIFY_WORK:
+        raise ValueError(f"eqmap verify at r={r} would do {search + stencils:,} units of work "
+                         f"({search:,} search row-steps and {stencils:,} for the stencils), "
+                         f"beyond the cap eqmaps.MAX_VERIFY_WORK = {MAX_VERIFY_WORK:,}")
 
 
-def _nelder_mead_lockstep(objective, Z0: np.ndarray, maxiter: int) -> np.ndarray:
-    """Nelder-Mead from every row of Z0 at once; each start's best value.
+def _ball_sampler(node: ModificationNode, E: np.ndarray, seed: np.random.SeedSequence):
+    """Draws of n points in the ball of node.centers[0], and a t for each.
 
-    Step for step this is scipy.optimize.minimize(method="Nelder-Mead")
-    with maxiter, xatol = _NM_XATOL and fatol = _NM_FATOL applied to
-    each start on its own: the same initial simplex, the same branches and
-    arithmetic, the same numpy argsort of each simplex and the same
-    per-start stopping rule.
-    objective maps an (m, N) array of points and the (m,) rows of Z0
-    they start from to their m values; every iteration calls it at most
-    three times, for the reflections, the second trial points and the
-    shrinks of the starts still running.  The simplices are held vertex
-    first, sim[v, b] the v-th vertex of start b, so the centroid sums
-    whole vertex slices, in scipy's order; a start that stops leaves the
-    arrays, and the xatol test runs only on starts that pass fatol.
+    The exponential map at the center c, in the coordinates of E: a
+    Gaussian direction with its c component removed, at chord distance
+    d = R*sqrt(U), whose angle has cosine 1 - d^2/2 and sine
+    d*sqrt(1 - d^2/4), and t uniform on [0, 1].  Directions and (U, t)
+    come from two streams of seed, so draws of any sizes concatenate to
+    one draw.
     """
-    B, N = Z0.shape
-    sim = np.repeat(Z0[:, None, :], N + 1, axis=1)
-    diag = np.arange(N)
-    sim[:, diag + 1, diag] = np.where(Z0 != 0, (1 + _NM_NONZDELT) * Z0, _NM_ZDELT)
-    live = np.arange(B)
-    fsim = objective(sim.reshape(-1, N), np.repeat(live, N + 1)).reshape(B, N + 1).T
-    sim = sim.transpose(1, 0, 2)
-    # scipy sorts the initial simplex twice; numpy's default argsort is
-    # not stable on every machine, so the second sort can move ties.
-    for _ in range(2):
-        sim, fsim = _sort_simplices(sim, fsim)
+    directions, radii = (np.random.default_rng(s) for s in seed.spawn(2))
+    c = _coords(E, node.centers[0])
 
-    best = np.empty(B)
-    for _ in range(1, maxiter):
-        done = np.abs(fsim[:1] - fsim[1:]).max(axis=0) <= _NM_FATOL
-        flat = done.nonzero()[0]
-        if len(flat):
-            near = flat[np.abs(sim[-1, flat] - sim[0, flat]).max(axis=1) <= _NM_XATOL]
-            done[flat] = False
-            done[near] = np.abs(sim[1:, near] - sim[:1, near]).max(axis=(0, 2)) <= _NM_XATOL
-            if done.any():
-                best[live[done]] = fsim[0, done]
-                running = ~done
-                live, sim, fsim = live[running], sim[:, running], fsim[:, running]
-                if not len(live):
-                    return best
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        worst = sim[-1]
-        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = objective(xr, live)
-
-        expand = fxr < fsim[0]
-        accept = ~expand & (fxr < fsim[-2])
-        outside = ~expand & ~accept & (fxr < fsim[-1])
-        inside = ~(expand | accept | outside)
-        coef = _NM_TRIAL[outside + 2 * inside]
-        trial = coef[:, :1] * xbar - coef[:, 1:] * worst
-        ftrial = np.full(len(live), np.inf)
-        moved = (~accept).nonzero()[0]
-        if len(moved):
-            ftrial[moved] = objective(trial[moved], live[moved])
-
-        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
-                      | (inside & (ftrial < fsim[-1])))
-        shrink = ((outside | inside) & ~take_trial).nonzero()[0]
-        if len(shrink):
-            low = sim[:1, shrink]
-            shrunk = low + _NM_SIGMA * (sim[1:, shrink] - low)
-        # the reflection or the trial point replaces the worst vertex; a shrink replaces it again
-        sim[-1] = np.where(take_trial[:, None], trial, xr)
-        fsim[-1] = np.where(take_trial, ftrial, fxr)
-        if len(shrink):
-            sim[1:, shrink] = shrunk
-            fsim[1:, shrink] = objective(shrunk.transpose(1, 0, 2).reshape(-1, N),
-                                         np.repeat(live[shrink], N)).reshape(-1, N).T
-        sim, fsim = _sort_simplices(sim, fsim)
-    best[live] = fsim[0]
-    return best
-
-
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each start's vertices (sim[v, b], valued fsim[v, b]) in numpy's argsort order."""
-    V, B, N = sim.shape
-    flat = (np.argsort(fsim.T, axis=1).T * B + np.arange(B)).ravel()
-    return sim.reshape(-1, N).take(flat, axis=0).reshape(V, B, N), fsim.take(flat).reshape(V, B)
+    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
+        G = directions.standard_normal((n, len(E)))
+        G -= np.einsum("nb,b->n", G, c)[:, None] * c
+        U, T = radii.random((n, 2)).T
+        d2 = node.radius ** 2 * U
+        sine = np.sqrt(d2 * (1.0 - d2 / 4.0) / np.einsum("nb,nb->n", G, G))
+        return np.einsum("nb,bij->nij", (1.0 - d2 / 2.0)[:, None] * c + sine[:, None] * G, E), T
+    return draw
 
 
 def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int = 0
@@ -635,95 +562,45 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     """Smallest |h_t(x)| found away from the designed zeros of each step, and where.
 
     One search per step of layer, first applied first, each on the map
-    after that step (the identity map gets one search of its own).
-    Random points over the sphere times t in [0, 1], drawn once for all
-    steps, excluding tubes of radius R/10 around each pushed center for
-    t in [0.4, 0.6]; each step's REFINE_COUNT best samples are polished by
-    a derivative-free Nelder-Mead search of REFINE_ITERS iterations over
-    (x, t), with x re-centered and normalized onto the sphere and t
-    clipped to [0, 1].  All starts of all steps advance in lockstep, in
-    blocks of as many starts as keep their simplices within
-    _SIMPLEX_FLOATS floats (each step's starts cut at multiples of that
-    block size, see _blocks), one batched homotopy evaluation, in
-    _EVAL_ROWS rows at a time, per simplex move of a block, in which
-    each row runs its own step's map; each start takes
-    the steps of scipy.optimize.minimize(method="Nelder-Mead",
-    xatol=1e-9, fatol=1e-12) (batched evaluation can move a value in its
-    last bits only), and a step's points are recorded in the order of a
-    search of that step alone.  A minimum covers every point of its step
-    evaluated outside the exclusion tubes.  Sampled evidence only, but a
-    reported minimum above 1e-3 leaves no room for an unnoticed sign slip
-    in the degree ledger.  A layer whose polish bound exceeds
-    MAX_POLISH_WORK is refused before any sample is drawn.
+    after that step.  Step j's samples points lie in the ball of its
+    first center (_ball_sampler, from the j-th child of seed); off its
+    balls h_t is the normalized map below, |h_t| = 1 up to rounding, and
+    by equivariance every ball of the orbit holds the same values.
+    Every step's points go through one pass over the whole map in blocks
+    of _EVAL_ROWS rows with first offsets, excluding tubes of radius R/10
+    around each pushed center for t in [0.4, 0.6]; where goes to the
+    first point of the minimum in draw order, which no block size
+    changes.  The identity map gets one search of uniform points.
+    Sampled evidence only, but a reported minimum above 1e-3 leaves no
+    room for an unnoticed sign slip in the degree ledger.
     """
     nodes, r, m = layer.nodes, layer.r, len(layer.nodes)
-    check_polish_work(r, m)
-    rng = np.random.default_rng(seed)
+    _check_samples(samples)
     if not m:
-        minimum, evaluations = np.inf, 0
-        for X in _sample_chunks(r, samples, rng):
-            rng.uniform(0.0, 1.0, len(X))  # the t of each sample, as for a step
-            minimum, evaluations = min(minimum, float(_frob(X).min())), evaluations + len(X)
-        return [SpuriousZeroSearch(minimum, None, None, None, evaluations, 0)]
+        minimum = min(float(_frob(X).min())
+                      for X in _sample_chunks(r, samples, np.random.default_rng(seed)))
+        return [SpuriousZeroSearch(minimum, None, None, None, samples, 0)]
 
+    E = _ambient_basis(r)
+    draws = [_ball_sampler(node, E, child)
+             for node, child in zip(nodes, np.random.SeedSequence(seed).spawn(m))]
     radius = np.array([node.radius for node in nodes])
     zone, tube = ZERO_ZONE_FRACTION * radius, radius / 10.0
-    best = [np.inf] * m
-    where: list[tuple[Optional[float], Optional[float]]] = [(None, None)] * m
-    evaluations = np.zeros(m, dtype=int)
+    found: list[tuple[float, Optional[float], Optional[float]]] = [(np.inf, None, None)] * m
     in_zero_zone = np.zeros(m, dtype=int)
-
-    def evaluate(X: np.ndarray, T: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|h_T(X)|, row i on the map after step own[i] (ascending), in blocks of _EVAL_ROWS
-        rows and recorded once for the call; and the rows outside the tubes."""
-        vals, dmin = np.empty(len(X)), np.empty(len(X))
-        for rows in _row_blocks(len(X)):
-            first = _first(own[rows], m)
-            vals[rows] = _frob(_homotopy(layer, X[rows], T[rows], first=first, dmin=dmin[rows]))
-        evaluations[:] += np.bincount(own, minlength=m)
-        in_zero_zone[:] += np.bincount(own[dmin <= zone[own]], minlength=m)
-        keep = ~((dmin < tube[own]) & (np.abs(T - 0.5) <= 0.1))
-        masked = np.where(keep, vals, np.inf)
-        first = _first(own, m)
-        for j in range(m):
-            if first[j] < first[j + 1]:  # where goes to the first row of the step's minimum
-                i = first[j] + int(np.argmin(masked[first[j]:first[j + 1]]))
-                if masked[i] < best[j]:
-                    best[j], where[j] = float(masked[i]), (float(dmin[i] / radius[j]), float(T[i]))
-        return vals, keep
-
-    lows: list[list[np.ndarray]] = [[] for _ in nodes]
-    pools: list[list[np.ndarray]] = [[] for _ in nodes]
-    for X in _sample_chunks(r, samples, rng):
-        T = rng.uniform(0.0, 1.0, len(X))
-        for j in range(m):
-            vals, keep = evaluate(X, T, np.full(len(X), j))
-            kept = np.flatnonzero(keep)[np.argsort(vals[keep])[:REFINE_COUNT]]
-            lows[j].append(vals[kept])
-            pools[j].append(np.column_stack([X[kept].reshape(len(kept), 2 * r), T[kept]]))
-    # each step's REFINE_COUNT best rows over all chunks, ties in the order the chunks gave them
-    starts = [np.concatenate(pool)[np.argsort(np.concatenate(low), kind="stable")[:REFINE_COUNT]]
-              for low, pool in zip(lows, pools)]
-
-    def objective(Z: np.ndarray, own: np.ndarray) -> np.ndarray:
-        """|h_t(x)| at the points Z = (x, t), recorded, row i on step own[i]; 10 if x collapses."""
-        X = Z[:, :-1].reshape(len(Z), 2, r)
-        X = X - X.mean(axis=2, keepdims=True)
-        nx = _frob(X)
-        vals = np.full(len(Z), 10.0)
-        ok = ~(nx < 1e-9)
-        X = X[ok] / nx[ok, None, None]
-        vals[ok] = evaluate(X, np.clip(Z[ok, -1], 0.0, 1.0), own[ok])[0]
-        return vals
-
-    block = max(1, _SIMPLEX_FLOATS // ((2 * r + 2) * (2 * r + 1)))
-    for Z0, steps in _step_blocks(starts, block):
-        _nelder_mead_lockstep(lambda Z, rows: objective(Z, steps[rows]), Z0, REFINE_ITERS)
-
-    return [SpuriousZeroSearch(minimum=best[j], k=node.k, distance_in_R=where[j][0],
-                               t=where[j][1], evaluations=int(evaluations[j]),
-                               in_zero_zone=int(in_zero_zone[j]))
-            for j, node in enumerate(nodes)]
+    for pieces in _blocks([samples] * m, _EVAL_ROWS):
+        X, T = (np.concatenate(part) for part in zip(*(draws[j](hi - lo) for j, lo, hi in pieces)))
+        own = np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces])
+        first, dmin = _first(own, m), np.empty(len(X))
+        vals = _frob(_homotopy(layer, X, T, first=first, dmin=dmin))
+        in_zero_zone += np.bincount(own[dmin <= zone[own]], minlength=m)
+        vals[(dmin < tube[own]) & (np.abs(T - 0.5) <= 0.1)] = np.inf
+        for j, _, _ in pieces:
+            i = first[j] + int(np.argmin(vals[first[j]:first[j + 1]]))
+            if vals[i] < found[j][0]:  # (minimum, distance_in_R, t)
+                found[j] = (float(vals[i]), float(dmin[i] / radius[j]), float(T[i]))
+    return [SpuriousZeroSearch(minimum, node.k, d, t, samples, int(count))
+            for node, (minimum, d, t), count in zip(nodes, found, in_zero_zone)]
 
 
 def layer_plan_json(layer: MapLayer) -> dict:

@@ -658,39 +658,38 @@ class TestEqmap:
         validate("report", report)
         assert report["flags"]["pass"] is True
         out = report["outputs"]
-        # the search of each step alone, as one lockstep over all steps reports it
-        assert out["spurious_zero_min"] == 0.0955504767070221
+        # each step's 10,000 points in its own ball, about (5/8)^2 of them in the zero zone
+        assert out["spurious_zero_min"] == 0.04161824984570681
         assert out["spurious_zero_where"] == {
-            "k": 2, "distance_in_R": 0.23261737361244997, "t": 0.5034845684619533}
+            "k": 3, "distance_in_R": 0.1075518334403194, "t": 0.501758154904195}
         assert out["spurious_zero_steps"] == [
-            {"k": 1, "evaluations": 48688, "in_zero_zone": 1799},
-            {"k": 2, "evaluations": 54072, "in_zero_zone": 178},
-            {"k": 3, "evaluations": 53476, "in_zero_zone": 351},
+            {"k": 1, "evaluations": 10000, "in_zero_zone": 3856},
+            {"k": 2, "evaluations": 10000, "in_zero_zone": 4000},
+            {"k": 3, "evaluations": 10000, "in_zero_zone": 3999},
         ]
-        assert out["spurious_zero_evaluations"] == 48688 + 54072 + 53476
+        assert out["spurious_zero_evaluations"] == 30000
 
     def test_verify_r6_seed42_minimum_quoted_in_readme(self, capsys):
         code, report = run_cli(capsys, "eqmap", "verify", "--r", "6",
                                "--samples", "10000", "--seed", "42")
         assert code == 0
-        assert round(report["outputs"]["spurious_zero_min"], 3) == 0.076
+        assert round(report["outputs"]["spurious_zero_min"], 3) == 0.050
 
-    def test_verify_beyond_the_polish_cap_is_input_error(self, capsys, deadline, monkeypatch):
-        """The spurious search's Nelder-Mead bound is refused before the map is built."""
+    def test_verify_beyond_the_work_cap_is_input_error(self, capsys, deadline, monkeypatch):
+        """The work of verify, search depth and stencils, is refused before the map is built."""
         from tverberg import eqmaps as eq
 
         def unbuilt(plan):
-            raise AssertionError("the map was built before the polish cap was checked")
+            raise AssertionError("the map was built before the work cap was checked")
 
         monkeypatch.setattr(eq, "build_from_plan", unbuilt)
         with deadline(1.0):
             code, report = run_cli(capsys, "eqmap", "verify", "--r", "300", "--plan", "1:-",
                                    "--samples", "200")
         assert code == 2
-        assert report == {"error": "the spurious-zero search would polish up to 4,341,624,000 "
-                                   "simplex floats at r=300 (1 steps x 100 starts x 120 "
-                                   "iterations x 602 x 601), beyond the cap "
-                                   "eqmaps.MAX_POLISH_WORK = 500,000,000",
+        assert report == {"error": "eqmap verify at r=300 would do 8,100,000,200 units of work "
+                                   "(200 search row-steps and 8,100,000,000 for the stencils), "
+                                   "beyond the cap eqmaps.MAX_VERIFY_WORK = 300,000,000",
                           "flags": {"pass": False}}
 
     def test_verify_empty_plan_searches_the_identity(self, capsys):

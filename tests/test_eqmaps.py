@@ -831,51 +831,30 @@ class TestLocalDegrees:
             eq.verify_local_degrees(one_step(6, 2))
 
 
-def scipy_spurious_search(layer, samples, seed, refine_count, refine_iters):
-    """Reference: the same sampling, then scipy's Nelder-Mead start by start.
+def plan_layer(r, steps):
+    """The map of the auto plan at r, or of the given steps."""
+    plan = certificate_to_plan(bezout_certificate(r)) if steps == "auto" else plan_of(r, steps)
+    return eq.build_from_plan(plan)[0]
 
-    Returns the record minimum, the single-point objective, the starts
-    and each start's best value.
-    """
-    from scipy.optimize import minimize
 
-    node, r = layer.node, layer.r
-    rng = np.random.default_rng(seed)
-    record = [np.inf]
-    pool = []
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, 20000)
-        remaining -= n
-        X = eq.random_sphere_points(r, n, rng)
-        T = rng.uniform(0.0, 1.0, n)
-        vals = eq._frob(eq._homotopy(layer, X, T))
-        dmin = eq._nearest(node, X)[0]
-        keep = ~((dmin < node.radius / 10.0) & (np.abs(T - 0.5) <= 0.1))
-        record[0] = min(record[0], float(vals[keep].min()))
-        idx = np.flatnonzero(keep)[np.argsort(vals[keep])[:refine_count]]
-        pool.extend((float(vals[i]), X[i], float(T[i])) for i in idx)
+# The plans whose searches the tests below run.
+SEARCHED_PLANS = [(6, "auto"), (2, ((1, -1), (1, 1))), (6, ((1, -1), (1, -1), (2, 1), (1, 1))),
+                  (10, "auto")]
 
-    def objective(z):
-        x = z[:-1].reshape(2, r)
-        x = x - x.mean(axis=1, keepdims=True)
-        nx = float(eq._frob(x))
-        if nx < 1e-9:
-            return 10.0
-        x = x / nx
-        t = float(np.clip(z[-1], 0.0, 1.0))
-        val = float(eq._frob(eq._homotopy(layer, x[None], t)[0]))
-        dmin = eq._nearest(node, x[None])[0]
-        if not (dmin[0] < node.radius / 10.0 and abs(t - 0.5) <= 0.1):
-            record[0] = min(record[0], val)
-        return val
 
-    pool.sort(key=lambda entry: entry[0])
-    starts = np.array([np.append(x.ravel(), t) for _, x, t in pool[:refine_count]])
-    best = [minimize(objective, z0, method="Nelder-Mead",
-                     options={"maxiter": refine_iters, "xatol": 1e-9, "fatol": 1e-12}).fun
-            for z0 in starts]
-    return record[0], objective, starts, np.array(best)
+def searched_points(monkeypatch, layer, samples, seed):
+    """The search of layer and the (X, first) of each homotopy call it makes."""
+    calls = []
+    homotopy = eq._homotopy
+
+    def recording(layer, X, t, **kwargs):
+        calls.append((X.copy(), kwargs["first"]))
+        return homotopy(layer, X, t, **kwargs)
+
+    monkeypatch.setattr(eq, "_homotopy", recording)
+    searches = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed)
+    monkeypatch.setattr(eq, "_homotopy", homotopy)
+    return searches, calls
 
 
 class TestSpuriousZeros:
@@ -883,92 +862,65 @@ class TestSpuriousZeros:
         (search,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=2000, seed=0)
         assert abs(search.minimum - 1.0) < 1e-9
 
-    def test_one_step_r2(self, monkeypatch):
-        monkeypatch.setattr(eq, "REFINE_COUNT", 20)
-        monkeypatch.setattr(eq, "REFINE_ITERS", 60)
+    def test_one_step_r2(self):
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
         (search,) = eq.verify_no_spurious_zeros(layer, samples=20000, seed=3)
         assert search.minimum > 1e-3
 
-    @pytest.mark.parametrize("which, samples, seed, refine_count, refine_iters", [
-        ("r2 1:-", 20000, 3, 20, 60),
-        ("r6 auto k=3", 10000, 1, 10, 120),
-    ])
-    def test_lockstep_matches_scipy_nelder_mead(self, which, samples, seed,
-                                                refine_count, refine_iters, monkeypatch):
-        if which == "r2 1:-":
-            layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        else:
-            layer, _ = eq.build_from_plan(certificate_to_plan(bezout_certificate(6)))
-            assert (layer.node.k, layer.node.sign) == (3, 1)
-        record, objective, starts, best = scipy_spurious_search(
-            layer, samples, seed, refine_count, refine_iters)
-        assert len(starts) == refine_count
-        monkeypatch.setattr(eq, "REFINE_COUNT", refine_count)
-        monkeypatch.setattr(eq, "REFINE_ITERS", refine_iters)
-        search = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed)[-1]
-        assert abs(search.minimum - record) < 1e-12
-        lockstep = eq._nelder_mead_lockstep(
-            lambda Z, rows: np.array([objective(z) for z in Z]), starts, refine_iters)
-        assert np.abs(lockstep - best).max() < 1e-12
+    @pytest.mark.parametrize("r, steps", SEARCHED_PLANS)
+    def test_off_the_balls_the_homotopy_has_unit_norm(self, r, steps):
+        """The premise of searching each step in its own ball: off the balls of
+        step j, h_t on the map after step j is the normalized map below, so
+        | |h_t| - 1 | is rounding on uniform samples there, at every t."""
+        layer = plan_layer(r, steps)
+        rng = np.random.default_rng(2)
+        X = eq.random_sphere_points(r, 4000, rng)
+        T = rng.uniform(0.0, 1.0, len(X))
+        for j, prefix in enumerate(layer.chain()):
+            off = eq._nearest(layer.nodes[j], X)[0] >= layer.nodes[j].radius
+            assert off.sum() > 3000
+            norms = eq._frob(eq._homotopy(prefix, X[off], T[off]))
+            assert np.abs(norms - 1.0).max() <= 1e-12
 
-    @pytest.mark.parametrize("name", ["rosenbrock", "kinked"])
-    def test_lockstep_engine_matches_scipy_on_test_functions(self, name):
-        """Starts that converge early, shrink, or have zero coordinates."""
-        from scipy.optimize import minimize
+    def test_ball_points_lie_in_the_first_ball(self, monkeypatch):
+        """Each step's points lie on the sphere, nearest to the step's first
+        center, at distance R * sqrt(U): (5/8)^2 of them in the zero zone."""
+        layer = plan_layer(6, "auto")
+        searches, calls = searched_points(monkeypatch, layer, 3000, 4)
+        X = np.concatenate([x for x, _ in calls])
+        own = np.concatenate([np.repeat(np.arange(layer.depth), np.diff(first))
+                              for _, first in calls])
+        assert np.abs(eq._frob(X) - 1.0).max() < 1e-12
+        assert np.abs(X.sum(axis=2)).max() < 1e-12
+        for j, (node, search) in enumerate(zip(layer.nodes, searches)):
+            dist = np.sqrt(((X[own == j, None] - node.centers[None]) ** 2).sum(axis=(2, 3)))
+            assert np.all(dist.argmin(axis=1) == 0) and dist[:, 0].max() < node.radius
+            # the brute-force count of the zone points, within 5 sd of the law's mean
+            assert search.in_zero_zone == int((dist[:, 0] <= 0.625 * node.radius).sum())
+            assert abs(search.in_zero_zone - 3000 * 0.390625) < 5 * math.sqrt(3000 * 0.24)
 
-        def rosenbrock(z):
-            return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1 - z[:-1]) ** 2))
-
-        def kinked(z):
-            return float(np.abs(z).sum() + 3 * abs(z[0] - z[-1]) + np.cos(5 * z).sum())
-
-        f = {"rosenbrock": rosenbrock, "kinked": kinked}[name]
-        starts = np.random.default_rng(5).normal(size=(12, 4))
-        starts[::3, 1] = 0.0
-        ref = [minimize(f, z0, method="Nelder-Mead",
-                        options={"maxiter": 400, "xatol": 1e-9, "fatol": 1e-12})
-               for z0 in starts]
-        assert any(res.nit < 399 for res in ref)  # some starts stop on tolerance
-        calls = []
-
-        def objective(Z, rows):
-            calls.append(rows)
-            return np.array([f(z) for z in Z])
-
-        best = eq._nelder_mead_lockstep(objective, starts, 400)
-        assert np.abs(best - [res.fun for res in ref]).max() < 1e-12
-        # each point comes with the row of Z0 it starts from, in ascending order
-        # (the spurious search reads each row's step from it)
-        assert np.array_equal(calls[0], np.repeat(np.arange(12), 5))
-        assert all(np.all(np.diff(rows) >= 0) for rows in calls)
-
-    def test_polish_memory_is_bounded_by_simplex_blocks(self, monkeypatch):
-        """r = 100 has 100 starts of 202 x 201 simplex floats: blocks of 6 starts,
-        where one block of all 100 peaked at about 125 MB."""
+    def test_search_memory_is_bounded_by_row_blocks(self):
+        """r = 100: 20,000 ball points are drawn and evaluated _EVAL_ROWS at a
+        time, which peaks at about 32 MB; one block of them all peaked at 154 MB."""
         import tracemalloc
 
-        monkeypatch.setattr(eq, "REFINE_ITERS", 2)
         layer = one_step(100, 1)
         tracemalloc.start()
         try:
-            (search,) = eq.verify_no_spurious_zeros(layer, samples=200, seed=0)
+            (search,) = eq.verify_no_spurious_zeros(layer, samples=20000, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 200 samples and 100 initial simplices of 202 points, then one move per start
-        assert 200 + 100 * 202 < search.evaluations
+        assert search.evaluations == 20000
         assert peak < 40 * 2 ** 20
 
     @pytest.mark.parametrize("r, steps", [(6, "auto"), (2, ((1, -1), (1, 1)))])
     def test_blocks_leave_the_search_unchanged(self, r, steps, monkeypatch):
-        """Starts run on their own, so blocks of 7 starts give the report of one block."""
-        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
-                else plan_of(r, steps))
-        layer, _ = eq.build_from_plan(plan)
+        """A step's points come from its own draw in draw order, so blocks of
+        7 rows give the report of the default blocks, where included."""
+        layer = plan_layer(r, steps)
         whole = eq.verify_no_spurious_zeros(layer, samples=2000, seed=1)
-        assert eq.REFINE_COUNT * (2 * r + 2) * (2 * r + 1) <= eq._SIMPLEX_FLOATS
-        monkeypatch.setattr(eq, "_SIMPLEX_FLOATS", 7 * (2 * r + 2) * (2 * r + 1))
+        monkeypatch.setattr(eq, "_EVAL_ROWS", 7)
         assert eq.verify_no_spurious_zeros(layer, samples=2000, seed=1) == whole
 
     @pytest.mark.parametrize("counts, block", [
@@ -976,8 +928,8 @@ class TestSpuriousZeros:
         ([100, 100, 100], 1440),
     ])
     def test_blocks_cut_each_step_on_its_own(self, counts, block):
-        """Each step's starts are cut at multiples of block, whichever steps
-        share its blocks; the pieces fill blocks of at most block starts in
+        """Each step's rows are cut at multiples of block, whichever steps
+        share its blocks; the pieces fill blocks of at most block rows in
         step order."""
         blocks = list(eq._blocks(counts, block))
         assert all(0 < sum(hi - lo for _, lo, hi in pieces) <= block for pieces in blocks)
@@ -990,76 +942,68 @@ class TestSpuriousZeros:
         if counts == [5, 12, 3, 7]:  # step 1's partial piece shares a block with step 2
             assert blocks == [[(0, 0, 5)], [(1, 0, 8)], [(1, 8, 12), (2, 0, 3)], [(3, 0, 7)]]
 
-    @pytest.mark.parametrize("r, steps", [(6, "auto"), (2, ((1, -1), (1, 1))),
-                                          (6, ((1, -1), (1, -1), (2, 1), (1, 1))), (10, "auto")])
-    def test_each_step_gets_the_search_of_its_prefix(self, r, steps, monkeypatch):
-        """The lockstep over every step gives each step the search of the map
-        after it alone: in the default blocks, which hold several whole steps,
-        and, with 20 starts a step, in blocks of one step and of 7 starts.
-        That holds at tied minima too: every step of r = 10 auto and the
-        k = 1 steps of the second r = 6 plan report the identity's value, and
-        the first point to reach it says where."""
-        plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
-                else plan_of(r, steps))
-        layer, _ = eq.build_from_plan(plan)
-        floats = (2 * r + 2) * (2 * r + 1)
-        assert 2 * eq.REFINE_COUNT * floats <= eq._SIMPLEX_FLOATS
-        for count, starts in ((eq.REFINE_COUNT, None), (20, 20), (20, 7)):
-            monkeypatch.setattr(eq, "REFINE_COUNT", count)
-            if starts is not None:
-                monkeypatch.setattr(eq, "_SIMPLEX_FLOATS", starts * floats)
-            searches = eq.verify_no_spurious_zeros(layer, samples=2000, seed=1)
-            assert [search.k for search in searches] == [node.k for node in layer.nodes]
-            assert searches == [eq.verify_no_spurious_zeros(step, samples=2000, seed=1)[-1]
-                                for step in layer.chain()]
+    @pytest.mark.parametrize("r, steps", SEARCHED_PLANS)
+    def test_each_step_gets_the_search_of_its_prefix(self, r, steps):
+        """The one pass over every step gives each step the search of the map
+        after it alone, and every step reports points in its zero zone."""
+        layer = plan_layer(r, steps)
+        searches = eq.verify_no_spurious_zeros(layer, samples=2000, seed=1)
+        assert [search.k for search in searches] == [node.k for node in layer.nodes]
+        assert searches == [eq.verify_no_spurious_zeros(step, samples=2000, seed=1)[-1]
+                            for step in layer.chain()]
+        assert all(search.in_zero_zone > 0 for search in searches)
 
-    def test_reports_where_and_evaluations(self, monkeypatch):
-        monkeypatch.setattr(eq, "REFINE_COUNT", 5)
-        monkeypatch.setattr(eq, "REFINE_ITERS", 10)
+    def test_reports_where_and_evaluations(self):
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
         (search,) = eq.verify_no_spurious_zeros(layer, samples=2000, seed=0)
         assert search.k == 1
         assert 0.0 <= search.t <= 1.0
-        assert search.distance_in_R >= 0.0
+        assert 0.0 <= search.distance_in_R < 1.0
         assert not (search.distance_in_R < 0.1 and abs(search.t - 0.5) <= 0.1)
-        # 2000 samples, 5 initial simplices of 6 points, then 9 moves per start
-        # of 1 (reflection) to 7 (reflection, second trial, 5 shrunk points)
-        assert 2000 + 30 + 5 * 9 <= search.evaluations <= 2000 + 30 + 5 * 9 * 7
+        assert search.evaluations == 2000
         (identity,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
         assert (identity.k, identity.distance_in_R, identity.t) == (None, None, None)
         assert identity.evaluations == 300
 
     def test_counts_points_in_zero_zone(self, monkeypatch):
-        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        node = layer.node
-        X = eq.random_sphere_points(2, 3000, np.random.default_rng(4))
-        dist = np.sqrt(((X[:, None] - node.centers[None]) ** 2).sum(axis=(2, 3))).min(axis=1)
-        expected = int((dist <= 0.625 * node.radius).sum())
-        assert 0 < expected < 3000
-        monkeypatch.setattr(eq, "REFINE_COUNT", 0)
-        (samples_only,) = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4)
-        assert samples_only.evaluations == 3000
-        assert samples_only.in_zero_zone == expected
-        monkeypatch.setattr(eq, "REFINE_COUNT", 5)
-        monkeypatch.setattr(eq, "REFINE_ITERS", 10)
-        (refined,) = eq.verify_no_spurious_zeros(layer, samples=3000, seed=4)
-        assert expected <= refined.in_zero_zone <= expected + refined.evaluations - 3000
+        """in_zero_zone is the brute-force count of the evaluated points within
+        5R/8 of a center, step by step, in blocks that mix steps."""
+        layer = plan_layer(2, ((1, -1), (1, 1)))
+        monkeypatch.setattr(eq, "_EVAL_ROWS", 1000)
+        searches, calls = searched_points(monkeypatch, layer, 400, 4)
+        assert any(np.count_nonzero(np.diff(first)) > 1 for _, first in calls)
+        expected = [0, 0]
+        for X, first in calls:
+            for j, node in enumerate(layer.nodes):
+                rows = X[first[j]:first[j + 1]]
+                dist = np.sqrt(((rows[:, None] - node.centers[None]) ** 2).sum(axis=(2, 3)))
+                expected[j] += int((dist.min(axis=1) <= 0.625 * node.radius).sum())
+        assert [search.in_zero_zone for search in searches] == expected
+        assert all(0 < count < 400 for count in expected)
         (identity,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
         assert identity.in_zero_zone == 0
 
-    def test_polish_cap(self):
-        """MAX_POLISH_WORK admits the auto plans up to r = 15, the four-step
-        r = 6 plan and one step up to r = 101, and the search refuses more
-        before it draws a sample."""
+    def test_verify_work_cap(self):
+        """MAX_VERIFY_WORK counts the search's depth and the stencils: it admits
+        the auto plans up to r = 15 at the sample cap, the default search of
+        500 steps at r = 2 and one step up to r = 131, and refuses more."""
         for r in (6, 10, 12, 14, 15):
-            eq.check_polish_work(r, len(certificate_to_plan(bezout_certificate(r)).steps))
-        eq.check_polish_work(6, 4)
-        eq.check_polish_work(101, 1)
-        for r in (102, 300):
-            with pytest.raises(ValueError, match=r"beyond the cap eqmaps\.MAX_POLISH_WORK = "):
-                eq.check_polish_work(r, 1)
-        with pytest.raises(ValueError, match=r"polish up to 506,760,000 simplex floats at r=102"):
-            eq.verify_no_spurious_zeros(one_step(102, 1), samples=0)
+            ks = [k for k, _ in certificate_to_plan(bezout_certificate(r)).steps]
+            eq.check_verify_work(r, ks, eq.MAX_SAMPLES)
+        eq.check_verify_work(2, [1] * 500, 2000)
+        eq.check_verify_work(2, [1] * 500, 2395)
+        eq.check_verify_work(131, [1], 200)
+        eq.check_verify_work(2, [], eq.MAX_SAMPLES)
+        with pytest.raises(ValueError, match=r"300,107,000 units of work \(300,099,000 search "
+                                             r"row-steps and 8,000 for the stencils\)"):
+            eq.check_verify_work(2, [1] * 500, 2396)
+        for r in (132, 300):
+            with pytest.raises(ValueError, match=r"beyond the cap eqmaps\.MAX_VERIFY_WORK = "):
+                eq.check_verify_work(r, [1], 200)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            eq.check_verify_work(6, [1], 0)
+        with pytest.raises(ValueError, match=r"eqmaps\.MAX_SAMPLES = 1,000,000"):
+            eq.check_verify_work(300, [1], eq.MAX_SAMPLES + 1)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_empty_sample_set_rejected(self, samples):
