@@ -140,9 +140,10 @@ def _parse_plan(r: int, text: str) -> nc.ModificationPlan:
         if not part:
             continue
         k_str, _, sign_str = part.partition(":")
-        if sign_str not in ("+", "-"):
-            raise ValueError(f"bad plan step {part!r}; expected 'k:+' or 'k:-'")
-        steps.append((int(k_str), 1 if sign_str == "+" else -1))
+        try:
+            steps.append((int(k_str), {"+": 1, "-": -1}[sign_str]))
+        except (ValueError, KeyError):
+            raise ValueError(f"bad plan step {part!r}; expected 'k:+' or 'k:-'") from None
     return nc.ModificationPlan(r, steps)
 
 
@@ -158,6 +159,8 @@ def cmd_eqmap(args) -> tuple[dict, dict, bool]:
         return inputs, outputs, agrees
 
     import numpy  # before eq: a missing numpy fails here, not half-way through the lazy eqmaps
+    if args.seed < 0:  # numpy refuses it only when it first draws, after the build
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.mode == "verify":
         eq.check_verify_work(plan.r, [k for k, _ in plan.steps], args.samples)
     layer, ledger = eq.build_from_plan(plan)
@@ -181,9 +184,9 @@ def cmd_eqmap(args) -> tuple[dict, dict, bool]:
         outputs["spurious_zero_where"] = {
             "k": worst.k, "distance_in_R": worst.distance_in_R, "t": worst.t,
         }
-        outputs["spurious_zero_evaluations"] = sum(s.evaluations for s in searches)
+        outputs["spurious_zero_evaluations"] = args.samples * len(searches)
         outputs["spurious_zero_steps"] = [
-            {"k": s.k, "evaluations": s.evaluations, "in_zero_zone": s.in_zero_zone}
+            {"k": s.k, "evaluations": args.samples, "in_zero_zone": s.in_zero_zone}
             for s in searches
         ]
         passed = passed and worst.minimum > 1e-3 and all(

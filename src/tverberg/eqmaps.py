@@ -66,13 +66,12 @@ __all__ = [
 ]
 
 FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
-# Points per random draw of the sampled checks; bounds their memory.
-_SAMPLE_CHUNK = 20000
 # Points that a sampled check admits; bounds its time (`eqmap verify` at r = 6 auto
-# takes about 3.5 s at the cap, 2-core Xeon).
+# takes 4.8-5.9 s at the cap, shared 2-core Xeon).
 MAX_SAMPLES = 1_000_000
-# Rows per homotopy evaluation of the sampled checks, and stencil points (4r - 2
-# per center) per evaluation in verify_local_degrees; bounds their memory.
+# Rows per random draw and per homotopy evaluation of the sampled checks, and
+# stencil points (4r - 2 per center) per evaluation in verify_local_degrees;
+# bounds their memory.
 _EVAL_ROWS = 4096
 
 
@@ -321,17 +320,16 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
 # ---------------------------------------------------------------------------
 
 def random_sphere_points(r: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points: Gaussian, rows recentered, Frobenius-normalized."""
-    out = np.empty((count, 2, r))
-    need = np.arange(count)
-    while len(need):
-        draw = rng.standard_normal((len(need), 2, r))
-        draw -= draw.mean(axis=2, keepdims=True)
-        norms = _frob(draw)
-        ok = norms > 1e-6
-        out[need[ok]] = draw[ok] / norms[ok][:, None, None]
-        need = need[~ok]
-    return out
+    """Uniform points: Gaussian, rows recentered, Frobenius-normalized in place; the
+    points of norm at most 1e-6 are drawn again, after the whole draw, as one draw."""
+    X = rng.standard_normal((count, 2, r))
+    X -= X.mean(axis=2, keepdims=True)
+    norms = _frob(X)
+    low = np.flatnonzero(norms <= 1e-6)
+    if len(low):
+        X[low], norms[low] = random_sphere_points(r, len(low), rng), 1.0
+    X /= norms[:, None, None]
+    return X
 
 
 def _check_samples(samples: int) -> None:
@@ -343,65 +341,59 @@ def _check_samples(samples: int) -> None:
                          f"eqmaps.MAX_SAMPLES = {MAX_SAMPLES:,}")
 
 
-def _sample_chunks(r: int, samples: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """samples uniform points, drawn _SAMPLE_CHUNK at a time; the stream equals one draw."""
+def _sample_chunks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """samples uniform points of seed, drawn _EVAL_ROWS at a time; the stream equals one draw."""
     _check_samples(samples)
-    for start in range(0, samples, _SAMPLE_CHUNK):
-        yield random_sphere_points(r, min(_SAMPLE_CHUNK, samples - start), rng)
+    rng = np.random.default_rng(seed)
+    for _, own, _ in _step_blocks([samples], _EVAL_ROWS):
+        yield random_sphere_points(r, len(own), rng)
 
 
-def _blocks(counts: Sequence[int], block: int) -> Iterator[list[tuple[int, int, int]]]:
-    """Blocks of at most block rows of the steps, each a list of (step, lo, hi) pieces.
+def _step_blocks(counts: Sequence[int], size: int
+                 ) -> Iterator[tuple[list[tuple[int, int, int]], np.ndarray, list[int]]]:
+    """Blocks of at most size rows of the steps: the (step, lo, hi) pieces of
+    each, the step of each row, and the first offsets of _homotopy.
 
-    Each step's counts[step] rows are cut at multiples of block, so how a
+    Each step's counts[step] rows are cut at multiples of size, so how a
     step is split does not depend on the other steps; the pieces fill the
     blocks in order, and a piece that does not fit starts the next block.
     """
-    current: list[tuple[int, int, int]] = []
-    size = 0
+    def block(pieces):
+        own = np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces])
+        return pieces, own, own.searchsorted(np.arange(len(counts) + 1)).tolist()
+
+    pieces: list[tuple[int, int, int]] = []
+    rows = 0
     for j, count in enumerate(counts):
-        for lo in range(0, count, block):
-            hi = min(lo + block, count)
-            if size + hi - lo > block:
-                yield current
-                current, size = [], 0
-            current.append((j, lo, hi))
-            size += hi - lo
-    if current:
-        yield current
+        for lo in range(0, count, size):
+            hi = min(lo + size, count)
+            if rows + hi - lo > size:
+                yield block(pieces)
+                pieces, rows = [], 0
+            pieces.append((j, lo, hi))
+            rows += hi - lo
+    if pieces:
+        yield block(pieces)
 
 
 def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) -> float:
     """max over samples and generator permutations of |f(sigma x) - sigma f(x)|."""
     worst = 0.0
-    for X in _sample_chunks(layer.r, samples, np.random.default_rng(seed)):
-        for block in (X[a:a + _EVAL_ROWS] for a in range(0, len(X), _EVAL_ROWS)):
-            FX = layer.eval_batch(block)
-            for sigma in generators(layer.r):
-                lhs = layer.eval_batch(_act_array(sigma, block))
-                worst = max(worst, float(_frob(lhs - _act_array(sigma, FX)).max()))
+    for X in _sample_chunks(layer.r, samples, seed):
+        FX = layer.eval_batch(X)
+        for sigma in generators(layer.r):
+            lhs = layer.eval_batch(_act_array(sigma, X))
+            worst = max(worst, float(_frob(lhs - _act_array(sigma, FX)).max()))
     return worst
-
-
-def _first(own: np.ndarray, steps: int) -> list[int]:
-    """The first offsets of _homotopy for rows on the steps own (ascending)."""
-    return own.searchsorted(np.arange(steps + 1)).tolist()
-
-
-def _step_blocks(rows: Sequence[np.ndarray], size: int
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The rows of every step, in the _blocks of at most size rows, and the step of each row."""
-    for pieces in _blocks([len(R) for R in rows], size):
-        yield (np.concatenate([rows[j][lo:hi] for j, lo, hi in pieces]),
-               np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces]))
 
 
 def center_residual(layer: MapLayer) -> list[float]:
     """max |h_1/2| over each step's centers, where the homotopy should vanish: one entry
     per step, first applied first, each on the map after that step ([] for the identity)."""
-    worst = np.zeros(layer.depth)
-    for C, own in _step_blocks([node.centers for node in layer.nodes], _EVAL_ROWS):
-        np.maximum.at(worst, own, _frob(_homotopy(layer, C, 0.5, first=_first(own, layer.depth))))
+    worst, centers = np.zeros(layer.depth), [node.centers for node in layer.nodes]
+    for pieces, own, first in _step_blocks([len(C) for C in centers], _EVAL_ROWS):
+        C = np.concatenate([centers[j][lo:hi] for j, lo, hi in pieces])
+        np.maximum.at(worst, own, _frob(_homotopy(layer, C, 0.5, first=first)))
     return worst.tolist()
 
 
@@ -438,7 +430,7 @@ class LocalDegreeReport:
     matches_ledger: bool
 
 
-def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, own: np.ndarray
+def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, first: Sequence[int]
                   ) -> np.ndarray:
     """Bordered central-difference Jacobian determinants of (x, t) -> h_t(x) at (centers, 1/2).
 
@@ -447,18 +439,18 @@ def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, own: np.n
     A radial step reprojects onto c, so J_x c = 0, and for any oriented
     tangent basis b with det [c, b] = +1 the determinant equals that of
     the chart Jacobian [J_x b, J_t].  One batched homotopy evaluation
-    covers every stencil point of every center, center i on the map after
-    step own[i] (ascending).
+    covers every stencil point of every center, each on the map after its
+    own step: the centers first[j]:first[j + 1] are those of step j.
     """
     m, n, step = len(centers), len(E), FD_STEP
-    first = [(2 * n + 2) * i for i in _first(own, layer.depth)]
+    rows = [(2 * n + 2) * i for i in first]  # each center has 2n + 2 stencil points
     C = centers[:, None]
     # rows 2j and 2j+1 step along +-E[j]; the last two along +-t
     p = np.stack([C + step * E, C - step * E], axis=2).reshape(m, -1, 2, layer.r)
     pts = np.concatenate([p / _frob(p)[..., None, None], C, C], axis=1).reshape(-1, 2, layer.r)
     ts = np.full((m, 2 * n + 2), 0.5)
     ts[:, -2:] = 0.5 + step, 0.5 - step
-    H = _coords(E, _homotopy(layer, pts, ts.ravel(), first=first)).reshape(m, -1, n)
+    H = _coords(E, _homotopy(layer, pts, ts.ravel(), first=rows)).reshape(m, -1, n)
     J = np.zeros((m, n + 1, n + 1))
     J[:, 0, :n] = _coords(E, centers)
     J[:, 1:] = ((H[:, 0::2] - H[:, 1::2]) / (2.0 * step)).transpose(0, 2, 1)
@@ -480,8 +472,11 @@ def verify_local_degrees(layer: MapLayer) -> list[LocalDegreeReport]:
     """
     E, centers = _ambient_basis(layer.r), [node.centers for node in layer.nodes]
     block = max(1, _EVAL_ROWS // (4 * layer.r - 2))
-    det = np.concatenate([np.empty(0)] + [_stencil_dets(layer, E, C, own)
-                                          for C, own in _step_blocks(centers, block)])
+    dets = [np.empty(0)]
+    for pieces, _, first in _step_blocks([len(C) for C in centers], block):
+        C = np.concatenate([centers[j][lo:hi] for j, lo, hi in pieces])
+        dets.append(_stencil_dets(layer, E, C, first))
+    det = np.concatenate(dets)
     reports = []
     for node, lo in zip(layer.nodes, np.cumsum([0] + [len(c) for c in centers])):
         step_det = det[lo:lo + len(node.centers)]
@@ -504,15 +499,14 @@ class SpuriousZeroSearch:
     minimum is the smallest |h_t(x)| found away from the designed zeros;
     k, distance_in_R (to the nearest center, in units of the step's
     radius) and t say where it lies (None for the identity map);
-    evaluations counts the points evaluated, and in_zero_zone those of
-    them within 5R/8 of a center, the only place a zero of h_t can lie.
+    in_zero_zone counts the evaluated points within 5R/8 of a center,
+    the only place a zero of h_t can lie.
     """
 
     minimum: float
     k: Optional[int]
     distance_in_R: Optional[float]
     t: Optional[float]
-    evaluations: int
     in_zero_zone: int
 
 
@@ -577,9 +571,8 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     nodes, r, m = layer.nodes, layer.r, len(layer.nodes)
     _check_samples(samples)
     if not m:
-        minimum = min(float(_frob(X).min())
-                      for X in _sample_chunks(r, samples, np.random.default_rng(seed)))
-        return [SpuriousZeroSearch(minimum, None, None, None, samples, 0)]
+        minimum = min(float(_frob(X).min()) for X in _sample_chunks(r, samples, seed))
+        return [SpuriousZeroSearch(minimum, None, None, None, 0)]
 
     E = _ambient_basis(r)
     draws = [_ball_sampler(node, E, child)
@@ -588,10 +581,9 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     zone, tube = ZERO_ZONE_FRACTION * radius, radius / 10.0
     found: list[tuple[float, Optional[float], Optional[float]]] = [(np.inf, None, None)] * m
     in_zero_zone = np.zeros(m, dtype=int)
-    for pieces in _blocks([samples] * m, _EVAL_ROWS):
+    for pieces, own, first in _step_blocks([samples] * m, _EVAL_ROWS):
         X, T = (np.concatenate(part) for part in zip(*(draws[j](hi - lo) for j, lo, hi in pieces)))
-        own = np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces])
-        first, dmin = _first(own, m), np.empty(len(X))
+        dmin = np.empty(len(X))
         vals = _frob(_homotopy(layer, X, T, first=first, dmin=dmin))
         in_zero_zone += np.bincount(own[dmin <= zone[own]], minlength=m)
         vals[(dmin < tube[own]) & (np.abs(T - 0.5) <= 0.1)] = np.inf
@@ -599,7 +591,7 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
             i = first[j] + int(np.argmin(vals[first[j]:first[j + 1]]))
             if vals[i] < found[j][0]:  # (minimum, distance_in_R, t)
                 found[j] = (float(vals[i]), float(dmin[i] / radius[j]), float(T[i]))
-    return [SpuriousZeroSearch(minimum, node.k, d, t, samples, int(count))
+    return [SpuriousZeroSearch(minimum, node.k, d, t, int(count))
             for node, (minimum, d, t), count in zip(nodes, found, in_zero_zone)]
 
 

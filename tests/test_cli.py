@@ -717,6 +717,27 @@ class TestEqmap:
         assert report == {"error": "samples = 1,000,000,000,000 is beyond the cap "
                                    "eqmaps.MAX_SAMPLES = 1,000,000", "flags": {"pass": False}}
 
+    @pytest.mark.parametrize("mode", ["build", "verify", "winding"])
+    @pytest.mark.parametrize("plan, step", [("a:-", "a:-"), ("1:-, 1.5:+", "1.5:+"), ("1", "1")])
+    def test_bad_plan_step_is_input_error(self, capsys, mode, plan, step):
+        code, report = run_cli(capsys, "eqmap", mode, "--r", "6", "--plan", plan)
+        assert code == 2
+        assert report == {"error": f"bad plan step {step!r}; expected 'k:+' or 'k:-'",
+                          "flags": {"pass": False}}
+
+    @pytest.mark.parametrize("mode", ["build", "verify"])
+    def test_negative_seed_is_input_error_before_the_build(self, capsys, monkeypatch, mode):
+        from tverberg import eqmaps as eq
+
+        def unbuilt(plan):
+            raise AssertionError("the map was built before the seed was checked")
+
+        monkeypatch.setattr(eq, "build_from_plan", unbuilt)
+        code, report = run_cli(capsys, "eqmap", mode, "--r", "6", "--seed", "-1",
+                               "--samples", "10")
+        assert code == 2
+        assert report == {"error": "--seed must be >= 0, got -1", "flags": {"pass": False}}
+
     def test_build_r4_is_input_error(self, capsys):
         code, report = run_cli(capsys, "eqmap", "build", "--r", "4")
         assert code == 2

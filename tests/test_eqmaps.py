@@ -56,6 +56,25 @@ class TestSpherePoint:
         assert np.abs(X.sum(axis=2)).max() < 1e-12
         assert np.abs(eq._frob(X) - 1.0).max() < 1e-12
 
+    def test_points_near_zero_are_drawn_again(self):
+        """A point of norm at most 1e-6 after recentering is replaced by the
+        next draw, made after the whole first draw; the other points stay."""
+        first = np.random.default_rng(5).standard_normal((3, 2, 4))
+        first[1] = 7.0  # constant rows recenter to 0
+        again = np.random.default_rng(6).standard_normal((1, 2, 4))
+
+        class Planted:
+            draws = [first.copy(), again.copy()]
+
+            def standard_normal(self, shape):
+                assert shape == self.draws[0].shape
+                return self.draws.pop(0)
+
+        X = eq.random_sphere_points(4, 3, Planted())
+        expected = np.concatenate([first, again])[[0, 3, 2]]
+        expected -= expected.mean(axis=2, keepdims=True)
+        assert np.allclose(X, expected / eq._frob(expected)[:, None, None], rtol=0.0, atol=1e-15)
+
 
 class TestAction:
     def test_identity(self):
@@ -640,7 +659,8 @@ class TestEquivariance:
         assert eq.verify_equivariance(layer, samples=3000, seed=2) < 1e-9
 
     def test_samples_are_drawn_in_chunks(self, monkeypatch):
-        """No draw exceeds 20,000 points, and the chunks continue one stream."""
+        """Uniform points are drawn _EVAL_ROWS at a time, in the equivariance
+        check and the identity's search alike, and the chunks continue one stream."""
         draws = []
         draw = eq.random_sphere_points
 
@@ -651,9 +671,29 @@ class TestEquivariance:
         monkeypatch.setattr(eq, "random_sphere_points", recorded)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
         assert eq.verify_equivariance(layer, samples=45000, seed=4) < 1e-12
-        assert [len(X) for X in draws] == [20000, 20000, 5000]
+        assert [len(X) for X in draws] == [4096] * 10 + [4040] and eq._EVAL_ROWS == 4096
         once = draw(2, 45000, np.random.default_rng(4))
         assert np.array_equal(np.concatenate(draws), once)
+        draws.clear()
+        eq.verify_no_spurious_zeros(eq.identity_map(2), samples=9000, seed=4)
+        assert [len(X) for X in draws] == [4096, 4096, 808]
+        assert np.array_equal(np.concatenate(draws), once[:9000])
+
+    def test_equivariance_memory_is_bounded_by_row_blocks(self):
+        """r = 100: 20,000 uniform points are drawn and evaluated _EVAL_ROWS at
+        a time, which peaks at about 38 MB; draws of 20,000 points peaked at
+        about 123 MB."""
+        import tracemalloc
+
+        layer = one_step(100, 1)
+        tracemalloc.start()
+        try:
+            residual = eq.verify_equivariance(layer, samples=20000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual < 1e-9
+        assert peak < 40 * 2 ** 20
 
 
 def tangent_basis(E, center):
@@ -736,7 +776,7 @@ class TestLocalDegrees:
         for step in layer.chain():
             C = step.node.centers
             residuals.append(float(eq._frob(eq._homotopy(step, C, np.full(len(C), 0.5))).max()))
-            det = eq._stencil_dets(step, E, C, np.full(len(C), step.depth - 1))
+            det = eq._stencil_dets(step, E, C, [0] * step.depth + [len(C)])
             signs.append(tuple(-1 if d > 0 else 1 for d in det))
         assert eq.center_residual(layer) == residuals and all(res < 1e-9 for res in residuals)
         assert [rep.delta_signs for rep in eq.verify_local_degrees(layer)] == signs
@@ -767,9 +807,9 @@ class TestLocalDegrees:
         calls = []
         batched = eq._stencil_dets
 
-        def planted(layer, E, centers, own):
+        def planted(layer, E, centers, first):
             calls.append(len(centers))
-            det = batched(layer, E, centers, own)
+            det = batched(layer, E, centers, first)
             det[np.all(centers == flat, axis=(1, 2))] = 1e-9
             return det
 
@@ -791,8 +831,11 @@ class TestLocalDegrees:
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
         E, centers = eq._ambient_basis(r), [node.centers for node in layer.nodes]
-        det = np.concatenate([eq._stencil_dets(layer, E, C, own)
-                              for C, own in eq._step_blocks(centers, 64)])
+        det = []
+        for pieces, _, first in eq._step_blocks([len(C) for C in centers], 64):
+            C = np.concatenate([centers[j][lo:hi] for j, lo, hi in pieces])
+            det.extend(eq._stencil_dets(layer, E, C, first))
+        det = np.array(det)
         assert len(det) == sum(math.comb(r, node.k) for node in layer.nodes)
         assert np.abs(np.abs(det) - 2.0).max() < 1e-6
 
@@ -842,19 +885,25 @@ SEARCHED_PLANS = [(6, "auto"), (2, ((1, -1), (1, 1))), (6, ((1, -1), (1, -1), (2
                   (10, "auto")]
 
 
-def searched_points(monkeypatch, layer, samples, seed):
-    """The search of layer and the (X, first) of each homotopy call it makes."""
+def searched_points(monkeypatch, layer, samples, seed, keep=True):
+    """The search of layer and the (X, first) of each homotopy call it makes;
+    X is None unless keep."""
     calls = []
     homotopy = eq._homotopy
 
     def recording(layer, X, t, **kwargs):
-        calls.append((X.copy(), kwargs["first"]))
+        calls.append((X.copy() if keep else None, kwargs["first"]))
         return homotopy(layer, X, t, **kwargs)
 
     monkeypatch.setattr(eq, "_homotopy", recording)
     searches = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed)
     monkeypatch.setattr(eq, "_homotopy", homotopy)
     return searches, calls
+
+
+def rows_per_step(calls):
+    """The rows each step sent through _homotopy in the calls of searched_points."""
+    return np.sum([np.diff(first) for _, first in calls], axis=0).tolist()
 
 
 class TestSpuriousZeros:
@@ -899,7 +948,7 @@ class TestSpuriousZeros:
             assert search.in_zero_zone == int((dist[:, 0] <= 0.625 * node.radius).sum())
             assert abs(search.in_zero_zone - 3000 * 0.390625) < 5 * math.sqrt(3000 * 0.24)
 
-    def test_search_memory_is_bounded_by_row_blocks(self):
+    def test_search_memory_is_bounded_by_row_blocks(self, monkeypatch):
         """r = 100: 20,000 ball points are drawn and evaluated _EVAL_ROWS at a
         time, which peaks at about 32 MB; one block of them all peaked at 154 MB."""
         import tracemalloc
@@ -907,11 +956,12 @@ class TestSpuriousZeros:
         layer = one_step(100, 1)
         tracemalloc.start()
         try:
-            (search,) = eq.verify_no_spurious_zeros(layer, samples=20000, seed=0)
+            _, calls = searched_points(monkeypatch, layer, 20000, 0, keep=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert search.evaluations == 20000
+        assert rows_per_step(calls) == [20000]
+        assert max(first[-1] for _, first in calls) == eq._EVAL_ROWS
         assert peak < 40 * 2 ** 20
 
     @pytest.mark.parametrize("r, steps", [(6, "auto"), (2, ((1, -1), (1, 1)))])
@@ -930,14 +980,20 @@ class TestSpuriousZeros:
     def test_blocks_cut_each_step_on_its_own(self, counts, block):
         """Each step's rows are cut at multiples of block, whichever steps
         share its blocks; the pieces fill blocks of at most block rows in
-        step order."""
-        blocks = list(eq._blocks(counts, block))
+        step order.  Each block gives the step of each of its rows and the
+        first offsets of those steps in the block."""
+        blocks = [pieces for pieces, _, _ in eq._step_blocks(counts, block)]
         assert all(0 < sum(hi - lo for _, lo, hi in pieces) <= block for pieces in blocks)
+        for pieces, own, first in eq._step_blocks(counts, block):
+            assert own.tolist() == [j for j, lo, hi in pieces for _ in range(lo, hi)]
+            assert len(first) == len(counts) + 1 and first[0] == 0 and first[-1] == len(own)
+            assert all(np.all(own[first[j]:first[j + 1]] == j) for j in range(len(counts)))
         pieces = [piece for pieces in blocks for piece in pieces]
         assert [j for j, _, _ in pieces] == sorted(j for j, _, _ in pieces)
         for j, count in enumerate(counts):
             own = [(lo, hi) for step, lo, hi in pieces if step == j]
-            assert own == [(lo, hi) for alone in eq._blocks([count], block) for _, lo, hi in alone]
+            assert own == [(lo, hi) for alone, _, _ in eq._step_blocks([count], block)
+                           for _, lo, hi in alone]
             assert own == [(lo, min(lo + block, count)) for lo in range(0, count, block)]
         if counts == [5, 12, 3, 7]:  # step 1's partial piece shares a block with step 2
             assert blocks == [[(0, 0, 5)], [(1, 0, 8)], [(1, 8, 12), (2, 0, 3)], [(3, 0, 7)]]
@@ -953,17 +1009,22 @@ class TestSpuriousZeros:
                             for step in layer.chain()]
         assert all(search.in_zero_zone > 0 for search in searches)
 
-    def test_reports_where_and_evaluations(self):
+    def test_reports_where_and_evaluations(self, monkeypatch):
+        """The step sends its samples through _homotopy; the identity map's
+        search draws its samples and evaluates no homotopy."""
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1),)))
-        (search,) = eq.verify_no_spurious_zeros(layer, samples=2000, seed=0)
+        (search,), calls = searched_points(monkeypatch, layer, 2000, 0)
         assert search.k == 1
         assert 0.0 <= search.t <= 1.0
         assert 0.0 <= search.distance_in_R < 1.0
         assert not (search.distance_in_R < 0.1 and abs(search.t - 0.5) <= 0.1)
-        assert search.evaluations == 2000
-        (identity,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
+        assert rows_per_step(calls) == [2000]
+        draws, draw = [], eq.random_sphere_points
+        monkeypatch.setattr(eq, "random_sphere_points",
+                            lambda r, count, rng: draws.append(count) or draw(r, count, rng))
+        (identity,), calls = searched_points(monkeypatch, eq.identity_map(2), 300, 0)
         assert (identity.k, identity.distance_in_R, identity.t) == (None, None, None)
-        assert identity.evaluations == 300
+        assert calls == [] and sum(draws) == 300
 
     def test_counts_points_in_zero_zone(self, monkeypatch):
         """in_zero_zone is the brute-force count of the evaluated points within
