@@ -8,14 +8,16 @@ distance between two center orbits and the separation check built on it,
 the plan caps, and the degree ledger.  ``place_steps`` is the one
 placement of a plan's steps: each step's orbit k, sign, angle and radius,
 which both ``eqmaps.build_from_plan`` and ``build_circle_map`` build from.
+No two steps' balls meet, so each point of the sphere is moved by one
+step at most.
 
 At r = 2 the sphere is a circle.  A point X = [[a, -a], [b, -b]] is the
 complex number z = sqrt(2)(a + ib); the Frobenius distance and inner
 product become |z - w| and Re(z conj(w)).  Every step is a k = 1 step,
 and its orbit is the antipodal pair +-e^{i theta}.  ``CircleMap`` is the
 map of a plan there: ``CircleMap.image`` applies, in Python complex
-arithmetic, the one step whose ball can hold a point, one step of
-``eqmaps._homotopy`` at t = 1, and ``winding_number`` reads its exact
+arithmetic, the one step whose ball can hold a point, as
+``eqmaps._homotopy`` does at t = 1, and ``winding_number`` reads its exact
 degree, so ``eqmap winding`` runs without numpy.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 from . import NumericalDegeneracyError
 
@@ -45,8 +47,9 @@ __all__ = [
 _NORM_FLOOR = 1e-9
 PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the radius
 # The radius of a step at k, as written to plan JSON; n counts the plan's
-# steps at k; the sine binds only for n > 1 (see step_radius).
-RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)))"
+# steps at k, the sine binds only for n > 1 (see step_radius), and k' runs
+# over the plan's other orbit sizes (see place_steps).
+RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)), orbit_dist(k, k')/2)"
 MAX_PLAN_STEPS = 500  # the builders refuse longer plans before building anything
 # place_steps refuses larger orbits before placing anything; C(15,6) is the
 # largest orbit of any r <= 15 certificate plan.  The cap bounds the memory and
@@ -63,7 +66,7 @@ class WindingNonconvergenceError(NumericalDegeneracyError):
 
 
 class CenterSeparationError(RuntimeError):
-    """Orbit balls of distinct steps interfere; degree tracking unsound."""
+    """The balls of two steps meet; degree tracking unsound."""
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +127,13 @@ def safe_radius(r: int, k: int) -> float:
 
 
 def step_radius(r: int, k: int, n: int) -> float:
-    """The radius of each of a plan's n steps at k (RADIUS_RULE).
+    """The same-k radius of each of a plan's n steps at k; place_steps may shrink it.
 
     Adjacent families at k are a chord 2*sin(pi/(4n)) apart (the angles
-    stay in [0, pi/2)), so capping the radius at sin(pi/(4n)) keeps
-    1.625*R below that chord and the new inner zones clear of every
-    earlier ball; R <= min_orbit_dist/3 keeps the balls of one orbit
-    disjoint.  For n = 1 the cap is sin(pi/4) > 2/3 >= min_orbit_dist/3,
-    so R is safe_radius(r, k).
+    stay in [0, pi/2)), so capping the radius at sin(pi/(4n)) keeps two
+    such balls from meeting; R <= min_orbit_dist/3 keeps the balls of
+    one orbit disjoint.  For n = 1 the cap is sin(pi/4) > 2/3 >=
+    min_orbit_dist/3, so R is safe_radius(r, k).
     """
     return min(safe_radius(r, k), math.sin(math.pi / (4 * n)))
 
@@ -154,36 +156,38 @@ def orbit_distance(r: int, k: int, theta: float, k2: int, theta2: float) -> floa
     return math.sqrt(2.0 * (1.0 - rho) + 4.0 * rho * math.sin(0.5 * (theta - theta2)) ** 2)
 
 
-def _check_separation(r: int, earlier: Iterable[tuple[int, float, float]], k: int,
+def _check_separation(r: int, placed: Sequence[tuple[int, int, float, float]], k: int,
                       theta: float, radius: float) -> None:
-    """Zero locations of the new step must see an untouched base map.
+    """The balls of the new step, (k, theta, radius), must meet no ball of the placed steps.
 
-    Homotopy zeros can only occur where the bump is at least 1/2, i.e.
-    within 5R/8 of a new center, and they force the base map to hit its
-    center value there; so that inner zone (plus the centers themselves)
-    must stay clear of every earlier step's support balls, where the
-    base map is wild.  earlier holds (k, theta, radius) of each earlier
-    step, and orbit_distance measures the two orbits apart.
+    placed holds the (k, sign, theta, radius) of the steps before it, and
+    orbit_distance measures two orbits apart.  Two open caps on the
+    sphere are disjoint iff their arcs 2*asin(R/2) add up to no more than
+    the arc 2*asin(D/2) between their centers; unlike the chordal
+    D >= R1 + R2, which it follows from, this keeps its slack for
+    same-k steps that the sine cap of step_radius makes touch.
     """
-    inner = ZERO_ZONE_FRACTION * radius
-    for k0, theta0, radius0 in earlier:
-        dmin = orbit_distance(r, k0, theta0, k, theta)
-        if dmin <= radius0 + inner:
+    arc = math.asin(radius / 2.0)
+    for j, (k0, _, theta0, radius0) in enumerate(placed):
+        dist = orbit_distance(r, k0, theta0, k, theta)
+        if math.asin(radius0 / 2.0) + arc > math.asin(dist / 2.0):
             raise CenterSeparationError(
-                f"k={k} inner zones reach into the k={k0} balls "
-                f"(distance {dmin:.6f} <= {radius0:.6f} + {inner:.6f})"
+                f"the balls of step {len(placed)} (k={k}, radius {radius:.6f}) meet those of "
+                f"step {j} (k={k0}, radius {radius0:.6f}) at orbit distance {dist:.6f}"
             )
 
 
 def place_steps(plan) -> list[tuple[int, int, float, float]]:
     """Each step's (k, sign, theta, radius), first applied first.
 
-    The j-th of a plan's n steps at k sits at theta_j = j*pi/(2n) with the
-    radius step_radius(r, k, n), and _check_separation keeps its inner
-    zones clear of every earlier ball, so the map below each step is the
-    identity wherever that step can have a zero.  A plan of more than
-    MAX_PLAN_STEPS steps, or with an orbit of more than MAX_ORBIT
-    centers, is refused before any step is placed.
+    The j-th of a plan's n steps at k sits at theta_j = j*pi/(2n).  Its
+    radius is step_radius(r, k, n), bounded by half the distance
+    orbit_distance(r, k, 0, k', 0) to every other k' of the plan, the
+    least distance of the two orbits at any pair of angles.  So no two
+    steps' balls meet, which _check_separation confirms pair by pair,
+    and the map below each step is the identity wherever that step
+    acts.  A plan of more than MAX_PLAN_STEPS steps, or with an orbit of
+    more than MAX_ORBIT centers, is refused before any step is placed.
     """
     if len(plan.steps) > MAX_PLAN_STEPS:
         raise ValueError(f"plan has {len(plan.steps)} steps, beyond the builder's cap "
@@ -193,13 +197,16 @@ def place_steps(plan) -> list[tuple[int, int, float, float]]:
             raise ValueError(f"plan step k={k} has C({plan.r},{k}) = {math.comb(plan.r, k)} "
                              f"centers, beyond the builder's cap MAX_ORBIT = {MAX_ORBIT}")
     per_k, seen = Counter(k for k, _ in plan.steps), Counter()
+    radii = {k: min([step_radius(plan.r, k, n)] + [orbit_distance(plan.r, k, 0.0, k2, 0.0) / 2.0
+                                                   for k2 in per_k if k2 != k])
+             for k, n in per_k.items()}
     placed: list[tuple[int, int, float, float]] = []
     for k, sign in plan.steps:
         j, n = seen[k], per_k[k]  # the j-th of the plan's n steps at k
         seen[k] += 1
-        theta, radius = j * math.pi / (2 * n), step_radius(plan.r, k, n)
-        _check_separation(plan.r, ((k0, t0, r0) for k0, _, t0, r0 in placed), k, theta, radius)
-        placed.append((k, sign, theta, radius))
+        theta = j * math.pi / (2 * n)
+        _check_separation(plan.r, placed, k, theta, radii[k])
+        placed.append((k, sign, theta, radii[k]))
     return placed
 
 
@@ -243,8 +250,8 @@ class CircleMap:
     Step j of n has the sign signs[j] and the orbit +-centers[j],
     centers[j] = e^{i theta_j} with theta_j = j*pi/(2n) (eqmaps places
     c_theta at -e^{i theta_j}, the same orbit); all share one radius.
-    image is one step of eqmaps._homotopy at t = 1.  The identity has no
-    steps, and its radius 1.0 only sizes the first grid of winding_number.
+    image is eqmaps._homotopy at t = 1.  The identity has no steps, and
+    its radius 1.0 only sizes the first grid of winding_number.
     """
 
     signs: tuple[int, ...]
@@ -252,7 +259,7 @@ class CircleMap:
     centers: tuple[complex, ...]
 
     def image(self, z: complex) -> complex:
-        """The map at the unit point z: one step of eqmaps._homotopy at t = 1.
+        """The map at the unit point z, as eqmaps._homotopy gives it at t = 1.
 
         Modulo pi, z's angle lies x spacings of pi/(2n) from 0, and step j
         sits at j spacings.  build_circle_map asserts 2*asin(R/2) < pi/(4n):
@@ -261,8 +268,8 @@ class CircleMap:
         if that is n or more).  Nor does a plus step's blend move z out of
         its ball: with v = ic, z = a*c + b*v and a = <z, c> > 7/9 (R <= 2/3),
         the blend y = a*c + (1 - 2*lam)*b*v has a <= |y| <= 1, so y/|y| is
-        no farther from c than z.  So no other step acts on z, and the two passes
-        reduce to the blend, one subtraction of 2*rho*c and one normalization.
+        no farther from c than z.  So no other step acts on z, and the map is
+        the blend, one subtraction of 2*rho*c and one normalization.
         """
         n = len(self.signs)
         i = round(math.atan2(z.imag, z.real) % math.pi * (2 * n) / math.pi) % max(2 * n, 1)
@@ -299,9 +306,9 @@ def build_circle_map(plan) -> tuple[CircleMap, DegreeLedger]:
     placed = place_steps(plan)
     n = len(placed)
     radius = placed[0][3] if n else 1.0
-    # CircleMap.image, one step of eqmaps._homotopy at t = 1, rests on this: one radius,
-    # step j at j*pi/(2n) mod pi, and each ball's arc reaching 2*asin(R/2) from its step,
-    # less than half a spacing, so no two balls meet
+    # CircleMap.image's search for the one step that can hold a point rests on this: one
+    # radius, step j at j*pi/(2n) mod pi, and each ball's arc reaching 2*asin(R/2) from its
+    # step, less than half a spacing
     assert not n or 2.0 * math.asin(radius / 2.0) < math.pi / (4 * n)
     centers = tuple(complex(math.cos(theta), math.sin(theta)) for _, _, theta, _ in placed)
     return CircleMap(tuple(s for _, s, _, _ in placed), radius, centers), DegreeLedger.of_plan(plan)

@@ -13,10 +13,11 @@ orbit has C(r,k) points; the step normalizes M, places it as c_theta =
 the orbit through the origin and reprojects to the sphere.  Rotating the
 rows commutes with permuting the columns, so every angle gives an orbit
 with the same isotropy; the j-th of n steps at the same k uses theta_j =
-j*pi/(2n), which keeps its balls away from every earlier step.  The base
-map is therefore the identity at each new center family, and a step
-moves the mapping degree by exactly +-C(r,k); a Bezout certificate for
--1 drives the total from 1 to 0.
+j*pi/(2n), and circle.place_steps sizes the radii so that no two steps'
+balls meet.  The base map is therefore the identity on each new step's
+balls, each point is moved by one step at most, and a step moves the
+mapping degree by exactly +-C(r,k); a Bezout certificate for -1 drives
+the total from 1 to 0.
 
 Two mechanisms realize the two signs: the "minus" formula subtracts
 2*rho(x)*f(center) directly (delta -C(r,k)), the "plus" formula first
@@ -69,9 +70,9 @@ FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
 # Points that a sampled check admits; bounds its time (`eqmap verify` at r = 6 auto
 # takes 4.8-5.9 s at the cap, shared 2-core Xeon).
 MAX_SAMPLES = 1_000_000
-# Rows per random draw and per homotopy evaluation of the sampled checks, and
-# stencil points (4r - 2 per center) per evaluation in verify_local_degrees;
-# bounds their memory.
+# Rows per random draw and per homotopy evaluation of the sampled checks and
+# center_residual, and stencil points (4r - 2 per center) per evaluation in
+# verify_local_degrees; bounds their memory.
 _EVAL_ROWS = 4096
 
 
@@ -201,21 +202,20 @@ def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _balls(node: ModificationNode, X: np.ndarray,
-           head: Optional[np.ndarray] = None) -> Optional[tuple[np.ndarray, ...]]:
+           dmin: Optional[np.ndarray] = None) -> Optional[tuple[np.ndarray, ...]]:
     """Rows of X in the step's balls, their bumps, nearest centers and distances; None if none.
 
-    The closed-form distance of _nearest selects the rows (head, if
-    given, receives it on the first len(head) rows), and the bump is
-    taken only where it is below the radius, since it is 0 from there
-    on; the bump of a selected row is taken from the distance to the
-    located center itself, since the expanded form loses digits near a
-    center (absolute error ~eps/d).
+    The closed-form distance of _nearest selects the rows (dmin, if
+    given, receives it), and the bump is taken only where it is below
+    the radius, since it is 0 from there on; the bump of a selected row
+    is taken from the distance to the located center itself, since the
+    expanded form loses digits near a center (absolute error ~eps/d).
     """
-    dmin, gains, kth = _nearest(node, X)
-    if head is not None:
-        head[:] = dmin[:len(head)]
-    sel = (dmin < node.radius).nonzero()[0]
-    sel = sel[_bump(dmin[sel], node.radius) > 0.0]
+    near, gains, kth = _nearest(node, X)
+    if dmin is not None:
+        dmin[:] = near
+    sel = (near < node.radius).nonzero()[0]
+    sel = sel[_bump(near[sel], node.radius) > 0.0]
     if not len(sel):
         return None
     C = _orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
@@ -246,53 +246,37 @@ def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,
 
 
 def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False,
-              first: Optional[Sequence[int]] = None, dmin: Optional[np.ndarray] = None
-              ) -> np.ndarray:
+              dmin: Optional[np.ndarray] = None) -> np.ndarray:
     """h_t = f(phi(x)) - 2*t*rho(x)*c on the last step's balls, f(x) off them.
 
     f is the map of the earlier steps (each this formula at t = 1,
     normalized), the identity at the nearest center c; phi is the identity
     ("minus") or the reflection blended in with tau = min(3t, 1) ("plus").
     t = 0 gives f, the zeros sit at the centers at t = 1/2; normalize reprojects.
-    Given first, each row takes its own prefix of the steps: the rows
-    first[j]:first[j + 1] take the map after step j, whose step j carries
-    t, so step i acts on the suffix of rows from first[i] on.  Last step to
-    first, each step finds its balls (one _nearest) and a plus step moves
-    their rows by phi; first to last, each subtracts 2*t*rho*c, normalized
-    on the rows it is not the last step of.  dmin, if given, receives each
-    row's distance to the nearest center of its own last step, which no
-    later step has moved when that step reads it.
+    No two steps' balls meet (circle.place_steps), and phi keeps a point
+    in its ball, so f is the identity on phi of the last step's balls and
+    every row is moved by the one step whose balls hold it: each step
+    reads its balls from X itself.  dmin, if given, receives each row's
+    distance to the nearest center of the last step.
     """
-    nodes = layer.nodes
-    if first is None:
-        first = [0] * len(nodes) + [len(X)]
-    Y = X.copy()
-    t = np.asarray(t, dtype=float)
-    pushes = []
-    for i in reversed(range(len(nodes))):
-        lo, own = first[i], first[i + 1] - first[i]
-        if lo == len(X):
-            continue
-        node, Z = nodes[i], Y[lo:]
-        balls = _balls(node, Z, None if dmin is None else dmin[lo:lo + own])
+    Y, last = X.copy(), len(layer.nodes) - 1
+    t = np.broadcast_to(np.asarray(t, dtype=float), len(X))
+    for i, node in enumerate(layer.nodes):
+        balls = _balls(node, X, dmin if i == last else None)
         if balls is None:
             continue
         sel, rho, C, dist = balls
-        ts = t[lo + sel] if t.ndim else np.full(len(sel), t)
-        split = sel.searchsorted(own)  # sel[:split] are the rows whose last step is i
-        ts[split:] = 1.0
+        ts = t[sel] if i == last else np.ones(len(sel))
+        Z = X[sel]
         if node.sign > 0:
-            Z[sel] = _phi(node, Z[sel], C, dist, np.minimum(3.0 * ts, 1.0))
-        pushes.append((lo, sel, 0 if normalize else split, ts * rho, C))
-    for lo, sel, split, push, C in reversed(pushes):
-        Z = Y[lo:]
-        h = Z[sel] - 2.0 * push[:, None, None] * C
-        if split < len(h):  # the rows from split on are normalized
-            nh = _frob(h[split:])
+            Z = _phi(node, Z, C, dist, np.minimum(3.0 * ts, 1.0))
+        h = Z - 2.0 * (ts * rho)[:, None, None] * C
+        if normalize or i < last:
+            nh = _frob(h)
             if np.any(nh < _NORM_FLOOR):
                 raise NumericalDegeneracyError("map value collapsed below 1e-9 during normalization")
-            h[split:] /= nh[:, None, None]
-        Z[sel] = h
+            h /= nh[:, None, None]
+        Y[sel] = h
     return Y
 
 
@@ -303,11 +287,11 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False,
 def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     """Apply one modification per plan step, realizing each requested sign.
 
-    circle.place_steps gives each step its own rotated center family, on
-    which the map built so far is the identity, so a negative sign uses
-    the minus formula, a positive one the plus formula, and the delta is
-    exactly sign * C(r,k); the ledger runs through plan.deltas to the
-    plan target (0 for certificate plans).
+    circle.place_steps gives each step its own rotated center family, whose
+    balls meet no other step's, so the map built so far is the identity
+    there; a negative sign uses the minus formula, a positive one the plus
+    formula, and the delta is exactly sign * C(r,k); the ledger runs
+    through plan.deltas to the plan target (0 for certificate plans).
     """
     nodes = tuple(ModificationNode(k=k, sign=sign, radius=radius,
                                    centers=_orbit_centers(plan.r, k, theta))
@@ -345,35 +329,8 @@ def _sample_chunks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     """samples uniform points of seed, drawn _EVAL_ROWS at a time; the stream equals one draw."""
     _check_samples(samples)
     rng = np.random.default_rng(seed)
-    for _, own, _ in _step_blocks([samples], _EVAL_ROWS):
-        yield random_sphere_points(r, len(own), rng)
-
-
-def _step_blocks(counts: Sequence[int], size: int
-                 ) -> Iterator[tuple[list[tuple[int, int, int]], np.ndarray, list[int]]]:
-    """Blocks of at most size rows of the steps: the (step, lo, hi) pieces of
-    each, the step of each row, and the first offsets of _homotopy.
-
-    Each step's counts[step] rows are cut at multiples of size, so how a
-    step is split does not depend on the other steps; the pieces fill the
-    blocks in order, and a piece that does not fit starts the next block.
-    """
-    def block(pieces):
-        own = np.concatenate([np.full(hi - lo, j) for j, lo, hi in pieces])
-        return pieces, own, own.searchsorted(np.arange(len(counts) + 1)).tolist()
-
-    pieces: list[tuple[int, int, int]] = []
-    rows = 0
-    for j, count in enumerate(counts):
-        for lo in range(0, count, size):
-            hi = min(lo + size, count)
-            if rows + hi - lo > size:
-                yield block(pieces)
-                pieces, rows = [], 0
-            pieces.append((j, lo, hi))
-            rows += hi - lo
-    if pieces:
-        yield block(pieces)
+    for lo in range(0, samples, _EVAL_ROWS):
+        yield random_sphere_points(r, min(_EVAL_ROWS, samples - lo), rng)
 
 
 def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) -> float:
@@ -389,12 +346,18 @@ def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) ->
 
 def center_residual(layer: MapLayer) -> list[float]:
     """max |h_1/2| over each step's centers, where the homotopy should vanish: one entry
-    per step, first applied first, each on the map after that step ([] for the identity)."""
-    worst, centers = np.zeros(layer.depth), [node.centers for node in layer.nodes]
-    for pieces, own, first in _step_blocks([len(C) for C in centers], _EVAL_ROWS):
-        C = np.concatenate([centers[j][lo:hi] for j, lo, hi in pieces])
-        np.maximum.at(worst, own, _frob(_homotopy(layer, C, 0.5, first=first)))
-    return worst.tolist()
+    per step, first applied first, each on the map after that step ([] for the identity).
+
+    A step's centers lie in its own balls, where the map after it is the
+    step alone, so each step's centers go through MapLayer(r, (node,)),
+    _EVAL_ROWS at a time.
+    """
+    worst = []
+    for node in layer.nodes:
+        alone = MapLayer(layer.r, (node,))
+        worst.append(max(float(_frob(_homotopy(alone, node.centers[lo:lo + _EVAL_ROWS], 0.5)).max())
+                         for lo in range(0, len(node.centers), _EVAL_ROWS)))
+    return worst
 
 
 def _ambient_basis(r: int) -> np.ndarray:
@@ -430,8 +393,7 @@ class LocalDegreeReport:
     matches_ledger: bool
 
 
-def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, first: Sequence[int]
-                  ) -> np.ndarray:
+def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Bordered central-difference Jacobian determinants of (x, t) -> h_t(x) at (centers, 1/2).
 
     Columns step by FD_STEP along the rows of E and along t, each x-step
@@ -439,18 +401,16 @@ def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray, first: Se
     A radial step reprojects onto c, so J_x c = 0, and for any oriented
     tangent basis b with det [c, b] = +1 the determinant equals that of
     the chart Jacobian [J_x b, J_t].  One batched homotopy evaluation
-    covers every stencil point of every center, each on the map after its
-    own step: the centers first[j]:first[j + 1] are those of step j.
+    covers every stencil point of every center.
     """
     m, n, step = len(centers), len(E), FD_STEP
-    rows = [(2 * n + 2) * i for i in first]  # each center has 2n + 2 stencil points
     C = centers[:, None]
     # rows 2j and 2j+1 step along +-E[j]; the last two along +-t
     p = np.stack([C + step * E, C - step * E], axis=2).reshape(m, -1, 2, layer.r)
     pts = np.concatenate([p / _frob(p)[..., None, None], C, C], axis=1).reshape(-1, 2, layer.r)
     ts = np.full((m, 2 * n + 2), 0.5)
     ts[:, -2:] = 0.5 + step, 0.5 - step
-    H = _coords(E, _homotopy(layer, pts, ts.ravel(), first=rows)).reshape(m, -1, n)
+    H = _coords(E, _homotopy(layer, pts, ts.ravel())).reshape(m, -1, n)
     J = np.zeros((m, n + 1, n + 1))
     J[:, 0, :n] = _coords(E, centers)
     J[:, 1:] = ((H[:, 0::2] - H[:, 1::2]) / (2.0 * step)).transpose(0, 2, 1)
@@ -464,22 +424,20 @@ def verify_local_degrees(layer: MapLayer) -> list[LocalDegreeReport]:
     The sign is read from the bordered Jacobian of _stencil_dets, which
     orients every center's tangent space by det [c, b] > 0; with that
     convention the measured delta sign is minus the Jacobian sign.
-    Stencils of step FD_STEP are evaluated in blocks of at most
-    _EVAL_ROWS points, which may mix steps.  In every plan build_from_plan
-    admits, each stencil point lies on the plateau of its ball, where
-    |det| = 2 up to rounding, so a center whose determinant is at most
-    1e-8 in magnitude raises NumericalDegeneracyError.
+    Stencils of step FD_STEP are evaluated step by step on the step
+    alone, as in center_residual, in blocks of at most _EVAL_ROWS points.
+    In every plan build_from_plan admits, each stencil point lies on the
+    plateau of its ball, where |det| = 2 up to rounding, so a center
+    whose determinant is at most 1e-8 in magnitude raises
+    NumericalDegeneracyError.
     """
-    E, centers = _ambient_basis(layer.r), [node.centers for node in layer.nodes]
+    E = _ambient_basis(layer.r)
     block = max(1, _EVAL_ROWS // (4 * layer.r - 2))
-    dets = [np.empty(0)]
-    for pieces, _, first in _step_blocks([len(C) for C in centers], block):
-        C = np.concatenate([centers[j][lo:hi] for j, lo, hi in pieces])
-        dets.append(_stencil_dets(layer, E, C, first))
-    det = np.concatenate(dets)
     reports = []
-    for node, lo in zip(layer.nodes, np.cumsum([0] + [len(c) for c in centers])):
-        step_det = det[lo:lo + len(node.centers)]
+    for node in layer.nodes:
+        alone = MapLayer(layer.r, (node,))
+        step_det = np.concatenate([_stencil_dets(alone, E, node.centers[lo:lo + block])
+                                   for lo in range(0, len(node.centers), block)])
         flat = np.flatnonzero(~(np.abs(step_det) > 1e-8))
         if len(flat):
             raise NumericalDegeneracyError(f"Jacobian determinant at most 1e-8 in magnitude "
@@ -510,21 +468,29 @@ class SpuriousZeroSearch:
     in_zero_zone: int
 
 
-# Row-steps of the spurious search (each step's samples run that step and every
-# earlier one) plus stencil work (C(r,k) * r^3 a step) that `eqmap verify` admits:
-# one step up to r = 131, or the default search of 500 steps at r = 2 (22 s on a
-# 2-core Xeon).
+# Work that `eqmap build` and `eqmap verify` admit: row-steps of the equivariance
+# check (its samples, each through every step, once plus once per generator) and,
+# for verify, of the spurious search (each step's samples through that step) plus
+# stencil work (C(r,k) * r^3 a step).  It admits one verified step up to r = 131,
+# and on 500 steps at r = 2 a verify of 199,994 samples (59 s) or a build of
+# 300,000 (29 s; shared 2-core Xeon).
 MAX_VERIFY_WORK = 300_000_000
 
 
-def check_verify_work(r: int, ks: Sequence[int], samples: int) -> None:
-    """Refuse an `eqmap verify` of the steps ks whose work exceeds MAX_VERIFY_WORK."""
+def check_verify_work(r: int, ks: Sequence[int], samples: int, mode: str = "verify") -> None:
+    """Refuse an `eqmap build` or `verify` (mode) of the steps ks whose work exceeds
+    MAX_VERIFY_WORK."""
     _check_samples(samples)
-    search = samples * len(ks) * (len(ks) + 1) // 2  # samples * sum_j (j + 1)
-    stencils = sum(math.comb(r, k) for k in ks) * r ** 3
-    if search + stencils > MAX_VERIFY_WORK:
-        raise ValueError(f"eqmap verify at r={r} would do {search + stencils:,} units of work "
-                         f"({search:,} search row-steps and {stencils:,} for the stencils), "
+    verify = mode == "verify"
+    equivariance = samples * len(ks) * (1 + len(generators(r)))
+    search = samples * len(ks) if verify else 0
+    stencils = sum(math.comb(r, k) for k in ks) * r ** 3 if verify else 0
+    work = equivariance + search + stencils
+    if work > MAX_VERIFY_WORK:
+        parts = f"{equivariance:,} equivariance row-steps"
+        if verify:
+            parts += f", {search:,} search row-steps and {stencils:,} for the stencils"
+        raise ValueError(f"eqmap {mode} at r={r} would do {work:,} units of work ({parts}), "
                          f"beyond the cap eqmaps.MAX_VERIFY_WORK = {MAX_VERIFY_WORK:,}")
 
 
@@ -559,40 +525,37 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
     after that step.  Step j's samples points lie in the ball of its
     first center (_ball_sampler, from the j-th child of seed); off its
     balls h_t is the normalized map below, |h_t| = 1 up to rounding, and
-    by equivariance every ball of the orbit holds the same values.
-    Every step's points go through one pass over the whole map in blocks
-    of _EVAL_ROWS rows with first offsets, excluding tubes of radius R/10
-    around each pushed center for t in [0.4, 0.6]; where goes to the
-    first point of the minimum in draw order, which no block size
-    changes.  The identity map gets one search of uniform points.
+    by equivariance every ball of the orbit holds the same values.  On
+    its balls the map after step j is the step alone, so the points go
+    through MapLayer(r, (node,)), _EVAL_ROWS at a time, excluding tubes
+    of radius R/10 around each pushed center for t in [0.4, 0.6]; where
+    goes to the first point of the minimum in draw order, which no block
+    size changes.  The identity map gets one search of uniform points.
     Sampled evidence only, but a reported minimum above 1e-3 leaves no
     room for an unnoticed sign slip in the degree ledger.
     """
-    nodes, r, m = layer.nodes, layer.r, len(layer.nodes)
+    nodes, r = layer.nodes, layer.r
     _check_samples(samples)
-    if not m:
+    if not nodes:
         minimum = min(float(_frob(X).min()) for X in _sample_chunks(r, samples, seed))
         return [SpuriousZeroSearch(minimum, None, None, None, 0)]
 
-    E = _ambient_basis(r)
-    draws = [_ball_sampler(node, E, child)
-             for node, child in zip(nodes, np.random.SeedSequence(seed).spawn(m))]
-    radius = np.array([node.radius for node in nodes])
-    zone, tube = ZERO_ZONE_FRACTION * radius, radius / 10.0
-    found: list[tuple[float, Optional[float], Optional[float]]] = [(np.inf, None, None)] * m
-    in_zero_zone = np.zeros(m, dtype=int)
-    for pieces, own, first in _step_blocks([samples] * m, _EVAL_ROWS):
-        X, T = (np.concatenate(part) for part in zip(*(draws[j](hi - lo) for j, lo, hi in pieces)))
-        dmin = np.empty(len(X))
-        vals = _frob(_homotopy(layer, X, T, first=first, dmin=dmin))
-        in_zero_zone += np.bincount(own[dmin <= zone[own]], minlength=m)
-        vals[(dmin < tube[own]) & (np.abs(T - 0.5) <= 0.1)] = np.inf
-        for j, _, _ in pieces:
-            i = first[j] + int(np.argmin(vals[first[j]:first[j + 1]]))
-            if vals[i] < found[j][0]:  # (minimum, distance_in_R, t)
-                found[j] = (float(vals[i]), float(dmin[i] / radius[j]), float(T[i]))
-    return [SpuriousZeroSearch(minimum, node.k, d, t, int(count))
-            for node, (minimum, d, t), count in zip(nodes, found, in_zero_zone)]
+    E, searches = _ambient_basis(r), []
+    for node, child in zip(nodes, np.random.SeedSequence(seed).spawn(len(nodes))):
+        draw, alone = _ball_sampler(node, E, child), MapLayer(r, (node,))
+        zone, tube = ZERO_ZONE_FRACTION * node.radius, node.radius / 10.0
+        minimum, where, in_zero_zone = np.inf, (None, None), 0
+        for lo in range(0, samples, _EVAL_ROWS):
+            X, T = draw(min(_EVAL_ROWS, samples - lo))
+            dmin = np.empty(len(X))
+            vals = _frob(_homotopy(alone, X, T, dmin=dmin))
+            in_zero_zone += int(np.count_nonzero(dmin <= zone))
+            vals[(dmin < tube) & (np.abs(T - 0.5) <= 0.1)] = np.inf
+            i = int(np.argmin(vals))
+            if vals[i] < minimum:  # where: (distance_in_R, t)
+                minimum, where = float(vals[i]), (float(dmin[i] / node.radius), float(T[i]))
+        searches.append(SpuriousZeroSearch(minimum, node.k, *where, in_zero_zone))
+    return searches
 
 
 def layer_plan_json(layer: MapLayer) -> dict:

@@ -318,7 +318,8 @@ SEPARATED_PLANS = [
 
 class TestSeparation:
     """_check_separation measures the new orbit against each earlier orbit by
-    circle.orbit_distance, a closed form in k, k', theta and theta'."""
+    circle.orbit_distance, a closed form in k, k', theta and theta', and
+    requires the arcs 2*asin(R/2) of the two balls to fit in 2*asin(D/2)."""
 
     @pytest.mark.parametrize("r, steps", SEPARATED_PLANS)
     def test_one_center_distance_equals_all_pairs_minimum(self, r, steps):
@@ -333,12 +334,13 @@ class TestSeparation:
             for earlier, theta0 in zip(nodes[:i], thetas):
                 diff = later.centers[:, None] - earlier.centers[None]
                 brute = float(np.sqrt(np.einsum("abij,abij->ab", diff, diff).min()))
-                alone = [(earlier.k, theta0, earlier.radius)]
-                # the check fails iff its distance is at most earlier radius + 5R/8;
-                # put that threshold 1e-12 below and above the brute-force distance
-                below = (brute - 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
+                alone = [(earlier.k, earlier.sign, theta0, earlier.radius)]
+                # the check fails iff the two arcs asin(R/2) add up to more than asin(D/2);
+                # put that threshold 1e-12 below and above the brute-force distance's arc
+                arc = math.asin(brute / 2.0) - math.asin(earlier.radius / 2.0)
+                below = 2.0 * math.sin(arc - 1e-12)
                 ci._check_separation(r, alone, later.k, thetas[i], below)
-                above = (brute + 1e-12 - earlier.radius) / eq.ZERO_ZONE_FRACTION
+                above = 2.0 * math.sin(arc + 1e-12)
                 with pytest.raises(eq.CenterSeparationError):
                     ci._check_separation(r, alone, later.k, thetas[i], above)
 
@@ -380,9 +382,22 @@ class TestSeparation:
             assert np.array_equal(below.eval_batch(node.centers), node.centers)
 
     def test_error_fires_when_radii_grow(self, monkeypatch):
-        monkeypatch.setattr(ci, "safe_radius", lambda r, k: ci.min_orbit_distance(r, k) / 2.5)
-        with pytest.raises(eq.CenterSeparationError, match="inner zones reach into"):
-            eq.build_from_plan(certificate_to_plan(bezout_certificate(6)))
+        """A planted oversize radius makes two steps' balls meet, and the error
+        names both steps: same-k steps without the sine cap, and a k = 2 ball
+        beyond half its distance to the k = 1 orbit."""
+        monkeypatch.setattr(ci, "step_radius", lambda r, k, n: ci.safe_radius(r, k))
+        with pytest.raises(eq.CenterSeparationError,
+                           match=r"the balls of step 1 \(k=1, radius 0\.428687\) meet those of "
+                                 r"step 0 \(k=1, radius 0\.428687\) at orbit distance 0\.517638"):
+            eq.build_from_plan(plan_of(6, ((1, -1), (1, -1), (2, 1), (1, 1))))
+        monkeypatch.undo()
+        placed = ci.place_steps(certificate_to_plan(bezout_certificate(6)))
+        (k0, _, theta0, radius0), (k, _, theta, radius) = placed[:2]
+        touch = ci.orbit_distance(6, k0, theta0, k, theta) - radius0
+        ci._check_separation(6, placed[:1], k, theta, radius)
+        ci._check_separation(6, placed[:1], k, theta, touch)  # the chords touch; the arcs fit
+        with pytest.raises(eq.CenterSeparationError, match=r"step 1 \(k=2, .* step 0 \(k=1, "):
+            ci._check_separation(6, placed[:1], k, theta, 1.1 * touch)
 
 
 class TestPlacement:
@@ -425,6 +440,46 @@ class TestPlacement:
         assert circle_map.centers == tuple(complex(math.cos(theta), math.sin(theta))
                                            for _, _, theta, _ in placed)
         assert {radius for _, _, _, radius in placed} == {circle_map.radius}
+
+    def test_every_pair_of_steps_has_angular_slack(self):
+        """No two placed steps' balls meet: on every pair of steps the arcs
+        asin(R/2) of the two balls fall short of the arc asin(D/2) between the
+        two orbits, on the auto plans up to r = 15, repeated k at r = 6, the 16
+        four-step r = 2 plans, 500 steps at r = 2, and 300 seeded random
+        plans with r from 3 to 15, most of them with several k."""
+        plans = [certificate_to_plan(bezout_certificate(r)) for r in (6, 10, 12, 14, 15)]
+        plans += [plan_of(6, ((1, -1), (1, -1), (2, 1), (1, 1))), plan_of(2, ((1, -1),) * 500)]
+        plans += [plan_of(2, steps) for steps in itertools.product(((1, 1), (1, -1)), repeat=4)]
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            r = int(rng.integers(3, 16))
+            ks = [k for k in range(1, r) if math.comb(r, k) <= ci.MAX_ORBIT]
+            plans.append(plan_of(r, [(int(rng.choice(ks)), int(rng.choice((-1, 1))))
+                                     for _ in range(int(rng.integers(2, 13)))]))
+        multi_k = 0
+        for plan in plans:
+            placed = ci.place_steps(plan)
+            multi_k += len({k for k, _, _, _ in placed}) > 1
+            for i, (k, _, theta, radius) in enumerate(placed):
+                for k0, _, theta0, radius0 in placed[:i]:
+                    arc = math.asin(ci.orbit_distance(plan.r, k0, theta0, k, theta) / 2.0)
+                    assert arc - math.asin(radius / 2.0) - math.asin(radius0 / 2.0) > 0.0
+        assert multi_k > 250
+
+    def test_radii_are_step_radius_where_no_other_k_is_in_reach(self):
+        """Half the distance to another k's orbit bounds a radius only where
+        that orbit is near: every r = 2 plan (one k), r = 12 1:-,5:+ and
+        r = 30 3:-,3:+ keep step_radius, and r = 6 auto's k = 1 step is bounded
+        by its k = 2 orbit."""
+        plans = [plan_of(2, ((1, -1),) * n) for n in (1, 2, 3, 64, 500)]
+        plans += [plan_of(2, steps) for steps in itertools.product(((1, 1), (1, -1)), repeat=4)]
+        plans += [plan_of(12, ((1, -1), (5, 1))), plan_of(30, ((3, -1), (3, 1)))]
+        for plan in plans:
+            ks = [k for k, _ in plan.steps]
+            assert ([radius for _, _, _, radius in ci.place_steps(plan)]
+                    == [ci.step_radius(plan.r, k, ks.count(k)) for k in ks])
+        first = ci.place_steps(certificate_to_plan(bezout_certificate(6)))[0]
+        assert first[3] == ci.orbit_distance(6, 1, 0.0, 2, 0.0) / 2.0 < ci.step_radius(6, 1, 1)
 
     @pytest.mark.parametrize("build", [eq.build_from_plan, ci.build_circle_map])
     def test_long_plan_refused_before_separation(self, build, monkeypatch):
@@ -574,7 +629,7 @@ def loop_plan_points(r, steps, seed):
 
 
 class TestLoopEvaluator:
-    """eq._homotopy's two passes against the recursive reference, bit for bit."""
+    """eq._homotopy's one loop against the recursive reference, bit for bit."""
 
     @pytest.mark.parametrize("r, steps", LOOP_PLANS)
     def test_matches_recursive_reference(self, r, steps):
@@ -606,25 +661,27 @@ class TestLoopEvaluator:
 
     @pytest.mark.parametrize("r, steps", LOOP_PLANS)
     def test_rows_on_their_own_steps(self, r, steps):
-        """Given first, each row block runs the map after its own step, bit for
-        bit as that map alone, and dmin receives each row's distance to its
-        own step; a step may have no rows of its own."""
+        """No row lies in two steps' balls.  The rows in a step's balls run the
+        map after that step, bit for bit, as the step alone, which the per-step
+        checks evaluate, and as the whole map at t = 1, and dmin receives each
+        row's distance to the step's nearest center; the whole map leaves the
+        other rows as they are."""
         layer, X, rng = loop_plan_points(r, steps, 8)
-        chain = list(layer.chain())
-        for skip in (None, 1):
-            own = [0 if j == skip else len(X) for j in range(layer.depth)]
-            first = np.concatenate([[0], np.cumsum(own)]).tolist()
-            Xcat = np.concatenate([X[:n] for n in own])
-            for t in (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0, len(X))):
-                tcat = np.concatenate([np.broadcast_to(t, len(X))[:n] for n in own])
+        inside = np.array([eq._nearest(node, X)[0] < node.radius for node in layer.nodes])
+        assert inside.sum(axis=0).max() == 1
+        whole = layer.eval_batch(X)
+        for j, step in enumerate(layer.chain()):
+            rows, alone = X[inside[j]], eq.MapLayer(r, (step.node,))
+            for t in (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0, len(rows))):
                 for normalize in (False, True):
-                    dmin = np.full(len(Xcat), np.nan)
-                    H = eq._homotopy(layer, Xcat, tcat, normalize, first=first, dmin=dmin)
-                    for j, step in enumerate(chain):
-                        rows = slice(first[j], first[j + 1])
-                        assert np.array_equal(H[rows], eq._homotopy(step, X, t, normalize)[:own[j]])
-                        assert np.array_equal(H[rows], recursive_step(step, X, t, normalize)[:own[j]])
-                        assert np.array_equal(dmin[rows], eq._nearest(step.node, X)[0][:own[j]])
+                    dmin = np.full(len(rows), np.nan)
+                    H = eq._homotopy(alone, rows, t, normalize, dmin=dmin)
+                    assert np.array_equal(H, eq._homotopy(step, rows, t, normalize))
+                    assert np.array_equal(H, recursive_step(step, rows, t, normalize))
+                    assert np.array_equal(dmin, eq._nearest(step.node, rows)[0])
+            assert np.array_equal(whole[inside[j]], eq._homotopy(alone, rows, 1.0, True))
+        off = ~inside.any(axis=0)
+        assert 0 < off.sum() and np.array_equal(whole[off], X[off])
 
     def test_deep_plan_needs_no_recursion(self):
         """120 steps evaluate under a recursion limit 60 frames above the current depth."""
@@ -766,9 +823,10 @@ class TestLocalDegrees:
     @pytest.mark.parametrize("r, steps", [(6, "auto"), SEPARATED_PLANS[1], (10, "auto"),
                                           (2, ((1, -1), (1, 1)) * 60), (2, ((1, 1),)), (2, ())])
     def test_one_pass_matches_each_prefix(self, r, steps):
-        """Both checks give each step what the map after it gives alone: the
-        center residual, the largest |h_1/2| at its centers, bit for bit, and
-        the delta signs exactly; the identity gets no entry."""
+        """Both checks, which evaluate each step alone, give each step what the
+        map after it gives: the center residual, the largest |h_1/2| at its
+        centers, bit for bit, and the delta signs exactly; the identity gets
+        no entry."""
         layer, _ = eq.build_from_plan(certificate_to_plan(bezout_certificate(r))
                                       if steps == "auto" else plan_of(r, steps))
         E = eq._ambient_basis(r)
@@ -776,28 +834,33 @@ class TestLocalDegrees:
         for step in layer.chain():
             C = step.node.centers
             residuals.append(float(eq._frob(eq._homotopy(step, C, np.full(len(C), 0.5))).max()))
-            det = eq._stencil_dets(step, E, C, [0] * step.depth + [len(C)])
+            det = eq._stencil_dets(step, E, C)
             signs.append(tuple(-1 if d > 0 else 1 for d in det))
         assert eq.center_residual(layer) == residuals and all(res < 1e-9 for res in residuals)
         assert [rep.delta_signs for rep in eq.verify_local_degrees(layer)] == signs
 
     def test_one_homotopy_call_per_row_block(self, monkeypatch):
-        """On 120 steps of 2 centers, each check evaluates its rows in at most
-        ceil(rows / _EVAL_ROWS) calls, not one per step, in blocks that mix
-        steps, with the results of one block."""
-        layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, 1)) * 60))
-        whole = eq.center_residual(layer), eq.verify_local_degrees(layer)
-        homotopy, rows = eq._homotopy, []
+        """On 120 steps of 2 centers and on r = 6 auto, each check evaluates
+        each step's rows on that step alone, in step order, in blocks of at
+        most _EVAL_ROWS rows (the stencils in whole centers of 4r - 2 points),
+        with the results of the default blocks."""
+        default, homotopy, calls = eq._EVAL_ROWS, eq._homotopy, []
         monkeypatch.setattr(eq, "_homotopy", lambda layer, X, *args, **kwargs:
-                            rows.append(len(X)) or homotopy(layer, X, *args, **kwargs))
-        for block in (eq._EVAL_ROWS, 16 * 6):  # 16 centers of 6 stencil points
-            monkeypatch.setattr(eq, "_EVAL_ROWS", block)
-            for check, points, result in zip((eq.center_residual, eq.verify_local_degrees),
-                                             (1, 6), whole):
-                rows.clear()
-                assert check(layer) == result and len(result) == 120
-                assert sum(rows) == 240 * points
-                assert len(rows) <= math.ceil(sum(rows) / block)
+                            calls.append((layer.nodes, len(X))) or homotopy(layer, X, *args, **kwargs))
+        for r, steps in ((2, ((1, -1), (1, 1)) * 60), (6, "auto")):
+            monkeypatch.setattr(eq, "_EVAL_ROWS", default)
+            layer = plan_layer(r, steps)
+            whole = eq.center_residual(layer), eq.verify_local_degrees(layer)
+            for block in (default, 4 * (4 * r - 2), 7):
+                monkeypatch.setattr(eq, "_EVAL_ROWS", block)
+                for check, points, result in zip((eq.center_residual, eq.verify_local_degrees),
+                                                 (1, 4 * r - 2), whole):
+                    calls.clear()
+                    assert check(layer) == result and len(result) == layer.depth
+                    per = max(1, block // points)  # centers a call
+                    assert calls == [((node,), min(per, len(node.centers) - lo) * points)
+                                     for node in layer.nodes
+                                     for lo in range(0, len(node.centers), per)]
 
     def test_flat_determinant_raises_naming_k_and_center(self, monkeypatch):
         """A determinant at most 1e-8 at one center fails the step at once,
@@ -807,9 +870,9 @@ class TestLocalDegrees:
         calls = []
         batched = eq._stencil_dets
 
-        def planted(layer, E, centers, first):
+        def planted(layer, E, centers):
             calls.append(len(centers))
-            det = batched(layer, E, centers, first)
+            det = batched(layer, E, centers)
             det[np.all(centers == flat, axis=(1, 2))] = 1e-9
             return det
 
@@ -830,11 +893,10 @@ class TestLocalDegrees:
         plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
-        E, centers = eq._ambient_basis(r), [node.centers for node in layer.nodes]
-        det = []
-        for pieces, _, first in eq._step_blocks([len(C) for C in centers], 64):
-            C = np.concatenate([centers[j][lo:hi] for j, lo, hi in pieces])
-            det.extend(eq._stencil_dets(layer, E, C, first))
+        E, det = eq._ambient_basis(r), []
+        for node in layer.nodes:
+            for lo in range(0, len(node.centers), 64):
+                det.extend(eq._stencil_dets(eq.MapLayer(r, (node,)), E, node.centers[lo:lo + 64]))
         det = np.array(det)
         assert len(det) == sum(math.comb(r, node.k) for node in layer.nodes)
         assert np.abs(np.abs(det) - 2.0).max() < 1e-6
@@ -886,14 +948,15 @@ SEARCHED_PLANS = [(6, "auto"), (2, ((1, -1), (1, 1))), (6, ((1, -1), (1, -1), (2
 
 
 def searched_points(monkeypatch, layer, samples, seed, keep=True):
-    """The search of layer and the (X, first) of each homotopy call it makes;
-    X is None unless keep."""
+    """The search of layer and the (node, X, rows) of each homotopy call it
+    makes, each on the one step node alone; X is None unless keep."""
     calls = []
     homotopy = eq._homotopy
 
-    def recording(layer, X, t, **kwargs):
-        calls.append((X.copy() if keep else None, kwargs["first"]))
-        return homotopy(layer, X, t, **kwargs)
+    def recording(alone, X, t, **kwargs):
+        assert alone.depth == 1
+        calls.append((alone.node, X.copy() if keep else None, len(X)))
+        return homotopy(alone, X, t, **kwargs)
 
     monkeypatch.setattr(eq, "_homotopy", recording)
     searches = eq.verify_no_spurious_zeros(layer, samples=samples, seed=seed)
@@ -901,9 +964,9 @@ def searched_points(monkeypatch, layer, samples, seed, keep=True):
     return searches, calls
 
 
-def rows_per_step(calls):
-    """The rows each step sent through _homotopy in the calls of searched_points."""
-    return np.sum([np.diff(first) for _, first in calls], axis=0).tolist()
+def rows_per_step(layer, calls):
+    """The rows each step of layer sent through _homotopy in the calls of searched_points."""
+    return [sum(rows for node, _, rows in calls if node is step) for step in layer.nodes]
 
 
 class TestSpuriousZeros:
@@ -936,13 +999,11 @@ class TestSpuriousZeros:
         center, at distance R * sqrt(U): (5/8)^2 of them in the zero zone."""
         layer = plan_layer(6, "auto")
         searches, calls = searched_points(monkeypatch, layer, 3000, 4)
-        X = np.concatenate([x for x, _ in calls])
-        own = np.concatenate([np.repeat(np.arange(layer.depth), np.diff(first))
-                              for _, first in calls])
-        assert np.abs(eq._frob(X) - 1.0).max() < 1e-12
-        assert np.abs(X.sum(axis=2)).max() < 1e-12
-        for j, (node, search) in enumerate(zip(layer.nodes, searches)):
-            dist = np.sqrt(((X[own == j, None] - node.centers[None]) ** 2).sum(axis=(2, 3)))
+        assert [node for node, _, _ in calls] == list(layer.nodes)  # 3,000 rows: one block each
+        for (node, X, _), search in zip(calls, searches, strict=True):
+            assert np.abs(eq._frob(X) - 1.0).max() < 1e-12
+            assert np.abs(X.sum(axis=2)).max() < 1e-12
+            dist = np.sqrt(((X[:, None] - node.centers[None]) ** 2).sum(axis=(2, 3)))
             assert np.all(dist.argmin(axis=1) == 0) and dist[:, 0].max() < node.radius
             # the brute-force count of the zone points, within 5 sd of the law's mean
             assert search.in_zero_zone == int((dist[:, 0] <= 0.625 * node.radius).sum())
@@ -960,8 +1021,8 @@ class TestSpuriousZeros:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows_per_step(calls) == [20000]
-        assert max(first[-1] for _, first in calls) == eq._EVAL_ROWS
+        assert rows_per_step(layer, calls) == [20000]
+        assert max(rows for _, _, rows in calls) == eq._EVAL_ROWS
         assert peak < 40 * 2 ** 20
 
     @pytest.mark.parametrize("r, steps", [(6, "auto"), (2, ((1, -1), (1, 1)))])
@@ -977,26 +1038,26 @@ class TestSpuriousZeros:
         ([5, 12, 3, 7], 8), ([20, 20, 20, 20], 7), ([100, 100, 100], 69), ([0, 3, 0, 9, 1], 4),
         ([100, 100, 100], 1440),
     ])
-    def test_blocks_cut_each_step_on_its_own(self, counts, block):
-        """Each step's rows are cut at multiples of block, whichever steps
-        share its blocks; the pieces fill blocks of at most block rows in
-        step order.  Each block gives the step of each of its rows and the
-        first offsets of those steps in the block."""
-        blocks = [pieces for pieces, _, _ in eq._step_blocks(counts, block)]
-        assert all(0 < sum(hi - lo for _, lo, hi in pieces) <= block for pieces in blocks)
-        for pieces, own, first in eq._step_blocks(counts, block):
-            assert own.tolist() == [j for j, lo, hi in pieces for _ in range(lo, hi)]
-            assert len(first) == len(counts) + 1 and first[0] == 0 and first[-1] == len(own)
-            assert all(np.all(own[first[j]:first[j + 1]] == j) for j in range(len(counts)))
-        pieces = [piece for pieces in blocks for piece in pieces]
-        assert [j for j, _, _ in pieces] == sorted(j for j, _, _ in pieces)
-        for j, count in enumerate(counts):
-            own = [(lo, hi) for step, lo, hi in pieces if step == j]
-            assert own == [(lo, hi) for alone, _, _ in eq._step_blocks([count], block)
-                           for _, lo, hi in alone]
-            assert own == [(lo, min(lo + block, count)) for lo in range(0, count, block)]
-        if counts == [5, 12, 3, 7]:  # step 1's partial piece shares a block with step 2
-            assert blocks == [[(0, 0, 5)], [(1, 0, 8)], [(1, 8, 12), (2, 0, 3)], [(3, 0, 7)]]
+    def test_blocks_cut_each_step_on_its_own(self, counts, block, monkeypatch):
+        """Each step's rows are cut at multiples of block whatever the other
+        steps hold, and each block runs on its step alone, in step order, with
+        the results of one block a step.  Step j holds the first counts[j]
+        centers of the r = 9, k = 4 orbit; a step of no rows is left out,
+        since no orbit is empty, and each step is evaluated alone."""
+        orbit = one_step(9, 4).node
+        layer = eq.MapLayer(9, tuple(eq.ModificationNode(4, -1, orbit.radius, orbit.centers[:n])
+                                     for n in counts if n))
+        whole = eq.center_residual(layer)
+        homotopy, calls = eq._homotopy, []
+        monkeypatch.setattr(eq, "_homotopy", lambda alone, X, *args, **kwargs:
+                            calls.append((alone.nodes, len(X))) or homotopy(alone, X, *args, **kwargs))
+        monkeypatch.setattr(eq, "_EVAL_ROWS", block)
+        assert eq.center_residual(layer) == whole and all(res < 1e-9 for res in whole)
+        assert all(0 < rows <= block for _, rows in calls)
+        assert calls == [((node,), min(lo + block, len(node.centers)) - lo)
+                         for node in layer.nodes for lo in range(0, len(node.centers), block)]
+        if counts == [5, 12, 3, 7]:  # step 1 is cut in two, and no block joins it with step 2
+            assert [rows for _, rows in calls] == [5, 8, 4, 3, 7]
 
     @pytest.mark.parametrize("r, steps", SEARCHED_PLANS)
     def test_each_step_gets_the_search_of_its_prefix(self, r, steps):
@@ -1018,7 +1079,7 @@ class TestSpuriousZeros:
         assert 0.0 <= search.t <= 1.0
         assert 0.0 <= search.distance_in_R < 1.0
         assert not (search.distance_in_R < 0.1 and abs(search.t - 0.5) <= 0.1)
-        assert rows_per_step(calls) == [2000]
+        assert rows_per_step(layer, calls) == [2000]
         draws, draw = [], eq.random_sphere_points
         monkeypatch.setattr(eq, "random_sphere_points",
                             lambda r, count, rng: draws.append(count) or draw(r, count, rng))
@@ -1028,36 +1089,46 @@ class TestSpuriousZeros:
 
     def test_counts_points_in_zero_zone(self, monkeypatch):
         """in_zero_zone is the brute-force count of the evaluated points within
-        5R/8 of a center, step by step, in blocks that mix steps."""
+        5R/8 of a center, step by step, summed over the blocks of each step."""
         layer = plan_layer(2, ((1, -1), (1, 1)))
-        monkeypatch.setattr(eq, "_EVAL_ROWS", 1000)
+        monkeypatch.setattr(eq, "_EVAL_ROWS", 150)
         searches, calls = searched_points(monkeypatch, layer, 400, 4)
-        assert any(np.count_nonzero(np.diff(first)) > 1 for _, first in calls)
+        assert [rows for _, _, rows in calls] == [150, 150, 100] * 2
         expected = [0, 0]
-        for X, first in calls:
-            for j, node in enumerate(layer.nodes):
-                rows = X[first[j]:first[j + 1]]
-                dist = np.sqrt(((rows[:, None] - node.centers[None]) ** 2).sum(axis=(2, 3)))
-                expected[j] += int((dist.min(axis=1) <= 0.625 * node.radius).sum())
+        for node, X, _ in calls:
+            dist = np.sqrt(((X[:, None] - node.centers[None]) ** 2).sum(axis=(2, 3)))
+            expected[layer.nodes.index(node)] += int((dist.min(axis=1) <= 0.625 * node.radius).sum())
         assert [search.in_zero_zone for search in searches] == expected
         assert all(0 < count < 400 for count in expected)
         (identity,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
         assert identity.in_zero_zone == 0
 
     def test_verify_work_cap(self):
-        """MAX_VERIFY_WORK counts the search's depth and the stencils: it admits
-        the auto plans up to r = 15 at the sample cap, the default search of
-        500 steps at r = 2 and one step up to r = 131, and refuses more."""
+        """MAX_VERIFY_WORK counts, in both modes, the equivariance check's
+        samples * steps * (1 + generators) row-steps and, for verify, the
+        search's samples * steps and the stencils: it admits the auto plans up
+        to r = 15 at the sample cap, 500 steps at r = 2 up to 199,994 samples
+        (verify) and 300,000 (build), one verified step up to r = 131 and a
+        built one at r = 1000, and refuses more."""
         for r in (6, 10, 12, 14, 15):
             ks = [k for k, _ in certificate_to_plan(bezout_certificate(r)).steps]
             eq.check_verify_work(r, ks, eq.MAX_SAMPLES)
+            eq.check_verify_work(r, ks, eq.MAX_SAMPLES, "build")
         eq.check_verify_work(2, [1] * 500, 2000)
-        eq.check_verify_work(2, [1] * 500, 2395)
+        eq.check_verify_work(2, [1] * 500, 199_994)
+        eq.check_verify_work(2, [1] * 500, 300_000, "build")
         eq.check_verify_work(131, [1], 200)
+        eq.check_verify_work(1000, [1, 1], 2000, "build")
         eq.check_verify_work(2, [], eq.MAX_SAMPLES)
-        with pytest.raises(ValueError, match=r"300,107,000 units of work \(300,099,000 search "
-                                             r"row-steps and 8,000 for the stencils\)"):
-            eq.check_verify_work(2, [1] * 500, 2396)
+        with pytest.raises(ValueError, match=r"^eqmap verify at r=2 would do 300,000,500 units of "
+                                             r"work \(199,995,000 equivariance row-steps, "
+                                             r"99,997,500 search row-steps and 8,000 for the "
+                                             r"stencils\), beyond the cap eqmaps\.MAX_VERIFY_WORK = "
+                                             r"300,000,000$"):
+            eq.check_verify_work(2, [1] * 500, 199_995)
+        with pytest.raises(ValueError, match=r"^eqmap build at r=2 would do 300,001,000 units of "
+                                             r"work \(300,001,000 equivariance row-steps\), beyond"):
+            eq.check_verify_work(2, [1] * 500, 300_001, "build")
         for r in (132, 300):
             with pytest.raises(ValueError, match=r"beyond the cap eqmaps\.MAX_VERIFY_WORK = "):
                 eq.check_verify_work(r, [1], 200)
@@ -1196,7 +1267,8 @@ class TestPlanJson:
         layer, _ = eq.build_from_plan(plan)
         obj = eq.layer_plan_json(layer)
         assert obj["r"] == 6
-        assert obj["radius_rule"] == eq.RADIUS_RULE == "min(min_orbit_dist/3, sin(pi/(4n)))"
+        assert obj["radius_rule"] == eq.RADIUS_RULE == ("min(min_orbit_dist/3, sin(pi/(4n)), "
+                                                        "orbit_dist(k, k')/2)")
         assert [(s["k"], s["sign"]) for s in obj["steps"]] == list(plan.steps)
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, -1))))
         assert eq.layer_plan_json(layer)["radius_rule"] == eq.RADIUS_RULE
