@@ -161,7 +161,8 @@ def cmd_eqmap(args) -> tuple[dict, dict, bool]:
     import numpy  # before eq: a missing numpy fails here, not half-way through the lazy eqmaps
     if args.seed < 0:  # numpy refuses it only when it first draws, after the build
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    eq.check_verify_work(plan.r, [k for k, _ in plan.steps], args.samples, args.mode)
+    eq.check_verify_work(plan.r, [k for k, _ in plan.steps], args.samples,
+                         stencils_and_search=args.mode == "verify")
     layer, ledger = eq.build_from_plan(plan)
     outputs = {
         "map": eq.layer_plan_json(layer),

@@ -470,26 +470,29 @@ class SpuriousZeroSearch:
 
 # Work that `eqmap build` and `eqmap verify` admit: row-steps of the equivariance
 # check (its samples, each through every step, once plus once per generator) and,
-# for verify, of the spurious search (each step's samples through that step) plus
-# stencil work (C(r,k) * r^3 a step).  It admits one verified step up to r = 131,
-# and on 500 steps at r = 2 a verify of 199,994 samples (59 s) or a build of
-# 300,000 (29 s; shared 2-core Xeon).
+# for verify, of the spurious search (each step's samples through that step), at 2
+# units each, plus stencil work (C(r,k) * r^3 a step), at 1.  A row-step costs
+# about 0.2 us at r = 2 and a stencil unit about 0.003 us.  It admits one verified
+# step up to r = 131, and on 500 steps at r = 2 a verify of 99,997 samples or a
+# build of 150,000 (33 s and 15 s; shared 2-core Xeon).
 MAX_VERIFY_WORK = 300_000_000
 
 
-def check_verify_work(r: int, ks: Sequence[int], samples: int, mode: str = "verify") -> None:
-    """Refuse an `eqmap build` or `verify` (mode) of the steps ks whose work exceeds
-    MAX_VERIFY_WORK."""
+def check_verify_work(r: int, ks: Sequence[int], samples: int, stencils_and_search: bool
+                      ) -> None:
+    """Refuse an `eqmap build` (stencils_and_search False) or `verify` (True) of
+    the steps ks whose work exceeds MAX_VERIFY_WORK."""
     _check_samples(samples)
-    verify = mode == "verify"
-    equivariance = samples * len(ks) * (1 + len(generators(r)))
-    search = samples * len(ks) if verify else 0
-    stencils = sum(math.comb(r, k) for k in ks) * r ** 3 if verify else 0
+    generator_count = 1 if r == 2 else 2  # len(generators(r)), without listing them
+    equivariance = 2 * samples * len(ks) * (1 + generator_count)
+    search = 2 * samples * len(ks) if stencils_and_search else 0
+    stencils = sum(math.comb(r, k) for k in ks) * r ** 3 if stencils_and_search else 0
     work = equivariance + search + stencils
     if work > MAX_VERIFY_WORK:
-        parts = f"{equivariance:,} equivariance row-steps"
-        if verify:
-            parts += f", {search:,} search row-steps and {stencils:,} for the stencils"
+        mode, parts = "build", f"{equivariance:,} for the equivariance row-steps"
+        if stencils_and_search:
+            mode = "verify"
+            parts += f", {search:,} for the search row-steps and {stencils:,} for the stencils"
         raise ValueError(f"eqmap {mode} at r={r} would do {work:,} units of work ({parts}), "
                          f"beyond the cap eqmaps.MAX_VERIFY_WORK = {MAX_VERIFY_WORK:,}")
 

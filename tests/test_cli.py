@@ -688,9 +688,9 @@ class TestEqmap:
             code, report = run_cli(capsys, "eqmap", "verify", "--r", "300", "--plan", "1:-",
                                    "--samples", "200")
         assert code == 2
-        assert report == {"error": "eqmap verify at r=300 would do 8,100,000,800 units of work "
-                                   "(600 equivariance row-steps, 200 search row-steps and "
-                                   "8,100,000,000 for the stencils), "
+        assert report == {"error": "eqmap verify at r=300 would do 8,100,001,600 units of work "
+                                   "(1,200 for the equivariance row-steps, 400 for the search "
+                                   "row-steps and 8,100,000,000 for the stencils), "
                                    "beyond the cap eqmaps.MAX_VERIFY_WORK = 300,000,000",
                           "flags": {"pass": False}}
         plan = ",".join(["1:-,1:+"] * 250)
@@ -698,10 +698,24 @@ class TestEqmap:
             code, report = run_cli(capsys, "eqmap", "build", "--r", "2", "--plan", plan,
                                    "--samples", "1000000")
         assert code == 2
-        assert report == {"error": "eqmap build at r=2 would do 1,000,000,000 units of work "
-                                   "(1,000,000,000 equivariance row-steps), "
+        assert report == {"error": "eqmap build at r=2 would do 2,000,000,000 units of work "
+                                   "(2,000,000,000 for the equivariance row-steps), "
                                    "beyond the cap eqmaps.MAX_VERIFY_WORK = 300,000,000",
                           "flags": {"pass": False}}
+
+    @pytest.mark.parametrize("mode, message", [
+        ("build", "plan step k=1 has C(1000000000,1) = 1000000000 centers, beyond the "
+                  "builder's cap MAX_ORBIT = 5005"),
+        ("verify", "eqmap verify at r=1000000000 would do "),
+    ])
+    def test_huge_r_is_refused_fast(self, capsys, deadline, mode, message):
+        """At r = 10^9 build passes the work cap and meets the orbit cap; verify
+        meets the work cap.  Neither lists anything of size r first."""
+        with deadline(1.0):
+            code, report = run_cli(capsys, "eqmap", mode, "--r", "1000000000", "--plan", "1:-",
+                                   "--samples", "1")
+        assert code == 2
+        assert report["error"].startswith(message)
 
     def test_verify_empty_plan_searches_the_identity(self, capsys):
         code, report = run_cli(capsys, "eqmap", "verify", "--r", "2", "--plan", "",

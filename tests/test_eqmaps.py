@@ -1103,39 +1103,49 @@ class TestSpuriousZeros:
         (identity,) = eq.verify_no_spurious_zeros(eq.identity_map(2), samples=300, seed=0)
         assert identity.in_zero_zone == 0
 
-    def test_verify_work_cap(self):
+    def test_verify_work_cap(self, monkeypatch):
         """MAX_VERIFY_WORK counts, in both modes, the equivariance check's
         samples * steps * (1 + generators) row-steps and, for verify, the
-        search's samples * steps and the stencils: it admits the auto plans up
-        to r = 15 at the sample cap, 500 steps at r = 2 up to 199,994 samples
-        (verify) and 300,000 (build), one verified step up to r = 131 and a
-        built one at r = 1000, and refuses more."""
+        search's samples * steps, at 2 units a row-step, and the stencils at 1:
+        it admits the auto plans up to r = 15 at the sample cap, 500 steps at
+        r = 2 up to 99,997 samples (verify) and 150,000 (build), one verified
+        step up to r = 131 and a built one at r = 1000, and refuses more.  It
+        decides from counts alone: at r = 10^9 it lists no generator."""
+        def listed(r):
+            raise AssertionError("the work cap listed the generators")
+
+        monkeypatch.setattr(eq, "generators", listed)
+        eq.check_verify_work(10 ** 9, [1], 1, stencils_and_search=False)
+        with pytest.raises(ValueError, match=r"^eqmap verify at r=1000000000 would do "):
+            eq.check_verify_work(10 ** 9, [1], 1, stencils_and_search=True)
         for r in (6, 10, 12, 14, 15):
             ks = [k for k, _ in certificate_to_plan(bezout_certificate(r)).steps]
-            eq.check_verify_work(r, ks, eq.MAX_SAMPLES)
-            eq.check_verify_work(r, ks, eq.MAX_SAMPLES, "build")
-        eq.check_verify_work(2, [1] * 500, 2000)
-        eq.check_verify_work(2, [1] * 500, 199_994)
-        eq.check_verify_work(2, [1] * 500, 300_000, "build")
-        eq.check_verify_work(131, [1], 200)
-        eq.check_verify_work(1000, [1, 1], 2000, "build")
-        eq.check_verify_work(2, [], eq.MAX_SAMPLES)
-        with pytest.raises(ValueError, match=r"^eqmap verify at r=2 would do 300,000,500 units of "
-                                             r"work \(199,995,000 equivariance row-steps, "
-                                             r"99,997,500 search row-steps and 8,000 for the "
-                                             r"stencils\), beyond the cap eqmaps\.MAX_VERIFY_WORK = "
-                                             r"300,000,000$"):
-            eq.check_verify_work(2, [1] * 500, 199_995)
-        with pytest.raises(ValueError, match=r"^eqmap build at r=2 would do 300,001,000 units of "
-                                             r"work \(300,001,000 equivariance row-steps\), beyond"):
-            eq.check_verify_work(2, [1] * 500, 300_001, "build")
+            eq.check_verify_work(r, ks, eq.MAX_SAMPLES, stencils_and_search=True)
+            eq.check_verify_work(r, ks, eq.MAX_SAMPLES, stencils_and_search=False)
+        eq.check_verify_work(2, [1] * 500, 2000, stencils_and_search=True)
+        eq.check_verify_work(2, [1] * 500, 99_997, stencils_and_search=True)
+        eq.check_verify_work(2, [1] * 500, 150_000, stencils_and_search=False)
+        eq.check_verify_work(131, [1], 200, stencils_and_search=True)
+        eq.check_verify_work(30, [3, 3], 2000, stencils_and_search=True)
+        eq.check_verify_work(1000, [1, 1], 2000, stencils_and_search=False)
+        eq.check_verify_work(2, [], eq.MAX_SAMPLES, stencils_and_search=True)
+        with pytest.raises(ValueError, match=r"^eqmap verify at r=2 would do 300,002,000 units of "
+                                             r"work \(199,996,000 for the equivariance row-steps, "
+                                             r"99,998,000 for the search row-steps and 8,000 for "
+                                             r"the stencils\), beyond the cap "
+                                             r"eqmaps\.MAX_VERIFY_WORK = 300,000,000$"):
+            eq.check_verify_work(2, [1] * 500, 99_998, stencils_and_search=True)
+        with pytest.raises(ValueError, match=r"^eqmap build at r=2 would do 300,002,000 units of "
+                                             r"work \(300,002,000 for the equivariance "
+                                             r"row-steps\), beyond"):
+            eq.check_verify_work(2, [1] * 500, 150_001, stencils_and_search=False)
         for r in (132, 300):
             with pytest.raises(ValueError, match=r"beyond the cap eqmaps\.MAX_VERIFY_WORK = "):
-                eq.check_verify_work(r, [1], 200)
+                eq.check_verify_work(r, [1], 200, stencils_and_search=True)
         with pytest.raises(ValueError, match="samples must be >= 1"):
-            eq.check_verify_work(6, [1], 0)
+            eq.check_verify_work(6, [1], 0, stencils_and_search=True)
         with pytest.raises(ValueError, match=r"eqmaps\.MAX_SAMPLES = 1,000,000"):
-            eq.check_verify_work(300, [1], eq.MAX_SAMPLES + 1)
+            eq.check_verify_work(300, [1], eq.MAX_SAMPLES + 1, stencils_and_search=True)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_empty_sample_set_rejected(self, samples):
