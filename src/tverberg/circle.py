@@ -3,11 +3,13 @@
 ``eqmaps`` evaluates degree-controlled equivariant self-maps of the sphere
 of 2 x r matrices in numpy.  This module holds, without numpy, what such a
 map's steps share and what ``eqmaps`` imports: the bump's shape (its
-plateau and the three level radii), the radius rule, the closed-form
-distance between two center orbits and the separation check built on it,
-the plan caps, and the degree ledger.  ``place_steps`` is the one
-placement of a plan's steps: each step's orbit k, sign, angle and radius,
-which both ``eqmaps.build_from_plan`` and ``build_circle_map`` build from.
+plateau and its zero zone) and the reflection blend of a plus step,
+lambda = 1 where the bump rho >= 1/3 and 0 where rho <= 1/4; the radius
+rule, the closed-form distance between two center orbits and the
+separation check built on it, the plan caps, and the degree ledger.
+``place_steps`` is the one placement of a plan's steps: each step's
+orbit k, sign, angle and radius, which both ``eqmaps.build_from_plan``
+and ``build_circle_map`` build from.
 No two steps' balls meet, so each point of the sphere is moved by one
 step at most.
 
@@ -55,8 +57,8 @@ MAX_PLAN_STEPS = 500  # the builders refuse longer plans before building anythin
 # largest orbit of any r <= 15 certificate plan.  The cap bounds the memory and
 # time of eqmaps.build_from_plan, which lists each orbit, C(r,k) x 2r floats, by a
 # Python loop over the k-subsets (237 MiB in 1.8 s at C(22,11); C(26,13) would take
-# 4.3 GB), and verify's per-center stencils (eqmaps.verify_local_degrees, about 5 of
-# the 10 s of `eqmap verify --r 14 --plan auto`; 2-core Xeon).
+# 4.3 GB), and verify's per-center stencils (eqmaps.verify_local_degrees, 1.7-2.8 s of
+# the 1.8-3.0 s of `eqmap verify --r 14 --plan auto` in-process; shared 2-core Xeon).
 MAX_ORBIT = 5005
 MAX_WINDING_SAMPLES = 2 ** 20  # winding_number gives up beyond this many angle samples
 
@@ -83,25 +85,10 @@ def _smoothstep(u: float) -> float:
     return _quintic(min(max(u, 0.0), 1.0))
 
 
-def _bump_level(level: float) -> float:
-    """The distance, in units of the radius, at which the bump falls to level (bisection)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _smoothstep(mid) < 1.0 - level:
-            lo = mid
-        else:
-            hi = mid
-    return PLATEAU_FRACTION + 0.5 * (lo + hi) * (1.0 - PLATEAU_FRACTION)
-
-
-# Homotopy zeros can lie only where the bump is at least 1/2, which is
-# within this fraction of the radius (5/8: the smoothstep is symmetric).
-ZERO_ZONE_FRACTION = _bump_level(0.5)
-# The reflection blend is full where the bump is at least 1/3 and off where it is at
-# most 1/4; ZERO_ZONE_FRACTION < BLEND_FULL_FRACTION, so it is full wherever a zero can lie.
-BLEND_FULL_FRACTION = _bump_level(1.0 / 3.0)
-BLEND_OFF_FRACTION = _bump_level(0.25)
+# Homotopy zeros can lie only where the bump rho is at least 1/2, within this fraction of
+# the radius (5/8: the smoothstep is symmetric), and there the reflection blend
+# smoothstep(12*rho - 3) is full: it is 1 where rho >= 1/3 and 0 where rho <= 1/4.
+ZERO_ZONE_FRACTION = PLATEAU_FRACTION + 0.5 * (1.0 - PLATEAU_FRACTION)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +264,13 @@ class CircleMap:
             return z
         u = self.centers[i]
         c = u if z.real * u.real + z.imag * u.imag >= 0.0 else -u
-        dist = abs(z - c)
         t0 = PLATEAU_FRACTION * self.radius
-        rho = 1.0 - _smoothstep((dist - t0) / (self.radius - t0))
+        rho = 1.0 - _smoothstep((abs(z - c) - t0) / (self.radius - t0))
         if rho <= 0.0:
             return z
         if self.signs[i] > 0:
             v = 1j * c  # the center turned by +90 degrees: reflect in the line orthogonal to it
-            lam = 1.0 - _smoothstep((dist / self.radius - BLEND_FULL_FRACTION)
-                                    / (BLEND_OFF_FRACTION - BLEND_FULL_FRACTION))
+            lam = _smoothstep(12.0 * rho - 3.0)  # 1 where rho >= 1/3, 0 where rho <= 1/4
             y = z - 2.0 * lam * (z.real * v.real + z.imag * v.imag) * v
             z = y / abs(y)
         h = z - 2.0 * rho * c

@@ -149,6 +149,12 @@ def _parse_plan(r: int, text: str) -> nc.ModificationPlan:
 
 def cmd_eqmap(args) -> tuple[dict, dict, bool]:
     plan = _parse_plan(args.r, args.plan)
+    # Beyond r = MAX_ORBIT the digest's sum of C(r,k) can take minutes: refuse a step with
+    # C(r,k) >= C(16,8) first (up to it, the caps below name the first step beyond them)
+    for k, _ in plan.steps:
+        if min(k, plan.r - k) >= 8 and plan.r > ci.MAX_ORBIT:
+            raise ValueError(f"plan step k={k} has C({plan.r},{k}) >= C(16,8) = 12870 centers, "
+                             f"beyond the builder's cap MAX_ORBIT = {ci.MAX_ORBIT}")
     inputs = {"cmd": "eqmap", "mode": args.mode, "r": args.r,
               "plan": plan.to_json(), "samples": args.samples, "seed": args.seed}
     if args.mode == "winding":  # the circle map, in plain complex arithmetic

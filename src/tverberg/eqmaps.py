@@ -24,8 +24,10 @@ Two mechanisms realize the two signs: the "minus" formula subtracts
 composes with a reflection through the hyperplane orthogonal to the
 center rotated by +90 degrees in the plane of its two rows, implemented
 as an explicit blended homotopy rather than an abstract extension (delta
-+C(r,k)).  The finite-difference harness measures every local sign
-independently.
++C(r,k)); its blend lambda = smoothstep(12*rho - 3) of the bump is 1
+where rho >= 1/3 and 0 where rho <= 1/4, so the reflection is exact
+wherever a zero can lie (rho >= 1/2) once t >= 1/3.  The
+finite-difference harness measures every local sign independently.
 
 Everything numerical is float64; verification thresholds are part of the
 public contract (equivariance residuals ~1e-9, homotopy zeros at the
@@ -43,9 +45,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import NumericalDegeneracyError
-from .circle import (BLEND_FULL_FRACTION, BLEND_OFF_FRACTION, PLATEAU_FRACTION,
-                     RADIUS_RULE, ZERO_ZONE_FRACTION, CenterSeparationError, DegreeLedger,
-                     _NORM_FLOOR, _quintic, place_steps)
+from .circle import (PLATEAU_FRACTION, RADIUS_RULE, ZERO_ZONE_FRACTION, CenterSeparationError,
+                     DegreeLedger, _NORM_FLOOR, _quintic, place_steps)
 
 __all__ = [
     "NumericalDegeneracyError",
@@ -203,7 +204,7 @@ def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _balls(node: ModificationNode, X: np.ndarray,
            dmin: Optional[np.ndarray] = None) -> Optional[tuple[np.ndarray, ...]]:
-    """Rows of X in the step's balls, their bumps, nearest centers and distances; None if none.
+    """Rows of X in the step's balls, their bumps and nearest centers; None if none.
 
     The closed-form distance of _nearest selects the rows (dmin, if
     given, receives it), and the bump is taken only where it is below
@@ -219,24 +220,19 @@ def _balls(node: ModificationNode, X: np.ndarray,
     if not len(sel):
         return None
     C = _orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
-    dist = _frob(X[sel] - C)
-    return sel, _bump(dist, node.radius), C, dist
+    return sel, _bump(_frob(X[sel] - C), node.radius), C
 
 
-def _phi(node: ModificationNode, X: np.ndarray, C: np.ndarray, dist: np.ndarray,
-         tau) -> np.ndarray:
+def _phi(X: np.ndarray, C: np.ndarray, s) -> np.ndarray:
     """Blended reflection in the hyperplane orthogonal to u, the center C turned by +90 degrees.
 
-    phi = normalize(x - 2*s*<x,u>*u) with s = tau * lambda(dist); at
-    s = 1 this is the exact reflection, at s = 0 the identity.  lambda
-    falls from 1 at BLEND_FULL_FRACTION * R, where the bump is 1/3, to 0
-    at BLEND_OFF_FRACTION * R, where it is 1/4; the blend zone lies beyond
-    ZERO_ZONE_FRACTION * R, so it can never host a zero of the homotopy.
+    phi = normalize(x - 2*s*<x,u>*u); at s = 1 this is the exact
+    reflection, at s = 0 the identity.  _homotopy blends it in with s =
+    min(3t, 1) * lambda, lambda = smoothstep(12*rho - 3) of the bump rho:
+    lambda = 1 where rho >= 1/3 and 0 where rho <= 1/4, so the reflection
+    is exact where a zero can lie (rho >= 1/2) once t >= 1/3.
     """
     u = np.stack([-C[:, 1], C[:, 0]], axis=1)
-    lam = 1.0 - _smoothstep((dist / node.radius - BLEND_FULL_FRACTION)
-                            / (BLEND_OFF_FRACTION - BLEND_FULL_FRACTION))
-    s = np.asarray(tau, dtype=float) * lam
     inner = np.einsum("nij,nij->n", X, u)
     y = X - 2.0 * (s * inner)[:, None, None] * u
     ny = _frob(y)
@@ -251,7 +247,7 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False,
 
     f is the map of the earlier steps (each this formula at t = 1,
     normalized), the identity at the nearest center c; phi is the identity
-    ("minus") or the reflection blended in with tau = min(3t, 1) ("plus").
+    ("minus") or the reflection blended in with s = min(3t, 1) * lambda ("plus").
     t = 0 gives f, the zeros sit at the centers at t = 1/2; normalize reprojects.
     No two steps' balls meet (circle.place_steps), and phi keeps a point
     in its ball, so f is the identity on phi of the last step's balls and
@@ -265,11 +261,11 @@ def _homotopy(layer: MapLayer, X: np.ndarray, t, normalize: bool = False,
         balls = _balls(node, X, dmin if i == last else None)
         if balls is None:
             continue
-        sel, rho, C, dist = balls
+        sel, rho, C = balls
         ts = t[sel] if i == last else np.ones(len(sel))
         Z = X[sel]
         if node.sign > 0:
-            Z = _phi(node, Z, C, dist, np.minimum(3.0 * ts, 1.0))
+            Z = _phi(Z, C, np.minimum(3.0 * ts, 1.0) * _smoothstep(12.0 * rho - 3.0))
         h = Z - 2.0 * (ts * rho)[:, None, None] * C
         if normalize or i < last:
             nh = _frob(h)

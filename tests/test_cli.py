@@ -717,6 +717,18 @@ class TestEqmap:
         assert code == 2
         assert report["error"].startswith(message)
 
+    @pytest.mark.parametrize("mode", ["build", "verify", "winding"])
+    def test_huge_orbit_is_refused_before_its_size_is_computed(self, capsys, deadline, mode):
+        """C(10^7, 5*10^6) has millions of digits, and the inputs digest summed it before
+        any cap ran; a step with min(k, r - k) >= 8 is refused first, in every mode."""
+        with deadline(1.0):
+            code, report = run_cli(capsys, "eqmap", mode, "--r", "10000000",
+                                   "--plan", "5000000:-", "--samples", "1")
+        assert code == 2
+        assert report == {"error": "plan step k=5000000 has C(10000000,5000000) >= C(16,8) = "
+                                   "12870 centers, beyond the builder's cap MAX_ORBIT = 5005",
+                          "flags": {"pass": False}}
+
     def test_verify_empty_plan_searches_the_identity(self, capsys):
         code, report = run_cli(capsys, "eqmap", "verify", "--r", "2", "--plan", "",
                                "--samples", "10")

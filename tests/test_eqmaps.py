@@ -179,15 +179,48 @@ class TestBump:
         assert 0.0 < val < 1.0
         assert val >= 1.0 / 3.0  # the reflection zone keeps clear of the blend
 
-    def test_bump_geometry(self):
-        """Zeros can lie only where the reflection blend is complete, and each
-        fraction of the radius is where the bump crosses its level."""
-        assert eq.ZERO_ZONE_FRACTION == 0.625 < eq.BLEND_FULL_FRACTION < eq.BLEND_OFF_FRACTION < 1.0
-        levels = ((eq.ZERO_ZONE_FRACTION, 0.5), (eq.BLEND_FULL_FRACTION, 1.0 / 3.0),
-                  (eq.BLEND_OFF_FRACTION, 0.25))
-        for R in (1.0, 0.26, ci.safe_radius(6, 2), ci.safe_radius(15, 7), math.sin(math.pi / 2000)):
-            for fraction, level in levels:
-                assert abs(float(eq._bump(fraction * R, R)) - level) < 1e-12
+    def test_bump_geometry(self, monkeypatch):
+        """Premises (b) and (e) in the bump's own terms: zeros can lie only within
+        5R/8 of a center, where the bump rho is at least 1/2, and there a plus
+        step's reflection is exact.  The blend lambda is exactly 1 wherever
+        rho >= 1/3 and exactly 0 wherever rho <= 1/4, both in the weight s that
+        _homotopy hands _phi at t = 1 and in CircleMap.image.  On the circle,
+        with c = 1 and |z| == 1.0 exactly, the plus step at lambda = 1 is the
+        minus step after the reflection z -> conj(z), so its image is the
+        conjugate of the minus step's, and at lambda = 0 it is the minus step's."""
+        assert eq.ZERO_ZONE_FRACTION == 0.625
+        weights = []
+        phi = eq._phi
+        monkeypatch.setattr(eq, "_phi", lambda X, C, s: weights.append(s) or phi(X, C, s))
+        d = np.linspace(0.0, 1.0, 4001)  # distance to the center, in units of R
+        for R in (ci.safe_radius(2, 1), 0.26, ci.safe_radius(6, 2), ci.safe_radius(15, 7),
+                  math.sin(math.pi / 2000)):
+            assert abs(float(eq._bump(0.625 * R, R)) - 0.5) <= 1e-15
+            angle = 2.0 * np.arcsin(d * R / 2.0)  # chord d*R from the angle 0
+            # numpy: the r = 2 plus step whose center c_0 is z = -1, at t = 1
+            node = eq.ModificationNode(k=1, sign=1, radius=R, centers=eq._orbit_centers(2, 1, 0.0))
+            X = on_circle(math.pi + angle)
+            _, rho, _ = eq._balls(node, X)
+            weights.clear()
+            eq._homotopy(eq.MapLayer(2, (node,)), X, 1.0)
+            (s,) = weights
+            full, off = rho >= 1.0 / 3.0, rho <= 0.25
+            assert full.sum() > 100 and off.sum() > 100
+            assert np.all(s[full] == 1.0) and np.all(s[off] == 0.0)
+            # complex: the plus and minus steps at c = 1, on the points of modulus 1.0
+            plus, minus = (ci.CircleMap((sign,), R, (1 + 0j,)) for sign in (1, -1))
+            z = [w for w in map(complex, np.exp(1j * angle)) if abs(w) == 1.0]
+            rho = [float(eq._bump(abs(w - 1.0), R)) for w in z]
+            assert sum(p >= 1.0 / 3.0 for p in rho) > 100 and sum(0 < p <= 0.25 for p in rho) > 100
+            for w, p in zip(z, rho):
+                if p >= 1.0 / 3.0:
+                    assert plus.image(w) == minus.image(w).conjugate(), (R, w)
+                elif p <= 0.25:
+                    assert plus.image(w) == minus.image(w), (R, w)
+        # at s = 1, phi is the exact reflection: it fixes c and sends u, c turned by 90 degrees, to -u
+        c = eq._orbit_centers(6, 2, 0.0)[0]
+        u = np.stack([-c[1], c[0]])
+        assert np.allclose(phi(np.stack([u, c]), np.stack([c, c]), 1.0), [-u, c], rtol=0, atol=1e-15)
 
     def test_matches_nearest_orbit_point_at_r10(self):
         layer = one_step(10, 3)
@@ -532,7 +565,7 @@ class TestBuildFromPlan:
             # the plus step reflects through the hyperplane orthogonal to c rotated by +90 degrees
             u = np.array([-math.sin(theta) * row, math.cos(theta) * row])
             c = node.centers[0]
-            phi = eq._phi(node, np.stack([u, c]), node.centers[[0, 0]], np.zeros(2), 1.0)
+            phi = eq._phi(np.stack([u, c]), node.centers[[0, 0]], 1.0)
             assert np.allclose(phi, [-u, c])
             assert node.radius == min(ci.safe_radius(2, 1), math.sin(math.pi / 12))
 
@@ -586,13 +619,13 @@ def recursive_step(layer, X, t, normalize):
     balls = eq._balls(node, X)
     if balls is None:
         return out
-    sel, rho, C, dist = balls
+    sel, rho, C = balls
     t = np.asarray(t, dtype=float)
     ts = t[sel] if t.ndim else t
     if node.sign < 0:
         vals = out[sel]
     else:
-        phi = eq._phi(node, X[sel], C, dist, np.minimum(3.0 * ts, 1.0))
+        phi = eq._phi(X[sel], C, np.minimum(3.0 * ts, 1.0) * eq._smoothstep(12.0 * rho - 3.0))
         vals = recursive_step(below, phi, 1.0, True)
     h = vals - 2.0 * (ts * rho)[:, None, None] * C
     if normalize:
