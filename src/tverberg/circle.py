@@ -53,12 +53,10 @@ PLATEAU_FRACTION = 0.25  # bump is identically 1 within this fraction of the rad
 # over the plan's other orbit sizes (see place_steps).
 RADIUS_RULE = "min(min_orbit_dist/3, sin(pi/(4n)), orbit_dist(k, k')/2)"
 MAX_PLAN_STEPS = 500  # the builders refuse longer plans before building anything
-# place_steps refuses larger orbits before placing anything; C(15,6) is the
-# largest orbit of any r <= 15 certificate plan.  The cap bounds the memory and
-# time of eqmaps.build_from_plan, which lists each orbit, C(r,k) x 2r floats, by a
-# Python loop over the k-subsets (237 MiB in 1.8 s at C(22,11); C(26,13) would take
-# 4.3 GB), and verify's per-center stencils (eqmaps.verify_local_degrees, 1.7-2.8 s of
-# the 1.8-3.0 s of `eqmap verify --r 14 --plan auto` in-process; shared 2-core Xeon).
+# place_steps refuses larger orbits before placing anything; C(15,6) is the largest
+# orbit of any r <= 15 certificate plan.  It bounds no memory, since no check lists
+# an orbit, but keeps the builders to the orbits the tests cover; raising it for
+# r = 18/20 is a later step, to be measured.
 MAX_ORBIT = 5005
 MAX_WINDING_SAMPLES = 2 ** 20  # winding_number gives up beyond this many angle samples
 
@@ -174,15 +172,20 @@ def place_steps(plan) -> list[tuple[int, int, float, float]]:
     steps' balls meet, which _check_separation confirms pair by pair,
     and the map below each step is the identity wherever that step
     acts.  A plan of more than MAX_PLAN_STEPS steps, or with an orbit of
-    more than MAX_ORBIT centers, is refused before any step is placed.
+    more than MAX_ORBIT centers, is refused before any step is placed; the
+    orbit size is built up factor by factor and stops once past the cap,
+    so a huge C(r,k) is never computed.
     """
     if len(plan.steps) > MAX_PLAN_STEPS:
         raise ValueError(f"plan has {len(plan.steps)} steps, beyond the builder's cap "
                          f"MAX_PLAN_STEPS = {MAX_PLAN_STEPS}")
     for k, _ in plan.steps:
-        if math.comb(plan.r, k) > MAX_ORBIT:
-            raise ValueError(f"plan step k={k} has C({plan.r},{k}) = {math.comb(plan.r, k)} "
-                             f"centers, beyond the builder's cap MAX_ORBIT = {MAX_ORBIT}")
+        size, m = 1, min(k, plan.r - k)
+        for i in range(1, m + 1):  # size = C(r-m+i, i), which grows to C(r,k)
+            size = size * (plan.r - m + i) // i
+            if size > MAX_ORBIT:
+                raise ValueError(f"plan step k={k} has C({plan.r},{k}), more than {MAX_ORBIT:,} "
+                                 f"centers, beyond the builder's cap MAX_ORBIT = {MAX_ORBIT}")
     per_k, seen = Counter(k for k, _ in plan.steps), Counter()
     radii = {k: min([step_radius(plan.r, k, n)] + [orbit_distance(plan.r, k, 0.0, k2, 0.0) / 2.0
                                                    for k2 in per_k if k2 != k])

@@ -26,8 +26,13 @@ center rotated by +90 degrees in the plane of its two rows, implemented
 as an explicit blended homotopy rather than an abstract extension (delta
 +C(r,k)); its blend lambda = smoothstep(12*rho - 3) of the bump is 1
 where rho >= 1/3 and 0 where rho <= 1/4, so the reflection is exact
-wherever a zero can lie (rho >= 1/2) once t >= 1/3.  The
-finite-difference harness measures every local sign independently.
+wherever a zero can lie (rho >= 1/2) once t >= 1/3.
+
+A step's delta is the sum of the local indices of h_t at its C(r,k)
+centers.  Where h_t(sigma x) = sigma h_t(x) they are equal, since sigma acts
+on the zero-row-sum matrices as sigma (+) sigma, of determinant
+sign(sigma)^2 = 1.  So each step keeps one center, where the harness reads
+the local sign, and the equivariance check samples random balls of each orbit.
 
 Everything numerical is float64; verification thresholds are part of the
 public contract (equivariance residuals ~1e-9, homotopy zeros at the
@@ -71,9 +76,7 @@ FD_STEP = 1e-5  # the finite-difference step of verify_local_degrees
 # Points that a sampled check admits; bounds its time (`eqmap verify` at r = 6 auto
 # takes 4.8-5.9 s at the cap, shared 2-core Xeon).
 MAX_SAMPLES = 1_000_000
-# Rows per random draw and per homotopy evaluation of the sampled checks and
-# center_residual, and stencil points (4r - 2 per center) per evaluation in
-# verify_local_degrees; bounds their memory.
+# Rows per random draw and per homotopy evaluation of the sampled checks; bounds memory.
 _EVAL_ROWS = 4096
 
 
@@ -95,10 +98,13 @@ def _act_array(sigma: Sequence[int], arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _center_row(r: int, k: int) -> np.ndarray:
+def _center(r: int, k: int, theta: float) -> np.ndarray:
+    """c_theta, 2 x r: cos(theta) * M and sin(theta) * M in its rows, M the normalized
+    center row (k low entries k - r first, then r - k high ones k)."""
     M = np.full(r, float(k))
     M[:k] = k - r
-    return M / np.linalg.norm(M)
+    M /= np.linalg.norm(M)
+    return np.stack([math.cos(theta) * M, math.sin(theta) * M])
 
 
 def _low_masks(r: int, k: int) -> np.ndarray:
@@ -112,15 +118,6 @@ def _low_masks(r: int, k: int) -> np.ndarray:
 def _orbit_point(c: np.ndarray, low: np.ndarray) -> np.ndarray:
     """The orbit points of c (l in its first column, h in its last) with l where low is True."""
     return np.where(low[:, None, :], c[:, :1], c[:, -1:])
-
-
-def _orbit_centers(r: int, k: int, theta: float) -> np.ndarray:
-    """All C(r,k) orbit points of c_theta, one per mask of _low_masks.
-
-    c_theta has cos(theta) * row in row 0 and sin(theta) * row in row 1.
-    """
-    row = _center_row(r, k)
-    return _orbit_point(np.stack([math.cos(theta) * row, math.sin(theta) * row]), _low_masks(r, k))
 
 
 def _smoothstep(u):
@@ -140,12 +137,17 @@ def _bump(dist, radius: float):
 
 @dataclass(eq=False)
 class ModificationNode:
-    """One modification step: its orbit, radius and sign (bump shape: *_FRACTION)."""
+    """One modification step: its orbit's first center, radius and sign (bump shape: *_FRACTION)."""
 
     k: int
     sign: int                 # -1: the minus formula, +1: the plus one; delta = sign * C(r,k)
     radius: float
-    centers: np.ndarray       # (C(r,k), 2, r): _orbit_centers at the step's placed theta
+    center: np.ndarray        # (2, r): _center at the step's placed theta
+
+    @property
+    def centers(self) -> np.ndarray:
+        """The orbit, (C(r,k), 2, r), listed on each read: only perfbench/tracer.py counts it."""
+        return _orbit_point(self.center, _low_masks(self.center.shape[1], self.k))
 
 
 @dataclass(eq=False)
@@ -186,15 +188,15 @@ def identity_map(r: int) -> MapLayer:
 def _nearest(node: ModificationNode, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distance to the nearest orbit center, the gains <l - h, x_i>, and the k-th largest.
 
-    Each center holds the column l at k places and h at the rest (the two
-    columns of centers[0]), so <x, sigma c> is <h, sum_i x_i> plus the
-    gains at its l places: the nearest center puts l on the k largest gains
+    Each center holds the column l at k places and h at the rest (the first and
+    last columns of node.center), so <x, sigma c> is <h, sum_i x_i> plus the gains
+    at its l places: the nearest center puts l on the k largest gains
     (rearrangement inequality), and inside a ball none ties with the k-th.
     X must have zero row sums, so the first term is 0: samples are
     recentered, stencils step along a zero-row-sum basis, _phi reflects
     along a zero-row-sum u, and each step subtracts a center.
     """
-    c = node.centers[0]
+    c = node.center
     gains = (c[:, 0] - c[:, -1]) @ X
     top = np.partition(gains, -node.k, axis=1)[:, -node.k:]  # the k largest, the k-th first
     F = X.reshape(len(X), -1)
@@ -219,7 +221,7 @@ def _balls(node: ModificationNode, X: np.ndarray,
     sel = sel[_bump(near[sel], node.radius) > 0.0]
     if not len(sel):
         return None
-    C = _orbit_point(node.centers[0], gains[sel] >= kth[sel, None])
+    C = _orbit_point(node.center, gains[sel] >= kth[sel, None])
     return sel, _bump(_frob(X[sel] - C), node.radius), C
 
 
@@ -289,8 +291,7 @@ def build_from_plan(plan) -> tuple[MapLayer, DegreeLedger]:
     formula, and the delta is exactly sign * C(r,k); the ledger runs
     through plan.deltas to the plan target (0 for certificate plans).
     """
-    nodes = tuple(ModificationNode(k=k, sign=sign, radius=radius,
-                                   centers=_orbit_centers(plan.r, k, theta))
+    nodes = tuple(ModificationNode(k=k, sign=sign, radius=radius, center=_center(plan.r, k, theta))
                   for k, sign, theta, radius in place_steps(plan))
     return MapLayer(plan.r, nodes), DegreeLedger.of_plan(plan)
 
@@ -330,30 +331,44 @@ def _sample_chunks(r: int, samples: int, seed: int) -> Iterator[np.ndarray]:
 
 
 def verify_equivariance(layer: MapLayer, samples: int = 10000, seed: int = 0) -> float:
-    """max over samples and generator permutations of |f(sigma x) - sigma f(x)|."""
-    worst = 0.0
-    for X in _sample_chunks(layer.r, samples, seed):
-        FX = layer.eval_batch(X)
-        for sigma in generators(layer.r):
-            lhs = layer.eval_batch(_act_array(sigma, X))
-            worst = max(worst, float(_frob(lhs - _act_array(sigma, FX)).max()))
+    """max over the points and generator permutations of |f(sigma x) - sigma f(x)|.
+
+    samples uniform points go through the whole map.  samples ball points,
+    which uniform ones miss at large r, are split evenly over the steps: step
+    j of n draws its share in its first ball (_ball_sampler, from the (n+j)-th
+    child of seed) and moves each point by a seeded random column permutation
+    to a random ball of its orbit.  No two steps' balls meet, so they go
+    through the step alone, _EVAL_ROWS // 2 at a time."""
+    r, nodes = layer.r, layer.nodes
+
+    def residual(f, X: np.ndarray) -> float:
+        FX = f(X)
+        return max(float(_frob(f(_act_array(sigma, X)) - _act_array(sigma, FX)).max())
+                   for sigma in generators(r))
+
+    worst = max(residual(layer.eval_batch, X) for X in _sample_chunks(r, samples, seed))
+    E, children = _ambient_basis(r), np.random.SeedSequence(seed).spawn(2 * len(nodes))
+    block = _EVAL_ROWS // 2  # every ball row runs the step: twice a uniform row's memory
+    for j, node in enumerate(nodes):
+        count = samples // len(nodes) + (j < samples % len(nodes))
+        points, moves = children[len(nodes) + j].spawn(2)
+        draw, moves = _ball_sampler(node, E, points), np.random.default_rng(moves)
+        for lo in range(0, count, block):
+            n = min(block, count - lo)
+            sigma = moves.permuted(np.tile(np.arange(r), (n, 1)), axis=1)[:, None, :]
+            worst = max(worst, residual(MapLayer(r, (node,)).eval_batch,
+                                        np.take_along_axis(draw(n)[0], sigma, axis=2)))
     return worst
 
 
 def center_residual(layer: MapLayer) -> list[float]:
-    """max |h_1/2| over each step's centers, where the homotopy should vanish: one entry
-    per step, first applied first, each on the map after that step ([] for the identity).
+    """|h_1/2| at each step's center, where the homotopy should vanish: one entry per
+    step, first applied first, each on the map after that step ([] for the identity).
 
-    A step's centers lie in its own balls, where the map after it is the
-    step alone, so each step's centers go through MapLayer(r, (node,)),
-    _EVAL_ROWS at a time.
-    """
-    worst = []
-    for node in layer.nodes:
-        alone = MapLayer(layer.r, (node,))
-        worst.append(max(float(_frob(_homotopy(alone, node.centers[lo:lo + _EVAL_ROWS], 0.5)).max())
-                         for lo in range(0, len(node.centers), _EVAL_ROWS)))
-    return worst
+    The center lies in its own ball, where that map is the step alone; where the
+    map is equivariant, sigma keeps norms, so every center has this value."""
+    return [float(_frob(_homotopy(MapLayer(layer.r, (node,)), node.center[None], 0.5))[0])
+            for node in layer.nodes]
 
 
 def _ambient_basis(r: int) -> np.ndarray:
@@ -375,74 +390,60 @@ def _coords(E: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalDegreeReport:
-    """Finite-difference Jacobian signs of the homotopy at its zeros.
+    """Finite-difference Jacobian sign of the homotopy at a step's center.
 
-    delta_signs is the convention-adjusted reading (one per orbit
-    center): it should be constant across the orbit and equal to the
-    sign of the step's ledger delta.
-    """
+    delta_signs holds the convention-adjusted reading at the step's one center,
+    shared by its orbit; it should equal the sign of the step's ledger delta."""
 
     k: int
     variant: str
-    delta_signs: tuple[int, ...]
-    consistent: bool
+    delta_signs: tuple[int]
     matches_ledger: bool
 
 
-def _stencil_dets(layer: MapLayer, E: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Bordered central-difference Jacobian determinants of (x, t) -> h_t(x) at (centers, 1/2).
+def _stencil_det(layer: MapLayer, E: np.ndarray, center: np.ndarray) -> float:
+    """Bordered central-difference Jacobian determinant of (x, t) -> h_t(x) at (center, 1/2).
 
     Columns step by FD_STEP along the rows of E and along t, each x-step
-    reprojected onto the sphere; the top row is [c, 0], the center's own coordinates.
-    A radial step reprojects onto c, so J_x c = 0, and for any oriented
-    tangent basis b with det [c, b] = +1 the determinant equals that of
-    the chart Jacobian [J_x b, J_t].  One batched homotopy evaluation
-    covers every stencil point of every center.
+    reprojected onto the sphere; the top row is [c, 0], the center's own
+    coordinates.  A radial step reprojects onto c, so J_x c = 0, and for any
+    tangent basis b with det [c, b] = +1 the determinant is that of [J_x b, J_t].
     """
-    m, n, step = len(centers), len(E), FD_STEP
-    C = centers[:, None]
+    n, step = len(E), FD_STEP
     # rows 2j and 2j+1 step along +-E[j]; the last two along +-t
-    p = np.stack([C + step * E, C - step * E], axis=2).reshape(m, -1, 2, layer.r)
-    pts = np.concatenate([p / _frob(p)[..., None, None], C, C], axis=1).reshape(-1, 2, layer.r)
-    ts = np.full((m, 2 * n + 2), 0.5)
-    ts[:, -2:] = 0.5 + step, 0.5 - step
-    H = _coords(E, _homotopy(layer, pts, ts.ravel())).reshape(m, -1, n)
-    J = np.zeros((m, n + 1, n + 1))
-    J[:, 0, :n] = _coords(E, centers)
-    J[:, 1:] = ((H[:, 0::2] - H[:, 1::2]) / (2.0 * step)).transpose(0, 2, 1)
-    return np.linalg.det(J)
+    p = np.stack([center + step * E, center - step * E], axis=1).reshape(-1, 2, layer.r)
+    pts = np.concatenate([p / _frob(p)[:, None, None], [center, center]])
+    ts = np.full(2 * n + 2, 0.5)
+    ts[-2:] = 0.5 + step, 0.5 - step
+    H = _coords(E, _homotopy(layer, pts, ts))
+    J = np.zeros((n + 1, n + 1))
+    J[0, :n] = _coords(E, center)
+    J[1:] = ((H[0::2] - H[1::2]) / (2.0 * step)).T
+    return float(np.linalg.det(J))
 
 
 def verify_local_degrees(layer: MapLayer) -> list[LocalDegreeReport]:
-    """Jacobian sign of (x, t) -> h_t(x) at every (center, 1/2), one report per step as in
-    center_residual.
+    """Jacobian sign of (x, t) -> h_t(x) at each step's (center, 1/2), one report per step
+    as in center_residual.
 
-    The sign is read from the bordered Jacobian of _stencil_dets, which
-    orients every center's tangent space by det [c, b] > 0; with that
-    convention the measured delta sign is minus the Jacobian sign.
-    Stencils of step FD_STEP are evaluated step by step on the step
-    alone, as in center_residual, in blocks of at most _EVAL_ROWS points.
-    In every plan build_from_plan admits, each stencil point lies on the
-    plateau of its ball, where |det| = 2 up to rounding, so a center
-    whose determinant is at most 1e-8 in magnitude raises
-    NumericalDegeneracyError.
+    The sign is read from the bordered Jacobian of _stencil_det, which
+    orients the tangent space by det [c, b] > 0; with that convention the
+    delta sign is minus the Jacobian sign.  Where the map is equivariant,
+    sigma (+) sigma carries the stencil at c to one at sigma c and keeps
+    orientation, so every center has this sign.  The stencil is evaluated
+    on the step alone; each of its points lies on the plateau of the ball,
+    where |det| = 2, so |det| <= 1e-8 raises NumericalDegeneracyError.
     """
     E = _ambient_basis(layer.r)
-    block = max(1, _EVAL_ROWS // (4 * layer.r - 2))
     reports = []
     for node in layer.nodes:
-        alone = MapLayer(layer.r, (node,))
-        step_det = np.concatenate([_stencil_dets(alone, E, node.centers[lo:lo + block])
-                                   for lo in range(0, len(node.centers), block)])
-        flat = np.flatnonzero(~(np.abs(step_det) > 1e-8))
-        if len(flat):
+        det = _stencil_det(MapLayer(layer.r, (node,)), E, node.center)
+        if not abs(det) > 1e-8:
             raise NumericalDegeneracyError(f"Jacobian determinant at most 1e-8 in magnitude "
-                                           f"at center {flat[0]} of the k={node.k} step")
-        delta_signs = tuple(-1 if d > 0 else 1 for d in step_det)
-        consistent = len(set(delta_signs)) == 1
+                                           f"at center 0 of the k={node.k} step")
+        sign = -1 if det > 0 else 1
         reports.append(LocalDegreeReport(k=node.k, variant="minus" if node.sign < 0 else "plus",
-                                         delta_signs=delta_signs, consistent=consistent,
-                                         matches_ledger=consistent and delta_signs[0] == node.sign))
+                                         delta_signs=(sign,), matches_ledger=sign == node.sign))
     return reports
 
 
@@ -464,13 +465,14 @@ class SpuriousZeroSearch:
     in_zero_zone: int
 
 
-# Work that `eqmap build` and `eqmap verify` admit: row-steps of the equivariance
-# check (its samples, each through every step, once plus once per generator) and,
-# for verify, of the spurious search (each step's samples through that step), at 2
-# units each, plus stencil work (C(r,k) * r^3 a step), at 1.  A row-step costs
-# about 0.2 us at r = 2 and a stencil unit about 0.003 us.  It admits one verified
-# step up to r = 131, and on 500 steps at r = 2 a verify of 99,997 samples or a
-# build of 150,000 (33 s and 15 s; shared 2-core Xeon).
+# Work that `eqmap build` and `eqmap verify` admit: equivariance row-steps (uniform
+# samples through every step, ball samples through their own, once plus once per
+# generator) and, for verify, search row-steps, at 2 units each (about 0.2 us at
+# r = 2); draws of ball points at r^2/50 (2r^2 ns each, or one verified step at
+# r = 650 would draw for half an hour); stencils, r^3 a step, at 1 (0.003 us).  It
+# admits one verified step up to r = 666 (200 samples, 1.3 s), on 500 steps at r = 2
+# a verify of 98,550 samples or a build of 149,694 (33 s and 21 s), and r = 84
+# verified at the sample cap (58 s); end to end, shared 2-core Xeon.
 MAX_VERIFY_WORK = 300_000_000
 
 
@@ -480,31 +482,30 @@ def check_verify_work(r: int, ks: Sequence[int], samples: int, stencils_and_sear
     the steps ks whose work exceeds MAX_VERIFY_WORK."""
     _check_samples(samples)
     generator_count = 1 if r == 2 else 2  # len(generators(r)), without listing them
-    equivariance = 2 * samples * len(ks) * (1 + generator_count)
+    balls = samples if ks else 0  # the equivariance check's ball points
+    equivariance = 2 * (samples * len(ks) + balls) * (1 + generator_count)
     search = 2 * samples * len(ks) if stencils_and_search else 0
-    stencils = sum(math.comb(r, k) for k in ks) * r ** 3 if stencils_and_search else 0
-    work = equivariance + search + stencils
+    draws = (balls + search // 2) * r * r // 50
+    stencils = len(ks) * r ** 3 if stencils_and_search else 0
+    work = equivariance + search + draws + stencils
     if work > MAX_VERIFY_WORK:
-        mode, parts = "build", f"{equivariance:,} for the equivariance row-steps"
-        if stencils_and_search:
-            mode = "verify"
-            parts += f", {search:,} for the search row-steps and {stencils:,} for the stencils"
-        raise ValueError(f"eqmap {mode} at r={r} would do {work:,} units of work ({parts}), "
-                         f"beyond the cap eqmaps.MAX_VERIFY_WORK = {MAX_VERIFY_WORK:,}")
+        raise ValueError(f"eqmap {'verify' if stencils_and_search else 'build'} at r={r} would do "
+                         f"{work:,} units of work ({equivariance:,} for the equivariance row-steps, "
+                         f"{search:,} for the search row-steps, {draws:,} for the ball draws and "
+                         f"{stencils:,} for the stencils), beyond the cap eqmaps.MAX_VERIFY_WORK "
+                         f"= {MAX_VERIFY_WORK:,}")
 
 
 def _ball_sampler(node: ModificationNode, E: np.ndarray, seed: np.random.SeedSequence):
-    """Draws of n points in the ball of node.centers[0], and a t for each.
+    """Draws of n points in the ball of node.center, and a t for each.
 
-    The exponential map at the center c, in the coordinates of E: a
-    Gaussian direction with its c component removed, at chord distance
-    d = R*sqrt(U), whose angle has cosine 1 - d^2/2 and sine
-    d*sqrt(1 - d^2/4), and t uniform on [0, 1].  Directions and (U, t)
-    come from two streams of seed, so draws of any sizes concatenate to
-    one draw.
+    The exponential map at the center c, in the coordinates of E: a Gaussian
+    direction with its c component removed, at chord distance d = R*sqrt(U)
+    (cosine 1 - d^2/2, sine d*sqrt(1 - d^2/4)), and t uniform on [0, 1], from
+    two streams of seed, so draws of any sizes concatenate to one draw.
     """
     directions, radii = (np.random.default_rng(s) for s in seed.spawn(2))
-    c = _coords(E, node.centers[0])
+    c = _coords(E, node.center)
 
     def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
         G = directions.standard_normal((n, len(E)))
@@ -520,18 +521,15 @@ def verify_no_spurious_zeros(layer: MapLayer, samples: int = 100000, seed: int =
                              ) -> list[SpuriousZeroSearch]:
     """Smallest |h_t(x)| found away from the designed zeros of each step, and where.
 
-    One search per step of layer, first applied first, each on the map
-    after that step.  Step j's samples points lie in the ball of its
-    first center (_ball_sampler, from the j-th child of seed); off its
-    balls h_t is the normalized map below, |h_t| = 1 up to rounding, and
-    by equivariance every ball of the orbit holds the same values.  On
-    its balls the map after step j is the step alone, so the points go
-    through MapLayer(r, (node,)), _EVAL_ROWS at a time, excluding tubes
-    of radius R/10 around each pushed center for t in [0.4, 0.6]; where
-    goes to the first point of the minimum in draw order, which no block
-    size changes.  The identity map gets one search of uniform points.
-    Sampled evidence only, but a reported minimum above 1e-3 leaves no
-    room for an unnoticed sign slip in the degree ledger.
+    One search per step, first applied first, each on the map after that
+    step.  Step j's samples points lie in its first ball (_ball_sampler,
+    from the j-th child of seed): off its balls |h_t| = 1 up to rounding,
+    and by equivariance every ball of the orbit holds the same values.  The
+    points go through the step alone, _EVAL_ROWS at a time, excluding tubes
+    of radius R/10 around each center for t in [0.4, 0.6]; where goes to the
+    first point of the minimum in draw order.  The identity map gets one
+    search of uniform points.  Sampled evidence only, but a minimum above
+    1e-3 leaves no room for an unnoticed sign slip in the degree ledger.
     """
     nodes, r = layer.nodes, layer.r
     _check_samples(samples)

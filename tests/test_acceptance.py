@@ -20,6 +20,8 @@ from tverberg import numbercert as nc
 from tverberg import plmaps as pl
 from tverberg.cli import main as cli_main
 
+from test_eqmaps import per_center_fd_signs
+
 
 def report(num, label, ok, elapsed, budget):
     status = "PASS" if ok else "FAIL"
@@ -198,9 +200,15 @@ def test_criterion_9_degree_zero_r6():
     ok = ok and len(residuals) == 3 and max(residuals) < 1e-9
     ok = ok and sum(len(node.centers) for node in layer.nodes) == 41
 
+    # each step's one sign, read at its first center, is the per-center reference's
+    # sign at every one of the 41 centers
     reports = eq.verify_local_degrees(layer)
-    ok = ok and sum(len(rep.delta_signs) for rep in reports) == 41
-    ok = ok and all(rep.consistent and rep.matches_ledger for rep in reports)
+    signs = [-s for step in layer.chain() for s in per_center_fd_signs(step)]
+    ok = ok and len(signs) == 41 and signs == [rep.delta_signs[0] for rep, node in
+                                               zip(reports, layer.nodes, strict=True)
+                                               for _ in range(math.comb(6, node.k))]
+    ok = ok and all(rep.delta_signs == (rep.delta_signs[0],) and rep.matches_ledger
+                    for rep in reports)
     for k in (1, 2, 3):
         (minus,), (plus,) = (eq.verify_local_degrees(eq.build_from_plan(
             nc.ModificationPlan(6, ((k, sign),)))[0]) for sign in (-1, 1))

@@ -604,8 +604,8 @@ class TestEqmap:
         assert report["outputs"]["equivariance_max_residual"] < 1e-9
 
     @pytest.mark.parametrize("r, plan, message", [
-        ("18", "auto", "plan step k=5 has C(18,5) = 8568 centers, beyond the builder's "
-                       "cap MAX_ORBIT = 5005"),
+        ("18", "auto", "plan step k=5 has C(18,5), more than 5,005 centers, beyond the "
+                       "builder's cap MAX_ORBIT = 5005"),
         ("2", ",".join(["1:-,1:+"] * 550), "plan has 1100 steps, beyond the builder's "
                                            "cap MAX_PLAN_STEPS = 500"),
     ], ids=["r18-auto", "r2-1100-steps"])
@@ -617,23 +617,23 @@ class TestEqmap:
         assert captured.err == ""
 
     def test_build_orbit_beyond_the_cap_lists_no_center(self, capsys, deadline, monkeypatch):
-        """C(26,13) = 10,400,600 centers would take about 4.3 GB to list; the
-        cap refuses the plan before _orbit_centers runs, which it does at k = 1."""
+        """Neither mode lists an orbit: each step keeps one center, and only
+        ModificationNode.centers, which no check reads, calls _low_masks.  The
+        cap refuses C(26,13) = 10,400,600 centers before it computes C(26,13)."""
         from tverberg import eqmaps as eq
 
         calls = []
-        listed = eq._orbit_centers
-        monkeypatch.setattr(eq, "_orbit_centers", lambda *args: calls.append(args) or listed(*args))
-        assert run_cli(capsys, "eqmap", "build", "--r", "26", "--plan", "1:-",
-                       "--samples", "5")[0] == 0
-        assert calls == [(26, 1, 0.0)]
-        calls.clear()
+        masks = eq._low_masks
+        monkeypatch.setattr(eq, "_low_masks", lambda *args: calls.append(args) or masks(*args))
+        for mode in ("build", "verify"):
+            assert run_cli(capsys, "eqmap", mode, "--r", "15", "--plan", "auto",
+                           "--samples", "5")[0] == 0
+        assert calls == []
         with deadline(1.0):
             code, report = run_cli(capsys, "eqmap", "build", "--r", "26", "--plan", "13:-")
         assert code == 2
-        assert report == {"error": "plan step k=13 has C(26,13) = 10400600 centers, beyond the "
-                                   "builder's cap MAX_ORBIT = 5005", "flags": {"pass": False}}
-        assert calls == []
+        assert report == {"error": "plan step k=13 has C(26,13), more than 5,005 centers, beyond "
+                                   "the builder's cap MAX_ORBIT = 5005", "flags": {"pass": False}}
 
     def test_build_r15_auto_peak_memory(self):
         """No orbit is measured against a whole other orbit: a fresh process building
@@ -650,6 +650,27 @@ class TestEqmap:
         code, peak_kib = map(int, proc.stderr.split()[-2:])
         assert code == 0
         assert peak_kib / 1024 < 150
+
+    def test_build_memory_does_not_grow_with_the_steps(self):
+        """A second k = 1 step at r = 1000 adds no orbit of 1,000 centers: the
+        peaks of the two builds, each read by a small launcher from its own
+        child's ru_maxrss (os.wait4), lie within 5 MB.  When each step listed
+        its orbit, they read 128 and 152 MB."""
+        script = ("import os, sys\n"
+                  "argv = [sys.executable, '-c', 'import sys; from tverberg.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))', 'eqmap', 'build', '--r', '1000',\n"
+                  "        '--plan', sys.argv[1], '--samples', '1']\n"
+                  "quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+                  "pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)\n"
+                  "_, status, usage = os.wait4(pid, 0)\n"
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+        peaks = []
+        for plan in ("1:-", "1:-,1:-"):
+            proc = run_python(script, plan)
+            code, peak_kib = map(int, proc.stdout.split())
+            assert code == 0, proc.stderr
+            peaks.append(peak_kib / 1024)
+        assert abs(peaks[1] - peaks[0]) < 5, peaks
 
     def test_verify_r6_auto(self, capsys):
         code, report = run_cli(capsys, "eqmap", "verify", "--r", "6", "--plan", "auto",
@@ -685,32 +706,33 @@ class TestEqmap:
 
         monkeypatch.setattr(eq, "build_from_plan", unbuilt)
         with deadline(1.0):
-            code, report = run_cli(capsys, "eqmap", "verify", "--r", "300", "--plan", "1:-",
+            code, report = run_cli(capsys, "eqmap", "verify", "--r", "700", "--plan", "1:-",
                                    "--samples", "200")
         assert code == 2
-        assert report == {"error": "eqmap verify at r=300 would do 8,100,001,600 units of work "
-                                   "(1,200 for the equivariance row-steps, 400 for the search "
-                                   "row-steps and 8,100,000,000 for the stencils), "
-                                   "beyond the cap eqmaps.MAX_VERIFY_WORK = 300,000,000",
+        assert report == {"error": "eqmap verify at r=700 would do 346,922,800 units of work "
+                                   "(2,400 for the equivariance row-steps, 400 for the search "
+                                   "row-steps, 3,920,000 for the ball draws and 343,000,000 for "
+                                   "the stencils), beyond the cap eqmaps.MAX_VERIFY_WORK = "
+                                   "300,000,000",
                           "flags": {"pass": False}}
         plan = ",".join(["1:-,1:+"] * 250)
         with deadline(1.0):
             code, report = run_cli(capsys, "eqmap", "build", "--r", "2", "--plan", plan,
                                    "--samples", "1000000")
         assert code == 2
-        assert report == {"error": "eqmap build at r=2 would do 2,000,000,000 units of work "
-                                   "(2,000,000,000 for the equivariance row-steps), "
-                                   "beyond the cap eqmaps.MAX_VERIFY_WORK = 300,000,000",
+        assert report == {"error": "eqmap build at r=2 would do 2,004,080,000 units of work "
+                                   "(2,004,000,000 for the equivariance row-steps, 0 for the "
+                                   "search row-steps, 80,000 for the ball draws and 0 for the "
+                                   "stencils), beyond the cap eqmaps.MAX_VERIFY_WORK = 300,000,000",
                           "flags": {"pass": False}}
 
     @pytest.mark.parametrize("mode, message", [
-        ("build", "plan step k=1 has C(1000000000,1) = 1000000000 centers, beyond the "
-                  "builder's cap MAX_ORBIT = 5005"),
+        ("build", "eqmap build at r=1000000000 would do "),
         ("verify", "eqmap verify at r=1000000000 would do "),
     ])
     def test_huge_r_is_refused_fast(self, capsys, deadline, mode, message):
-        """At r = 10^9 build passes the work cap and meets the orbit cap; verify
-        meets the work cap.  Neither lists anything of size r first."""
+        """At r = 10^9 both modes meet the work cap (build on its one ball draw,
+        verify on its stencil too).  Neither lists anything of size r first."""
         with deadline(1.0):
             code, report = run_cli(capsys, "eqmap", mode, "--r", "1000000000", "--plan", "1:-",
                                    "--samples", "1")

@@ -38,9 +38,14 @@ def bump_rho(x, c, radius):
     return float(eq._bump(dmin, radius))
 
 
+def orbit(r, k, theta):
+    """Oracle: all C(r,k) centers of c_theta, one per mask of _low_masks."""
+    return eq._orbit_point(eq._center(r, k, theta), eq._low_masks(r, k))
+
+
 def brute_min_orbit_distance(r, k):
     """Oracle: enumerate the whole orbit and minimize chordal distances."""
-    base = eq._orbit_centers(r, k, 0.0)[0]
+    base = eq._center(r, k, 0.0)
     pts = {base.tobytes(): base}
     for sigma in itertools.permutations(range(r)):
         img = eq._act_array(sigma, base)
@@ -89,7 +94,7 @@ class TestAction:
         assert np.allclose(eq._act_array((1, 0), x), -x)
 
     def test_stabilizer_fixes_center(self):
-        c = eq._orbit_centers(6, 2, 0.0)[0]
+        c = eq._center(6, 2, 0.0)
         sigma = (1, 0, 2, 3, 4, 5)  # transposition inside the low block
         assert np.allclose(eq._act_array(sigma, c), c)
         tau = (0, 1, 3, 2, 4, 5)  # transposition inside the high block
@@ -106,15 +111,17 @@ class TestAction:
 
 class TestCenters:
     def test_center_6_2(self):
-        centers = eq._orbit_centers(6, 2, 0.0)
+        centers = orbit(6, 2, 0.0)
         c = centers[0]
-        c1 = eq._orbit_centers(6, 2, math.pi / 2)[0]  # the reflection axis u of c
+        c1 = eq._center(6, 2, math.pi / 2)  # the reflection axis u of c
         expected = np.array([-4, -4, 2, 2, 2, 2]) / math.sqrt(48)
         assert np.allclose(c[0], expected)
         assert np.allclose(c[1], 0)
         assert np.allclose(c1[1], expected)
         assert np.allclose(c1[0], 0)
         assert len(centers) == 15
+        assert np.array_equal(c, eq._center(6, 2, 0.0))
+        assert np.array_equal(one_step(6, 2).node.centers, centers)
 
     def test_center_2_1(self):
         centers = one_step(2, 1).node.centers
@@ -157,7 +164,7 @@ class TestCenters:
 
 class TestBump:
     def test_plateau_and_support(self):
-        c = eq._orbit_centers(6, 2, 0.0)[0]
+        c = eq._center(6, 2, 0.0)
         R = ci.safe_radius(6, 2)
         assert bump_rho(c, c, R) == 1.0
         # a point at distance exactly R from c (walk along a tangent great circle)
@@ -169,7 +176,7 @@ class TestBump:
         assert bump_rho(far, c, R) == 0.0
 
     def test_value_at_third_radius(self):
-        c = eq._orbit_centers(6, 2, 0.0)[0]
+        c = eq._center(6, 2, 0.0)
         R = ci.safe_radius(6, 2)
         t = np.zeros((2, 6))
         t[1] = c[0]
@@ -198,7 +205,7 @@ class TestBump:
             assert abs(float(eq._bump(0.625 * R, R)) - 0.5) <= 1e-15
             angle = 2.0 * np.arcsin(d * R / 2.0)  # chord d*R from the angle 0
             # numpy: the r = 2 plus step whose center c_0 is z = -1, at t = 1
-            node = eq.ModificationNode(k=1, sign=1, radius=R, centers=eq._orbit_centers(2, 1, 0.0))
+            node = eq.ModificationNode(k=1, sign=1, radius=R, center=eq._center(2, 1, 0.0))
             X = on_circle(math.pi + angle)
             _, rho, _ = eq._balls(node, X)
             weights.clear()
@@ -218,7 +225,7 @@ class TestBump:
                 elif p <= 0.25:
                     assert plus.image(w) == minus.image(w), (R, w)
         # at s = 1, phi is the exact reflection: it fixes c and sends u, c turned by 90 degrees, to -u
-        c = eq._orbit_centers(6, 2, 0.0)[0]
+        c = eq._center(6, 2, 0.0)
         u = np.stack([-c[1], c[0]])
         assert np.allclose(phi(np.stack([u, c]), np.stack([c, c]), 1.0), [-u, c], rtol=0, atol=1e-15)
 
@@ -254,7 +261,7 @@ class TestBump:
         assert np.count_nonzero((dmin < R) & ~(eq._bump(dmin, R) > 0.0)) >= 3
 
     def test_orbit_invariance(self):
-        c = eq._orbit_centers(4, 2, 0.0)[0]
+        c = eq._center(4, 2, 0.0)
         R = ci.safe_radius(4, 2)
         rng = np.random.default_rng(5)
         for x in eq.random_sphere_points(4, 20, rng):
@@ -325,7 +332,8 @@ class TestNearest:
             layer, _ = eq.build_from_plan(plan_of(r, ((k, -1),) * 3))
             for theta, step in zip((0.0, math.pi / 6, math.pi / 3), layer.chain()):
                 node = step.node
-                centers = eq._orbit_centers(r, k, theta)
+                centers = orbit(r, k, theta)
+                assert np.array_equal(node.center, centers[0])
                 assert np.array_equal(node.centers, centers)
                 m = len(centers)
                 scale = rng.uniform(0.05, 0.95, (m, 1, 1)) * node.radius
@@ -338,7 +346,7 @@ class TestNearest:
                 assert np.abs(dmin - dist.min(axis=1)).max() < 1e-12
                 inside = dmin < node.radius
                 assert inside[:m].all() and not inside.all()
-                located = eq._orbit_point(node.centers[0], gains[inside] >= kth[inside, None])
+                located = eq._orbit_point(node.center, gains[inside] >= kth[inside, None])
                 assert np.array_equal(located, centers[dist[inside].argmin(axis=1)])
 
 
@@ -393,10 +401,10 @@ class TestSeparation:
         pairs = 0
         for i, later in enumerate(nodes):
             for earlier, theta0 in zip(nodes[:i], thetas):
-                want = float(eq._nearest(earlier, later.centers[:1])[0][0])
+                want = float(eq._nearest(earlier, later.center[None])[0][0])
                 got = ci.orbit_distance(r, earlier.k, theta0, later.k, thetas[i])
                 assert abs(got - want) < 1e-12
-                rows = [sorted(eq._center_row(r, k) * math.sqrt(k * (r - k) * r))
+                rows = [sorted(eq._center(r, k, 0.0)[0] * math.sqrt(k * (r - k) * r))
                         for k in (earlier.k, later.k)]
                 lo, hi = sorted((earlier.k, later.k))
                 assert abs(float(np.dot(*rows)) - r * lo * (r - hi)) < 1e-9
@@ -448,7 +456,7 @@ class TestPlacement:
         nodes = [(nd.k, nd.sign, nd.radius) for nd in layer.nodes]
         assert nodes == [(k, s, radius) for k, s, _, radius in placed]
         for nd, (k, _, theta, _) in zip(layer.nodes, placed):
-            assert np.array_equal(nd.centers, eq._orbit_centers(r, k, theta))
+            assert np.array_equal(nd.center, eq._center(r, k, theta))
         assert [(k, s) for k, s, _ in nodes] == list(plan.steps)
 
     @pytest.mark.parametrize("r, steps", [
@@ -514,6 +522,28 @@ class TestPlacement:
         first = ci.place_steps(certificate_to_plan(bezout_certificate(6)))[0]
         assert first[3] == ci.orbit_distance(6, 1, 0.0, 2, 0.0) / 2.0 < ci.step_radius(6, 1, 1)
 
+    def test_huge_orbit_is_refused_before_its_size_is_computed(self, deadline):
+        """C(10^7, 5*10^6) has millions of digits: place_steps builds the orbit
+        size up factor by factor and refuses once it passes MAX_ORBIT, so the
+        library path and the numpy builder fail fast, with a short message."""
+        import time
+
+        plan = plan_of(10 ** 7, ((5 * 10 ** 6, -1),))
+        for build in (ci.place_steps, eq.build_from_plan):
+            t0 = time.perf_counter()
+            with deadline(1.0), pytest.raises(ValueError) as info:
+                build(plan)
+            assert time.perf_counter() - t0 < 1.0
+            assert str(info.value) == ("plan step k=5000000 has C(10000000,5000000), more than "
+                                       "5,005 centers, beyond the builder's cap MAX_ORBIT = 5005")
+        for r, steps in ((18, ((1, -1), (5, 1))), (18, ((13, 1),)), (26, ((13, -1),)),
+                         (5006, ((1, -1),)), (5006, ((5005, 1),))):
+            k = steps[-1][0]
+            with pytest.raises(ValueError, match=f"k={k} has C\\({r},{k}\\), more than 5,005"):
+                ci.place_steps(plan_of(r, steps))
+        for r, k in ((15, 6), (15, 9), (5005, 1), (5005, 5004)):
+            assert len(ci.place_steps(plan_of(r, ((k, -1),)))) == 1
+
     @pytest.mark.parametrize("build", [eq.build_from_plan, ci.build_circle_map])
     def test_long_plan_refused_before_separation(self, build, monkeypatch):
         calls = []
@@ -552,8 +582,8 @@ class TestBuildFromPlan:
         assert ledger.running == (1, -5, -11, 4, 10) and ledger.final == plan.target
         for rep, (k, sign) in zip(eq.verify_local_degrees(layer), plan.steps, strict=True):
             assert (rep.k, rep.variant) == (k, "minus" if sign < 0 else "plus")
-            assert rep.consistent and rep.matches_ledger
-            assert set(rep.delta_signs) == {sign}
+            assert rep.matches_ledger
+            assert rep.delta_signs == (sign,)
 
     def test_repeated_k_families_are_rotated(self):
         layer, _ = eq.build_from_plan(plan_of(2, ((1, -1), (1, 1), (1, -1))))
@@ -829,14 +859,14 @@ def per_center_fd_signs(layer, fd_step=1e-5):
 class TestLocalDegrees:
     def test_r2_minus_step(self):
         (rep,) = eq.verify_local_degrees(one_step(2, 1))
-        assert len(rep.delta_signs) == 2
-        assert rep.consistent and rep.matches_ledger
-        assert rep.delta_signs[0] == -1
+        assert rep.delta_signs == (-1,) and rep.matches_ledger
 
     def test_r6_k2_minus_step(self):
-        (rep,) = eq.verify_local_degrees(one_step(6, 2))
-        assert len(rep.delta_signs) == 15
-        assert rep.consistent and rep.matches_ledger
+        """The one sign read at the first center is every center's sign."""
+        layer = one_step(6, 2)
+        (rep,) = eq.verify_local_degrees(layer)
+        assert rep.delta_signs == (-1,) and rep.matches_ledger
+        assert per_center_fd_signs(layer) == (1,) * 15
 
     def test_plus_minus_opposite_signs(self):
         for r, k in ((2, 1), (6, 1), (6, 2)):
@@ -844,76 +874,58 @@ class TestLocalDegrees:
             (plus,) = eq.verify_local_degrees(one_step(r, k, 1))
             assert minus.delta_signs[0] == -plus.delta_signs[0]
 
-    @pytest.mark.parametrize("r, steps", [(6, "auto"), SEPARATED_PLANS[1], (10, "auto")])
+    @pytest.mark.parametrize("r, steps", [(6, "auto"), SEPARATED_PLANS[1], (10, "auto"),
+                                          (12, "auto")])
     def test_batched_signs_match_per_center_reference(self, r, steps):
+        """The sign read at each step's first center is the per-center reference's
+        sign at every center of the orbit (sigma (+) sigma keeps orientation)."""
         plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
-        for step, rep in zip(layer.chain(), eq.verify_local_degrees(layer)):
-            assert len(rep.delta_signs) == math.comb(r, step.node.k)
-            assert rep.delta_signs == tuple(-s for s in per_center_fd_signs(step))
+        for step, rep in zip(layer.chain(), eq.verify_local_degrees(layer), strict=True):
+            assert rep.delta_signs == (rep.delta_signs[0],) and rep.matches_ledger
+            assert per_center_fd_signs(step) == (-rep.delta_signs[0],) * math.comb(r, step.node.k)
 
     @pytest.mark.parametrize("r, steps", [(6, "auto"), SEPARATED_PLANS[1], (10, "auto"),
                                           (2, ((1, -1), (1, 1)) * 60), (2, ((1, 1),)), (2, ())])
     def test_one_pass_matches_each_prefix(self, r, steps):
         """Both checks, which evaluate each step alone, give each step what the
-        map after it gives: the center residual, the largest |h_1/2| at its
-        centers, bit for bit, and the delta signs exactly; the identity gets
-        no entry."""
+        map after it gives: the center residual, |h_1/2| at its center, bit for
+        bit, and the delta sign; the identity gets no entry."""
         layer, _ = eq.build_from_plan(certificate_to_plan(bezout_certificate(r))
                                       if steps == "auto" else plan_of(r, steps))
         E = eq._ambient_basis(r)
         residuals, signs = [], []
         for step in layer.chain():
-            C = step.node.centers
-            residuals.append(float(eq._frob(eq._homotopy(step, C, np.full(len(C), 0.5))).max()))
-            det = eq._stencil_dets(step, E, C)
-            signs.append(tuple(-1 if d > 0 else 1 for d in det))
+            c = step.node.center[None]
+            residuals.append(float(eq._frob(eq._homotopy(step, c, np.full(1, 0.5)))[0]))
+            signs.append((-1 if eq._stencil_det(step, E, step.node.center) > 0 else 1,))
         assert eq.center_residual(layer) == residuals and all(res < 1e-9 for res in residuals)
         assert [rep.delta_signs for rep in eq.verify_local_degrees(layer)] == signs
 
     def test_one_homotopy_call_per_row_block(self, monkeypatch):
-        """On 120 steps of 2 centers and on r = 6 auto, each check evaluates
-        each step's rows on that step alone, in step order, in blocks of at
-        most _EVAL_ROWS rows (the stencils in whole centers of 4r - 2 points),
-        with the results of the default blocks."""
-        default, homotopy, calls = eq._EVAL_ROWS, eq._homotopy, []
+        """On 120 steps and on r = 6 auto, each check evaluates each step's one
+        block on that step alone, in step order: its center (center_residual)
+        or the 4r - 2 stencil points there (verify_local_degrees)."""
+        homotopy, calls = eq._homotopy, []
         monkeypatch.setattr(eq, "_homotopy", lambda layer, X, *args, **kwargs:
                             calls.append((layer.nodes, len(X))) or homotopy(layer, X, *args, **kwargs))
         for r, steps in ((2, ((1, -1), (1, 1)) * 60), (6, "auto")):
-            monkeypatch.setattr(eq, "_EVAL_ROWS", default)
             layer = plan_layer(r, steps)
-            whole = eq.center_residual(layer), eq.verify_local_degrees(layer)
-            for block in (default, 4 * (4 * r - 2), 7):
-                monkeypatch.setattr(eq, "_EVAL_ROWS", block)
-                for check, points, result in zip((eq.center_residual, eq.verify_local_degrees),
-                                                 (1, 4 * r - 2), whole):
-                    calls.clear()
-                    assert check(layer) == result and len(result) == layer.depth
-                    per = max(1, block // points)  # centers a call
-                    assert calls == [((node,), min(per, len(node.centers) - lo) * points)
-                                     for node in layer.nodes
-                                     for lo in range(0, len(node.centers), per)]
+            for check, points in zip((eq.center_residual, eq.verify_local_degrees), (1, 4 * r - 2)):
+                calls.clear()
+                assert len(check(layer)) == layer.depth
+                assert calls == [((node,), points) for node in layer.nodes]
 
     def test_flat_determinant_raises_naming_k_and_center(self, monkeypatch):
-        """A determinant at most 1e-8 at one center fails the step at once,
-        with no retry; the error names the center's index in the orbit."""
+        """A determinant at most 1e-8 at the step's center fails the step at once,
+        with no retry; the error names the center, the first of the orbit."""
         layer = one_step(6, 2)
-        flat = layer.node.centers[11]
         calls = []
-        batched = eq._stencil_dets
-
-        def planted(layer, E, centers):
-            calls.append(len(centers))
-            det = batched(layer, E, centers)
-            det[np.all(centers == flat, axis=(1, 2))] = 1e-9
-            return det
-
-        monkeypatch.setattr(eq, "_stencil_dets", planted)
-        monkeypatch.setattr(eq, "_EVAL_ROWS", 4 * 22)  # 4 centers of 22 stencil points
-        with pytest.raises(eq.NumericalDegeneracyError, match="at center 11 of the k=2 step"):
+        monkeypatch.setattr(eq, "_stencil_det", lambda layer, E, center: calls.append(center) or 1e-9)
+        with pytest.raises(eq.NumericalDegeneracyError, match="at center 0 of the k=2 step"):
             eq.verify_local_degrees(layer)
-        assert calls == [4, 4, 4, 3]
+        assert len(calls) == 1 and np.array_equal(calls[0], layer.node.center)
 
     @pytest.mark.parametrize("r, steps", [
         (6, "auto"), (10, "auto"), (12, "auto"),
@@ -921,22 +933,24 @@ class TestLocalDegrees:
     ])
     def test_determinant_is_two_at_every_center(self, r, steps):
         """Every stencil point lies on the plateau of its ball, where h_t is
-        x - 2t*c (minus) or the full reflection (plus), so |det| = 2; this is
-        why a center with |det| <= 1e-8 is an error and not retried."""
+        x - 2t*c (minus) or the full reflection (plus), so |det| = 2 at every
+        center of the orbit, with one sign; this is why a center with
+        |det| <= 1e-8 is an error and not retried."""
         plan = (certificate_to_plan(bezout_certificate(r)) if steps == "auto"
                 else plan_of(r, steps))
         layer, _ = eq.build_from_plan(plan)
-        E, det = eq._ambient_basis(r), []
+        E, count = eq._ambient_basis(r), 0
         for node in layer.nodes:
-            for lo in range(0, len(node.centers), 64):
-                det.extend(eq._stencil_dets(eq.MapLayer(r, (node,)), E, node.centers[lo:lo + 64]))
-        det = np.array(det)
-        assert len(det) == sum(math.comb(r, node.k) for node in layer.nodes)
-        assert np.abs(np.abs(det) - 2.0).max() < 1e-6
+            alone = eq.MapLayer(r, (node,))
+            det = np.array([eq._stencil_det(alone, E, c) for c in node.centers])
+            assert np.abs(det - eq._stencil_det(alone, E, node.center)).max() < 1e-6
+            assert np.abs(np.abs(det) - 2.0).max() < 1e-6
+            count += len(det)
+        assert count == sum(math.comb(r, node.k) for node in layer.nodes)
 
     def test_stencil_memory_is_bounded_by_point_blocks(self):
-        """r = 100 has 100 centers of 398 stencil points each: blocks of
-        10 centers, where blocks of 64 centers peaked at about 235 MB."""
+        """r = 100: the one stencil of 398 points peaks far below what blocks of
+        64 centers took, about 235 MB."""
         import tracemalloc
 
         layer = one_step(100, 1)
@@ -946,18 +960,18 @@ class TestLocalDegrees:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(rep.delta_signs) == 100 and rep.consistent and rep.matches_ledger
+        assert rep.delta_signs == (-1,) and rep.matches_ledger
         assert peak < 64 * 2 ** 20
 
     def test_negated_border_row_flips_every_sign(self, monkeypatch):
         """The border row [c, 0] orients the chart: negating it (which negates
         the determinant, linear in that row) flips every delta sign."""
         layer, _ = eq.build_from_plan(plan_of(6, ((1, -1), (2, 1))))
-        batched = eq._stencil_dets
+        det = eq._stencil_det
         before = eq.verify_local_degrees(layer)
-        monkeypatch.setattr(eq, "_stencil_dets", lambda *args: -batched(*args))
+        monkeypatch.setattr(eq, "_stencil_det", lambda *args: -det(*args))
         for rep, mutant in zip(before, eq.verify_local_degrees(layer), strict=True):
-            assert rep.matches_ledger and mutant.consistent
+            assert rep.matches_ledger
             assert mutant.delta_signs == tuple(-s for s in rep.delta_signs)
             assert not mutant.matches_ledger
 
@@ -1072,25 +1086,28 @@ class TestSpuriousZeros:
         ([100, 100, 100], 1440),
     ])
     def test_blocks_cut_each_step_on_its_own(self, counts, block, monkeypatch):
-        """Each step's rows are cut at multiples of block whatever the other
-        steps hold, and each block runs on its step alone, in step order, with
-        the results of one block a step.  Step j holds the first counts[j]
-        centers of the r = 9, k = 4 orbit; a step of no rows is left out,
-        since no orbit is empty, and each step is evaluated alone."""
-        orbit = one_step(9, 4).node
-        layer = eq.MapLayer(9, tuple(eq.ModificationNode(4, -1, orbit.radius, orbit.centers[:n])
-                                     for n in counts if n))
-        whole = eq.center_residual(layer)
+        """The equivariance check's sum(counts) ball points are split evenly over
+        the plan's steps, one r = 9, k = 4 step per nonzero count, the first
+        steps taking one more where it does not divide.  Each step's points are
+        cut at multiples of block // 2 whatever the other steps hold, and each
+        block runs on its step alone, once plus once per generator, in step
+        order, with the residual of the default blocks."""
+        steps = sum(1 for n in counts if n)
+        layer = plan_layer(9, ((4, -1),) * steps)
+        samples = sum(counts)
+        whole = eq.verify_equivariance(layer, samples=samples, seed=3)
         homotopy, calls = eq._homotopy, []
         monkeypatch.setattr(eq, "_homotopy", lambda alone, X, *args, **kwargs:
                             calls.append((alone.nodes, len(X))) or homotopy(alone, X, *args, **kwargs))
         monkeypatch.setattr(eq, "_EVAL_ROWS", block)
-        assert eq.center_residual(layer) == whole and all(res < 1e-9 for res in whole)
-        assert all(0 < rows <= block for _, rows in calls)
-        assert calls == [((node,), min(lo + block, len(node.centers)) - lo)
-                         for node in layer.nodes for lo in range(0, len(node.centers), block)]
-        if counts == [5, 12, 3, 7]:  # step 1 is cut in two, and no block joins it with step 2
-            assert [rows for _, rows in calls] == [5, 8, 4, 3, 7]
+        assert eq.verify_equivariance(layer, samples=samples, seed=3) == whole < 1e-9
+        shares = [samples // steps + (j < samples % steps) for j in range(steps)]
+        half = block // 2
+        assert [call for call in calls if len(call[0]) == 1] == [
+            ((node,), min(lo + half, share) - lo) for node, share in zip(layer.nodes, shares)
+            for lo in range(0, share, half) for _ in range(3)]
+        if counts == [5, 12, 3, 7]:  # 27 points: 7, 7, 7 and 6, in blocks of 4
+            assert [rows for nodes, rows in calls[::3] if len(nodes) == 1] == [4, 3] * 3 + [4, 2]
 
     @pytest.mark.parametrize("r, steps", SEARCHED_PLANS)
     def test_each_step_gets_the_search_of_its_prefix(self, r, steps):
@@ -1138,43 +1155,50 @@ class TestSpuriousZeros:
 
     def test_verify_work_cap(self, monkeypatch):
         """MAX_VERIFY_WORK counts, in both modes, the equivariance check's
-        samples * steps * (1 + generators) row-steps and, for verify, the
-        search's samples * steps, at 2 units a row-step, and the stencils at 1:
-        it admits the auto plans up to r = 15 at the sample cap, 500 steps at
-        r = 2 up to 99,997 samples (verify) and 150,000 (build), one verified
-        step up to r = 131 and a built one at r = 1000, and refuses more.  It
-        decides from counts alone: at r = 10^9 it lists no generator."""
+        samples * (steps + 1) * (1 + generators) row-steps (uniform points
+        through every step, ball points through their own) and, for verify,
+        the search's samples * steps, at 2 units a row-step, the ball points'
+        draws at r^2/50 each, and one stencil of r^3 a step: it admits the auto
+        plans up to r = 15 at the sample cap, 500 steps at r = 2 up to 98,550
+        samples (verify) and 149,694 (build), one verified step up to r = 666,
+        and refuses more.  It decides from counts alone: at r = 10^9 it lists
+        no generator, and both modes are refused."""
         def listed(r):
             raise AssertionError("the work cap listed the generators")
 
         monkeypatch.setattr(eq, "generators", listed)
-        eq.check_verify_work(10 ** 9, [1], 1, stencils_and_search=False)
-        with pytest.raises(ValueError, match=r"^eqmap verify at r=1000000000 would do "):
-            eq.check_verify_work(10 ** 9, [1], 1, stencils_and_search=True)
+        for verify in (False, True):
+            with pytest.raises(ValueError, match=r"^eqmap (build|verify) at r=1000000000 would do "):
+                eq.check_verify_work(10 ** 9, [1], 1, stencils_and_search=verify)
         for r in (6, 10, 12, 14, 15):
             ks = [k for k, _ in certificate_to_plan(bezout_certificate(r)).steps]
             eq.check_verify_work(r, ks, eq.MAX_SAMPLES, stencils_and_search=True)
             eq.check_verify_work(r, ks, eq.MAX_SAMPLES, stencils_and_search=False)
         eq.check_verify_work(2, [1] * 500, 2000, stencils_and_search=True)
-        eq.check_verify_work(2, [1] * 500, 99_997, stencils_and_search=True)
-        eq.check_verify_work(2, [1] * 500, 150_000, stencils_and_search=False)
-        eq.check_verify_work(131, [1], 200, stencils_and_search=True)
+        eq.check_verify_work(2, [1] * 500, 98_550, stencils_and_search=True)
+        eq.check_verify_work(2, [1] * 500, 149_694, stencils_and_search=False)
+        eq.check_verify_work(666, [1], 200, stencils_and_search=True)
         eq.check_verify_work(30, [3, 3], 2000, stencils_and_search=True)
         eq.check_verify_work(1000, [1, 1], 2000, stencils_and_search=False)
         eq.check_verify_work(2, [], eq.MAX_SAMPLES, stencils_and_search=True)
-        with pytest.raises(ValueError, match=r"^eqmap verify at r=2 would do 300,002,000 units of "
-                                             r"work \(199,996,000 for the equivariance row-steps, "
-                                             r"99,998,000 for the search row-steps and 8,000 for "
-                                             r"the stencils\), beyond the cap "
-                                             r"eqmaps\.MAX_VERIFY_WORK = 300,000,000$"):
-            eq.check_verify_work(2, [1] * 500, 99_998, stencils_and_search=True)
-        with pytest.raises(ValueError, match=r"^eqmap build at r=2 would do 300,002,000 units of "
-                                             r"work \(300,002,000 for the equivariance "
-                                             r"row-steps\), beyond"):
-            eq.check_verify_work(2, [1] * 500, 150_001, stencils_and_search=False)
-        for r in (132, 300):
+        with pytest.raises(ValueError, match=r"^eqmap verify at r=2 would do 300,001,128 units of "
+                                             r"work \(197,496,204 for the equivariance row-steps, "
+                                             r"98,551,000 for the search row-steps, 3,949,924 for "
+                                             r"the ball draws and 4,000 for the stencils\), beyond "
+                                             r"the cap eqmaps\.MAX_VERIFY_WORK = 300,000,000$"):
+            eq.check_verify_work(2, [1] * 500, 98_551, stencils_and_search=True)
+        with pytest.raises(ValueError, match=r"^eqmap build at r=2 would do 300,000,755 units of "
+                                             r"work \(299,988,780 for the equivariance row-steps, "
+                                             r"0 for the search row-steps, 11,975 for the ball "
+                                             r"draws and 0 for the stencils\), beyond"):
+            eq.check_verify_work(2, [1] * 500, 149_695, stencils_and_search=False)
+        for r in (667, 700):
             with pytest.raises(ValueError, match=r"beyond the cap eqmaps\.MAX_VERIFY_WORK = "):
                 eq.check_verify_work(r, [1], 200, stencils_and_search=True)
+        # the draws bound the samples at large r: one k = 1 step at r = 5,005
+        eq.check_verify_work(5005, [1], 598, stencils_and_search=False)
+        with pytest.raises(ValueError, match=r"300,106,487 units of work"):
+            eq.check_verify_work(5005, [1], 599, stencils_and_search=False)
         with pytest.raises(ValueError, match="samples must be >= 1"):
             eq.check_verify_work(6, [1], 0, stencils_and_search=True)
         with pytest.raises(ValueError, match=r"eqmaps\.MAX_SAMPLES = 1,000,000"):
